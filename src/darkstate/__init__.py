@@ -44,11 +44,9 @@ from .optical_gate import (  # noqa: F401
     solve_angles,
 )
 from .tomography import (  # noqa: F401
-    BootstrapEstimate,
     MeasurementSetting,
     ProcessMatrix,
     Tomogram,
-    bootstrap,
     build_process_settings,
     build_state_settings,
     channel_to_choi,
@@ -62,9 +60,7 @@ from .experiments import (  # noqa: F401
     NoiseParams,
     ScenarioConfig,
     ScenarioResult,
-    run_channel_analysis,
     run_gate_tomography,
     run_protocol_sweep,
     run_reference_sweep,
-    residual_population_report,
 )

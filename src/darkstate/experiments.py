@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .optical_gate import ccp_success_probability, realize_ccp
-from .protocol import DegenerateCouplingError, u_ccp, u_cp
+from .protocol import DegenerateCouplingError, _herald_projectors, u_ccp, u_cp
 from .qmath import (
     BASIS_LABELS,
     DensityMatrix,
@@ -36,18 +36,15 @@ from .qmath import (
 )
 from .tomography import (
     ProcessMatrix,
-    Tomogram,
     build_process_settings,
     build_state_settings,
     channel_to_choi,
     mle_process,
-    mle_process_batched,
     mle_state,
-    mle_state_batched,
     process_fidelity,
     process_purity,
     resample_counts,
-    simulate_channel_counts,
+    simulate_counts,
 )
 
 _ANCHOR_KEY = 10_000
@@ -224,13 +221,6 @@ def _depolarize(rho: np.ndarray, strength: float) -> np.ndarray:
     return (1.0 - strength) * rho + strength * rho.trace() * np.eye(d, dtype=complex) / d
 
 
-def _herald_projectors_3q(phi: float) -> tuple[np.ndarray, np.ndarray]:
-    perp = np.array([1.0, -np.exp(1j * phi)], dtype=complex) / math.sqrt(2.0)
-    para = np.array([1.0, np.exp(1j * phi)], dtype=complex) / math.sqrt(2.0)
-    return (expand_operator(projector(perp), 3, (0,)),
-            expand_operator(projector(para), 3, (0,)))
-
-
 @dataclass(frozen=True)
 class PipelinePoint:
     """Declared joint (S, E) state of one grid point and its herald weight."""
@@ -258,7 +248,7 @@ def _protocol_point(phi: float, psi_label: str, env: np.ndarray, noise: NoisePar
     rho = cp @ rho @ cp.conj().T
     if noise.phase_jitter_std > 0.0:
         rho = _sector_damp(rho, _SE_SECTOR, math.exp(-noise.phase_jitter_std**2 / 2.0))
-    proj_perp, proj_para = _herald_projectors_3q(phi)
+    proj_perp, proj_para = (expand_operator(p, 3, (0,)) for p in _herald_projectors(phi))
     w_good, rho_good = project(rho, proj_perp)
     w_fail, rho_fail = project(rho, proj_para)
     eps = noise.herald_error
@@ -348,14 +338,9 @@ def _seed_seq(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
 
 
-def _simulate_point_counts(rho_se: np.ndarray, rate_eff: float, seed: int,
-                           key: tuple[int, ...]) -> Tomogram:
-    rng = np.random.default_rng(_seed_seq(seed, *key, 0))
-    kets = np.array([np.kron(ket(s.projection[0]), ket(s.projection[1]))
-                     for s in _TQ_SETTINGS])
-    probs = np.einsum("nd,de,ne->n", kets.conj(), rho_se, kets).real.clip(0.0, None)
-    counts = rng.poisson(rate_eff * probs)
-    return Tomogram(_TQ_SETTINGS, counts, rate_reference=rate_eff)
+def _point_counts(rho_se: np.ndarray, rate_eff: float, seed: int,
+                  key: tuple[int, ...]) -> np.ndarray:
+    return simulate_counts(_TQ_SETTINGS, rho_se, rate_eff, _seed_seq(seed, *key, 0)).counts
 
 
 def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -385,28 +370,28 @@ class _TomoPoint:
 
 def _tomographic_point(rho_se: np.ndarray, psi_label: str, rate_eff: float,
                        config: ScenarioConfig, key: tuple[int, ...]) -> _TomoPoint:
-    tomo = _simulate_point_counts(rho_se, rate_eff, config.seed, key)
-    s_counts, e_counts = (arr[0] for arr in _marginal_counts(tomo.counts[None, :]))
+    counts = _point_counts(rho_se, rate_eff, config.seed, key)
+    s_counts, e_counts = _marginal_counts(counts[None, :])
     psi = ket(psi_label)
-    rho_s = mle_state(Tomogram(_SQ_SETTINGS, s_counts), dim=2).matrix
-    rho_e = mle_state(Tomogram(_SQ_SETTINGS, e_counts), dim=2).matrix
+    rho_s = DensityMatrix(mle_state(_SQ_SETTINGS, s_counts)[0]).matrix
+    rho_e = DensityMatrix(mle_state(_SQ_SETTINGS, e_counts)[0]).matrix
     pur, fid, _ = _single_qubit_metrics(rho_s, psi)
     pop1 = float(rho_e[1, 1].real)
 
     b = config.bootstrap_samples
     if b >= 2:
-        reps = resample_counts(tomo.counts, b, config.seed, key=key)
+        reps = resample_counts(counts, b, config.seed, key=key)
         s_reps, e_reps = _marginal_counts(reps)
-        rhos_s = mle_state_batched(_SQ_SETTINGS, s_reps)
-        rhos_e = mle_state_batched(_SQ_SETTINGS, e_reps)
+        rhos_s = mle_state(_SQ_SETTINGS, s_reps)
+        rhos_e = mle_state(_SQ_SETTINGS, e_reps)
         rep_pur = np.einsum("bde,bed->b", rhos_s, rhos_s).real
         rep_fid = np.einsum("d,bde,e->b", psi.conj(), rhos_s, psi).real
         rep_pop = rhos_e[:, 1, 1].real
         rep_tot = reps.sum(axis=1).astype(float)
     else:
         rep_pur = rep_fid = rep_pop = rep_tot = np.array([])
-    return _TomoPoint(float(tomo.counts.sum()), pur, fid, pop1,
-                      rep_pur, rep_fid, rep_pop, rep_tot, s_counts)
+    return _TomoPoint(float(counts.sum()), pur, fid, pop1,
+                      rep_pur, rep_fid, rep_pop, rep_tot, s_counts[0])
 
 
 def _metric(analytic: float, reps: np.ndarray | None = None,
@@ -417,16 +402,15 @@ def _metric(analytic: float, reps: np.ndarray | None = None,
     return MetricValue(analytic=analytic, estimate=estimate, std=std)
 
 
-def _channel_metrics_from_tomogram(tomogram: Tomogram, samples: int, seed: int,
-                                   key: tuple[int, ...],
-                                   analytic: tuple[float, float] | None = None
-                                   ) -> tuple[MetricValue, MetricValue]:
-    chi = mle_process(tomogram, n=1).chi
+def _channel_metrics_from_counts(counts: np.ndarray, samples: int, seed: int,
+                                 key: tuple[int, ...], analytic: tuple[float, float]
+                                 ) -> tuple[MetricValue, MetricValue]:
+    chi = ProcessMatrix(mle_process(_CHANNEL_SETTINGS, counts[None, :])[0], 1).chi
     ef, fid = _channel_metrics_from_chi(chi)
-    ef_an, fid_an = analytic if analytic is not None else (None, None)
+    ef_an, fid_an = analytic
     if samples >= 2:
-        reps = resample_counts(tomogram.counts, samples, seed, key=key)
-        chis = mle_process_batched(_CHANNEL_SETTINGS, reps)
+        reps = resample_counts(counts, samples, seed, key=key)
+        chis = mle_process(_CHANNEL_SETTINGS, reps)
         rep_ef = np.empty(samples)
         rep_f = np.empty(samples)
         for i in range(samples):
@@ -434,25 +418,6 @@ def _channel_metrics_from_tomogram(tomogram: Tomogram, samples: int, seed: int,
         return (MetricValue(ef_an, ef, float(rep_ef.std(ddof=1))),
                 MetricValue(fid_an, fid, float(rep_f.std(ddof=1))))
     return MetricValue(ef_an, ef, None), MetricValue(fid_an, fid, None)
-
-
-def run_channel_analysis(tomograms_by_phi: Mapping[float, Tomogram],
-                         samples: int = 1000, seed: int = 0) -> tuple[PhiPoint, ...]:
-    """Reconstruct the signal channel per grid point from 36-setting data."""
-    points = []
-    for idx, (phi, tomogram) in enumerate(sorted(tomograms_by_phi.items())):
-        ef, fid = _channel_metrics_from_tomogram(tomogram, samples, seed, (idx, 97))
-        points.append(PhiPoint(phi=phi, mean_env_pop1=MetricValue(None, None, None),
-                               channel_ef=ef, channel_fidelity=fid))
-    return tuple(points)
-
-
-def _build_channel_tomogram(s_counts_by_label: Mapping[str, np.ndarray],
-                            rate_eff: float) -> Tomogram:
-    counts = np.empty(36)
-    for pi, prep in enumerate(BASIS_LABELS):
-        counts[pi * 6:(pi + 1) * 6] = s_counts_by_label[prep]
-    return Tomogram(_CHANNEL_SETTINGS, counts, rate_reference=rate_eff)
 
 
 def _run_sweep(config: ScenarioConfig, mode: str) -> ScenarioResult:
@@ -472,11 +437,10 @@ def _run_sweep(config: ScenarioConfig, mode: str) -> ScenarioResult:
         entry = {"transmission": _relative_transmission(anchor_phi) * point.weight}
         if config.shot_noise:
             rate_eff = config.rate * entry["transmission"]
-            tomo = _simulate_point_counts(point.rho_se, rate_eff, config.seed,
-                                          (_ANCHOR_KEY, si))
-            entry["total"] = float(tomo.counts.sum())
+            counts = _point_counts(point.rho_se, rate_eff, config.seed, (_ANCHOR_KEY, si))
+            entry["total"] = float(counts.sum())
             if config.bootstrap_samples >= 2:
-                reps = resample_counts(tomo.counts, config.bootstrap_samples,
+                reps = resample_counts(counts, config.bootstrap_samples,
                                        config.seed, key=(_ANCHOR_KEY, si))
                 entry["rep_totals"] = reps.sum(axis=1).astype(float)
         anchors[psi_label] = entry
@@ -489,7 +453,6 @@ def _run_sweep(config: ScenarioConfig, mode: str) -> ScenarioResult:
         pop_reps: list[np.ndarray] = []
         outputs_unnorm: dict[str, np.ndarray] = {}
         s_counts_by_label: dict[str, np.ndarray] = {}
-        rate_eff_phi = 0.0
         for si, psi_label in enumerate(config.signal_states):
             point = _pipeline(mode, phi, psi_label, env, config.noise)
             rho_s = partial_trace_array(point.rho_se, 2, (0,))
@@ -504,7 +467,6 @@ def _run_sweep(config: ScenarioConfig, mode: str) -> ScenarioResult:
 
             if config.shot_noise:
                 rate_eff = config.rate * transmission
-                rate_eff_phi = rate_eff
                 if phi == anchor_phi:
                     # the anchor point normalizes itself: reuse its data
                     tp = _tomographic_point(point.rho_se, psi_label, rate_eff,
@@ -540,9 +502,10 @@ def _run_sweep(config: ScenarioConfig, mode: str) -> ScenarioResult:
             chi_a = channel_choi_from_outputs(outputs_unnorm)
             ef_a, fid_a = _channel_metrics_from_chi(chi_a)
             if config.shot_noise:
-                tomo_c = _build_channel_tomogram(s_counts_by_label, rate_eff_phi)
-                channel_ef, channel_fid = _channel_metrics_from_tomogram(
-                    tomo_c, config.bootstrap_samples, config.seed, (pi, 99),
+                # preparation-major, as in _CHANNEL_SETTINGS
+                counts_c = np.concatenate([s_counts_by_label[lab] for lab in BASIS_LABELS])
+                channel_ef, channel_fid = _channel_metrics_from_counts(
+                    counts_c, config.bootstrap_samples, config.seed, (pi, 99),
                     analytic=(ef_a, fid_a))
             else:
                 channel_ef = MetricValue(ef_a)
@@ -572,32 +535,10 @@ def run_reference_sweep(config: ScenarioConfig) -> ScenarioResult:
     return _run_sweep(config, "reference")
 
 
-def residual_population_report(result: ScenarioResult) -> tuple[tuple[float, MetricValue], ...]:
-    """Per grid point, the mean environment |1> population over signal states."""
-    return tuple((p.phi, p.mean_env_pop1) for p in result.phis)
-
-
 # ---------------------------------------------------------------------------
 # gate tomography
 
 _OUT_SECTOR_64 = (np.arange(64) & 0b000111) == 0b000111
-
-
-def _gate_channel(phi: float, noise: NoiseParams):
-    """Callable applying the realized (noisy) gate to an 8x8 input."""
-    k0 = realize_ccp(phi).success_amplitude * u_ccp(phi).matrix
-    lam = math.exp(-noise.phase_jitter_std**2 / 2.0)
-    gamma = noise.gate_depolarizing
-
-    def channel(rho_in: np.ndarray) -> np.ndarray:
-        out = k0 @ rho_in @ k0.conj().T
-        if noise.phase_jitter_std > 0.0:
-            out = _sector_damp(out, _CCP_SECTOR, lam)
-        if gamma > 0.0:
-            out = _depolarize(out, gamma)
-        return out
-
-    return channel
 
 
 def _gate_choi(phi: float, noise: NoiseParams) -> np.ndarray:
@@ -663,18 +604,17 @@ def run_gate_tomography(config: ScenarioConfig,
         pur_a = process_purity(chi_a)
         opt_a = optimize_local_phase_fidelity(chi_a, ideal_vec, 3)
         if config.shot_noise:
-            tomo = simulate_channel_counts(_gate_channel(phi, config.noise), 3,
-                                           config.rate, _seed_seq(config.seed, pi, 3),
-                                           settings=settings)
-            chi_hat = mle_process(tomo, n=3, max_iters=config.gate_mle_max_iters).chi
+            counts = simulate_counts(settings, chi_a, config.rate,
+                                     _seed_seq(config.seed, pi, 3)).counts
+            chi_hat = ProcessMatrix(mle_process(settings, counts[None, :],
+                                                max_iters=config.gate_mle_max_iters)[0], 3).chi
             fid_e = process_fidelity(chi_hat, chi_ideal)
             pur_e = process_purity(chi_hat)
             opt_e = optimize_local_phase_fidelity(chi_hat, ideal_vec, 3)
             b = config.gate_bootstrap_samples
             if b >= 2:
-                reps = resample_counts(tomo.counts, b, config.seed, key=(pi, 3))
-                chis = mle_process_batched(settings, reps,
-                                           max_iters=config.gate_mle_max_iters)
+                reps = resample_counts(counts, b, config.seed, key=(pi, 3))
+                chis = mle_process(settings, reps, max_iters=config.gate_mle_max_iters)
                 rep_f = np.array([process_fidelity(c, chi_ideal) for c in chis])
                 rep_p = np.array([process_purity(c) for c in chis])
                 rep_o = np.array([optimize_local_phase_fidelity(c, ideal_vec, 3)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -55,7 +54,6 @@ class GateStage:
 
     name: str
     operator: OperatorMatrix
-    kind: Literal["unitary", "filter"]
 
 
 @dataclass(frozen=True)
@@ -150,15 +148,15 @@ def realize_ccp(phi) -> GateRealization:
         return OperatorMatrix(expand_operator(mat, 4, (0,)), unitary=unitary)
 
     stages = (
-        GateStage("displacer-cnot-in", on_pa(cnot_pa, True), "unitary"),
-        GateStage("arm1-rotation-x", on_pa(_controlled_on_aux(rotation("y", 2 * angles.x)), True), "unitary"),
-        GateStage("ppbs-c3z", c3z_filter(), "filter"),
-        GateStage("arm1-quarter-phase", on_pa(arm_phase, True), "unitary"),
-        GateStage("arm1-rotation-y", on_pa(_controlled_on_aux(rotation("y", 2 * angles.y)), True), "unitary"),
-        GateStage("displacer-cnot-out", on_pa(cnot_pa, True), "unitary"),
-        GateStage("aux-filtration", OperatorMatrix(expand_operator(_P0, 4, (3,))), "filter"),
-        GateStage("analyzer-balance", on_p(balance, False), "filter"),
-        GateStage("displacer-tilt-phase", on_p(tilt_phase, True), "unitary"),
+        GateStage("displacer-cnot-in", on_pa(cnot_pa, True)),
+        GateStage("arm1-rotation-x", on_pa(_controlled_on_aux(rotation("y", 2 * angles.x)), True)),
+        GateStage("ppbs-c3z", c3z_filter()),
+        GateStage("arm1-quarter-phase", on_pa(arm_phase, True)),
+        GateStage("arm1-rotation-y", on_pa(_controlled_on_aux(rotation("y", 2 * angles.y)), True)),
+        GateStage("displacer-cnot-out", on_pa(cnot_pa, True)),
+        GateStage("aux-filtration", OperatorMatrix(expand_operator(_P0, 4, (3,)))),
+        GateStage("analyzer-balance", on_p(balance, False)),
+        GateStage("displacer-tilt-phase", on_p(tilt_phase, True)),
     )
     amplitude = complex(math.cos(angles.z) / 3.0)
     return GateRealization(phi=value, angles=angles, stages=stages, success_amplitude=amplitude)

@@ -266,22 +266,6 @@ def expand_operator(op: np.ndarray, n: int, targets: Sequence[int]) -> np.ndarra
     return np.ascontiguousarray(t.reshape(2**n, 2**n))
 
 
-def apply_unitary(rho: np.ndarray, u: np.ndarray, n: int | None = None,
-                  targets: Sequence[int] | None = None) -> np.ndarray:
-    """U rho U† on a raw array, optionally embedding U on target qubits."""
-    if targets is not None:
-        u = expand_operator(u, n if n is not None else _qubit_count(rho.shape[0]), targets)
-    return u @ rho @ u.conj().T
-
-
-def apply_kraus(rho: np.ndarray, kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum_k K rho K† for a list of full-register Kraus operators."""
-    out = np.zeros_like(np.asarray(rho, dtype=complex))
-    for k in kraus:
-        out += k @ rho @ k.conj().T
-    return out
-
-
 def project(rho: np.ndarray, proj: np.ndarray) -> tuple[float, np.ndarray | None]:
     """Apply a projector; return (weight, renormalized state or None).
 

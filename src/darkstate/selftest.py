@@ -39,7 +39,13 @@ from .qmath import (
     projector,
     state_fidelity,
 )
-from .tomography import mle_process, process_fidelity, simulate_channel_counts
+from .tomography import (
+    ProcessMatrix,
+    build_process_settings,
+    mle_process,
+    process_fidelity,
+    simulate_counts,
+)
 
 
 @dataclass(frozen=True)
@@ -148,11 +154,12 @@ def criterion_5_tomography_fidelity() -> tuple[bool, str]:
     if abs(ef_expected - _EF_DEPHASED_HALF) > 1e-12:
         return False, "analytic entanglement target drifted"
     phi_plus = projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
+    settings = build_process_settings(1)
     ef_err = []
     f_err = []
     for seed in range(20):
-        tomo = simulate_channel_counts(channel, 1, rate=3e4, seed=seed)
-        chi_hat = mle_process(tomo, n=1)
+        tomo = simulate_counts(settings, chi_analytic, rate=3e4, seed=seed)
+        chi_hat = ProcessMatrix(mle_process(settings, tomo.counts[None, :])[0], 1)
         ef_err.append(abs(entanglement_of_formation(chi_hat.normalized_state()) - ef_expected))
         f_err.append(abs(process_fidelity(chi_hat, phi_plus) - _F_DEPHASED_HALF))
     ef_med, f_med = float(np.median(ef_err)), float(np.median(f_err))

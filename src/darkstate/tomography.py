@@ -1,16 +1,19 @@
 """Simulated coincidence counting and maximum-likelihood reconstruction.
 
 Measurement settings draw from the six-state alphabet per qubit (three
-mutually unbiased bases), counts are Poissonian, and states / process
-matrices are reconstructed with the iterative R-rho-R fixed-point method:
+mutually unbiased bases).  Through channel-state duality every setting is
+one ket k: the projection ket for state tomography, and the product
+conj(prep) (x) proj on the doubled register for process tomography, where
+the Choi matrix takes the place of the state.  So one rule serves both:
+counts are Poissonian with mean rate * t * 2^n_in * <k|M|k>, and M is
+reconstructed with the iterative R-rho-R fixed-point method (Hradil, PRA
+55, R1561, 1997):
 
     R(rho) = sum_j (f_j / p_j(rho)) Pi_j,    rho <- N[R rho R]
 
-Process matrices are handled through channel-state duality: a preparation-
-projection pair maps to the product ket conj(prep) (x) proj on the doubled
-register, which turns process estimation into state estimation.  No trace
-preservation is imposed, so postselected (trace-decreasing) channels
-reconstruct naturally; the quality metrics normalize away the scale.
+No trace preservation is imposed, so postselected (trace-decreasing)
+channels reconstruct naturally; the quality metrics normalize away the
+scale.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +29,8 @@ from .qmath import (
     BASIS_LABELS,
     DensityMatrix,
     OperatorMatrix,
+    ket,
     max_entangled,
-    partial_trace_array,
-    product_ket,
-    projector,
 )
 
 MLE_TOL = 1e-10
@@ -120,21 +121,6 @@ class ProcessMatrix:
         return DensityMatrix(self.chi / tr)
 
 
-@dataclass(frozen=True)
-class BootstrapEstimate:
-    """Monte-Carlo resampling summary of a scalar statistic."""
-
-    value: float
-    std: float
-    samples: int = 1000
-
-    def __post_init__(self):
-        if self.std < 0.0:
-            raise ValueError("std must be nonnegative")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
-
-
 def build_state_settings(n: int, duration: float = 1.0) -> tuple[MeasurementSetting, ...]:
     """All 6^n product projections for state tomography of n qubits."""
     return tuple(
@@ -152,70 +138,68 @@ def build_process_settings(n: int, duration: float = 1.0) -> tuple[MeasurementSe
     )
 
 
+_KET_TABLE = np.array([ket(lab) for lab in BASIS_LABELS])
+_LABEL_ROW = {lab: i for i, lab in enumerate(BASIS_LABELS)}
+
+
+def _product_kets(label_rows: Sequence[tuple[str, ...]]) -> np.ndarray:
+    """Product kets of label rows, leftmost label most significant.
+
+    Each row is built by outer products with the rows of the 6 x 2
+    single-qubit ket table, one qubit at a time.
+    """
+    if len({len(row) for row in label_rows}) != 1:
+        raise ValueError("settings act on different numbers of qubits")
+    idx = np.array([[_LABEL_ROW[lab] for lab in row] for row in label_rows])
+    kets = _KET_TABLE[idx[:, 0]]
+    for q in range(1, idx.shape[1]):
+        kets = (kets[:, :, None] * _KET_TABLE[idx[:, q]][:, None, :]).reshape(len(idx), -1)
+    return kets
+
+
 def setting_kets(settings: Sequence[MeasurementSetting], process: bool) -> np.ndarray:
     """Stack of measurement kets, one row per setting.
 
-    For process settings the preparation half is conjugated, which is the
-    channel-state duality convention that makes the Choi matrix appear as
-    an ordinary state to the estimator.
+    For process settings the ket is conj(prep) (x) proj: conjugating the
+    preparation half is the channel-state duality convention that makes the
+    Choi matrix appear as an ordinary state to the estimator.
     """
-    rows = []
+    if not settings:
+        raise ValueError("settings must be nonempty")
     for s in settings:
-        kp = product_ket(s.projection)
-        if process:
-            if not s.preparation:
-                raise ValueError("process setting lacks preparation labels")
-            rows.append(np.kron(product_ket(s.preparation).conj(), kp))
-        else:
-            if s.preparation:
-                raise ValueError("state setting carries preparation labels")
-            rows.append(kp)
-    return np.array(rows, dtype=complex)
+        if process and not s.preparation:
+            raise ValueError("process setting lacks preparation labels")
+        if not process and s.preparation:
+            raise ValueError("state setting carries preparation labels")
+    kets = _product_kets([s.projection for s in settings])
+    if process:
+        prep = _product_kets([s.preparation for s in settings]).conj()
+        kets = (prep[:, :, None] * kets[:, None, :]).reshape(len(kets), -1)
+    return kets
 
 
-def setting_probability(rho: np.ndarray | DensityMatrix, setting: MeasurementSetting) -> float:
-    """Born probability Tr[Pi rho] of one projection."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    k = product_ket(setting.projection)
-    return float(np.real(k.conj() @ mat @ k))
+def simulate_counts(settings: Sequence[MeasurementSetting],
+                    M: DensityMatrix | ProcessMatrix | np.ndarray,
+                    rate: float, seed) -> Tomogram:
+    """Poissonian counts with mean rate * t * 2^n_in * <k|M|k> per setting ket k.
 
-
-def simulate_counts(true_state: DensityMatrix | np.ndarray,
-                    settings: Sequence[MeasurementSetting],
-                    rate: float, seed: int) -> Tomogram:
-    """Draw Poissonian counts for every setting, mean = rate * t * Tr[Pi rho]."""
+    ``M`` is the state for state settings (n_in = 0) and, for process
+    settings with n_in input qubits, the trace-free Choi matrix in the
+    normalization of ``channel_to_choi``.  ``seed`` is an int or a
+    ``SeedSequence``.
+    """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    mat = true_state.matrix if isinstance(true_state, DensityMatrix) else np.asarray(true_state)
-    kets = setting_kets(settings, process=False)
+    settings = tuple(settings)
+    mat = M.matrix if isinstance(M, DensityMatrix) else _chi_array(M)
+    kets = setting_kets(settings, process=any(s.preparation for s in settings))
     if kets.shape[1] != mat.shape[0]:
-        raise ValueError("projection dimension does not match state dimension")
-    probs = np.einsum("nd,de,ne->n", kets.conj(), mat, kets).real.clip(0.0, None)
+        raise ValueError("setting dimension does not match the matrix dimension")
+    probs = np.einsum("ne,ne->n", kets.conj() @ mat, kets).real.clip(0.0, None)
     durations = np.array([s.duration for s in settings])
+    means = rate * durations * 2 ** len(settings[0].preparation) * probs
     rng = np.random.default_rng(_as_seed(seed))
-    counts = rng.poisson(rate * durations * probs)
-    return Tomogram(tuple(settings), counts, rate_reference=rate)
-
-
-def simulate_channel_counts(channel: Callable[[np.ndarray], np.ndarray], n: int,
-                            rate: float, seed: int,
-                            settings: Sequence[MeasurementSetting] | None = None) -> Tomogram:
-    """Poissonian process-tomography counts for a (possibly trace-decreasing) channel."""
-    if rate <= 0.0:
-        raise ValueError("rate must be positive")
-    if settings is None:
-        settings = build_process_settings(n)
-    outputs: dict[tuple[str, ...], np.ndarray] = {}
-    means = np.empty(len(settings))
-    for i, s in enumerate(settings):
-        if s.preparation not in outputs:
-            outputs[s.preparation] = channel(projector(product_ket(s.preparation)))
-        out = outputs[s.preparation]
-        k = product_ket(s.projection)
-        p = float(np.real(k.conj() @ out @ k))
-        means[i] = rate * s.duration * max(p, 0.0)
-    rng = np.random.default_rng(_as_seed(seed))
-    return Tomogram(tuple(settings), rng.poisson(means), rate_reference=rate)
+    return Tomogram(settings, rng.poisson(means), rate_reference=rate)
 
 
 def _check_complete(kets: np.ndarray) -> None:
@@ -243,106 +227,51 @@ def _check_complete(kets: np.ndarray) -> None:
                 "measurement set is informationally incomplete (singular frame)")
 
 
-def _mle_engine(kets: np.ndarray, counts: np.ndarray, tol: float, max_iters: int,
-                track_likelihood: bool = False):
-    """Batched R-rho-R iteration.
+def _mle(kets: np.ndarray, counts, tol: float, max_iters: int) -> np.ndarray:
+    """Batched R-rho-R iteration over the rows of ``counts`` (shape (B, N)).
 
-    ``counts`` has shape (B, N); returns (rho (B, d, d), info).  The
-    likelihood trace is recorded only for B = 1.
+    Returns the (B, d, d) estimates.  A replica with no counts carries no
+    information and gets I/d; a single tomogram with no counts raises.
     """
-    b, n_set = counts.shape
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 2 or counts.shape[1] != len(kets):
+        raise ValueError(f"counts must have shape (B, {len(kets)}), got {counts.shape}")
+    totals = counts.sum(axis=1)
+    if len(counts) == 1 and totals[0] == 0:
+        raise ValueError("tomogram has zero total counts")
+    _check_complete(kets)
     d = kets.shape[1]
     eye = np.eye(d, dtype=complex)
-    rho = np.tile(eye / d, (b, 1, 1))
-    zero_total = counts.sum(axis=1) == 0
-    loglik: list[float] = []
+    rho = np.tile(eye / d, (len(counts), 1, 1))
+    zero_total = totals == 0
     kc = kets.conj()
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iters + 1):
-        if b == 1:
-            x = kc @ rho[0]
-            p = np.einsum("ne,ne->n", x, kets).real[None, :]
-        else:
-            p = np.einsum("nd,bde,ne->bn", kc, rho, kets).real
-        p = p.clip(_PROB_FLOOR, None)
-        if track_likelihood and b == 1:
-            pos = counts[0] > 0
-            loglik.append(float(np.sum(counts[0, pos] * np.log(p[0, pos]))))
+    for _ in range(max_iters):
+        p = np.einsum("bne,ne->bn", kc @ rho, kets).real.clip(_PROB_FLOOR, None)
         w = counts / p
-        if b == 1:
-            r_op = (kets.T * w[0]) @ kc
-            new = r_op @ rho[0] @ r_op
-            new = new[None, :, :]
-        else:
-            r_op = np.einsum("bn,nd,ne->bde", w, kets, kc)
-            new = r_op @ rho @ r_op
+        r_op = (kets.T * w[:, None, :]) @ kc
+        new = r_op @ rho @ r_op
         new = 0.5 * (new + np.conj(np.swapaxes(new, 1, 2)))
         traces = np.einsum("bdd->b", new).real
         traces[traces <= 0.0] = 1.0
         new /= traces[:, None, None]
-        if zero_total.any():
-            new[zero_total] = eye / d
+        new[zero_total] = eye / d
         delta = np.abs(new - rho).max()
         rho = new
         if delta < tol:
-            converged = True
             break
-    info = {"iterations": iterations, "converged": converged,
-            "loglik": np.array(loglik)}
-    return rho, info
-
-
-def mle_state(tomogram: Tomogram, dim: int | None = None, tol: float = MLE_TOL,
-              max_iters: int = MLE_MAX_ITERS, return_info: bool = False):
-    """Maximum-likelihood state reconstruction from a tomogram."""
-    kets = setting_kets(tomogram.settings, process=False)
-    if dim is not None and kets.shape[1] != dim:
-        raise ValueError(f"settings act on dimension {kets.shape[1]}, expected {dim}")
-    if tomogram.counts.sum() == 0:
-        raise ValueError("tomogram has zero total counts")
-    _check_complete(kets)
-    rho, info = _mle_engine(kets, tomogram.counts[None, :], tol, max_iters,
-                            track_likelihood=return_info)
-    state = DensityMatrix(rho[0])
-    return (state, info) if return_info else state
-
-
-def mle_state_batched(settings: Sequence[MeasurementSetting], counts: np.ndarray,
-                      tol: float = MLE_TOL, max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
-    """Reconstruct many resampled tomograms at once; returns (B, d, d)."""
-    kets = setting_kets(settings, process=False)
-    _check_complete(kets)
-    rho, _ = _mle_engine(kets, np.asarray(counts, dtype=float), tol, max_iters)
     return rho
 
 
-def mle_process(tomogram: Tomogram, n: int | None = None, tol: float = MLE_TOL,
-                max_iters: int = MLE_MAX_ITERS, return_info: bool = False):
-    """Maximum-likelihood process reconstruction (Choi form, trace free)."""
-    if not tomogram.settings or not tomogram.settings[0].preparation:
-        raise ValueError("process tomography requires preparation labels")
-    if n is None:
-        n = len(tomogram.settings[0].projection)
-    if any(len(s.preparation) != n or len(s.projection) != n for s in tomogram.settings):
-        raise ValueError(f"settings do not describe an {n}-qubit channel")
-    if tomogram.counts.sum() == 0:
-        raise ValueError("tomogram has zero total counts")
-    kets = setting_kets(tomogram.settings, process=True)
-    _check_complete(kets)
-    chi, info = _mle_engine(kets, tomogram.counts[None, :], tol, max_iters,
-                            track_likelihood=return_info)
-    proc = ProcessMatrix(chi[0], n)
-    return (proc, info) if return_info else proc
+def mle_state(settings: Sequence[MeasurementSetting], counts,
+              tol: float = MLE_TOL, max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
+    """Maximum-likelihood states from counts of shape (B, N); returns (B, d, d)."""
+    return _mle(setting_kets(settings, process=False), counts, tol, max_iters)
 
 
-def mle_process_batched(settings: Sequence[MeasurementSetting], counts: np.ndarray,
-                        tol: float = MLE_TOL, max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
-    """Batched process reconstruction; returns (B, 4^n, 4^n) raw arrays."""
-    kets = setting_kets(settings, process=True)
-    _check_complete(kets)
-    chi, _ = _mle_engine(kets, np.asarray(counts, dtype=float), tol, max_iters)
-    return chi
+def mle_process(settings: Sequence[MeasurementSetting], counts,
+                tol: float = MLE_TOL, max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
+    """Maximum-likelihood Choi matrices (trace free) from counts of shape (B, N)."""
+    return _mle(setting_kets(settings, process=True), counts, tol, max_iters)
 
 
 def channel_to_choi(operators, n: int | None = None) -> ProcessMatrix:
@@ -369,16 +298,6 @@ def channel_to_choi(operators, n: int | None = None) -> ProcessMatrix:
         v = np.kron(eye, m) @ phi
         chi += np.outer(v, v.conj())
     return ProcessMatrix(chi, n)
-
-
-def apply_choi(proc: ProcessMatrix, rho: np.ndarray | DensityMatrix) -> np.ndarray:
-    """Act with the channel encoded by a Choi matrix; output may lose trace."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    d = 2**proc.n
-    if mat.shape != (d, d):
-        raise ValueError("input dimension does not match the channel")
-    weighted = np.kron(mat.T, np.eye(d, dtype=complex)) @ proc.chi
-    return d * partial_trace_array(weighted, 2 * proc.n, range(proc.n, 2 * proc.n))
 
 
 def _chi_array(chi) -> np.ndarray:
@@ -411,28 +330,6 @@ def resample_counts(counts: np.ndarray, samples: int, seed: int,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(*key, 1)))
     base = np.asarray(counts, dtype=float)
     return rng.poisson(np.broadcast_to(base, (samples, base.size)))
-
-
-def bootstrap(tomogram: Tomogram, statistic: Callable[[Tomogram], float],
-              samples: int = 1000, seed: int = 0) -> BootstrapEstimate:
-    """Poissonian parametric bootstrap of a scalar statistic.
-
-    Every count is redrawn as Poisson with mean equal to the observed
-    count; the statistic is evaluated on each replica.  Replica i derives
-    its stream from (seed, i), so results do not depend on evaluation
-    order.
-    """
-    if samples < 2:
-        raise ValueError("bootstrap needs at least 2 samples")
-    values = np.empty(samples)
-    base = tomogram.counts
-    for i in range(samples):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        replica = Tomogram(tomogram.settings, rng.poisson(base), tomogram.rate_reference)
-        values[i] = statistic(replica)
-    return BootstrapEstimate(value=float(values.mean()),
-                             std=float(values.std(ddof=1)),
-                             samples=samples)
 
 
 def tomogram_to_text(tomogram: Tomogram) -> str:
@@ -477,13 +374,3 @@ def tomogram_from_text(text: str) -> Tomogram:
         settings.append(MeasurementSetting(prep, proj, float(parts[2])))
         counts.append(float(parts[3]))
     return Tomogram(tuple(settings), np.array(counts), rate_reference=rate)
-
-
-def save_tomogram(tomogram: Tomogram, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(tomogram_to_text(tomogram))
-
-
-def load_tomogram(path) -> Tomogram:
-    with open(path, "r", encoding="ascii") as fh:
-        return tomogram_from_text(fh.read())

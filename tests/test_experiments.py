@@ -1,32 +1,34 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from darkstate.experiments import (
+    _CCP_SECTOR,
     BudgetError,
     NoiseParams,
     ScenarioConfig,
+    _depolarize,
+    _gate_choi,
+    _sector_damp,
     channel_choi_from_outputs,
     optimize_local_phase_fidelity,
-    residual_population_report,
-    run_channel_analysis,
     run_gate_tomography,
     run_protocol_sweep,
     run_reference_sweep,
 )
+from darkstate.optical_gate import realize_ccp
 from darkstate.protocol import DegenerateCouplingError, u_ccp
 from darkstate.qmath import (
     BASIS_LABELS,
     DensityMatrix,
     ket,
     max_entangled,
+    product_ket,
     projector,
 )
-from darkstate.tomography import (
-    process_fidelity,
-    simulate_channel_counts,
-)
+from darkstate.tomography import process_fidelity
 
 EF_DEPHASED_HALF = 0.6008760366928562   # entanglement at |q| = cos(pi/4)
 
@@ -193,21 +195,14 @@ def test_channel_choi_from_outputs_identity():
         channel_choi_from_outputs({"0": np.eye(2)})
 
 
-def test_run_channel_analysis_standalone():
-    q = 0.5 * (1.0 + np.exp(1j * math.pi / 2.0))
-
-    def channel(rho):
-        out = np.array(rho, dtype=complex)
-        out[1, 0] *= q
-        out[0, 1] *= np.conj(q)
-        return out
-
-    tomo = simulate_channel_counts(channel, 1, rate=3e4, seed=2)
-    points = run_channel_analysis({math.pi / 2.0: tomo}, samples=40, seed=0)
-    assert len(points) == 1
-    assert points[0].channel_ef.estimate == pytest.approx(EF_DEPHASED_HALF, abs=0.02)
-    assert points[0].channel_fidelity.estimate == pytest.approx(0.75, abs=0.01)
-    assert points[0].channel_ef.std > 0.0
+def test_channel_reconstruction_from_sweep_counts():
+    # the reference circuit at phi = pi/2 is the dephasing channel q = (1 + i)/2
+    cfg = ScenarioConfig(mode="reference", phi_grid=(math.pi / 2.0,), rate=3e4,
+                         bootstrap_samples=40, seed=2)
+    point = run_reference_sweep(cfg).phis[0]
+    assert point.channel_ef.estimate == pytest.approx(EF_DEPHASED_HALF, abs=0.02)
+    assert point.channel_fidelity.estimate == pytest.approx(0.75, abs=0.01)
+    assert point.channel_ef.std > 0.0
 
 
 def test_channel_skipped_for_partial_alphabet():
@@ -284,11 +279,11 @@ def test_mode_mismatch_rejected():
 
 
 def test_residual_population_report_accessor():
+    # the per-grid-point residual population is read off result.phis
     cfg = ScenarioConfig(mode="protocol", phi_grid=(math.pi,), **ANALYTIC)
     result = run_protocol_sweep(cfg)
-    report = residual_population_report(result)
-    assert report[0][0] == math.pi
-    assert report[0][1].analytic == pytest.approx(0.0, abs=1e-12)
+    assert result.phis[0].phi == math.pi
+    assert result.phis[0].mean_env_pop1.analytic == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +305,23 @@ def test_gate_fully_depolarized_purity():
                          noise=NoiseParams(gate_depolarizing=1.0), **ANALYTIC)
     result = run_gate_tomography(cfg)
     assert result.gates[0].purity.analytic == pytest.approx(1.0 / 64.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseParams(), NoiseParams(gate_depolarizing=0.2, phase_jitter_std=0.4)])
+def test_gate_choi_matches_kraus_form(noise):
+    # the Choi matrix that drives the gate counts, against the noisy gate
+    # applied in Kraus form to each of the 216 product preparations
+    for phi in (math.pi / 8.0, math.pi / 2.0, 5.0 * math.pi / 4.0):
+        k0 = realize_ccp(phi).success_amplitude * u_ccp(phi).matrix
+        blocks = _gate_choi(phi, noise).reshape(8, 8, 8, 8)
+        for labels in itertools.product(BASIS_LABELS, repeat=3):
+            rho = projector(product_ket(labels))
+            out = k0 @ rho @ k0.conj().T
+            out = _sector_damp(out, _CCP_SECTOR, math.exp(-noise.phase_jitter_std**2 / 2.0))
+            out = _depolarize(out, noise.gate_depolarizing)
+            via_choi = 8.0 * np.einsum("ij,iajb->ab", rho, blocks)
+            np.testing.assert_allclose(via_choi, out, rtol=0.0, atol=1e-12)
 
 
 def test_gate_budget_flag_enforced():

@@ -147,7 +147,7 @@ def test_stage_tags_and_physicality():
     assert names.count("aux-filtration") == 1
     for stage in real.stages:
         mat = stage.operator.matrix
-        if stage.kind == "unitary":
+        if stage.operator.unitary:
             np.testing.assert_allclose(mat.conj().T @ mat, np.eye(16), atol=1e-12)
         else:
             # postselection elements must not amplify: F†F <= I

@@ -17,13 +17,10 @@ from darkstate.qmath import (
     PureState,
 )
 from darkstate.tomography import (
-    BootstrapEstimate,
     IncompleteMeasurementError,
     MeasurementSetting,
     ProcessMatrix,
     Tomogram,
-    apply_choi,
-    bootstrap,
     build_process_settings,
     build_state_settings,
     channel_to_choi,
@@ -32,7 +29,7 @@ from darkstate.tomography import (
     process_fidelity,
     process_purity,
     resample_counts,
-    simulate_channel_counts,
+    setting_kets,
     simulate_counts,
     tomogram_from_text,
     tomogram_to_text,
@@ -48,6 +45,33 @@ def exact_tomogram(rho: np.ndarray, n: int, scale: float = 1e6) -> Tomogram:
                                        @ product_ket(s.projection))
                        for s in settings])
     return Tomogram(settings, counts.clip(0.0, None))
+
+
+def state_estimate(tomo: Tomogram, **kwargs) -> DensityMatrix:
+    return DensityMatrix(mle_state(tomo.settings, tomo.counts[None, :], **kwargs)[0])
+
+
+def process_estimate(tomo: Tomogram, n: int) -> ProcessMatrix:
+    return ProcessMatrix(mle_process(tomo.settings, tomo.counts[None, :])[0], n)
+
+
+def log_likelihood(settings, counts: np.ndarray, rho: np.ndarray) -> float:
+    kets = setting_kets(settings, process=False)
+    p = np.einsum("nd,de,ne->n", kets.conj(), rho, kets).real
+    pos = counts > 0
+    return float(np.sum(counts[pos] * np.log(p[pos])))
+
+
+class MeanRng:
+    """Stand-in generator whose Poisson draw returns its mean."""
+
+    def poisson(self, lam):
+        return np.asarray(lam, dtype=float)
+
+
+def count_means(monkeypatch, settings, mat, rate: float) -> np.ndarray:
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: MeanRng())
+    return simulate_counts(settings, mat, rate, seed=0).counts
 
 
 def dephasing_kraus(q: complex) -> list[np.ndarray]:
@@ -79,7 +103,7 @@ def test_setting_validation():
 
 def test_simulate_counts_orthogonal_projection_is_silent():
     settings = (MeasurementSetting((), ("1",)),)
-    tomo = simulate_counts(DensityMatrix.from_label("0"), settings, rate=1e5, seed=0)
+    tomo = simulate_counts(settings, DensityMatrix.from_label("0"), rate=1e5, seed=0)
     assert tomo.counts[0] == 0
 
 
@@ -87,7 +111,7 @@ def test_simulate_counts_mixed_state_mean():
     # projections of I/2 fire at half the rate: empirical mean near 150
     settings = (MeasurementSetting((), ("+",)),)
     rho = DensityMatrix.maximally_mixed(1)
-    draws = np.array([simulate_counts(rho, settings, rate=300.0, seed=s).counts[0]
+    draws = np.array([simulate_counts(settings, rho, rate=300.0, seed=s).counts[0]
                       for s in range(1000)])
     assert abs(draws.mean() - 150.0) < 5.0 * math.sqrt(150.0 / 1000.0)
 
@@ -96,7 +120,7 @@ def test_simulate_counts_basis_completeness():
     # the two outcomes of one basis together see every photon
     settings = (MeasurementSetting((), ("+",)), MeasurementSetting((), ("-",)))
     rho = DensityMatrix.from_label("L")
-    totals = np.array([simulate_counts(rho, settings, rate=200.0, seed=s).counts.sum()
+    totals = np.array([simulate_counts(settings, rho, rate=200.0, seed=s).counts.sum()
                        for s in range(500)])
     assert abs(totals.mean() - 200.0) < 5.0 * math.sqrt(200.0 / 500.0)
 
@@ -104,8 +128,8 @@ def test_simulate_counts_basis_completeness():
 def test_simulate_counts_deterministic():
     settings = build_state_settings(1)
     rho = DensityMatrix.from_label("L")
-    a = simulate_counts(rho, settings, rate=300.0, seed=42)
-    b = simulate_counts(rho, settings, rate=300.0, seed=42)
+    a = simulate_counts(settings, rho, rate=300.0, seed=42)
+    b = simulate_counts(settings, rho, rate=300.0, seed=42)
     np.testing.assert_array_equal(a.counts, b.counts)
 
 
@@ -123,35 +147,38 @@ def test_tomogram_validation():
 
 def test_mle_state_noiseless_plus():
     tomo = exact_tomogram(projector(ket("+")), 1)
-    rho_hat = mle_state(tomo, dim=2)
+    rho_hat = state_estimate(tomo)
     assert state_fidelity(rho_hat, PureState(ket("+"))) > 1.0 - 1e-6
 
 
 def test_mle_state_statistical_convergence():
-    tomo = simulate_counts(DensityMatrix.maximally_mixed(1), build_state_settings(1),
+    tomo = simulate_counts(build_state_settings(1), DensityMatrix.maximally_mixed(1),
                            rate=1e6, seed=7)
-    rho_hat = mle_state(tomo, dim=2)
+    rho_hat = state_estimate(tomo)
     diff = rho_hat.matrix - np.eye(2) / 2
     trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
     assert trace_distance < 0.01
 
 
 def test_mle_state_likelihood_monotone():
+    # stopping the iteration later never lowers the likelihood
     rng = np.random.default_rng(30)
+    settings = build_state_settings(1)
     for seed in range(4):
         rho = random_density_matrix(1, rng)
-        tomo = simulate_counts(rho, build_state_settings(1), rate=300.0, seed=seed)
-        _rho_hat, info = mle_state(tomo, dim=2, return_info=True)
-        diffs = np.diff(info["loglik"])
-        assert diffs.size > 0
-        assert diffs.min() > -1e-9
+        counts = simulate_counts(settings, rho, rate=300.0, seed=seed).counts
+        logliks = [log_likelihood(settings, counts, mle_state(settings, counts[None, :],
+                                                              max_iters=k)[0])
+                   for k in (1, 2, 4, 8, 16, 32, 64, 128)]
+        assert np.diff(logliks).min() > -1e-9
 
 
 def test_mle_state_output_is_physical():
-    tomo = simulate_counts(DensityMatrix.from_label("R"), build_state_settings(1),
+    tomo = simulate_counts(build_state_settings(1), DensityMatrix.from_label("R"),
                            rate=100.0, seed=3)
-    rho_hat = mle_state(tomo, dim=2)
-    assert isinstance(rho_hat, DensityMatrix)   # construction enforces the invariants
+    rho_hat = mle_state(tomo.settings, tomo.counts[None, :])
+    assert rho_hat.shape == (1, 2, 2)
+    DensityMatrix(rho_hat[0])   # construction enforces the invariants
 
 
 def test_mle_state_two_qubit_marginal_sums():
@@ -168,19 +195,49 @@ def test_mle_state_two_qubit_marginal_sums():
     np.testing.assert_allclose(means2.sum(axis=1), 3.0 * means1, atol=1e-12)
     # reconstructing from the summed noise-free counts recovers the marginal
     tomo = Tomogram(build_state_settings(1), 1e6 * means2.sum(axis=1))
-    rho_hat = mle_state(tomo, dim=2)
+    rho_hat = state_estimate(tomo)
     np.testing.assert_allclose(rho_hat.matrix, reduced.matrix, atol=1e-5)
 
 
 def test_mle_state_errors():
     settings = (MeasurementSetting((), ("0",)), MeasurementSetting((), ("1",)))
     with pytest.raises(IncompleteMeasurementError):
-        mle_state(Tomogram(settings, np.array([5.0, 5.0])), dim=2)
+        mle_state(settings, np.array([[5.0, 5.0]]))
     full = build_state_settings(1)
     with pytest.raises(ValueError):
-        mle_state(Tomogram(full, np.zeros(6)), dim=2)
+        mle_state(full, np.ones(6))          # counts must be (B, N)
     with pytest.raises(ValueError):
-        mle_state(Tomogram(full, np.ones(6)), dim=4)
+        mle_state(full, np.ones((2, 4)))     # N must match the settings
+
+
+def test_mle_zero_total_tomogram_raises():
+    with pytest.raises(ValueError):
+        mle_state(build_state_settings(1), np.zeros((1, 6)))
+    with pytest.raises(ValueError):
+        mle_process(build_process_settings(1), np.zeros((1, 36)))
+
+
+def test_mle_zero_total_replica_is_maximally_mixed():
+    settings = build_state_settings(1)
+    counts = simulate_counts(settings, DensityMatrix.from_label("+"), rate=300.0,
+                             seed=12).counts.astype(float)
+    batch = mle_state(settings, np.stack([counts, np.zeros(6), counts]))
+    np.testing.assert_array_equal(batch[1], np.eye(2) / 2)
+    alone = mle_state(settings, counts[None, :])[0]
+    np.testing.assert_array_equal(batch[0], alone)
+    np.testing.assert_array_equal(batch[2], alone)
+
+
+def test_mle_batch_row_matches_single_call():
+    # row 0 (near pure) converges last, so the batch stops where its own
+    # reconstruction stops and every step acts on it as on a single call
+    settings = build_state_settings(1)
+    slow = simulate_counts(settings, DensityMatrix.from_label("L"), rate=300.0, seed=13).counts
+    fast = [simulate_counts(settings, DensityMatrix.maximally_mixed(1), rate=300.0,
+                            seed=s).counts for s in (14, 15)]
+    batch = mle_state(settings, np.stack([slow, *fast]))
+    single = mle_state(settings, slow[None, :])
+    np.testing.assert_array_equal(batch[0], single[0])
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +245,13 @@ def test_mle_state_errors():
 
 
 def test_mle_process_identity_noiseless():
-    tomo = simulate_channel_counts(lambda rho: rho, 1, rate=1e6, seed=0)
-    means = Tomogram(tomo.settings, np.array([
+    settings = build_process_settings(1)
+    means = Tomogram(settings, np.array([
         1e6 * np.real(product_ket(s.projection).conj()
                       @ projector(product_ket(s.preparation))
                       @ product_ket(s.projection))
-        for s in tomo.settings]))
-    chi_hat = mle_process(means, n=1)
+        for s in settings]))
+    chi_hat = process_estimate(means, 1)
     assert process_fidelity(chi_hat, PHI_PLUS) > 1.0 - 1e-6
 
 
@@ -212,26 +269,26 @@ def test_mle_process_full_dephasing():
                                      @ channel(projector(product_ket(s.preparation)))
                                      @ product_ket(s.projection))
                        for s in settings])
-    chi_hat = mle_process(Tomogram(settings, counts), n=1)
+    chi_hat = process_estimate(Tomogram(settings, counts), 1)
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[3, 3] = 0.5
     np.testing.assert_allclose(chi_hat.chi, expected, atol=1e-5)
 
 
 def test_mle_process_cz_end_to_end():
-    u = u_cp(math.pi).matrix
-    tomo = simulate_channel_counts(lambda rho: u @ rho @ u.conj().T, 2,
-                                   rate=1e5, seed=5)
-    chi_hat = mle_process(tomo, n=2)
     chi_ideal = channel_to_choi(u_cp(math.pi), n=2)
+    tomo = simulate_counts(build_process_settings(2), chi_ideal, rate=1e5, seed=5)
+    chi_hat = process_estimate(tomo, 2)
     assert process_fidelity(chi_hat, chi_ideal) > 0.999
 
 
 def test_mle_process_requires_preparations():
-    tomo = simulate_counts(DensityMatrix.maximally_mixed(1), build_state_settings(1),
+    tomo = simulate_counts(build_state_settings(1), DensityMatrix.maximally_mixed(1),
                            rate=100.0, seed=0)
     with pytest.raises(ValueError):
-        mle_process(tomo, n=1)
+        mle_process(tomo.settings, tomo.counts[None, :])
+    with pytest.raises(ValueError):
+        setting_kets(build_process_settings(1), process=False)
 
 
 # ---------------------------------------------------------------------------
@@ -263,31 +320,44 @@ def test_choi_dephasing_scales_offdiagonal_block():
     assert chi.chi[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_apply_choi_round_trip():
+def direct_means(settings, kraus, rate: float) -> np.ndarray:
+    """rate * <proj| sum_k K |prep><prep| K† |proj> for every setting."""
+    out = []
+    for s in settings:
+        prep, proj = product_ket(s.preparation), product_ket(s.projection)
+        out.append(rate * sum(abs(proj.conj() @ k @ prep) ** 2 for k in kraus))
+    return np.array(out)
+
+
+def test_simulate_counts_channel_means(monkeypatch):
+    # Choi-matrix means equal the channel applied to each preparation
     rng = np.random.default_rng(33)
-    kraus = dephasing_kraus(0.6 - 0.2j)
-    chi = channel_to_choi(kraus, n=1)
-    for _ in range(5):
-        rho = random_density_matrix(1, rng).matrix
-        direct = sum(k @ rho @ k.conj().T for k in kraus)
-        np.testing.assert_allclose(apply_choi(chi, rho), direct, atol=1e-12)
+    kraus1 = dephasing_kraus(0.6 - 0.2j)
+    u = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, _ = np.linalg.qr(u)
+    kraus2 = [math.sqrt(0.7) * q, math.sqrt(0.3) * u_cp(1.3).matrix]
+    for n, kraus in ((1, kraus1), (2, kraus2)):
+        settings = build_process_settings(n)
+        got = count_means(monkeypatch, settings, channel_to_choi(kraus, n=n), 250.0)
+        np.testing.assert_allclose(got, direct_means(settings, kraus, 250.0),
+                                   rtol=0.0, atol=1e-12)
 
 
-def test_choi_composition_consistency():
-    rng = np.random.default_rng(34)
+def test_choi_composition_consistency(monkeypatch):
     ka = dephasing_kraus(0.5 + 0.1j)
     theta = 0.6
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]], dtype=complex)
-    kb = [rot]
-    composed = [b @ a for a in ka for b in kb]
-    chi_ab = channel_to_choi(composed, n=1)
-    for _ in range(4):
-        rho = random_density_matrix(1, rng).matrix
-        via_chi = apply_choi(chi_ab, rho)
-        via_stages = apply_choi(channel_to_choi(kb, n=1),
-                                apply_choi(channel_to_choi(ka, n=1), rho))
-        np.testing.assert_allclose(via_chi, via_stages, atol=1e-12)
+    composed = [rot @ a for a in ka]
+    settings = build_process_settings(1)
+    # second stage applied by hand to the first stage's outputs
+    expected = []
+    for s in settings:
+        prep, proj = product_ket(s.preparation), product_ket(s.projection)
+        mid = sum(np.outer(a @ prep, (a @ prep).conj()) for a in ka)
+        expected.append(np.real(proj.conj() @ rot @ mid @ rot.conj().T @ proj))
+    got = count_means(monkeypatch, settings, channel_to_choi(composed, n=1), 1.0)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -333,28 +403,7 @@ def test_process_metric_errors():
 
 
 # ---------------------------------------------------------------------------
-# bootstrap
-
-
-def test_bootstrap_constant_statistic():
-    tomo = simulate_counts(DensityMatrix.maximally_mixed(1), build_state_settings(1),
-                           rate=300.0, seed=1)
-    est = bootstrap(tomo, lambda t: 0.25, samples=50, seed=0)
-    assert est.std == 0.0
-    assert est.value == pytest.approx(0.25, abs=1e-15)
-
-
-def test_bootstrap_deterministic_and_default_samples():
-    tomo = simulate_counts(DensityMatrix.from_label("+"), build_state_settings(1),
-                           rate=300.0, seed=2)
-    stat = lambda t: float(t.counts.sum())
-    a = bootstrap(tomo, stat, seed=9)
-    b = bootstrap(tomo, stat, seed=9)
-    assert a.samples == 1000
-    assert a.value == b.value and a.std == b.std
-    assert a.std > 0.0
-    with pytest.raises(ValueError):
-        bootstrap(tomo, stat, samples=1, seed=0)
+# resampling
 
 
 def test_resample_counts_shape_and_determinism():
@@ -366,19 +415,12 @@ def test_resample_counts_shape_and_determinism():
     assert (a[:, 1] == 0).all()
 
 
-def test_bootstrap_estimate_validation():
-    with pytest.raises(ValueError):
-        BootstrapEstimate(0.5, -0.1)
-    with pytest.raises(ValueError):
-        BootstrapEstimate(0.5, 0.1, samples=0)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
 
 def test_tomogram_round_trip_state():
-    tomo = simulate_counts(DensityMatrix.from_label(("-", "L")), build_state_settings(2),
+    tomo = simulate_counts(build_state_settings(2), DensityMatrix.from_label(("-", "L")),
                            rate=300.0, seed=6)
     back = tomogram_from_text(tomogram_to_text(tomo))
     assert back.settings == tomo.settings
@@ -387,14 +429,15 @@ def test_tomogram_round_trip_state():
 
 
 def test_tomogram_round_trip_process():
-    tomo = simulate_channel_counts(lambda rho: rho, 1, rate=250.0, seed=8)
+    tomo = simulate_counts(build_process_settings(1), channel_to_choi(np.eye(2), n=1),
+                           rate=250.0, seed=8)
     back = tomogram_from_text(tomogram_to_text(tomo))
     assert back.settings == tomo.settings
     np.testing.assert_array_equal(back.counts, tomo.counts)
 
 
 def test_tomogram_text_header_and_errors():
-    tomo = simulate_counts(DensityMatrix.from_label("0"), build_state_settings(1),
+    tomo = simulate_counts(build_state_settings(1), DensityMatrix.from_label("0"),
                            rate=10.0, seed=0)
     text = tomogram_to_text(tomo)
     assert text.startswith("# darkstate-tomogram v1\n")
