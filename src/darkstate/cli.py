@@ -213,6 +213,7 @@ def _run_selftest(args) -> int:
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status}  criterion {res.number}: {res.name}  [{res.detail}]")
+        print(f"criterion {res.number} took {res.wall_s:.3f} s", file=sys.stderr)
         failed += 0 if res.passed else 1
     print(f"{len(results) - failed}/{len(results)} criteria passed")
     return 0 if failed == 0 else 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -372,24 +373,29 @@ def _tomographic_point(rho_se: np.ndarray, psi_label: str, rate_eff: float,
                        config: ScenarioConfig, key: tuple[int, ...]) -> _TomoPoint:
     counts = _point_counts(rho_se, rate_eff, config.seed, key)
     s_counts, e_counts = _marginal_counts(counts[None, :])
+    b = config.bootstrap_samples
+    reps = (resample_counts(counts, b, config.seed, key=key) if b >= 2
+            else np.zeros((0, counts.size)))
+    rep_tot = reps.sum(axis=1).astype(float)
+    if counts.sum() == 0:
+        # no detection events, so no estimate: its metrics are nan
+        nan = np.full(len(reps), math.nan)
+        return _TomoPoint(0.0, math.nan, math.nan, math.nan, nan, nan, nan, rep_tot, s_counts[0])
+
     psi = ket(psi_label)
     rho_s = DensityMatrix(mle_state(_SQ_SETTINGS, s_counts)[0]).matrix
     rho_e = DensityMatrix(mle_state(_SQ_SETTINGS, e_counts)[0]).matrix
     pur, fid, _ = _single_qubit_metrics(rho_s, psi)
     pop1 = float(rho_e[1, 1].real)
-
-    b = config.bootstrap_samples
-    if b >= 2:
-        reps = resample_counts(counts, b, config.seed, key=key)
+    if len(reps):
         s_reps, e_reps = _marginal_counts(reps)
         rhos_s = mle_state(_SQ_SETTINGS, s_reps)
         rhos_e = mle_state(_SQ_SETTINGS, e_reps)
         rep_pur = np.einsum("bde,bed->b", rhos_s, rhos_s).real
         rep_fid = np.einsum("d,bde,e->b", psi.conj(), rhos_s, psi).real
         rep_pop = rhos_e[:, 1, 1].real
-        rep_tot = reps.sum(axis=1).astype(float)
     else:
-        rep_pur = rep_fid = rep_pop = rep_tot = np.array([])
+        rep_pur = rep_fid = rep_pop = np.array([])
     return _TomoPoint(float(counts.sum()), pur, fid, pop1,
                       rep_pur, rep_fid, rep_pop, rep_tot, s_counts[0])
 
@@ -398,7 +404,10 @@ def _metric(analytic: float, reps: np.ndarray | None = None,
             estimate: float | None = None) -> MetricValue:
     if reps is None or estimate is None:
         return MetricValue(analytic=analytic)
-    std = float(reps.std(ddof=1)) if reps.size >= 2 else 0.0
+    if reps.size >= 2:
+        std = float(reps.std(ddof=1))
+    else:
+        std = math.nan if math.isnan(estimate) else 0.0
     return MetricValue(analytic=analytic, estimate=estimate, std=std)
 
 
@@ -481,6 +490,9 @@ def _run_sweep(config: ScenarioConfig, mode: str) -> ScenarioResult:
                         succ_reps = tp.rep_totals / np.maximum(anchor["rep_totals"], 1.0)
                     else:
                         succ_reps = np.array([])
+                if tp.total == 0:
+                    print(f"phi = {phi:.6g}, state {psi_label}: no counts, estimates are nan",
+                          file=sys.stderr)
                 s_counts_by_label[psi_label] = tp.s_counts
                 pop_estimates.append(tp.env_pop1)
                 pop_reps.append(tp.rep_env_pop1)
@@ -501,7 +513,12 @@ def _run_sweep(config: ScenarioConfig, mode: str) -> ScenarioResult:
         if full_alphabet:
             chi_a = channel_choi_from_outputs(outputs_unnorm)
             ef_a, fid_a = _channel_metrics_from_chi(chi_a)
-            if config.shot_noise:
+            if config.shot_noise and any(not s_counts_by_label[lab].any()
+                                         for lab in BASIS_LABELS):
+                # a preparation without counts leaves the channel undetermined
+                channel_ef = MetricValue(ef_a, math.nan, math.nan)
+                channel_fid = MetricValue(fid_a, math.nan, math.nan)
+            elif config.shot_noise:
                 # preparation-major, as in _CHANNEL_SETTINGS
                 counts_c = np.concatenate([s_counts_by_label[lab] for lab in BASIS_LABELS])
                 channel_ef, channel_fid = _channel_metrics_from_counts(

@@ -11,6 +11,7 @@ import filecmp
 import math
 import os
 import tempfile
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,6 +55,7 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+    wall_s: float
 
 
 def _phi_grid_open(n: int = 32) -> np.ndarray:
@@ -293,6 +295,8 @@ def run_criteria(numbers: tuple[int, ...] | None = None) -> list[CriterionResult
     for number, name, fn in _CRITERIA:
         if numbers is not None and number not in numbers:
             continue
+        start = time.perf_counter()
         passed, detail = fn()
-        results.append(CriterionResult(number, name, passed, detail))
+        results.append(CriterionResult(number, name, passed, detail,
+                                       time.perf_counter() - start))
     return results

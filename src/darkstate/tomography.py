@@ -14,12 +14,21 @@ reconstructed with the iterative R-rho-R fixed-point method (Hradil, PRA
 No trace preservation is imposed, so postselected (trace-decreasing)
 channels reconstruct naturally; the quality metrics normalize away the
 scale.
+
+Every ket is a product of single-qubit kets, so the estimator never builds
+the ket table.  With the per-qubit frame F[l, (r, c)] = conj(k_l[r]) k_l[c],
+the Born probabilities over the whole 6^m label grid are M, its (r_q, c_q)
+indices interleaved, pushed through F one qubit at a time, and R is the same
+chain run backwards through conj(F) (the "shuffle" algorithm for Kronecker
+products: Fernandes, Plateau, Stewart, J. ACM 45, 381, 1998).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,6 +51,10 @@ SERIAL_HEADER = "# darkstate-tomogram v1"
 
 class IncompleteMeasurementError(ValueError):
     """The measurement set cannot determine the state (singular frame)."""
+
+
+class MLEConvergenceWarning(RuntimeWarning):
+    """The R-rho-R iteration stopped at its iteration cap above its tolerance."""
 
 
 def _as_seed(seed) -> np.random.SeedSequence:
@@ -140,21 +153,49 @@ def build_process_settings(n: int, duration: float = 1.0) -> tuple[MeasurementSe
 
 _KET_TABLE = np.array([ket(lab) for lab in BASIS_LABELS])
 _LABEL_ROW = {lab: i for i, lab in enumerate(BASIS_LABELS)}
+# per-qubit frame: _FRAME[l, 2 r + c] = conj(k_l[r]) k_l[c]
+_FRAME = (_KET_TABLE.conj()[:, :, None] * _KET_TABLE[:, None, :]).reshape(6, 4)
 
 
-def _product_kets(label_rows: Sequence[tuple[str, ...]]) -> np.ndarray:
-    """Product kets of label rows, leftmost label most significant.
-
-    Each row is built by outer products with the rows of the 6 x 2
-    single-qubit ket table, one qubit at a time.
-    """
-    if len({len(row) for row in label_rows}) != 1:
+def _label_index(settings: Sequence[MeasurementSetting], process: bool
+                 ) -> tuple[np.ndarray, int]:
+    """Validated (N, m) label-row indices, preparation labels first, and n_in."""
+    if not settings:
+        raise ValueError("settings must be nonempty")
+    for s in settings:
+        if process and not s.preparation:
+            raise ValueError("process setting lacks preparation labels")
+        if not process and s.preparation:
+            raise ValueError("state setting carries preparation labels")
+    if len({(len(s.preparation), len(s.projection)) for s in settings}) != 1:
         raise ValueError("settings act on different numbers of qubits")
-    idx = np.array([[_LABEL_ROW[lab] for lab in row] for row in label_rows])
-    kets = _KET_TABLE[idx[:, 0]]
+    idx = np.array([[_LABEL_ROW[lab] for lab in (*s.preparation, *s.projection)]
+                    for s in settings])
+    return idx, len(settings[0].preparation)
+
+
+def _grid(settings: Sequence[MeasurementSetting], process: bool
+          ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Label rows (N, m), their flat index on the 6^m grid, and the m frames.
+
+    Preparation qubits take conj(F), because the process ket is
+    conj(prep) (x) proj.
+    """
+    idx, n_in = _label_index(settings, process)
+    m = idx.shape[1]
+    frames = [_FRAME.conj()] * n_in + [_FRAME] * (m - n_in)
+    return idx, idx @ 6 ** np.arange(m - 1, -1, -1), frames
+
+
+def _product_rows(idx: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker products of table rows, one table per column of ``idx``.
+
+    The leftmost column is most significant.
+    """
+    rows = tables[0][idx[:, 0]]
     for q in range(1, idx.shape[1]):
-        kets = (kets[:, :, None] * _KET_TABLE[idx[:, q]][:, None, :]).reshape(len(idx), -1)
-    return kets
+        rows = (rows[:, :, None] * tables[q][idx[:, q]][:, None, :]).reshape(len(idx), -1)
+    return rows
 
 
 def setting_kets(settings: Sequence[MeasurementSetting], process: bool) -> np.ndarray:
@@ -164,16 +205,10 @@ def setting_kets(settings: Sequence[MeasurementSetting], process: bool) -> np.nd
     preparation half is the channel-state duality convention that makes the
     Choi matrix appear as an ordinary state to the estimator.
     """
-    if not settings:
-        raise ValueError("settings must be nonempty")
-    for s in settings:
-        if process and not s.preparation:
-            raise ValueError("process setting lacks preparation labels")
-        if not process and s.preparation:
-            raise ValueError("state setting carries preparation labels")
-    kets = _product_kets([s.projection for s in settings])
+    idx, n_in = _label_index(settings, process)
+    kets = _product_rows(idx[:, n_in:], [_KET_TABLE] * (idx.shape[1] - n_in))
     if process:
-        prep = _product_kets([s.preparation for s in settings]).conj()
+        prep = _product_rows(idx[:, :n_in], [_KET_TABLE] * n_in).conj()
         kets = (prep[:, :, None] * kets[:, None, :]).reshape(len(kets), -1)
     return kets
 
@@ -202,53 +237,100 @@ def simulate_counts(settings: Sequence[MeasurementSetting],
     return Tomogram(settings, rng.poisson(means), rate_reference=rate)
 
 
-def _check_complete(kets: np.ndarray) -> None:
+def _mode_products(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Contract axis q of x (B, K_1, ..., K_m) with mats[q] (K_q x L_q).
+
+    Returns (B, L_1 * ... * L_m).  Each step multiplies the last axis and
+    moves the new index to the front, so after m steps the axes are back in
+    order.
+    """
+    b = len(x)
+    for mat in reversed(mats):
+        x = (x.reshape(b, -1, mat.shape[0]) @ mat).swapaxes(1, 2)
+    return x.reshape(b, -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _interleaved_axes(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis orders taking (B, r_1..r_m, c_1..c_m) to (B, r_1, c_1, ..., r_m, c_m) and back."""
+    forward = (0, *itertools.chain.from_iterable((1 + q, 1 + m + q) for q in range(m)))
+    return forward, (0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2))
+
+
+def _born(rho: np.ndarray, frames_t: Sequence[np.ndarray]) -> np.ndarray:
+    """<k|rho|k> for every ket k of the 6^m grid; (B, d, d) -> (B, 6^m), complex.
+
+    ``frames_t`` holds the transposed frames F_q.T.
+    """
+    m = len(frames_t)
+    x = rho.reshape((len(rho),) + (2,) * (2 * m)).transpose(_interleaved_axes(m)[0])
+    return _mode_products(x, frames_t)
+
+
+def _weighted_projectors(w: np.ndarray, frames_c: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_k w_k |k><k| over the 6^m grid; (B, 6^m) -> (B, d, d).
+
+    ``frames_c`` holds the conjugated frames conj(F_q).
+    """
+    m = len(frames_c)
+    x = _mode_products(w, frames_c).reshape((len(w),) + (2,) * (2 * m))
+    return x.transpose(_interleaved_axes(m)[1]).reshape(len(w), 2**m, 2**m)
+
+
+def _check_complete(idx: np.ndarray, grid: np.ndarray, frames: Sequence[np.ndarray]) -> None:
     """Verify the projectors span the full operator space.
 
-    The rank test vectorizes each projector; for very large setting lists
-    (the 6^6 case) that matrix would not fit comfortably, so only the cheap
-    necessary conditions are applied there.
+    The rank test uses one vectorized projector per setting, the product of
+    its frame rows; for very large setting lists (the 6^6 case) that matrix
+    would not fit comfortably, so only the cheap necessary condition that
+    sum_k |k><k| is invertible is applied there.
     """
-    n_set, d = kets.shape
+    n_set, d = len(idx), 2 ** len(frames)
     if n_set < d * d:
         raise IncompleteMeasurementError(
             f"{n_set} settings cannot determine a dimension-{d} state")
     if n_set * d * d <= 2_000_000:
-        frame = np.einsum("nd,ne->nde", kets, kets.conj()).reshape(n_set, d * d)
-        svals = np.linalg.svd(frame, compute_uv=False)
+        svals = np.linalg.svd(_product_rows(idx, frames), compute_uv=False)
         if svals[d * d - 1] < 1e-9 * svals[0]:
             raise IncompleteMeasurementError(
                 "measurement set is informationally incomplete (singular frame)")
     else:
-        gram = kets.T @ kets.conj()
+        multiplicity = np.bincount(grid, minlength=6 ** len(frames)).astype(float)
+        gram = _weighted_projectors(multiplicity[None, :], [f.conj() for f in frames])[0]
         evals = np.linalg.eigvalsh(gram)
         if evals.min() < 1e-9 * max(evals.max(), 1.0):
             raise IncompleteMeasurementError(
                 "measurement set is informationally incomplete (singular frame)")
 
 
-def _mle(kets: np.ndarray, counts, tol: float, max_iters: int) -> np.ndarray:
+def _mle(settings: Sequence[MeasurementSetting], process: bool, counts,
+         tol: float, max_iters: int) -> np.ndarray:
     """Batched R-rho-R iteration over the rows of ``counts`` (shape (B, N)).
 
     Returns the (B, d, d) estimates.  A replica with no counts carries no
     information and gets I/d; a single tomogram with no counts raises.
+    Counts are summed onto the 6^m label grid once, so settings may come in
+    any order, repeat, or cover only part of the grid.
     """
+    idx, grid, frames = _grid(settings, process)
     counts = np.asarray(counts, dtype=float)
-    if counts.ndim != 2 or counts.shape[1] != len(kets):
-        raise ValueError(f"counts must have shape (B, {len(kets)}), got {counts.shape}")
+    if counts.ndim != 2 or counts.shape[1] != len(idx):
+        raise ValueError(f"counts must have shape (B, {len(idx)}), got {counts.shape}")
     totals = counts.sum(axis=1)
     if len(counts) == 1 and totals[0] == 0:
         raise ValueError("tomogram has zero total counts")
-    _check_complete(kets)
-    d = kets.shape[1]
+    _check_complete(idx, grid, frames)
+    grid_counts = np.zeros((len(counts), 6 ** len(frames)))
+    np.add.at(grid_counts, (slice(None), grid), counts)
+    d = 2 ** len(frames)
     eye = np.eye(d, dtype=complex)
     rho = np.tile(eye / d, (len(counts), 1, 1))
     zero_total = totals == 0
-    kc = kets.conj()
+    frames_t, frames_c = [f.T for f in frames], [f.conj() for f in frames]
+    delta = math.inf
     for _ in range(max_iters):
-        p = np.einsum("bne,ne->bn", kc @ rho, kets).real.clip(_PROB_FLOOR, None)
-        w = counts / p
-        r_op = (kets.T * w[:, None, :]) @ kc
+        p = _born(rho, frames_t).real.clip(_PROB_FLOOR, None)
+        r_op = _weighted_projectors(grid_counts / p, frames_c)
         new = r_op @ rho @ r_op
         new = 0.5 * (new + np.conj(np.swapaxes(new, 1, 2)))
         traces = np.einsum("bdd->b", new).real
@@ -259,19 +341,23 @@ def _mle(kets: np.ndarray, counts, tol: float, max_iters: int) -> np.ndarray:
         rho = new
         if delta < tol:
             break
+    else:
+        warnings.warn(f"R-rho-R stopped at max_iters = {max_iters} (d = {d}, "
+                      f"B = {len(counts)}): final delta {delta:.3g} >= tol {tol:g}",
+                      MLEConvergenceWarning, stacklevel=3)
     return rho
 
 
 def mle_state(settings: Sequence[MeasurementSetting], counts,
               tol: float = MLE_TOL, max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
     """Maximum-likelihood states from counts of shape (B, N); returns (B, d, d)."""
-    return _mle(setting_kets(settings, process=False), counts, tol, max_iters)
+    return _mle(settings, False, counts, tol, max_iters)
 
 
 def mle_process(settings: Sequence[MeasurementSetting], counts,
                 tol: float = MLE_TOL, max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
     """Maximum-likelihood Choi matrices (trace free) from counts of shape (B, N)."""
-    return _mle(setting_kets(settings, process=True), counts, tol, max_iters)
+    return _mle(settings, True, counts, tol, max_iters)
 
 
 def channel_to_choi(operators, n: int | None = None) -> ProcessMatrix:

@@ -204,3 +204,60 @@ def test_selftest_single_criterion(capsys):
     out = capsys.readouterr().out
     assert "PASS  criterion 1" in out
     assert "PASS  criterion 4" in out
+
+
+def test_selftest_reports_wall_time_per_criterion(capsys):
+    assert main(["selftest", "--criteria", "1,4"]) == 0
+    captured = capsys.readouterr()
+    timings = captured.err.splitlines()
+    assert [line.split(" took ")[0] for line in timings] == ["criterion 1", "criterion 4"]
+    for line in timings:
+        assert line.endswith(" s")
+        assert float(line.split(" took ")[1][:-2]) >= 0.0
+    assert " took " not in captured.out
+
+
+@pytest.mark.parametrize("bootstrap", [0, 30])
+def test_zero_count_points_are_nan_not_fatal(tmp_path, capsys, bootstrap):
+    # at this rate most grid points draw no counts at all
+    out = tmp_path / "out"
+    assert main(["protocol", "--set", "rate=0.05", "--bootstrap", str(bootstrap),
+                 "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["fig3_purity_fidelity_success.csv",
+                                       "fig4_population.csv", "fig5_channel.csv",
+                                       "manifest.json"]
+    fig3 = read_csv(out / "fig3_purity_fidelity_success.csv")
+    fig4 = read_csv(out / "fig4_population.csv")
+    fig5 = read_csv(out / "fig5_channel.csv")
+
+    def is_nan(row):
+        return math.isnan(float(row["value"])) and math.isnan(float(row["std"]))
+
+    def finite(row):
+        return math.isfinite(float(row["value"])) and math.isfinite(float(row["std"]))
+
+    empty = {(r["phi"], r["state_label"]) for r in fig4
+             if r["state_label"] != "mean" and is_nan(r)}
+    assert 0 < len(empty) < 6 * 13
+    # one stderr line per empty point, naming phi and the state
+    reports = capsys.readouterr().err.splitlines()
+    assert len(reports) == len(empty)
+    named = []
+    for line in reports:
+        head, _, tail = line.partition(": ")
+        assert tail == "no counts, estimates are nan"
+        phi, state = head.removeprefix("phi = ").split(", state ")
+        named.append((float(phi), state))
+    for phi, state in empty:
+        assert sum(s == state and abs(p - float(phi)) < 1e-5 for p, s in named) == 1
+    empty_phis = {phi for phi, _ in empty}
+    for r in fig3:
+        hit = (r["phi"], r["state_label"]) in empty and r["metric"] != "success_norm"
+        assert is_nan(r) if hit else finite(r)
+    for r in fig4:
+        if r["state_label"] == "mean":
+            assert is_nan(r) if r["phi"] in empty_phis else finite(r)
+        else:
+            assert finite(r) or (r["phi"], r["state_label"]) in empty
+    for r in fig5:
+        assert is_nan(r) if r["phi"] in empty_phis else finite(r)

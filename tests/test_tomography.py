@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from darkstate.qmath import (
 )
 from darkstate.tomography import (
     IncompleteMeasurementError,
+    MLEConvergenceWarning,
     MeasurementSetting,
     ProcessMatrix,
     Tomogram,
@@ -34,6 +36,7 @@ from darkstate.tomography import (
     tomogram_from_text,
     tomogram_to_text,
 )
+from darkstate.tomography import _born, _check_complete, _grid, _weighted_projectors
 
 PHI_PLUS = projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
 
@@ -160,6 +163,7 @@ def test_mle_state_statistical_convergence():
     assert trace_distance < 0.01
 
 
+@pytest.mark.filterwarnings("ignore::darkstate.tomography.MLEConvergenceWarning")
 def test_mle_state_likelihood_monotone():
     # stopping the iteration later never lowers the likelihood
     rng = np.random.default_rng(30)
@@ -238,6 +242,95 @@ def test_mle_batch_row_matches_single_call():
     batch = mle_state(settings, np.stack([slow, *fast]))
     single = mle_state(settings, slow[None, :])
     np.testing.assert_array_equal(batch[0], single[0])
+
+
+def test_mle_iteration_cap_warns():
+    tomo = exact_tomogram(projector(ket("L")), 1)
+    with pytest.warns(MLEConvergenceWarning, match=r"d = 2, B = 1\): final delta"):
+        state_estimate(tomo, max_iters=1)
+
+
+def test_mle_converged_call_does_not_warn():
+    tomo = simulate_counts(build_state_settings(1), DensityMatrix.maximally_mixed(1),
+                           rate=300.0, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state_estimate(tomo)
+
+
+# ---------------------------------------------------------------------------
+# structured Born rule and R operator against the dense ket table
+
+
+def random_psd(d: int, b: int, rng) -> np.ndarray:
+    a = rng.normal(size=(b, d, d)) + 1j * rng.normal(size=(b, d, d))
+    return a @ np.conj(np.swapaxes(a, 1, 2))
+
+
+@pytest.mark.parametrize("process,n", [(False, 1), (False, 2), (False, 3), (True, 1), (True, 2)])
+def test_structured_maps_match_dense(process, n):
+    rng = np.random.default_rng(40 + n)
+    settings = build_process_settings(n) if process else build_state_settings(n)
+    kets = setting_kets(settings, process=process)
+    _, grid, frames = _grid(settings, process)
+    mats = random_psd(kets.shape[1], 3, rng)
+    p = _born(mats, [f.T for f in frames])[:, grid]
+    dense_p = np.stack([np.einsum("ne,ne->n", kets.conj() @ m, kets) for m in mats])
+    assert abs(p - dense_p).max() <= 1e-13 * abs(dense_p).max()
+    w = rng.random((3, len(settings)))
+    w_grid = np.zeros((3, 6 ** len(frames)))
+    w_grid[:, grid] = w
+    r_op = _weighted_projectors(w_grid, [f.conj() for f in frames])
+    dense_r = np.stack([(kets.T * wi) @ kets.conj() for wi in w])
+    assert abs(r_op - dense_r).max() <= 1e-13 * abs(dense_r).max()
+
+
+def test_structured_born_rule_matches_dense_three_qubit_process():
+    settings = build_process_settings(3)
+    kets = setting_kets(settings, process=True)
+    _, grid, frames = _grid(settings, True)
+    chi = random_psd(64, 1, np.random.default_rng(43))
+    p = _born(chi, [f.T for f in frames])[0, grid]
+    dense_p = np.einsum("ne,ne->n", kets.conj() @ chi[0], kets)
+    assert abs(p - dense_p).max() <= 1e-13 * abs(dense_p).max()
+
+
+def test_mle_permuted_settings_bit_identical():
+    settings = build_process_settings(1)
+    counts = simulate_counts(settings, channel_to_choi(dephasing_kraus(0.7), n=1),
+                             rate=300.0, seed=21).counts
+    order = np.random.default_rng(22).permutation(len(settings))
+    a = mle_process(settings, counts[None, :])
+    b = mle_process([settings[i] for i in order], counts[order][None, :])
+    np.testing.assert_array_equal(a, b)
+
+
+def test_mle_duplicate_setting_matches_merged():
+    settings = build_state_settings(2)
+    counts = simulate_counts(settings, random_density_matrix(2, np.random.default_rng(23)),
+                             rate=300.0, seed=24).counts.astype(float)
+    split = np.concatenate([counts, [0.0]])
+    split[[5, -1]] = counts[5] // 2, counts[5] - counts[5] // 2
+    merged = mle_state(settings, counts[None, :])
+    dup = mle_state((*settings, settings[5]), split[None, :])
+    np.testing.assert_allclose(dup, merged, rtol=0.0, atol=1e-12)
+
+
+def test_singular_small_frame_raises():
+    # four settings reach the rank test; two distinct projectors cannot span
+    settings = tuple(MeasurementSetting((), (lab,)) for lab in ("0", "0", "1", "1"))
+    with pytest.raises(IncompleteMeasurementError, match="singular frame"):
+        mle_state(settings, np.array([[5.0, 4.0, 3.0, 6.0]]))
+
+
+def test_gram_branch_on_three_qubit_process_sets():
+    # 6^6 settings on d = 64 take the sum_k |k><k| test
+    full = build_process_settings(3)
+    _check_complete(*_grid(full, True))
+    # projecting the first output qubit on |0> only leaves |1> unseen
+    partial = [s for s in full if s.projection[0] == "0"]
+    with pytest.raises(IncompleteMeasurementError, match="singular frame"):
+        _check_complete(*_grid(partial, True))
 
 
 # ---------------------------------------------------------------------------
