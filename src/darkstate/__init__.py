@@ -22,7 +22,6 @@ from .qmath import (  # noqa: F401
     tensor,
 )
 from .protocol import (  # noqa: F401
-    CouplingStrength,
     DegenerateCouplingError,
     HeraldOutcome,
     apply_dephasing,

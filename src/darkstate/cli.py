@@ -243,8 +243,8 @@ def _dispatch(args) -> int:
         if set(config.signal_states) != set(BASIS_LABELS):
             raise ValueError("channel analysis requires all six signal states")
         runner = run_protocol_sweep if config.mode == "protocol" else run_reference_sweep
-        result = runner(config)
-        paths = write_scenario_csvs(result, args.out, figures=("fig5",))
+        result = runner(config, figures=("fig5",))
+        paths = write_scenario_csvs(result, args.out)
         paths.append(write_manifest(config, "channel", args.out))
         for pp in result.phis:
             print(f"phi={pp.phi:.4f}  E_f={pp.channel_ef.value:.4f}  "

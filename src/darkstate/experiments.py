@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +36,8 @@ from .qmath import (
     projector,
 )
 from .tomography import (
+    MLE_MAX_ITERS,
+    MeasurementSetting,
     ProcessMatrix,
     build_process_settings,
     build_state_settings,
@@ -165,7 +167,7 @@ class StatePoint:
 @dataclass(frozen=True)
 class PhiPoint:
     phi: float
-    mean_env_pop1: MetricValue
+    mean_env_pop1: MetricValue | None   # None when the state points were not rebuilt
     channel_ef: MetricValue | None = None
     channel_fidelity: MetricValue | None = None
 
@@ -222,14 +224,6 @@ def _depolarize(rho: np.ndarray, strength: float) -> np.ndarray:
     return (1.0 - strength) * rho + strength * rho.trace() * np.eye(d, dtype=complex) / d
 
 
-@dataclass(frozen=True)
-class PipelinePoint:
-    """Declared joint (S, E) state of one grid point and its herald weight."""
-
-    rho_se: np.ndarray
-    weight: float
-
-
 def _apply_gate_noise(rho: np.ndarray, noise: NoiseParams) -> np.ndarray:
     if noise.phase_jitter_std > 0.0:
         rho = _sector_damp(rho, _CCP_SECTOR, math.exp(-noise.phase_jitter_std**2 / 2.0))
@@ -238,7 +232,9 @@ def _apply_gate_noise(rho: np.ndarray, noise: NoiseParams) -> np.ndarray:
     return rho
 
 
-def _protocol_point(phi: float, psi_label: str, env: np.ndarray, noise: NoiseParams) -> PipelinePoint:
+def _protocol_point(phi: float, psi_label: str, env: np.ndarray, noise: NoiseParams
+                    ) -> tuple[np.ndarray, float]:
+    """Declared joint (S, E) state of one grid point and its herald weight."""
     rho = np.kron(np.kron(_P_PLUS, _P_ONE), env)
     gate = u_ccp(phi).matrix
     rho = gate @ rho @ gate.conj().T
@@ -262,27 +258,17 @@ def _protocol_point(phi: float, psi_label: str, env: np.ndarray, noise: NoisePar
     if rho_fail is not None:
         declared += eps * w_fail * rho_fail
     declared /= weight
-    return PipelinePoint(partial_trace_array(declared, 3, (1, 2)), weight)
+    return partial_trace_array(declared, 3, (1, 2)), weight
 
 
-def _reference_point(phi: float, psi_label: str, env: np.ndarray, noise: NoiseParams) -> PipelinePoint:
+def _reference_point(phi: float, psi_label: str, env: np.ndarray, noise: NoiseParams
+                     ) -> tuple[np.ndarray, float]:
     psi = projector(ket(psi_label))
     rho = np.kron(np.kron(_P_ONE, psi), env)
     gate = u_ccp(phi).matrix
     rho = gate @ rho @ gate.conj().T
     rho = _apply_gate_noise(rho, noise)
-    return PipelinePoint(partial_trace_array(rho, 3, (1, 2)), 1.0)
-
-
-def _pipeline(mode: str, phi: float, psi_label: str, env: np.ndarray,
-              noise: NoiseParams) -> PipelinePoint:
-    if mode == "protocol":
-        return _protocol_point(phi, psi_label, env, noise)
-    return _reference_point(phi, psi_label, env, noise)
-
-
-def _relative_transmission(phi: float) -> float:
-    return ccp_success_probability(phi) * 9.0
+    return partial_trace_array(rho, 3, (1, 2)), 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +314,69 @@ def _channel_metrics_from_chi(chi: np.ndarray) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# sweep runner
+# sweep runner: sample each grid point once, then rebuild the figures from that
 
 _SQ_SETTINGS = build_state_settings(1)
 _TQ_SETTINGS = build_state_settings(2)
 _CHANNEL_SETTINGS = build_process_settings(1)
+_NO_REPS = np.zeros(0)
 
 
 def _seed_seq(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
 
 
-def _point_counts(rho_se: np.ndarray, rate_eff: float, seed: int,
-                  key: tuple[int, ...]) -> np.ndarray:
-    return simulate_counts(_TQ_SETTINGS, rho_se, rate_eff, _seed_seq(seed, *key, 0)).counts
+def _replicas(counts: np.ndarray, samples: int, seed: int, key: tuple[int, ...]) -> np.ndarray:
+    """Bootstrap replicas of ``counts``, shape (samples, N); none below two samples."""
+    if samples < 2:
+        return np.zeros((0, counts.size))
+    return resample_counts(counts, samples, seed, key=key)
+
+
+def _metric(analytic: float, reps: np.ndarray, estimate: float | None) -> MetricValue:
+    """Both tracks of one quantity: ``estimate`` is None without shot noise, and
+    ``reps``, its bootstrap replicas, is empty without a bootstrap."""
+    if estimate is None:
+        return MetricValue(analytic=analytic)
+    if reps.size:
+        std = float(reps.std(ddof=1))
+    else:
+        std = math.nan if math.isnan(estimate) else 0.0
+    return MetricValue(analytic=analytic, estimate=estimate, std=std)
+
+
+@dataclass(frozen=True)
+class _Sample:
+    """One signal state at one phi: its declared (S, E) state and its simulated data.
+
+    ``counts`` (the 36 two-qubit settings) and ``reps`` (their bootstrap
+    replicas, empty without a bootstrap) are None without shot noise.
+    """
+
+    rho_se: np.ndarray
+    weight: float           # herald weight
+    transmission: float
+    counts: np.ndarray | None
+    reps: np.ndarray | None
+
+    @property
+    def empty(self) -> bool:
+        return self.counts is not None and not self.counts.any()
+
+
+def _sample(mode: str, phi: float, label: str, env: np.ndarray, config: ScenarioConfig,
+            key: tuple[int, ...]) -> _Sample:
+    """Simulate one grid point; counts and replicas both derive from spawn key ``key``."""
+    pipeline = _protocol_point if mode == "protocol" else _reference_point
+    rho_se, weight = pipeline(phi, label, env, config.noise)
+    # the gate's success probability relative to its phi = 0 and phi = pi value 1/9
+    transmission = ccp_success_probability(phi) * 9.0 * weight
+    if not config.shot_noise:
+        return _Sample(rho_se, weight, transmission, None, None)
+    counts = simulate_counts(_TQ_SETTINGS, rho_se, config.rate * transmission,
+                             _seed_seq(config.seed, *key, 0)).counts
+    return _Sample(rho_se, weight, transmission, counts,
+                   _replicas(counts, config.bootstrap_samples, config.seed, key))
 
 
 def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,207 +384,160 @@ def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return grid.sum(axis=2), grid.sum(axis=1)   # signal sums, environment sums
 
 
-def _single_qubit_metrics(rho: np.ndarray, psi: np.ndarray) -> tuple[float, float, float]:
-    pur = float(np.trace(rho @ rho).real)
-    fid = float(np.real(psi.conj() @ rho @ psi))
-    pop1 = float(rho[1, 1].real)
-    return pur, fid, pop1
+def _qubit_metrics(rho_s: np.ndarray, rho_e: np.ndarray, psi: np.ndarray
+                   ) -> tuple[float, float, float]:
+    """Signal purity and fidelity to ``psi``, environment |1> population."""
+    return (float(np.trace(rho_s @ rho_s).real), float(np.real(psi.conj() @ rho_s @ psi)),
+            float(rho_e[1, 1].real))
 
 
-@dataclass
-class _TomoPoint:
-    total: float
-    purity: float
-    fidelity: float
-    env_pop1: float
-    rep_purity: np.ndarray
-    rep_fidelity: np.ndarray
-    rep_env_pop1: np.ndarray
-    rep_totals: np.ndarray
-    s_counts: np.ndarray
+def _state_estimates(sample: _Sample, psi: np.ndarray) -> tuple[tuple, tuple]:
+    """Reconstructed ``_qubit_metrics`` of a sample, and of each of its replicas.
+
+    The estimates are None without shot noise and nan for a sample that drew
+    no counts.
+    """
+    if sample.counts is None:
+        return (None,) * 3, (_NO_REPS,) * 3
+    if sample.empty:
+        nan = np.full(len(sample.reps), math.nan)
+        return (math.nan,) * 3, (nan,) * 3
+    s_counts, e_counts = _marginal_counts(sample.counts)
+    estimates = _qubit_metrics(DensityMatrix(mle_state(_SQ_SETTINGS, s_counts)[0]).matrix,
+                               DensityMatrix(mle_state(_SQ_SETTINGS, e_counts)[0]).matrix, psi)
+    if not len(sample.reps):
+        return estimates, (_NO_REPS,) * 3
+    s_reps, e_reps = _marginal_counts(sample.reps)
+    rhos_s = mle_state(_SQ_SETTINGS, s_reps)
+    rhos_e = mle_state(_SQ_SETTINGS, e_reps)
+    return estimates, (np.einsum("bde,bed->b", rhos_s, rhos_s).real,
+                       np.einsum("d,bde,e->b", psi.conj(), rhos_s, psi).real,
+                       rhos_e[:, 1, 1].real)
 
 
-def _tomographic_point(rho_se: np.ndarray, psi_label: str, rate_eff: float,
-                       config: ScenarioConfig, key: tuple[int, ...]) -> _TomoPoint:
-    counts = _point_counts(rho_se, rate_eff, config.seed, key)
-    s_counts, e_counts = _marginal_counts(counts[None, :])
-    b = config.bootstrap_samples
-    reps = (resample_counts(counts, b, config.seed, key=key) if b >= 2
-            else np.zeros((0, counts.size)))
-    rep_tot = reps.sum(axis=1).astype(float)
-    if counts.sum() == 0:
-        # no detection events, so no estimate: its metrics are nan
-        nan = np.full(len(reps), math.nan)
-        return _TomoPoint(0.0, math.nan, math.nan, math.nan, nan, nan, nan, rep_tot, s_counts[0])
+def _success_estimates(sample: _Sample, anchor: _Sample) -> tuple[float | None, np.ndarray]:
+    """Count total over the anchor's, for the sample and for each replica.
 
-    psi = ket(psi_label)
-    rho_s = DensityMatrix(mle_state(_SQ_SETTINGS, s_counts)[0]).matrix
-    rho_e = DensityMatrix(mle_state(_SQ_SETTINGS, e_counts)[0]).matrix
-    pur, fid, _ = _single_qubit_metrics(rho_s, psi)
-    pop1 = float(rho_e[1, 1].real)
-    if len(reps):
-        s_reps, e_reps = _marginal_counts(reps)
-        rhos_s = mle_state(_SQ_SETTINGS, s_reps)
-        rhos_e = mle_state(_SQ_SETTINGS, e_reps)
-        rep_pur = np.einsum("bde,bed->b", rhos_s, rhos_s).real
-        rep_fid = np.einsum("d,bde,e->b", psi.conj(), rhos_s, psi).real
-        rep_pop = rhos_e[:, 1, 1].real
-    else:
-        rep_pur = rep_fid = rep_pop = np.array([])
-    return _TomoPoint(float(counts.sum()), pur, fid, pop1,
-                      rep_pur, rep_fid, rep_pop, rep_tot, s_counts[0])
+    The anchor itself reads exactly 1; an anchor without counts leaves the
+    ratio undefined (nan) at every grid point.
+    """
+    if sample.counts is None:
+        return None, _NO_REPS
+    if anchor.empty:
+        return math.nan, _NO_REPS
+    if sample is anchor:
+        return 1.0, np.zeros(len(sample.reps))
+    return (float(sample.counts.sum() / anchor.counts.sum()),
+            sample.reps.sum(axis=1) / np.maximum(anchor.reps.sum(axis=1), 1.0))
 
 
-def _metric(analytic: float, reps: np.ndarray | None = None,
-            estimate: float | None = None) -> MetricValue:
-    if reps is None or estimate is None:
-        return MetricValue(analytic=analytic)
-    if reps.size >= 2:
-        std = float(reps.std(ddof=1))
-    else:
-        std = math.nan if math.isnan(estimate) else 0.0
-    return MetricValue(analytic=analytic, estimate=estimate, std=std)
+def _state_point(phi: float, label: str, sample: _Sample, anchor: _Sample
+                 ) -> tuple[StatePoint, np.ndarray]:
+    """fig3/fig4 row of one sample, and its env-population replicas for the mean row."""
+    psi = ket(label)
+    analytic = _qubit_metrics(partial_trace_array(sample.rho_se, 2, (0,)),
+                              partial_trace_array(sample.rho_se, 2, (1,)), psi)
+    estimates, reps = _state_estimates(sample, psi)
+    purity, fidelity, env_pop1 = map(_metric, analytic, reps, estimates)
+    success, success_reps = _success_estimates(sample, anchor)
+    success_norm = _metric(sample.transmission / anchor.transmission, success_reps, success)
+    return StatePoint(phi, label, purity, fidelity, success_norm, env_pop1), reps[2]
 
 
-def _channel_metrics_from_counts(counts: np.ndarray, samples: int, seed: int,
-                                 key: tuple[int, ...], analytic: tuple[float, float]
-                                 ) -> tuple[MetricValue, MetricValue]:
-    chi = ProcessMatrix(mle_process(_CHANNEL_SETTINGS, counts[None, :])[0], 1).chi
-    ef, fid = _channel_metrics_from_chi(chi)
-    ef_an, fid_an = analytic
-    if samples >= 2:
-        reps = resample_counts(counts, samples, seed, key=key)
-        chis = mle_process(_CHANNEL_SETTINGS, reps)
-        rep_ef = np.empty(samples)
-        rep_f = np.empty(samples)
-        for i in range(samples):
-            rep_ef[i], rep_f[i] = _channel_metrics_from_chi(chis[i])
-        return (MetricValue(ef_an, ef, float(rep_ef.std(ddof=1))),
-                MetricValue(fid_an, fid, float(rep_f.std(ddof=1))))
-    return MetricValue(ef_an, ef, None), MetricValue(fid_an, fid, None)
+def _process_estimates(settings: Sequence[MeasurementSetting], n: int, counts: np.ndarray,
+                       reps: np.ndarray, metrics: Callable[[np.ndarray], tuple],
+                       max_iters: int = MLE_MAX_ITERS) -> tuple[tuple, tuple]:
+    """``metrics`` of the MLE Choi matrix of ``counts`` and of each replica in ``reps``."""
+    chi = ProcessMatrix(mle_process(settings, counts[None, :], max_iters=max_iters)[0], n).chi
+    estimates = metrics(chi)
+    if not len(reps):
+        return estimates, (_NO_REPS,) * len(estimates)
+    rows = [metrics(c) for c in mle_process(settings, reps, max_iters=max_iters)]
+    return estimates, tuple(np.array(col) for col in zip(*rows))
 
 
-def _run_sweep(config: ScenarioConfig, mode: str) -> ScenarioResult:
+def _channel_point(samples: Sequence[_Sample], config: ScenarioConfig, key: tuple[int, ...]
+                   ) -> tuple[MetricValue, MetricValue]:
+    """fig5 at one phi: the signal channel, from one sample per state of BASIS_LABELS."""
+    outputs = {lab: s.weight * partial_trace_array(s.rho_se, 2, (0,))
+               for lab, s in zip(BASIS_LABELS, samples)}
+    analytic = _channel_metrics_from_chi(channel_choi_from_outputs(outputs))
+    estimates, reps = (None, None), (_NO_REPS, _NO_REPS)
+    if any(s.empty for s in samples):
+        # a preparation without counts leaves the channel undetermined
+        estimates = (math.nan, math.nan)
+    elif config.shot_noise:
+        # preparation-major signal counts, as in _CHANNEL_SETTINGS
+        counts = _marginal_counts(np.stack([s.counts for s in samples]))[0].ravel()
+        boot = _replicas(counts, config.bootstrap_samples, config.seed, key)
+        estimates, reps = _process_estimates(_CHANNEL_SETTINGS, 1, counts, boot,
+                                             _channel_metrics_from_chi)
+    return tuple(map(_metric, analytic, reps, estimates))
+
+
+def _run_sweep(config: ScenarioConfig, mode: str, figures: tuple[str, ...]) -> ScenarioResult:
     if config.mode != mode:
         raise ValueError(f"config mode {config.mode!r} does not match runner {mode!r}")
     grid = config.resolved_grid()
     if mode == "protocol" and any(p == 0.0 for p in grid):
         raise DegenerateCouplingError("phi = 0 cannot appear in a protocol grid")
     env = _env_matrix(config.env_state)
+    labels = config.signal_states
     anchor_phi = math.pi if mode == "protocol" else 0.0
-    full_alphabet = set(config.signal_states) == set(BASIS_LABELS)
+    with_states = "fig3" in figures or "fig4" in figures
+    with_channel = "fig5" in figures and set(labels) == set(BASIS_LABELS)
 
-    # anchor run per signal state: the success-probability normalization
-    anchors: dict[str, dict] = {}
-    for si, psi_label in enumerate(config.signal_states):
-        point = _pipeline(mode, anchor_phi, psi_label, env, config.noise)
-        entry = {"transmission": _relative_transmission(anchor_phi) * point.weight}
-        if config.shot_noise:
-            rate_eff = config.rate * entry["transmission"]
-            counts = _point_counts(point.rho_se, rate_eff, config.seed, (_ANCHOR_KEY, si))
-            entry["total"] = float(counts.sum())
-            if config.bootstrap_samples >= 2:
-                reps = resample_counts(counts, config.bootstrap_samples,
-                                       config.seed, key=(_ANCHOR_KEY, si))
-                entry["rep_totals"] = reps.sum(axis=1).astype(float)
-        anchors[psi_label] = entry
+    def samples(key: int, phi: float) -> list[_Sample]:
+        return [_sample(mode, phi, lab, env, config, (key, si)) for si, lab in enumerate(labels)]
+
+    # the anchor normalizes the success probability; a grid point at its phi reuses it
+    anchors = samples(_ANCHOR_KEY, anchor_phi) if with_states or anchor_phi in grid else None
+    for lab, anchor in zip(labels, anchors) if with_states else ():
+        if anchor.empty:
+            print(f"state {lab}: anchor at phi = {anchor_phi:.6g} drew no counts, "
+                  "success_norm is nan", file=sys.stderr)
 
     state_points: list[StatePoint] = []
     phi_points: list[PhiPoint] = []
     for pi, phi in enumerate(grid):
-        pop_analytic: list[float] = []
-        pop_estimates: list[float] = []
-        pop_reps: list[np.ndarray] = []
-        outputs_unnorm: dict[str, np.ndarray] = {}
-        s_counts_by_label: dict[str, np.ndarray] = {}
-        for si, psi_label in enumerate(config.signal_states):
-            point = _pipeline(mode, phi, psi_label, env, config.noise)
-            rho_s = partial_trace_array(point.rho_se, 2, (0,))
-            rho_e = partial_trace_array(point.rho_se, 2, (1,))
-            psi = ket(psi_label)
-            pur_a, fid_a, _ = _single_qubit_metrics(rho_s, psi)
-            pop_a = float(rho_e[1, 1].real)
-            transmission = _relative_transmission(phi) * point.weight
-            succ_a = transmission / anchors[psi_label]["transmission"]
-            outputs_unnorm[psi_label] = point.weight * rho_s
-            pop_analytic.append(pop_a)
-
-            if config.shot_noise:
-                rate_eff = config.rate * transmission
-                if phi == anchor_phi:
-                    # the anchor point normalizes itself: reuse its data
-                    tp = _tomographic_point(point.rho_se, psi_label, rate_eff,
-                                            config, (_ANCHOR_KEY, si))
-                    succ_est, succ_reps = 1.0, np.zeros_like(tp.rep_totals)
-                else:
-                    tp = _tomographic_point(point.rho_se, psi_label, rate_eff,
-                                            config, (pi, si))
-                    anchor = anchors[psi_label]
-                    succ_est = tp.total / max(anchor["total"], 1.0)
-                    if tp.rep_totals.size:
-                        succ_reps = tp.rep_totals / np.maximum(anchor["rep_totals"], 1.0)
-                    else:
-                        succ_reps = np.array([])
-                if tp.total == 0:
-                    print(f"phi = {phi:.6g}, state {psi_label}: no counts, estimates are nan",
-                          file=sys.stderr)
-                s_counts_by_label[psi_label] = tp.s_counts
-                pop_estimates.append(tp.env_pop1)
-                pop_reps.append(tp.rep_env_pop1)
-                state_points.append(StatePoint(
-                    phi=phi, state=psi_label,
-                    purity=_metric(pur_a, tp.rep_purity, tp.purity),
-                    fidelity=_metric(fid_a, tp.rep_fidelity, tp.fidelity),
-                    success_norm=_metric(succ_a, succ_reps, succ_est),
-                    env_pop1=_metric(pop_a, tp.rep_env_pop1, tp.env_pop1)))
-            else:
-                state_points.append(StatePoint(
-                    phi=phi, state=psi_label,
-                    purity=_metric(pur_a), fidelity=_metric(fid_a),
-                    success_norm=_metric(succ_a), env_pop1=_metric(pop_a)))
-
-        # channel of the signal qubit, available when all six inputs ran
-        channel_ef = channel_fid = None
-        if full_alphabet:
-            chi_a = channel_choi_from_outputs(outputs_unnorm)
-            ef_a, fid_a = _channel_metrics_from_chi(chi_a)
-            if config.shot_noise and any(not s_counts_by_label[lab].any()
-                                         for lab in BASIS_LABELS):
-                # a preparation without counts leaves the channel undetermined
-                channel_ef = MetricValue(ef_a, math.nan, math.nan)
-                channel_fid = MetricValue(fid_a, math.nan, math.nan)
-            elif config.shot_noise:
-                # preparation-major, as in _CHANNEL_SETTINGS
-                counts_c = np.concatenate([s_counts_by_label[lab] for lab in BASIS_LABELS])
-                channel_ef, channel_fid = _channel_metrics_from_counts(
-                    counts_c, config.bootstrap_samples, config.seed, (pi, 99),
-                    analytic=(ef_a, fid_a))
-            else:
-                channel_ef = MetricValue(ef_a)
-                channel_fid = MetricValue(fid_a)
-
-        mean_a = float(np.mean(pop_analytic))
-        if config.shot_noise and pop_estimates:
-            mean_est = float(np.mean(pop_estimates))
-            reps = np.mean(pop_reps, axis=0) if pop_reps[0].size else np.array([])
-            mean_metric = _metric(mean_a, reps, mean_est)
-        else:
-            mean_metric = _metric(mean_a)
-        phi_points.append(PhiPoint(phi=phi, mean_env_pop1=mean_metric,
-                                   channel_ef=channel_ef, channel_fidelity=channel_fid))
-
+        at_phi = anchors if phi == anchor_phi else samples(pi, phi)
+        for lab, sample in zip(labels, at_phi):
+            if sample.empty:
+                print(f"phi = {phi:.6g}, state {lab}: no counts, estimates are nan",
+                      file=sys.stderr)
+        mean = channel_ef = channel_fid = None
+        if with_states:
+            points, pop_reps = zip(*(_state_point(phi, lab, sample, anchor) for lab, sample, anchor
+                                     in zip(labels, at_phi, anchors)))
+            state_points.extend(points)
+            # the fig4 mean row: environment population averaged over the states
+            pops = [sp.env_pop1 for sp in points]
+            estimate = float(np.mean([m.estimate for m in pops])) if config.shot_noise else None
+            mean = _metric(float(np.mean([m.analytic for m in pops])),
+                           np.mean(pop_reps, axis=0), estimate)
+        if with_channel:
+            by_label = dict(zip(labels, at_phi))
+            channel_ef, channel_fid = _channel_point([by_label[lab] for lab in BASIS_LABELS],
+                                                     config, (pi, 99))
+        phi_points.append(PhiPoint(phi, mean, channel_ef, channel_fid))
     return ScenarioResult(mode=mode, config=config,
                           states=tuple(state_points), phis=tuple(phi_points))
 
 
-def run_protocol_sweep(config: ScenarioConfig) -> ScenarioResult:
-    """Heralded sweep: gate, signal preparation, coupling, herald, metrics."""
-    return _run_sweep(config, "protocol")
+def run_protocol_sweep(config: ScenarioConfig,
+                       figures: tuple[str, ...] = ("fig3", "fig4", "fig5")) -> ScenarioResult:
+    """Heralded sweep: gate, signal preparation, coupling, herald, metrics.
+
+    ``figures`` selects what is reconstructed: the per-state points of fig3
+    and fig4 (either name selects both) and the fig5 channel.
+    """
+    return _run_sweep(config, "protocol", figures)
 
 
-def run_reference_sweep(config: ScenarioConfig) -> ScenarioResult:
-    """Unprotected sweep: the signal meets the environment with no herald."""
-    return _run_sweep(config, "reference")
+def run_reference_sweep(config: ScenarioConfig,
+                        figures: tuple[str, ...] = ("fig3", "fig4", "fig5")) -> ScenarioResult:
+    """Unprotected sweep, no herald; ``figures`` as for ``run_protocol_sweep``."""
+    return _run_sweep(config, "reference", figures)
 
 
 # ---------------------------------------------------------------------------
@@ -616,37 +604,20 @@ def run_gate_tomography(config: ScenarioConfig,
     for pi, phi in enumerate(grid):
         ideal_vec = np.kron(eye8, u_ccp(phi).matrix) @ phi3
         chi_ideal = np.outer(ideal_vec, ideal_vec.conj())
+
+        def metrics(chi):
+            return (process_fidelity(chi, chi_ideal), process_purity(chi),
+                    optimize_local_phase_fidelity(chi, ideal_vec, 3))
+
         chi_a = _gate_choi(phi, config.noise)
-        fid_a = process_fidelity(chi_a, chi_ideal)
-        pur_a = process_purity(chi_a)
-        opt_a = optimize_local_phase_fidelity(chi_a, ideal_vec, 3)
+        estimates, reps = (None,) * 3, (_NO_REPS,) * 3
         if config.shot_noise:
             counts = simulate_counts(settings, chi_a, config.rate,
                                      _seed_seq(config.seed, pi, 3)).counts
-            chi_hat = ProcessMatrix(mle_process(settings, counts[None, :],
-                                                max_iters=config.gate_mle_max_iters)[0], 3).chi
-            fid_e = process_fidelity(chi_hat, chi_ideal)
-            pur_e = process_purity(chi_hat)
-            opt_e = optimize_local_phase_fidelity(chi_hat, ideal_vec, 3)
-            b = config.gate_bootstrap_samples
-            if b >= 2:
-                reps = resample_counts(counts, b, config.seed, key=(pi, 3))
-                chis = mle_process(settings, reps, max_iters=config.gate_mle_max_iters)
-                rep_f = np.array([process_fidelity(c, chi_ideal) for c in chis])
-                rep_p = np.array([process_purity(c) for c in chis])
-                rep_o = np.array([optimize_local_phase_fidelity(c, ideal_vec, 3)
-                                  for c in chis])
-                points.append(GatePoint(phi,
-                                        _metric(fid_a, rep_f, fid_e),
-                                        _metric(pur_a, rep_p, pur_e),
-                                        _metric(opt_a, rep_o, opt_e)))
-            else:
-                points.append(GatePoint(phi,
-                                        MetricValue(fid_a, fid_e, None),
-                                        MetricValue(pur_a, pur_e, None),
-                                        MetricValue(opt_a, opt_e, None)))
-        else:
-            points.append(GatePoint(phi, _metric(fid_a), _metric(pur_a), _metric(opt_a)))
+            boot = _replicas(counts, config.gate_bootstrap_samples, config.seed, (pi, 3))
+            estimates, reps = _process_estimates(settings, 3, counts, boot, metrics,
+                                                 config.gate_mle_max_iters)
+        points.append(GatePoint(phi, *map(_metric, metrics(chi_a), reps, estimates)))
     return ScenarioResult(mode="gate_tomography", config=config, gates=tuple(points))
 
 
@@ -657,66 +628,55 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def write_scenario_csvs(result: ScenarioResult, outdir: str,
-                        figures: tuple[str, ...] = ("fig3", "fig4", "fig5")) -> list[str]:
-    """Emit the sweep CSV files; returns the written paths."""
+def _write_files(outdir: str, files: Mapping[str, str]) -> list[str]:
+    """Write each named text atomically (temporary file, then rename); returns the paths."""
     os.makedirs(outdir, exist_ok=True)
     paths = []
-
-    if "fig3" in figures:
-        lines = ["phi,state_label,metric,value,std"]
-        for sp in result.states:
-            for name, metric in (("purity", sp.purity), ("fidelity", sp.fidelity),
-                                 ("success_norm", sp.success_norm)):
-                lines.append(f"{_fmt(sp.phi)},{sp.state},{name},"
-                             f"{_fmt(metric.value)},{_fmt(metric.deviation)}")
-        path = os.path.join(outdir, "fig3_purity_fidelity_success.csv")
-        _atomic_write(path, "\n".join(lines) + "\n")
-        paths.append(path)
-
-    if "fig4" in figures:
-        lines = ["phi,state_label,value,std"]
-        for sp in result.states:
-            lines.append(f"{_fmt(sp.phi)},{sp.state},"
-                         f"{_fmt(sp.env_pop1.value)},{_fmt(sp.env_pop1.deviation)}")
-        for pp in result.phis:
-            lines.append(f"{_fmt(pp.phi)},mean,"
-                         f"{_fmt(pp.mean_env_pop1.value)},{_fmt(pp.mean_env_pop1.deviation)}")
-        path = os.path.join(outdir, "fig4_population.csv")
-        _atomic_write(path, "\n".join(lines) + "\n")
-        paths.append(path)
-
-    if "fig5" in figures:
-        lines = ["phi,metric,value,std"]
-        for pp in result.phis:
-            if pp.channel_ef is not None:
-                lines.append(f"{_fmt(pp.phi)},entanglement_of_formation,"
-                             f"{_fmt(pp.channel_ef.value)},{_fmt(pp.channel_ef.deviation)}")
-                lines.append(f"{_fmt(pp.phi)},channel_fidelity,"
-                             f"{_fmt(pp.channel_fidelity.value)},{_fmt(pp.channel_fidelity.deviation)}")
-        path = os.path.join(outdir, "fig5_channel.csv")
-        _atomic_write(path, "\n".join(lines) + "\n")
+    for name, text in files.items():
+        path = os.path.join(outdir, name)
+        with open(f"{path}.tmp", "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+        os.replace(f"{path}.tmp", path)
         paths.append(path)
     return paths
 
 
+def _csv(header: str, rows: list[str]) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _cells(metric: MetricValue) -> str:
+    return f"{_fmt(metric.value)},{_fmt(metric.deviation)}"
+
+
+def write_scenario_csvs(result: ScenarioResult, outdir: str) -> list[str]:
+    """Emit the sweep CSV files; returns the written paths.
+
+    fig3 and fig4 are written when the result holds state points, fig5
+    always.
+    """
+    files = {}
+    if result.states:
+        files["fig3_purity_fidelity_success.csv"] = _csv("phi,state_label,metric,value,std", [
+            f"{_fmt(sp.phi)},{sp.state},{name},{_cells(metric)}" for sp in result.states
+            for name, metric in (("purity", sp.purity), ("fidelity", sp.fidelity),
+                                 ("success_norm", sp.success_norm))])
+        files["fig4_population.csv"] = _csv("phi,state_label,value,std", [
+            *(f"{_fmt(sp.phi)},{sp.state},{_cells(sp.env_pop1)}" for sp in result.states),
+            *(f"{_fmt(pp.phi)},mean,{_cells(pp.mean_env_pop1)}" for pp in result.phis)])
+    files["fig5_channel.csv"] = _csv("phi,metric,value,std", [
+        f"{_fmt(pp.phi)},{name},{_cells(metric)}"
+        for pp in result.phis if pp.channel_ef is not None
+        for name, metric in (("entanglement_of_formation", pp.channel_ef),
+                             ("channel_fidelity", pp.channel_fidelity))])
+    return _write_files(outdir, files)
+
+
 def write_gate_csv(result: ScenarioResult, outdir: str) -> list[str]:
-    os.makedirs(outdir, exist_ok=True)
-    lines = ["phi,metric,value,std"]
-    for gp in result.gates:
-        for name, metric in (("gate_fidelity", gp.fidelity), ("gate_purity", gp.purity),
-                             ("gate_fidelity_phase_opt", gp.fidelity_phase_opt)):
-            lines.append(f"{_fmt(gp.phi)},{name},{_fmt(metric.value)},{_fmt(metric.deviation)}")
-    path = os.path.join(outdir, "fig7_gate.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return [path]
+    rows = [f"{_fmt(gp.phi)},{name},{_cells(metric)}" for gp in result.gates
+            for name, metric in (("gate_fidelity", gp.fidelity), ("gate_purity", gp.purity),
+                                 ("gate_fidelity_phase_opt", gp.fidelity_phase_opt))]
+    return _write_files(outdir, {"fig7_gate.csv": _csv("phi,metric,value,std", rows)})
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
@@ -741,9 +701,7 @@ def config_to_dict(config: ScenarioConfig) -> dict:
 
 
 def write_manifest(config: ScenarioConfig, command: str, outdir: str) -> str:
-    os.makedirs(outdir, exist_ok=True)
     payload = {"command": command, "config": config_to_dict(config),
                "seed": config.seed, "version": __version__}
-    path = os.path.join(outdir, "manifest.json")
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _write_files(outdir, {"manifest.json": text})[0]

@@ -32,20 +32,6 @@ class DegenerateCouplingError(ValueError):
 
 
 @dataclass(frozen=True)
-class CouplingStrength:
-    """Coupling phase in radians, restricted to [0, 2*pi)."""
-
-    phi: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.phi < TWO_PI):
-            raise ValueError(f"coupling strength {self.phi} outside [0, 2*pi)")
-
-    def __float__(self) -> float:
-        return self.phi
-
-
-@dataclass(frozen=True)
 class HeraldOutcome:
     """One branch of the probe measurement.
 

@@ -5,7 +5,7 @@ mutually unbiased bases).  Through channel-state duality every setting is
 one ket k: the projection ket for state tomography, and the product
 conj(prep) (x) proj on the doubled register for process tomography, where
 the Choi matrix takes the place of the state.  So one rule serves both:
-counts are Poissonian with mean rate * t * 2^n_in * <k|M|k>, and M is
+counts are Poissonian with mean rate * 2^n_in * <k|M|k>, and M is
 reconstructed with the iterative R-rho-R fixed-point method (Hradil, PRA
 55, R1561, 1997):
 
@@ -46,8 +46,6 @@ MLE_TOL = 1e-10
 MLE_MAX_ITERS = 20000
 _PROB_FLOOR = 1e-14
 
-SERIAL_HEADER = "# darkstate-tomogram v1"
-
 
 class IncompleteMeasurementError(ValueError):
     """The measurement set cannot determine the state (singular frame)."""
@@ -73,7 +71,6 @@ class MeasurementSetting:
 
     preparation: tuple[str, ...]
     projection: tuple[str, ...]
-    duration: float = 1.0
 
     def __post_init__(self):
         for lab in (*self.preparation, *self.projection):
@@ -81,8 +78,6 @@ class MeasurementSetting:
                 raise ValueError(f"unknown state label {lab!r}")
         if not self.projection:
             raise ValueError("projection labels must be nonempty")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,6 @@ class Tomogram:
 
     settings: tuple[MeasurementSetting, ...]
     counts: np.ndarray
-    rate_reference: float = 300.0
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=float)
@@ -134,18 +128,18 @@ class ProcessMatrix:
         return DensityMatrix(self.chi / tr)
 
 
-def build_state_settings(n: int, duration: float = 1.0) -> tuple[MeasurementSetting, ...]:
+def build_state_settings(n: int) -> tuple[MeasurementSetting, ...]:
     """All 6^n product projections for state tomography of n qubits."""
     return tuple(
-        MeasurementSetting((), proj, duration)
+        MeasurementSetting((), proj)
         for proj in itertools.product(BASIS_LABELS, repeat=n)
     )
 
 
-def build_process_settings(n: int, duration: float = 1.0) -> tuple[MeasurementSetting, ...]:
+def build_process_settings(n: int) -> tuple[MeasurementSetting, ...]:
     """All 6^n x 6^n preparation-projection pairs for process tomography."""
     return tuple(
-        MeasurementSetting(prep, proj, duration)
+        MeasurementSetting(prep, proj)
         for prep in itertools.product(BASIS_LABELS, repeat=n)
         for proj in itertools.product(BASIS_LABELS, repeat=n)
     )
@@ -216,7 +210,7 @@ def setting_kets(settings: Sequence[MeasurementSetting], process: bool) -> np.nd
 def simulate_counts(settings: Sequence[MeasurementSetting],
                     M: DensityMatrix | ProcessMatrix | np.ndarray,
                     rate: float, seed) -> Tomogram:
-    """Poissonian counts with mean rate * t * 2^n_in * <k|M|k> per setting ket k.
+    """Poissonian counts with mean rate * 2^n_in * <k|M|k> per setting ket k.
 
     ``M`` is the state for state settings (n_in = 0) and, for process
     settings with n_in input qubits, the trace-free Choi matrix in the
@@ -231,10 +225,9 @@ def simulate_counts(settings: Sequence[MeasurementSetting],
     if kets.shape[1] != mat.shape[0]:
         raise ValueError("setting dimension does not match the matrix dimension")
     probs = np.einsum("ne,ne->n", kets.conj() @ mat, kets).real.clip(0.0, None)
-    durations = np.array([s.duration for s in settings])
-    means = rate * durations * 2 ** len(settings[0].preparation) * probs
+    means = rate * 2 ** len(settings[0].preparation) * probs
     rng = np.random.default_rng(_as_seed(seed))
-    return Tomogram(settings, rng.poisson(means), rate_reference=rate)
+    return Tomogram(settings, rng.poisson(means))
 
 
 def _mode_products(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -417,46 +410,3 @@ def resample_counts(counts: np.ndarray, samples: int, seed: int,
     base = np.asarray(counts, dtype=float)
     return rng.poisson(np.broadcast_to(base, (samples, base.size)))
 
-
-def tomogram_to_text(tomogram: Tomogram) -> str:
-    """Serialize to the versioned plain-text record format.
-
-    One line per setting: preparation labels (comma separated, ``-`` when
-    absent), projection labels, duration, count.
-    """
-    lines = [SERIAL_HEADER,
-             "# columns: preparation projection duration count",
-             f"# rate_reference: {tomogram.rate_reference!r}"]
-    for s, c in zip(tomogram.settings, tomogram.counts):
-        # '.' marks "no preparation"; '-' is taken by the diagonal-basis label
-        prep = ",".join(s.preparation) if s.preparation else "."
-        proj = ",".join(s.projection)
-        count = int(c) if float(c).is_integer() else float(c)
-        lines.append(f"{prep} {proj} {s.duration!r} {count}")
-    return "\n".join(lines) + "\n"
-
-
-def tomogram_from_text(text: str) -> Tomogram:
-    """Parse the plain-text record format produced by ``tomogram_to_text``."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SERIAL_HEADER:
-        raise ValueError("missing or unsupported tomogram header")
-    rate = 300.0
-    settings: list[MeasurementSetting] = []
-    counts: list[float] = []
-    for raw in lines[1:]:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("# rate_reference:"):
-                rate = float(line.split(":", 1)[1])
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"malformed tomogram record: {raw!r}")
-        prep = () if parts[0] == "." else tuple(parts[0].split(","))
-        proj = tuple(parts[1].split(","))
-        settings.append(MeasurementSetting(prep, proj, float(parts[2])))
-        counts.append(float(parts[3]))
-    return Tomogram(tuple(settings), np.array(counts), rate_reference=rate)

@@ -152,6 +152,38 @@ def test_channel_command_writes_fig5_only(tmp_path):
     assert ef == pytest.approx(1.0, abs=1e-10)   # protocol mode default: protected
 
 
+def test_channel_command_reconstructs_no_state(tmp_path, monkeypatch):
+    # fig5 needs only the channel MLE: no per-state reconstruction may run
+    from darkstate import experiments
+    calls = {"mle_state": 0, "mle_process": 0}
+
+    def counting(name):
+        fn = getattr(experiments, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(experiments, name, counting(name))
+    assert main(["channel", "--set", "phi_grid=pi/2,pi", "--bootstrap", "3",
+                 "--out", str(tmp_path / "chan")]) == 0
+    assert calls == {"mle_state": 0, "mle_process": 4}   # point and replicas, two phis
+
+
+@pytest.mark.parametrize("mode,grid", [("protocol", "pi/2,pi"), ("reference", "0,pi/2")])
+def test_channel_and_sweep_write_identical_fig5(tmp_path, mode, grid):
+    # each grid includes its mode's anchor phi, whose sample both commands reuse
+    common = ["--set", f"phi_grid={grid}", "--seed", "5", "--bootstrap", "4"]
+    assert main([mode, *common, "--out", str(tmp_path / "sweep")]) == 0
+    assert main(["channel", "--set", f"mode={mode}", *common,
+                 "--out", str(tmp_path / "chan")]) == 0
+    sweep = (tmp_path / "sweep" / "fig5_channel.csv").read_bytes()
+    assert sweep == (tmp_path / "chan" / "fig5_channel.csv").read_bytes()
+    assert len(sweep.splitlines()) == 1 + 2 * 2
+
+
 def test_channel_command_requires_full_alphabet(tmp_path):
     cfg = write(tmp_path / "c.cfg", "signal_states = 0,+\nshot_noise = false\n")
     assert main(["channel", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
@@ -239,8 +271,12 @@ def test_zero_count_points_are_nan_not_fatal(tmp_path, capsys, bootstrap):
     empty = {(r["phi"], r["state_label"]) for r in fig4
              if r["state_label"] != "mean" and is_nan(r)}
     assert 0 < len(empty) < 6 * 13
-    # one stderr line per empty point, naming phi and the state
-    reports = capsys.readouterr().err.splitlines()
+    # one stderr line per empty point, naming phi and the state; the lines
+    # on empty anchors are checked by test_zero_count_anchor_makes_success_nan
+    err = capsys.readouterr().err.splitlines()
+    empty_anchors = {line.split(":")[0].removeprefix("state ")
+                     for line in err if line.startswith("state ")}
+    reports = [line for line in err if not line.startswith("state ")]
     assert len(reports) == len(empty)
     named = []
     for line in reports:
@@ -252,7 +288,10 @@ def test_zero_count_points_are_nan_not_fatal(tmp_path, capsys, bootstrap):
         assert sum(s == state and abs(p - float(phi)) < 1e-5 for p, s in named) == 1
     empty_phis = {phi for phi, _ in empty}
     for r in fig3:
-        hit = (r["phi"], r["state_label"]) in empty and r["metric"] != "success_norm"
+        if r["metric"] == "success_norm":
+            hit = r["state_label"] in empty_anchors
+        else:
+            hit = (r["phi"], r["state_label"]) in empty
         assert is_nan(r) if hit else finite(r)
     for r in fig4:
         if r["state_label"] == "mean":
@@ -261,3 +300,28 @@ def test_zero_count_points_are_nan_not_fatal(tmp_path, capsys, bootstrap):
             assert finite(r) or (r["phi"], r["state_label"]) in empty
     for r in fig5:
         assert is_nan(r) if r["phi"] in empty_phis else finite(r)
+
+
+def test_zero_count_anchor_makes_success_nan(tmp_path, capsys):
+    # at this rate and seed the phi = pi anchors of several states draw no
+    # counts, while state 1 draws two counts at phi = 1.396: its success
+    # ratio has no denominator, so it must read nan rather than a raw count
+    out = tmp_path / "out"
+    assert main(["protocol", "--set", "rate=0.05", "--bootstrap", "5",
+                 "--out", str(out)]) == 0
+    reports = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("state ")]
+    empty_anchors = {line.split(":")[0].removeprefix("state ") for line in reports}
+    assert len(reports) == len(empty_anchors)
+    assert {"1", "L"} <= empty_anchors < set(BASIS_LABELS)
+    for line in reports:
+        assert line.endswith(": anchor at phi = 3.14159 drew no counts, success_norm is nan")
+    rows = [r for r in read_csv(out / "fig3_purity_fidelity_success.csv")
+            if r["metric"] == "success_norm"]
+    assert len(rows) == 6 * 13
+    for r in rows:
+        value, std = float(r["value"]), float(r["std"])
+        if r["state_label"] in empty_anchors:
+            assert math.isnan(value) and math.isnan(std)
+        else:
+            assert math.isfinite(value) and math.isfinite(std)

@@ -17,6 +17,7 @@ from darkstate.experiments import (
     run_gate_tomography,
     run_protocol_sweep,
     run_reference_sweep,
+    write_gate_csv,
 )
 from darkstate.optical_gate import realize_ccp
 from darkstate.protocol import DegenerateCouplingError, u_ccp
@@ -342,6 +343,23 @@ def test_phase_optimized_fidelity_recovers_local_rotations():
     assert plain < 0.9
     opt = optimize_local_phase_fidelity(chi_rot, ideal_vec, 3)
     assert opt == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("boot", [0, 3])
+def test_gate_metrics_with_and_without_bootstrap(tmp_path, boot):
+    # one metric path: without a bootstrap the spread is 0, not missing
+    cfg = ScenarioConfig(mode="gate_tomography", phi_grid=(math.pi,), rate=3000.0, seed=1,
+                         gate_bootstrap_samples=boot)
+    result = run_gate_tomography(cfg, acknowledge_full_tomography=True)
+    gp = result.gates[0]
+    for metric in (gp.fidelity, gp.purity, gp.fidelity_phase_opt):
+        assert 0.9 < metric.estimate <= 1.0
+        assert metric.std > 0.0 if boot else metric.std == 0.0
+    write_gate_csv(result, str(tmp_path))
+    with open(tmp_path / "fig7_gate.csv") as fh:
+        stds = [line.rstrip("\n").split(",")[-1] for line in fh][1:]
+    assert len(stds) == 3
+    assert all((s != "0") if boot else (s == "0") for s in stds)
 
 
 def test_gate_full_tomography_end_to_end():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from darkstate.protocol import (
-    CouplingStrength,
     DegenerateCouplingError,
     apply_dephasing,
     coherence_factor,
@@ -46,6 +45,11 @@ def test_u_cp_values():
     np.testing.assert_allclose(u_cp(0.0).matrix, np.eye(4), atol=1e-15)
     np.testing.assert_allclose(u_cp(math.pi).matrix, np.diag([1, 1, 1, -1]), atol=1e-15)
     np.testing.assert_allclose(u_cp(math.pi / 2.0).matrix, np.diag([1, 1, 1, 1j]), atol=1e-15)
+    # the coupling phase is taken in [0, 2*pi)
+    u_cp(6.28)
+    for phi in (2.0 * math.pi, -0.1):
+        with pytest.raises(ValueError):
+            u_cp(phi)
 
 
 def test_u_ccp_values_and_blocks():
@@ -66,18 +70,6 @@ def test_u_ccp_pi_flips_111():
     v = np.zeros(8, dtype=complex)
     v[7] = 1.0
     np.testing.assert_allclose(u_ccp(math.pi).matrix @ v, -v, atol=1e-15)
-
-
-def test_coupling_strength_range():
-    CouplingStrength(0.0)
-    CouplingStrength(6.28)
-    with pytest.raises(ValueError):
-        CouplingStrength(2.0 * math.pi)
-    with pytest.raises(ValueError):
-        CouplingStrength(-0.1)
-    assert float(CouplingStrength(1.5)) == 1.5
-    np.testing.assert_allclose(u_cp(CouplingStrength(math.pi)).matrix,
-                               np.diag([1, 1, 1, -1]), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
