@@ -53,7 +53,11 @@ from .tomography import (
 _ANCHOR_KEY = 10_000
 _MODES = ("protocol", "reference", "gate_tomography")
 
-DEFAULT_PROTOCOL_GRID = tuple(np.linspace(math.pi / 6.0, 2.0 * math.pi - math.pi / 6.0, 13))
+# pi/6 to 11pi/6 in steps of 5pi/36.  linspace lands one ulp below pi at k = 6; the exact
+# value lets that point reuse the anchor.  The other points keep their linspace values:
+# an ulp moves which Born means are exactly zero, and with them the Poisson stream.
+DEFAULT_PROTOCOL_GRID = tuple(math.pi if k == 6 else float(x) for k, x in enumerate(
+    np.linspace(math.pi / 6.0, 2.0 * math.pi - math.pi / 6.0, 13)))
 DEFAULT_REFERENCE_GRID = (0.0,) + DEFAULT_PROTOCOL_GRID
 DEFAULT_GATE_GRID = tuple(np.array([1, 2, 4, 6, 8, 10, 12, 14]) * math.pi / 8.0)
 
@@ -365,8 +369,11 @@ class _Sample:
 
 
 def _sample(mode: str, phi: float, label: str, env: np.ndarray, config: ScenarioConfig,
-            key: tuple[int, ...]) -> _Sample:
-    """Simulate one grid point; counts and replicas both derive from spawn key ``key``."""
+            key: tuple[int, ...], bootstrap: int) -> _Sample:
+    """Simulate one grid point with ``bootstrap`` replicas (fewer than two: none).
+
+    Counts and replicas both derive from spawn key ``key``, on streams of their own.
+    """
     pipeline = _protocol_point if mode == "protocol" else _reference_point
     rho_se, weight = pipeline(phi, label, env, config.noise)
     # the gate's success probability relative to its phi = 0 and phi = pi value 1/9
@@ -376,7 +383,7 @@ def _sample(mode: str, phi: float, label: str, env: np.ndarray, config: Scenario
     counts = simulate_counts(_TQ_SETTINGS, rho_se, config.rate * transmission,
                              _seed_seq(config.seed, *key, 0)).counts
     return _Sample(rho_se, weight, transmission, counts,
-                   _replicas(counts, config.bootstrap_samples, config.seed, key))
+                   _replicas(counts, bootstrap, config.seed, key))
 
 
 def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,25 +398,44 @@ def _qubit_metrics(rho_s: np.ndarray, rho_e: np.ndarray, psi: np.ndarray
             float(rho_e[1, 1].real))
 
 
-def _state_estimates(sample: _Sample, psi: np.ndarray) -> tuple[tuple, tuple]:
+def _marginal_states(samples: Sequence[_Sample]) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """MLE signal and environment states of each sample that drew counts (None otherwise).
+
+    Row 0 of each (1 + R, 2, 2) stack is the estimate from the sample's counts,
+    rows 1.. those from its R replicas.  Every tomogram of the samples goes
+    into one ``mle_state`` call: the single-qubit estimate of a row does not
+    depend on the rest of its batch, so one call per grid point gives the
+    same states as one call per tomogram.
+    """
+    live = [s.counts is not None and not s.empty for s in samples]
+    tomograms = [m for s, ok in zip(samples, live) if ok
+                 for m in _marginal_counts(np.vstack([s.counts, s.reps]))]
+    if not tomograms:
+        return [None] * len(samples)
+    rhos = iter(np.split(mle_state(_SQ_SETTINGS, np.concatenate(tomograms)),
+                         np.cumsum([len(t) for t in tomograms])[:-1]))
+    return [(next(rhos), next(rhos)) if ok else None for ok in live]
+
+
+def _state_estimates(sample: _Sample, psi: np.ndarray,
+                     rhos: tuple[np.ndarray, np.ndarray] | None) -> tuple[tuple, tuple]:
     """Reconstructed ``_qubit_metrics`` of a sample, and of each of its replicas.
 
-    The estimates are None without shot noise and nan for a sample that drew
-    no counts.
+    ``rhos`` are the sample's signal and environment states from
+    ``_marginal_states``.  The estimates are None without shot noise and nan
+    for a sample that drew no counts.
     """
     if sample.counts is None:
         return (None,) * 3, (_NO_REPS,) * 3
     if sample.empty:
         nan = np.full(len(sample.reps), math.nan)
         return (math.nan,) * 3, (nan,) * 3
-    s_counts, e_counts = _marginal_counts(sample.counts)
-    estimates = _qubit_metrics(DensityMatrix(mle_state(_SQ_SETTINGS, s_counts)[0]).matrix,
-                               DensityMatrix(mle_state(_SQ_SETTINGS, e_counts)[0]).matrix, psi)
+    rhos_s, rhos_e = rhos
+    estimates = _qubit_metrics(DensityMatrix(rhos_s[0]).matrix,
+                               DensityMatrix(rhos_e[0]).matrix, psi)
     if not len(sample.reps):
         return estimates, (_NO_REPS,) * 3
-    s_reps, e_reps = _marginal_counts(sample.reps)
-    rhos_s = mle_state(_SQ_SETTINGS, s_reps)
-    rhos_e = mle_state(_SQ_SETTINGS, e_reps)
+    rhos_s, rhos_e = rhos_s[1:], rhos_e[1:]
     return estimates, (np.einsum("bde,bed->b", rhos_s, rhos_s).real,
                        np.einsum("d,bde,e->b", psi.conj(), rhos_s, psi).real,
                        rhos_e[:, 1, 1].real)
@@ -419,7 +445,8 @@ def _success_estimates(sample: _Sample, anchor: _Sample) -> tuple[float | None, 
     """Count total over the anchor's, for the sample and for each replica.
 
     The anchor itself reads exactly 1; an anchor without counts leaves the
-    ratio undefined (nan) at every grid point.
+    ratio undefined (nan) at every grid point, and so does an anchor replica
+    without counts for that replica.
     """
     if sample.counts is None:
         return None, _NO_REPS
@@ -427,17 +454,19 @@ def _success_estimates(sample: _Sample, anchor: _Sample) -> tuple[float | None, 
         return math.nan, _NO_REPS
     if sample is anchor:
         return 1.0, np.zeros(len(sample.reps))
+    anchor_totals = anchor.reps.sum(axis=1)
     return (float(sample.counts.sum() / anchor.counts.sum()),
-            sample.reps.sum(axis=1) / np.maximum(anchor.reps.sum(axis=1), 1.0))
+            np.divide(sample.reps.sum(axis=1), anchor_totals,
+                      out=np.full(len(anchor_totals), math.nan), where=anchor_totals > 0))
 
 
-def _state_point(phi: float, label: str, sample: _Sample, anchor: _Sample
-                 ) -> tuple[StatePoint, np.ndarray]:
+def _state_point(phi: float, label: str, sample: _Sample, anchor: _Sample,
+                 rhos: tuple[np.ndarray, np.ndarray] | None) -> tuple[StatePoint, np.ndarray]:
     """fig3/fig4 row of one sample, and its env-population replicas for the mean row."""
     psi = ket(label)
     analytic = _qubit_metrics(partial_trace_array(sample.rho_se, 2, (0,)),
                               partial_trace_array(sample.rho_se, 2, (1,)), psi)
-    estimates, reps = _state_estimates(sample, psi)
+    estimates, reps = _state_estimates(sample, psi, rhos)
     purity, fidelity, env_pop1 = map(_metric, analytic, reps, estimates)
     success, success_reps = _success_estimates(sample, anchor)
     success_norm = _metric(sample.transmission / anchor.transmission, success_reps, success)
@@ -487,15 +516,23 @@ def _run_sweep(config: ScenarioConfig, mode: str, figures: tuple[str, ...]) -> S
     with_states = "fig3" in figures or "fig4" in figures
     with_channel = "fig5" in figures and set(labels) == set(BASIS_LABELS)
 
+    # state replicas are read only by fig3/fig4
+    bootstrap = config.bootstrap_samples if with_states else 0
+
     def samples(key: int, phi: float) -> list[_Sample]:
-        return [_sample(mode, phi, lab, env, config, (key, si)) for si, lab in enumerate(labels)]
+        return [_sample(mode, phi, lab, env, config, (key, si), bootstrap)
+                for si, lab in enumerate(labels)]
 
     # the anchor normalizes the success probability; a grid point at its phi reuses it
     anchors = samples(_ANCHOR_KEY, anchor_phi) if with_states or anchor_phi in grid else None
     for lab, anchor in zip(labels, anchors) if with_states else ():
+        where = f"state {lab}: anchor at phi = {anchor_phi:.6g} drew no counts"
+        empty_reps = 0 if anchor.reps is None else int((anchor.reps.sum(axis=1) == 0).sum())
         if anchor.empty:
-            print(f"state {lab}: anchor at phi = {anchor_phi:.6g} drew no counts, "
-                  "success_norm is nan", file=sys.stderr)
+            print(f"{where}, success_norm is nan", file=sys.stderr)
+        elif empty_reps:
+            print(f"{where} in {empty_reps} of {len(anchor.reps)} bootstrap replicas, "
+                  "success_norm std is nan", file=sys.stderr)
 
     state_points: list[StatePoint] = []
     phi_points: list[PhiPoint] = []
@@ -507,8 +544,9 @@ def _run_sweep(config: ScenarioConfig, mode: str, figures: tuple[str, ...]) -> S
                       file=sys.stderr)
         mean = channel_ef = channel_fid = None
         if with_states:
-            points, pop_reps = zip(*(_state_point(phi, lab, sample, anchor) for lab, sample, anchor
-                                     in zip(labels, at_phi, anchors)))
+            points, pop_reps = zip(*(
+                _state_point(phi, lab, sample, anchor, rhos) for lab, sample, anchor, rhos
+                in zip(labels, at_phi, anchors, _marginal_states(at_phi))))
             state_points.extend(points)
             # the fig4 mean row: environment population averaged over the states
             pops = [sp.env_pop1 for sp in points]

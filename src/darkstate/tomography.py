@@ -13,7 +13,8 @@ reconstructed with the iterative R-rho-R fixed-point method (Hradil, PRA
 
 No trace preservation is imposed, so postselected (trace-decreasing)
 channels reconstruct naturally; the quality metrics normalize away the
-scale.
+scale.  A single qubit needs no iteration: its likelihood splits into one
+binomial per Pauli axis and is maximized in closed form (``_qubit_mle``).
 
 Every ket is a product of single-qubit kets, so the estimator never builds
 the ket table.  With the per-qubit frame F[l, (r, c)] = conj(k_l[r]) k_l[c],
@@ -298,27 +299,35 @@ def _check_complete(idx: np.ndarray, grid: np.ndarray, frames: Sequence[np.ndarr
 
 def _mle(settings: Sequence[MeasurementSetting], process: bool, counts,
          tol: float, max_iters: int) -> np.ndarray:
-    """Batched R-rho-R iteration over the rows of ``counts`` (shape (B, N)).
+    """Maximum-likelihood estimates for the rows of ``counts`` (shape (B, N)).
 
     Returns the (B, d, d) estimates.  A replica with no counts carries no
     information and gets I/d; a single tomogram with no counts raises.
     Counts are summed onto the 6^m label grid once, so settings may come in
-    any order, repeat, or cover only part of the grid.
+    any order, repeat, or cover only part of the grid.  Single-qubit state
+    settings are solved exactly (``_qubit_mle``), everything else by R-rho-R.
     """
     idx, grid, frames = _grid(settings, process)
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[1] != len(idx):
         raise ValueError(f"counts must have shape (B, {len(idx)}), got {counts.shape}")
-    totals = counts.sum(axis=1)
-    if len(counts) == 1 and totals[0] == 0:
+    if len(counts) == 1 and counts.sum() == 0:
         raise ValueError("tomogram has zero total counts")
     _check_complete(idx, grid, frames)
     grid_counts = np.zeros((len(counts), 6 ** len(frames)))
     np.add.at(grid_counts, (slice(None), grid), counts)
-    d = 2 ** len(frames)
+    if len(frames) == 1:   # a process has at least two qubits on the grid
+        return _qubit_mle(grid_counts)
+    return _rrr(grid_counts, frames, tol, max_iters)
+
+
+def _rrr(grid_counts: np.ndarray, frames: Sequence[np.ndarray], tol: float,
+         max_iters: int) -> np.ndarray:
+    """Batched R-rho-R iteration on (B, 6^m) grid counts; the batch stops at its slowest row."""
+    b, d = len(grid_counts), 2 ** len(frames)
     eye = np.eye(d, dtype=complex)
-    rho = np.tile(eye / d, (len(counts), 1, 1))
-    zero_total = totals == 0
+    rho = np.tile(eye / d, (b, 1, 1))
+    zero_total = grid_counts.sum(axis=1) == 0
     frames_t, frames_c = [f.T for f in frames], [f.conj() for f in frames]
     delta = math.inf
     for _ in range(max_iters):
@@ -336,14 +345,108 @@ def _mle(settings: Sequence[MeasurementSetting], process: bool, counts,
             break
     else:
         warnings.warn(f"R-rho-R stopped at max_iters = {max_iters} (d = {d}, "
-                      f"B = {len(counts)}): final delta {delta:.3g} >= tol {tol:g}",
-                      MLEConvergenceWarning, stacklevel=3)
+                      f"B = {b}): final delta {delta:.3g} >= tol {tol:g}",
+                      MLEConvergenceWarning, stacklevel=4)
     return rho
+
+
+# sigma_k = |+k><+k| - |-k><-k| for the axis k whose outcomes are labels 2k and 2k + 1
+_PAULI = (np.einsum("kd,ke->kde", _KET_TABLE[0::2], _KET_TABLE[0::2].conj())
+          - np.einsum("kd,ke->kde", _KET_TABLE[1::2], _KET_TABLE[1::2].conj()))
+_SPHERE_MAX_ITERS = 100
+
+
+def _qubit_mle(grid_counts: np.ndarray) -> np.ndarray:
+    """Exact maximum-likelihood qubit states from (B, 6) label counts; returns (B, 2, 2).
+
+    For the Bloch vector a, labels 2k and 2k + 1 have probabilities
+    (1 +- a_k) / 2, so the log-likelihood splits into one binomial per Pauli
+    axis, sum_k u_k log(1 + a_k) + v_k log(1 - a_k), with u_k and v_k the
+    counts of the two outcomes.  Its maximum over all a is the linear
+    inversion (u - v) / (u + v), 0 on an axis without counts.  Inside the
+    Bloch ball that is the estimate; outside, the maximum lies on the sphere
+    (``_sphere_mle``).  Each row is solved on its own, so a row's estimate
+    does not depend on the rest of its batch.
+    """
+    u, v = grid_counts[:, 0::2], grid_counts[:, 1::2]
+    a = (u - v) / np.maximum(u + v, 1.0)
+    outside = (a * a).sum(axis=1) > 1.0
+    if outside.any():
+        a[outside] = _sphere_mle(u[outside], v[outside])
+    return 0.5 * (np.eye(2) + np.einsum("bk,kde->bde", a, _PAULI))
+
+
+def _axis_root(u: np.ndarray, v: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The root a of u / (1 + a) - v / (1 - a) = 2 mu a, elementwise.
+
+    Cleared of fractions this is the cubic 2 mu a^3 - (2 mu + n) a + (u - v)
+    = 0 (n = u + v), which is 2u >= 0 at a = -1 and -2v <= 0 at a = 1: its
+    middle root is the one in [-1, 1], taken in trigonometric form and
+    polished by two Newton steps, because arccos loses digits near |a| = 1.
+    With v = 0 (or u = 0) the cubic has the spurious root 1 (-1), and the
+    root taken is that of the remaining quadratic, 2 mu a^2 + 2 mu a = u;
+    it exceeds 1 for mu < u / 4, which keeps sum_k a_k^2 smooth in mu.
+    """
+    n = u + v
+    r = np.sqrt((1.0 + n / (2.0 * mu)) / 3.0)
+    x = np.clip((v - u) / (4.0 * mu * r**3), -1.0, 1.0)
+    a = 2.0 * r * np.cos(np.arccos(x) / 3.0 - 2.0 * math.pi / 3.0)
+    for _ in range(2):
+        a -= (2.0 * mu * a**3 - (2.0 * mu + n) * a + (u - v)) / (6.0 * mu * a**2 - 2.0 * mu - n)
+    t = (u - v) / mu
+    return np.where(np.minimum(u, v) == 0.0, t / (1.0 + np.sqrt(1.0 + 2.0 * np.abs(t))), a)
+
+
+def _sphere_mle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bloch vectors maximizing the likelihood on |a| = 1, for (B, 3) outcome counts.
+
+    Stationarity on the sphere asks u_k / (1 + a_k) - v_k / (1 - a_k) =
+    2 mu a_k on every axis, for one multiplier mu > 0.  For a given mu each
+    axis has one root a_k(mu) (``_axis_root``), and sum_k a_k^2 falls with
+    mu.  Newton steps on 1 / |a(mu)| - 1, nearly linear in mu, find the mu
+    with |a(mu)| = 1, inside the bisection bracket (0, |n| / 2]: a_k(mu) > 0
+    forces a_k <= u_k / (2 mu) and a_k < 0 forces |a_k| <= v_k / (2 mu), so
+    |a| <= 1 at mu = |n| / 2.  Every row stops at its own tolerance.
+    """
+    n = u + v
+    # start: mu from the stationarity condition at the radially projected linear inversion
+    a0 = (u - v) / np.maximum(n, 1.0)
+    a0 /= np.sqrt((a0 * a0).sum(axis=1, keepdims=True))
+    mu = 0.5 * (a0 * (u / (1.0 + a0) - v / (1.0 - a0))).sum(axis=1)
+    lo, hi = np.zeros(len(u)), 0.5 * np.sqrt((n * n).sum(axis=1))
+    mu = np.where((mu > lo) & (mu < hi), mu, 0.5 * hi)
+    out = np.empty_like(u)
+    rows = np.arange(len(u))
+    for _ in range(_SPHERE_MAX_ITERS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = _axis_root(u, v, mu[:, None])
+            s = (a * a).sum(axis=1)
+            # d a_k / d mu from the cubic; a nan step (double root) falls back to bisection
+            ds = (4.0 * a * a * (1.0 - a * a) / (6.0 * mu[:, None] * a * a - 2.0 * mu[:, None]
+                                                  - n)).sum(axis=1)
+            new = mu + 2.0 * s * (1.0 - np.sqrt(s)) / ds
+        done = np.abs(s - 1.0) <= 1e-14
+        out[rows[done]] = a[done] / np.sqrt(s[done, None])
+        above = s > 1.0
+        lo, hi = np.where(above, mu, lo), np.where(above, hi, mu)
+        mu = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+        live = ~done
+        if not live.any():
+            return out
+        u, v, n, a, s, mu, lo, hi, rows = (x[live] for x in (u, v, n, a, s, mu, lo, hi, rows))
+    warnings.warn(f"sphere solve stopped at {_SPHERE_MAX_ITERS} iterations for "
+                  f"{len(rows)} qubit estimates", MLEConvergenceWarning, stacklevel=5)
+    out[rows] = a / np.sqrt(s[:, None])
+    return out
 
 
 def mle_state(settings: Sequence[MeasurementSetting], counts,
               tol: float = MLE_TOL, max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
-    """Maximum-likelihood states from counts of shape (B, N); returns (B, d, d)."""
+    """Maximum-likelihood states from counts of shape (B, N); returns (B, d, d).
+
+    Single-qubit settings are solved exactly; ``tol`` and ``max_iters`` bound
+    the R-rho-R iteration of larger states.
+    """
     return _mle(settings, False, counts, tol, max_iters)
 
 

@@ -152,24 +152,23 @@ def test_channel_command_writes_fig5_only(tmp_path):
     assert ef == pytest.approx(1.0, abs=1e-10)   # protocol mode default: protected
 
 
-def test_channel_command_reconstructs_no_state(tmp_path, monkeypatch):
+def test_channel_command_reconstructs_no_state(tmp_path, record_calls):
     # fig5 needs only the channel MLE: no per-state reconstruction may run
     from darkstate import experiments
-    calls = {"mle_state": 0, "mle_process": 0}
-
-    def counting(name):
-        fn = getattr(experiments, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(experiments, name, counting(name))
+    calls = record_calls(experiments, ("mle_state", "mle_process"))
     assert main(["channel", "--set", "phi_grid=pi/2,pi", "--bootstrap", "3",
                  "--out", str(tmp_path / "chan")]) == 0
-    assert calls == {"mle_state": 0, "mle_process": 4}   # point and replicas, two phis
+    assert {name: len(out) for name, out in calls.items()} == {
+        "mle_state": 0, "mle_process": 4}   # point and replicas, two phis
+
+
+def test_channel_command_draws_no_state_replicas(tmp_path, record_calls):
+    # fig5 reads only the channel replicas: one resample per phi, none per state
+    from darkstate import experiments
+    calls = record_calls(experiments, ("resample_counts",))
+    assert main(["channel", "--set", "phi_grid=pi/2,pi", "--bootstrap", "3",
+                 "--out", str(tmp_path / "chan")]) == 0
+    assert [len(reps) for reps in calls["resample_counts"]] == [3, 3]
 
 
 @pytest.mark.parametrize("mode,grid", [("protocol", "pi/2,pi"), ("reference", "0,pi/2")])
@@ -249,6 +248,43 @@ def test_selftest_reports_wall_time_per_criterion(capsys):
     assert " took " not in captured.out
 
 
+def anchor_reports(err_lines):
+    """States the sweep reports on stderr: (anchor without counts, anchor replicas without counts).
+
+    Checks the wording of every such line.
+    """
+    empty, partial = set(), set()
+    for line in err_lines:
+        if not line.startswith("state "):
+            continue
+        state, _, tail = line.removeprefix("state ").partition(": ")
+        head = "anchor at phi = 3.14159 drew no counts"
+        if tail == f"{head}, success_norm is nan":
+            empty.add(state)
+        else:
+            missing, _, total = tail.removeprefix(f"{head} in ").partition(" of ")
+            assert total.endswith(" bootstrap replicas, success_norm std is nan"), line
+            assert 0 < int(missing) <= int(total.split()[0])
+            partial.add(state)
+    return empty, partial
+
+
+PI_CELL = f"{math.pi:.12g}"   # phi = pi as the CSV writes it
+
+
+def check_success_rows(rows, empty_anchors, partial_anchors):
+    """success_norm is nan for an anchor without counts; with some anchor replicas
+    empty, the value is finite and the std nan, except at the anchor itself (1, std 0)."""
+    for r in rows:
+        value, std = float(r["value"]), float(r["std"])
+        if r["state_label"] in empty_anchors:
+            assert math.isnan(value) and math.isnan(std)
+        elif r["state_label"] in partial_anchors and r["phi"] != PI_CELL:
+            assert math.isfinite(value) and math.isnan(std)
+        else:
+            assert math.isfinite(value) and math.isfinite(std)
+
+
 @pytest.mark.parametrize("bootstrap", [0, 30])
 def test_zero_count_points_are_nan_not_fatal(tmp_path, capsys, bootstrap):
     # at this rate most grid points draw no counts at all
@@ -274,8 +310,7 @@ def test_zero_count_points_are_nan_not_fatal(tmp_path, capsys, bootstrap):
     # one stderr line per empty point, naming phi and the state; the lines
     # on empty anchors are checked by test_zero_count_anchor_makes_success_nan
     err = capsys.readouterr().err.splitlines()
-    empty_anchors = {line.split(":")[0].removeprefix("state ")
-                     for line in err if line.startswith("state ")}
+    empty_anchors, partial_anchors = anchor_reports(err)
     reports = [line for line in err if not line.startswith("state ")]
     assert len(reports) == len(empty)
     named = []
@@ -287,12 +322,11 @@ def test_zero_count_points_are_nan_not_fatal(tmp_path, capsys, bootstrap):
     for phi, state in empty:
         assert sum(s == state and abs(p - float(phi)) < 1e-5 for p, s in named) == 1
     empty_phis = {phi for phi, _ in empty}
+    check_success_rows([r for r in fig3 if r["metric"] == "success_norm"],
+                       empty_anchors, partial_anchors)
     for r in fig3:
-        if r["metric"] == "success_norm":
-            hit = r["state_label"] in empty_anchors
-        else:
-            hit = (r["phi"], r["state_label"]) in empty
-        assert is_nan(r) if hit else finite(r)
+        if r["metric"] != "success_norm":
+            assert is_nan(r) if (r["phi"], r["state_label"]) in empty else finite(r)
     for r in fig4:
         if r["state_label"] == "mean":
             assert is_nan(r) if r["phi"] in empty_phis else finite(r)
@@ -305,23 +339,21 @@ def test_zero_count_points_are_nan_not_fatal(tmp_path, capsys, bootstrap):
 def test_zero_count_anchor_makes_success_nan(tmp_path, capsys):
     # at this rate and seed the phi = pi anchors of several states draw no
     # counts, while state 1 draws two counts at phi = 1.396: its success
-    # ratio has no denominator, so it must read nan rather than a raw count
+    # ratio has no denominator, so it must read nan rather than a raw count.
+    # The anchor of state - drew one count, so some of its replicas drew
+    # none: their ratios, and so the std, are nan too
     out = tmp_path / "out"
     assert main(["protocol", "--set", "rate=0.05", "--bootstrap", "5",
                  "--out", str(out)]) == 0
     reports = [line for line in capsys.readouterr().err.splitlines()
                if line.startswith("state ")]
-    empty_anchors = {line.split(":")[0].removeprefix("state ") for line in reports}
-    assert len(reports) == len(empty_anchors)
+    empty_anchors, partial_anchors = anchor_reports(reports)
+    assert len(reports) == len(empty_anchors) + len(partial_anchors)
     assert {"1", "L"} <= empty_anchors < set(BASIS_LABELS)
-    for line in reports:
-        assert line.endswith(": anchor at phi = 3.14159 drew no counts, success_norm is nan")
+    assert partial_anchors == {"-"}
     rows = [r for r in read_csv(out / "fig3_purity_fidelity_success.csv")
             if r["metric"] == "success_norm"]
     assert len(rows) == 6 * 13
-    for r in rows:
-        value, std = float(r["value"]), float(r["std"])
-        if r["state_label"] in empty_anchors:
-            assert math.isnan(value) and math.isnan(std)
-        else:
-            assert math.isfinite(value) and math.isfinite(std)
+    check_success_rows(rows, empty_anchors, partial_anchors)
+    at_anchor = next(r for r in rows if r["state_label"] == "-" and r["phi"] == PI_CELL)
+    assert (at_anchor["value"], at_anchor["std"]) == ("1", "0")

@@ -4,13 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from darkstate import experiments
 from darkstate.experiments import (
     _CCP_SECTOR,
+    DEFAULT_REFERENCE_GRID,
     BudgetError,
     NoiseParams,
     ScenarioConfig,
     _depolarize,
+    _env_matrix,
     _gate_choi,
+    _marginal_counts,
+    _sample,
     _sector_damp,
     channel_choi_from_outputs,
     optimize_local_phase_fidelity,
@@ -29,7 +34,7 @@ from darkstate.qmath import (
     product_ket,
     projector,
 )
-from darkstate.tomography import process_fidelity
+from darkstate.tomography import build_state_settings, mle_state, process_fidelity
 
 EF_DEPHASED_HALF = 0.6008760366928562   # entanglement at |q| = cos(pi/4)
 
@@ -254,6 +259,42 @@ def test_anchor_point_normalizes_to_unity():
     assert anchor.success_norm.std == 0.0
     other = find_state(result, math.pi / 2.0, "+")
     assert other.success_norm.estimate == pytest.approx(0.25, abs=0.15)
+
+
+def test_default_grid_reuses_the_anchor(record_calls):
+    # pi lies on the default grid exactly, so its point is the anchor's sample
+    assert math.pi in experiments.DEFAULT_PROTOCOL_GRID
+    calls = record_calls(experiments, ("simulate_counts",))
+    result = run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=3))
+    assert len(calls["simulate_counts"]) == 13 * 6   # 14 * 6 if pi were sampled twice
+    at_pi = [sp for sp in result.states if sp.phi == math.pi]
+    assert len(at_pi) == 6
+    for sp in at_pi:
+        assert (sp.success_norm.estimate, sp.success_norm.std) == (1.0, 0.0)
+
+
+def test_sweep_makes_one_state_mle_call_per_grid_point(record_calls):
+    # every single-qubit tomogram of a grid point, its replicas included, goes
+    # into one mle_state call
+    calls = record_calls(experiments, ("mle_state",))
+    run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=3))
+    assert len(calls["mle_state"]) == len(experiments.DEFAULT_PROTOCOL_GRID)
+
+
+def test_reference_near_pure_batches_return_without_warning():
+    # the 1000-replica batches of state R at grid points 1 and 12 of a default
+    # reference run (seed 0) stopped R-rho-R at its iteration cap; the suite
+    # turns an MLEConvergenceWarning into an error
+    config = ScenarioConfig(mode="reference")
+    env = _env_matrix(config.env_state)
+    si = BASIS_LABELS.index("R")
+    for pi in (1, 12):
+        sample = _sample("reference", DEFAULT_REFERENCE_GRID[pi], "R", env, config, (pi, si),
+                         config.bootstrap_samples)
+        for counts in _marginal_counts(sample.reps):
+            rhos = mle_state(build_state_settings(1), counts)
+            assert rhos.shape == (1000, 2, 2)
+            assert np.linalg.eigvalsh(rhos).min() > -1e-15
 
 
 def test_sweep_determinism():

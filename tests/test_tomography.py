@@ -34,7 +34,8 @@ from darkstate.tomography import (
     setting_kets,
     simulate_counts,
 )
-from darkstate.tomography import _born, _check_complete, _grid, _weighted_projectors
+from darkstate import tomography
+from darkstate.tomography import _born, _check_complete, _grid, _rrr, _weighted_projectors
 
 PHI_PLUS = projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
 
@@ -48,19 +49,35 @@ def exact_tomogram(rho: np.ndarray, n: int, scale: float = 1e6) -> Tomogram:
     return Tomogram(settings, counts.clip(0.0, None))
 
 
-def state_estimate(tomo: Tomogram, **kwargs) -> DensityMatrix:
-    return DensityMatrix(mle_state(tomo.settings, tomo.counts[None, :], **kwargs)[0])
+def state_estimate(tomo: Tomogram) -> DensityMatrix:
+    return DensityMatrix(mle_state(tomo.settings, tomo.counts[None, :])[0])
 
 
 def process_estimate(tomo: Tomogram, n: int) -> ProcessMatrix:
     return ProcessMatrix(mle_process(tomo.settings, tomo.counts[None, :])[0], n)
 
 
-def log_likelihood(settings, counts: np.ndarray, rho: np.ndarray) -> float:
-    kets = setting_kets(settings, process=False)
+def log_likelihood(settings, counts: np.ndarray, rho: np.ndarray, process: bool = False) -> float:
+    kets = setting_kets(settings, process=process)
     p = np.einsum("nd,de,ne->n", kets.conj(), rho, kets).real
     pos = counts > 0
     return float(np.sum(counts[pos] * np.log(p[pos])))
+
+
+def rrr_step(settings, counts: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """One R-rho-R step from the state rho, through the dense setting kets."""
+    kets = setting_kets(settings, process=False)
+    p = np.einsum("nd,de,ne->n", kets.conj(), rho, kets).real
+    w = np.divide(counts, p, out=np.zeros(len(p)), where=counts > 0)
+    r_op = (kets.T * w) @ kets.conj()
+    new = r_op @ rho @ r_op
+    return new / np.trace(new).real
+
+
+def rotation_choi(theta: float) -> ProcessMatrix:
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]], dtype=complex)
+    return channel_to_choi(rot, n=1)
 
 
 class MeanRng:
@@ -160,15 +177,15 @@ def test_mle_state_statistical_convergence():
 
 
 @pytest.mark.filterwarnings("ignore::darkstate.tomography.MLEConvergenceWarning")
-def test_mle_state_likelihood_monotone():
-    # stopping the iteration later never lowers the likelihood
+def test_mle_process_likelihood_monotone():
+    # stopping the R-rho-R iteration later never lowers the likelihood
     rng = np.random.default_rng(30)
-    settings = build_state_settings(1)
+    settings = build_process_settings(1)
     for seed in range(4):
-        rho = random_density_matrix(1, rng)
-        counts = simulate_counts(settings, rho, rate=300.0, seed=seed).counts
-        logliks = [log_likelihood(settings, counts, mle_state(settings, counts[None, :],
-                                                              max_iters=k)[0])
+        chi = random_density_matrix(2, rng).matrix
+        counts = simulate_counts(settings, chi, rate=300.0, seed=seed).counts
+        logliks = [log_likelihood(settings, counts, mle_process(settings, counts[None, :],
+                                                                max_iters=k)[0], process=True)
                    for k in (1, 2, 4, 8, 16, 32, 64, 128)]
         assert np.diff(logliks).min() > -1e-9
 
@@ -218,40 +235,175 @@ def test_mle_zero_total_tomogram_raises():
 
 
 def test_mle_zero_total_replica_is_maximally_mixed():
-    settings = build_state_settings(1)
-    counts = simulate_counts(settings, DensityMatrix.from_label("+"), rate=300.0,
-                             seed=12).counts.astype(float)
-    batch = mle_state(settings, np.stack([counts, np.zeros(6), counts]))
-    np.testing.assert_array_equal(batch[1], np.eye(2) / 2)
-    alone = mle_state(settings, counts[None, :])[0]
-    np.testing.assert_array_equal(batch[0], alone)
-    np.testing.assert_array_equal(batch[2], alone)
+    # the exact qubit solution (d = 2) and the R-rho-R iteration (d = 4)
+    for settings, mat, estimate in (
+            (build_state_settings(1), DensityMatrix.from_label("+"), mle_state),
+            (build_process_settings(1), rotation_choi(0.4), mle_process)):
+        counts = simulate_counts(settings, mat, rate=300.0, seed=12).counts.astype(float)
+        batch = estimate(settings, np.stack([counts, np.zeros(len(counts)), counts]))
+        d = batch.shape[1]
+        np.testing.assert_array_equal(batch[1], np.eye(d) / d)
+        alone = estimate(settings, counts[None, :])[0]
+        np.testing.assert_array_equal(batch[0], alone)
+        np.testing.assert_array_equal(batch[2], alone)
 
 
 def test_mle_batch_row_matches_single_call():
-    # row 0 (near pure) converges last, so the batch stops where its own
-    # reconstruction stops and every step acts on it as on a single call
-    settings = build_state_settings(1)
-    slow = simulate_counts(settings, DensityMatrix.from_label("L"), rate=300.0, seed=13).counts
-    fast = [simulate_counts(settings, DensityMatrix.maximally_mixed(1), rate=300.0,
-                            seed=s).counts for s in (14, 15)]
-    batch = mle_state(settings, np.stack([slow, *fast]))
-    single = mle_state(settings, slow[None, :])
+    # row 0 (a unitary channel, near pure) converges last, so the batch stops
+    # where its own reconstruction stops and every step acts on it as on a
+    # single call
+    settings = build_process_settings(1)
+    slow = simulate_counts(settings, rotation_choi(0.4), rate=300.0, seed=13).counts
+    dephasing = channel_to_choi(dephasing_kraus(0.0), n=1)
+    fast = [simulate_counts(settings, dephasing, rate=300.0, seed=s).counts for s in (14, 15)]
+    batch = mle_process(settings, np.stack([slow, *fast]))
+    single = mle_process(settings, slow[None, :])
     np.testing.assert_array_equal(batch[0], single[0])
 
 
 def test_mle_iteration_cap_warns():
-    tomo = exact_tomogram(projector(ket("L")), 1)
-    with pytest.warns(MLEConvergenceWarning, match=r"d = 2, B = 1\): final delta"):
-        state_estimate(tomo, max_iters=1)
+    settings = build_process_settings(1)
+    counts = simulate_counts(settings, rotation_choi(0.4), rate=1e6, seed=0).counts
+    with pytest.warns(MLEConvergenceWarning, match=r"d = 4, B = 1\): final delta"):
+        mle_process(settings, counts[None, :], max_iters=1)
 
 
 def test_mle_converged_call_does_not_warn():
-    tomo = simulate_counts(build_state_settings(1), DensityMatrix.maximally_mixed(1),
-                           rate=300.0, seed=7)
+    settings = build_process_settings(1)
+    counts = simulate_counts(settings, rotation_choi(0.4), rate=300.0, seed=7).counts
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        state_estimate(tomo)
+        mle_process(settings, counts[None, :])
+
+
+# ---------------------------------------------------------------------------
+# exact single-qubit solution
+
+
+def bloch_vector(rho: np.ndarray) -> np.ndarray:
+    return np.array([2 * rho[0, 1].real, -2 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
+
+
+def bloch_log_likelihood(settings, counts: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Log-likelihood of each Bloch vector in ``a`` (shape (K, 3)); no kets needed."""
+    label_bloch = {"0": (0, 0, 1), "1": (0, 0, -1), "+": (1, 0, 0), "-": (-1, 0, 0),
+                   "L": (0, 1, 0), "R": (0, -1, 0)}
+    b = np.array([label_bloch[s.projection[0]] for s in settings], dtype=float)
+    pos = counts > 0
+    return np.log(0.5 * (1.0 + a @ b[pos].T)) @ counts[pos]
+
+
+def ball_search(k: int, rng) -> np.ndarray:
+    """k points spread over the Bloch ball, half of them on the sphere."""
+    d = rng.normal(size=(k, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    r = np.where(np.arange(k) % 2 == 0, 1.0, rng.random(k) ** (1 / 3))
+    return d * r[:, None]
+
+
+SIX = build_state_settings(1)
+
+
+def test_qubit_mle_interior_is_linear_inversion():
+    counts = np.array([60.0, 40.0, 55.0, 45.0, 50.0, 50.0])
+    rho = mle_state(SIX, counts[None, :])[0]
+    kets = setting_kets(SIX, process=False)
+    p = np.einsum("nd,de,ne->n", kets.conj(), rho, kets).real
+    freq = counts / (counts + counts.reshape(3, 2)[:, ::-1].ravel())
+    np.testing.assert_allclose(p, freq, rtol=0.0, atol=1e-15)
+
+
+def test_qubit_mle_boundary_is_pure_and_stationary():
+    counts = simulate_counts(SIX, DensityMatrix.from_label("L"), rate=300.0, seed=3).counts
+    u, v = counts[0::2], counts[1::2]
+    assert (((u - v) / (u + v)) ** 2).sum() > 1.0   # linear inversion lies outside the ball
+    rho = mle_state(SIX, counts[None, :])[0]
+    assert np.linalg.norm(bloch_vector(rho)) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.eigvalsh(rho).min() > -1e-15
+    assert np.abs(rrr_step(SIX, counts, rho) - rho).max() <= 1e-12
+
+
+def test_qubit_mle_beats_random_search():
+    rng = np.random.default_rng(50)
+    search = ball_search(200_000, rng)
+    for seed in range(6):
+        state = random_density_matrix(1, rng) if seed % 2 else DensityMatrix.from_label(
+            BASIS_LABELS[seed])
+        counts = simulate_counts(SIX, state, rate=100.0, seed=seed).counts.astype(float)
+        a = bloch_vector(mle_state(SIX, counts[None, :])[0])
+        best = bloch_log_likelihood(SIX, counts, search).max()
+        assert bloch_log_likelihood(SIX, counts, a[None, :])[0] >= best - 1e-12
+
+
+def test_qubit_mle_zero_and_one_sided_axes():
+    rng = np.random.default_rng(51)
+    search = ball_search(200_000, rng)
+    # Z one-sided, X without counts, Y two-sided; then every axis one-sided
+    for counts in ([30.0, 0.0, 0.0, 0.0, 12.0, 5.0], [20.0, 0.0, 15.0, 0.0, 9.0, 0.0]):
+        counts = np.array(counts)
+        rho = mle_state(SIX, counts[None, :])[0]
+        a = bloch_vector(rho)
+        if counts[2:4].sum() == 0:
+            assert rho[0, 1].real == 0.0    # the X component
+        assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-14)
+        assert np.abs(rrr_step(SIX, counts, rho) - rho).max() <= 1e-12
+        best = bloch_log_likelihood(SIX, counts, search).max()
+        assert bloch_log_likelihood(SIX, counts, a[None, :])[0] >= best - 1e-12
+
+
+def test_qubit_mle_partial_permuted_and_duplicated_settings():
+    partial = tuple(MeasurementSetting((), (lab,)) for lab in ("0", "1", "+", "L"))
+    counts = np.array([40.0, 20.0, 35.0, 28.0])
+    rho = mle_state(partial, counts[None, :])[0]
+    assert np.abs(rrr_step(partial, counts, rho) - rho).max() <= 1e-12
+    best = bloch_log_likelihood(partial, counts, ball_search(200_000, np.random.default_rng(52)))
+    assert bloch_log_likelihood(partial, counts, bloch_vector(rho)[None, :])[0] >= best.max() - 1e-12
+    full = simulate_counts(SIX, DensityMatrix.from_label("+"), rate=300.0, seed=8).counts
+    reference = mle_state(SIX, full[None, :])
+    order = [4, 1, 5, 0, 3, 2]
+    np.testing.assert_array_equal(
+        mle_state([SIX[i] for i in order], full[order][None, :]), reference)
+    split = np.concatenate([full, [0.0]])
+    split[[2, -1]] = full[2] // 2, full[2] - full[2] // 2
+    np.testing.assert_array_equal(mle_state((*SIX, SIX[2]), split[None, :]), reference)
+
+
+def test_qubit_mle_batch_rows_match_single_calls():
+    rng = np.random.default_rng(53)
+    rows = [simulate_counts(SIX, random_density_matrix(1, rng), rate=300.0, seed=s).counts
+            for s in range(4)]
+    rows += [simulate_counts(SIX, DensityMatrix.from_label(lab), rate=r, seed=9).counts
+             for lab in BASIS_LABELS for r in (30.0, 3000.0)]
+    rows += [np.array([30.0, 0.0, 0.0, 0.0, 12.0, 5.0]), np.zeros(6)]
+    batch = mle_state(SIX, np.array(rows, dtype=float))
+    for row, rho in zip(rows[:-1], batch):
+        np.testing.assert_array_equal(rho, mle_state(SIX, row[None, :])[0])
+    np.testing.assert_array_equal(batch[-1], np.eye(2) / 2)
+
+
+def test_qubit_mle_agrees_with_rrr():
+    # the R-rho-R iteration on the six-state grid is the reference
+    rng = np.random.default_rng(54)
+    states = [random_density_matrix(1, rng) for _ in range(10)]
+    states += [DensityMatrix(w * projector(ket(lab)) + (1.0 - w) * np.eye(2) / 2)
+               for w in (0.99, 1.0) for lab in ("L", "0", "+")]
+    counts = np.array([simulate_counts(SIX, state, rate=300.0, seed=s).counts
+                       for s in range(2) for state in states], dtype=float)
+    u, v = counts[:, 0::2], counts[:, 1::2]
+    assert (((u - v) / (u + v)) ** 2).sum(axis=1).max() > 1.0   # some on the sphere
+    exact = mle_state(SIX, counts)
+    iterated = _rrr(counts, _grid(SIX, False)[2], 1e-13, 200_000)
+    assert np.abs(exact - iterated).max() <= 1e-9
+    for c, e, i in zip(counts, exact, iterated):
+        assert log_likelihood(SIX, c, e) >= log_likelihood(SIX, c, i) - 1e-9
+
+
+def test_qubit_sphere_solve_cap_warns(monkeypatch):
+    monkeypatch.setattr(tomography, "_SPHERE_MAX_ITERS", 1)
+    counts = simulate_counts(SIX, DensityMatrix.from_label("L"), rate=300.0, seed=3).counts
+    with pytest.warns(MLEConvergenceWarning, match="sphere solve stopped at 1 iterations"):
+        rho = mle_state(SIX, counts[None, :])[0]
+    assert np.linalg.norm(bloch_vector(rho)) == pytest.approx(1.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
