@@ -45,7 +45,6 @@ from .optical_gate import (  # noqa: F401
 from .tomography import (  # noqa: F401
     MeasurementSetting,
     ProcessMatrix,
-    Tomogram,
     build_process_settings,
     build_state_settings,
     channel_to_choi,

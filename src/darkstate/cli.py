@@ -84,25 +84,30 @@ def _parse_int(text: str, key: str) -> int:
 
 def read_config_entries(path: str) -> dict[str, tuple[str, int]]:
     """Read ``key = value`` lines with optional ``[noise]`` style sections."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config file {path}: {reason}") from exc
     entries: dict[str, tuple[str, int]] = {}
     section = ""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip()
-                if section != "noise":
-                    raise ConfigError(f"{path}:{lineno}: unknown section [{section}]")
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            full = f"{section}.{key}" if section else key
-            if full not in _KNOWN_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {full!r}")
-            entries[full] = (value, lineno)
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section != "noise":
+                raise ConfigError(f"{path}:{lineno}: unknown section [{section}]")
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        full = f"{section}.{key}" if section else key
+        if full not in _KNOWN_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {full!r}")
+        entries[full] = (value, lineno)
     return entries
 
 
@@ -223,11 +228,10 @@ def _dispatch(args) -> int:
     if args.command == "selftest":
         return _run_selftest(args)
 
-    config = parse_config(args.config, args.overrides)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if args.bootstrap is not None:
-        config = dataclasses.replace(config, bootstrap_samples=args.bootstrap)
+    flags = [f"{key}={value}" for key, value in (("seed", args.seed),
+                                                  ("bootstrap_samples", args.bootstrap))
+             if value is not None]
+    config = parse_config(args.config, [*args.overrides, *flags])
 
     if args.command in ("protocol", "reference"):
         config = dataclasses.replace(config, mode=args.command)

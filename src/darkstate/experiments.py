@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .tomography import (
     MLE_MAX_ITERS,
     MeasurementSetting,
     ProcessMatrix,
+    _chi_array,
     build_process_settings,
     build_state_settings,
     channel_to_choi,
@@ -113,6 +114,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.rate <= 0.0:
             raise ValueError("rate must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not self.signal_states:
             raise ValueError("signal_states must be nonempty")
         for lab in self.signal_states:
@@ -122,6 +125,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown env_state {self.env_state!r}")
         if self.bootstrap_samples < 0 or self.gate_bootstrap_samples < 0:
             raise ValueError("bootstrap sample counts must be nonnegative")
+        if self.gate_mle_max_iters < 1:
+            raise ValueError("gate_mle_max_iters must be at least 1")
         if self.phi_grid is not None:
             grid = tuple(float(p) for p in self.phi_grid)
             if not grid:
@@ -311,10 +316,11 @@ def channel_choi_from_outputs(outputs: Mapping[str, np.ndarray]) -> np.ndarray:
 _PHI_PLUS_PROJ = projector(max_entangled(1).amplitudes)
 
 
-def _channel_metrics_from_chi(chi: np.ndarray) -> tuple[float, float]:
-    ef = entanglement_of_formation(DensityMatrix(chi / chi.trace().real))
-    fid = float(np.trace(chi @ _PHI_PLUS_PROJ).real / chi.trace().real)
-    return ef, fid
+def _channel_metrics(chis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entanglement of formation and fidelity to the identity of each (B, 4, 4) Choi matrix."""
+    traces = np.trace(chis, axis1=1, axis2=2).real
+    return (entanglement_of_formation(chis / traces[:, None, None]),
+            np.trace(chis @ _PHI_PLUS_PROJ, axis1=1, axis2=2).real / traces)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +329,6 @@ def _channel_metrics_from_chi(chi: np.ndarray) -> tuple[float, float]:
 _SQ_SETTINGS = build_state_settings(1)
 _TQ_SETTINGS = build_state_settings(2)
 _CHANNEL_SETTINGS = build_process_settings(1)
-_NO_REPS = np.zeros(0)
 
 
 def _seed_seq(seed: int, *key: int) -> np.random.SeedSequence:
@@ -337,16 +342,26 @@ def _replicas(counts: np.ndarray, samples: int, seed: int, key: tuple[int, ...])
     return resample_counts(counts, samples, seed, key=key)
 
 
-def _metric(analytic: float, reps: np.ndarray, estimate: float | None) -> MetricValue:
-    """Both tracks of one quantity: ``estimate`` is None without shot noise, and
-    ``reps``, its bootstrap replicas, is empty without a bootstrap."""
-    if estimate is None:
+def _metric(column: np.ndarray) -> MetricValue:
+    """Both tracks of one quantity from its column over a metric stack.
+
+    Entry 0 is the analytic value.  With shot noise, entry 1 is the estimate
+    and entries 2.. are its bootstrap replicas (none without a bootstrap).
+    """
+    analytic = float(column[0])
+    if len(column) == 1:
         return MetricValue(analytic=analytic)
+    estimate, reps = float(column[1]), column[2:]
     if reps.size:
         std = float(reps.std(ddof=1))
     else:
         std = math.nan if math.isnan(estimate) else 0.0
     return MetricValue(analytic=analytic, estimate=estimate, std=std)
+
+
+def _with_nan_estimate(columns, reps: int) -> list[np.ndarray]:
+    """Analytic-only columns extended by a nan estimate and ``reps`` nan replicas."""
+    return [np.append(c, np.full(1 + reps, math.nan)) for c in columns]
 
 
 @dataclass(frozen=True)
@@ -381,7 +396,7 @@ def _sample(mode: str, phi: float, label: str, env: np.ndarray, config: Scenario
     if not config.shot_noise:
         return _Sample(rho_se, weight, transmission, None, None)
     counts = simulate_counts(_TQ_SETTINGS, rho_se, config.rate * transmission,
-                             _seed_seq(config.seed, *key, 0)).counts
+                             _seed_seq(config.seed, *key, 0))
     return _Sample(rho_se, weight, transmission, counts,
                    _replicas(counts, bootstrap, config.seed, key))
 
@@ -391,11 +406,12 @@ def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return grid.sum(axis=2), grid.sum(axis=1)   # signal sums, environment sums
 
 
-def _qubit_metrics(rho_s: np.ndarray, rho_e: np.ndarray, psi: np.ndarray
-                   ) -> tuple[float, float, float]:
-    """Signal purity and fidelity to ``psi``, environment |1> population."""
-    return (float(np.trace(rho_s @ rho_s).real), float(np.real(psi.conj() @ rho_s @ psi)),
-            float(rho_e[1, 1].real))
+def _qubit_metrics(rhos_s: np.ndarray, rhos_e: np.ndarray, psi: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signal purity and fidelity to ``psi``, environment |1> population, per row of
+    the (B, 2, 2) signal and environment stacks."""
+    return (np.einsum("bde,bed->b", rhos_s, rhos_s).real,
+            np.einsum("d,bde,e->b", psi.conj(), rhos_s, psi).real, rhos_e[:, 1, 1].real)
 
 
 def _marginal_states(samples: Sequence[_Sample]) -> list[tuple[np.ndarray, np.ndarray] | None]:
@@ -417,72 +433,65 @@ def _marginal_states(samples: Sequence[_Sample]) -> list[tuple[np.ndarray, np.nd
     return [(next(rhos), next(rhos)) if ok else None for ok in live]
 
 
-def _state_estimates(sample: _Sample, psi: np.ndarray,
-                     rhos: tuple[np.ndarray, np.ndarray] | None) -> tuple[tuple, tuple]:
-    """Reconstructed ``_qubit_metrics`` of a sample, and of each of its replicas.
+def _state_columns(sample: _Sample, psi: np.ndarray,
+                   rhos: tuple[np.ndarray, np.ndarray] | None) -> list[np.ndarray]:
+    """``_qubit_metrics`` columns of a sample (see ``_metric``).
 
     ``rhos`` are the sample's signal and environment states from
-    ``_marginal_states``.  The estimates are None without shot noise and nan
-    for a sample that drew no counts.
+    ``_marginal_states``, stacked under the analytic states.  A sample that
+    drew no counts has a nan estimate and nan replicas.
     """
-    if sample.counts is None:
-        return (None,) * 3, (_NO_REPS,) * 3
-    if sample.empty:
-        nan = np.full(len(sample.reps), math.nan)
-        return (math.nan,) * 3, (nan,) * 3
-    rhos_s, rhos_e = rhos
-    estimates = _qubit_metrics(DensityMatrix(rhos_s[0]).matrix,
-                               DensityMatrix(rhos_e[0]).matrix, psi)
-    if not len(sample.reps):
-        return estimates, (_NO_REPS,) * 3
-    rhos_s, rhos_e = rhos_s[1:], rhos_e[1:]
-    return estimates, (np.einsum("bde,bed->b", rhos_s, rhos_s).real,
-                       np.einsum("d,bde,e->b", psi.conj(), rhos_s, psi).real,
-                       rhos_e[:, 1, 1].real)
+    stacks = [partial_trace_array(sample.rho_se, 2, (q,))[None] for q in (0, 1)]
+    if rhos is not None:
+        for rho in rhos:
+            DensityMatrix(rho[0])   # the point estimates
+        stacks = [np.concatenate([a, r]) for a, r in zip(stacks, rhos)]
+    columns = _qubit_metrics(*stacks, psi)
+    return _with_nan_estimate(columns, len(sample.reps)) if sample.empty else list(columns)
 
 
-def _success_estimates(sample: _Sample, anchor: _Sample) -> tuple[float | None, np.ndarray]:
-    """Count total over the anchor's, for the sample and for each replica.
+def _success_column(sample: _Sample, anchor: _Sample) -> np.ndarray:
+    """Transmission relative to the anchor's, then (with shot noise) the count total
+    over the anchor's, for the sample and for each replica (see ``_metric``).
 
     The anchor itself reads exactly 1; an anchor without counts leaves the
     ratio undefined (nan) at every grid point, and so does an anchor replica
     without counts for that replica.
     """
+    analytic = [sample.transmission / anchor.transmission]
     if sample.counts is None:
-        return None, _NO_REPS
+        return np.array(analytic)
     if anchor.empty:
-        return math.nan, _NO_REPS
+        return np.array(analytic + [math.nan])
     if sample is anchor:
-        return 1.0, np.zeros(len(sample.reps))
+        return np.concatenate([analytic, [1.0], np.zeros(len(sample.reps))])
     anchor_totals = anchor.reps.sum(axis=1)
-    return (float(sample.counts.sum() / anchor.counts.sum()),
-            np.divide(sample.reps.sum(axis=1), anchor_totals,
-                      out=np.full(len(anchor_totals), math.nan), where=anchor_totals > 0))
+    return np.concatenate([analytic, [sample.counts.sum() / anchor.counts.sum()],
+                           np.divide(sample.reps.sum(axis=1), anchor_totals,
+                                     out=np.full(len(anchor_totals), math.nan),
+                                     where=anchor_totals > 0)])
 
 
 def _state_point(phi: float, label: str, sample: _Sample, anchor: _Sample,
                  rhos: tuple[np.ndarray, np.ndarray] | None) -> tuple[StatePoint, np.ndarray]:
-    """fig3/fig4 row of one sample, and its env-population replicas for the mean row."""
-    psi = ket(label)
-    analytic = _qubit_metrics(partial_trace_array(sample.rho_se, 2, (0,)),
-                              partial_trace_array(sample.rho_se, 2, (1,)), psi)
-    estimates, reps = _state_estimates(sample, psi, rhos)
-    purity, fidelity, env_pop1 = map(_metric, analytic, reps, estimates)
-    success, success_reps = _success_estimates(sample, anchor)
-    success_norm = _metric(sample.transmission / anchor.transmission, success_reps, success)
-    return StatePoint(phi, label, purity, fidelity, success_norm, env_pop1), reps[2]
+    """fig3/fig4 row of one sample, and its env-population column for the mean row."""
+    columns = _state_columns(sample, ket(label), rhos)
+    purity, fidelity, env_pop1 = map(_metric, columns)
+    success_norm = _metric(_success_column(sample, anchor))
+    return StatePoint(phi, label, purity, fidelity, success_norm, env_pop1), columns[2]
 
 
 def _process_estimates(settings: Sequence[MeasurementSetting], n: int, counts: np.ndarray,
-                       reps: np.ndarray, metrics: Callable[[np.ndarray], tuple],
-                       max_iters: int = MLE_MAX_ITERS) -> tuple[tuple, tuple]:
-    """``metrics`` of the MLE Choi matrix of ``counts`` and of each replica in ``reps``."""
+                       reps: np.ndarray, max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
+    """MLE Choi matrix of ``counts`` (validated), then one per replica in ``reps``; (1 + R, d, d).
+
+    The point estimate and the replicas are two ``mle_process`` calls: an
+    R-rho-R row depends on the batch it runs in.
+    """
     chi = ProcessMatrix(mle_process(settings, counts[None, :], max_iters=max_iters)[0], n).chi
-    estimates = metrics(chi)
-    if not len(reps):
-        return estimates, (_NO_REPS,) * len(estimates)
-    rows = [metrics(c) for c in mle_process(settings, reps, max_iters=max_iters)]
-    return estimates, tuple(np.array(col) for col in zip(*rows))
+    if not len(reps):   # mle_process takes no empty batch
+        return chi[None]
+    return np.concatenate([chi[None], mle_process(settings, reps, max_iters=max_iters)])
 
 
 def _channel_point(samples: Sequence[_Sample], config: ScenarioConfig, key: tuple[int, ...]
@@ -490,18 +499,17 @@ def _channel_point(samples: Sequence[_Sample], config: ScenarioConfig, key: tupl
     """fig5 at one phi: the signal channel, from one sample per state of BASIS_LABELS."""
     outputs = {lab: s.weight * partial_trace_array(s.rho_se, 2, (0,))
                for lab, s in zip(BASIS_LABELS, samples)}
-    analytic = _channel_metrics_from_chi(channel_choi_from_outputs(outputs))
-    estimates, reps = (None, None), (_NO_REPS, _NO_REPS)
-    if any(s.empty for s in samples):
-        # a preparation without counts leaves the channel undetermined
-        estimates = (math.nan, math.nan)
-    elif config.shot_noise:
+    chis = channel_choi_from_outputs(outputs)[None]
+    empty = any(s.empty for s in samples)
+    if config.shot_noise and not empty:
         # preparation-major signal counts, as in _CHANNEL_SETTINGS
         counts = _marginal_counts(np.stack([s.counts for s in samples]))[0].ravel()
         boot = _replicas(counts, config.bootstrap_samples, config.seed, key)
-        estimates, reps = _process_estimates(_CHANNEL_SETTINGS, 1, counts, boot,
-                                             _channel_metrics_from_chi)
-    return tuple(map(_metric, analytic, reps, estimates))
+        chis = np.concatenate([chis, _process_estimates(_CHANNEL_SETTINGS, 1, counts, boot)])
+    columns = _channel_metrics(chis)
+    if empty:   # a preparation without counts leaves the channel undetermined
+        columns = _with_nan_estimate(columns, 0)
+    return tuple(map(_metric, columns))
 
 
 def _run_sweep(config: ScenarioConfig, mode: str, figures: tuple[str, ...]) -> ScenarioResult:
@@ -544,15 +552,12 @@ def _run_sweep(config: ScenarioConfig, mode: str, figures: tuple[str, ...]) -> S
                       file=sys.stderr)
         mean = channel_ef = channel_fid = None
         if with_states:
-            points, pop_reps = zip(*(
+            points, pops = zip(*(
                 _state_point(phi, lab, sample, anchor, rhos) for lab, sample, anchor, rhos
                 in zip(labels, at_phi, anchors, _marginal_states(at_phi))))
             state_points.extend(points)
             # the fig4 mean row: environment population averaged over the states
-            pops = [sp.env_pop1 for sp in points]
-            estimate = float(np.mean([m.estimate for m in pops])) if config.shot_noise else None
-            mean = _metric(float(np.mean([m.analytic for m in pops])),
-                           np.mean(pop_reps, axis=0), estimate)
+            mean = _metric(np.mean(pops, axis=0))
         if with_channel:
             by_label = dict(zip(labels, at_phi))
             channel_ef, channel_fid = _channel_point([by_label[lab] for lab in BASIS_LABELS],
@@ -596,28 +601,40 @@ def _gate_choi(phi: float, noise: NoiseParams) -> np.ndarray:
     return chi
 
 
-def optimize_local_phase_fidelity(chi, ideal_vec: np.ndarray, n: int, sweeps: int = 6) -> float:
+def _sandwich(u: np.ndarray, mats: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u_b| M_b |v_b> for each row b of (B, d) vectors and (B, d, d) matrices."""
+    return (u.conj()[:, None, :] @ mats @ v[:, :, None])[:, 0, 0]
+
+
+def optimize_local_phase_fidelity(chi, ideal_vec: np.ndarray, n: int, sweeps: int = 6):
     """Maximal overlap fidelity over local Z phases on the output qubits.
 
     Each coordinate maximization is exact: splitting the ideal vector on one
     output bit makes the overlap a + 2 Re(e^{i theta} b), maximized at
-    theta = -arg(b).
+    theta = -arg(b).  ``chi`` is one Choi matrix (a float is returned) or a
+    (B, d, d) stack (a (B,) array, each row optimized on its own).
     """
-    mat = chi.chi if isinstance(chi, ProcessMatrix) else np.asarray(chi, dtype=complex)
-    tr = mat.trace().real
-    v = np.asarray(ideal_vec, dtype=complex).copy()
-    dim = v.size
-    idx = np.arange(dim)
+    mat = _chi_array(chi)
+    mats = mat.reshape((-1,) + mat.shape[-2:])
+    v = np.tile(np.asarray(ideal_vec, dtype=complex), (len(mats), 1))
+    idx = np.arange(v.shape[1])
     out_bits = [(idx >> k) & 1 for k in range(n)]   # output half = low n bits
     for _ in range(sweeps):
         for bit in out_bits:
             v0 = np.where(bit == 0, v, 0.0)
             v1 = np.where(bit == 1, v, 0.0)
-            cross = complex(v0.conj() @ mat @ v1)
-            theta = -math.atan2(cross.imag, cross.real)
-            v = v0 + np.exp(1j * theta) * v1
-    best = float(np.real(v.conj() @ mat @ v) / tr)
-    return best
+            cross = _sandwich(v0, mats, v1)
+            theta = -np.arctan2(cross.imag, cross.real)
+            v = v0 + np.exp(1j * theta)[:, None] * v1
+    best = _sandwich(v, mats, v).real / np.trace(mats, axis1=1, axis2=2).real
+    return float(best[0]) if mat.ndim == 2 else best
+
+
+def _gate_metrics(chis: np.ndarray, ideal_vec: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Process fidelity, purity and phase-optimized fidelity of each (B, 64, 64) Choi matrix."""
+    return (process_fidelity(chis, np.outer(ideal_vec, ideal_vec.conj())),
+            process_purity(chis), optimize_local_phase_fidelity(chis, ideal_vec, 3))
 
 
 def run_gate_tomography(config: ScenarioConfig,
@@ -640,22 +657,14 @@ def run_gate_tomography(config: ScenarioConfig,
     points: list[GatePoint] = []
     settings = build_process_settings(3) if config.shot_noise else None
     for pi, phi in enumerate(grid):
-        ideal_vec = np.kron(eye8, u_ccp(phi).matrix) @ phi3
-        chi_ideal = np.outer(ideal_vec, ideal_vec.conj())
-
-        def metrics(chi):
-            return (process_fidelity(chi, chi_ideal), process_purity(chi),
-                    optimize_local_phase_fidelity(chi, ideal_vec, 3))
-
-        chi_a = _gate_choi(phi, config.noise)
-        estimates, reps = (None,) * 3, (_NO_REPS,) * 3
+        chis = _gate_choi(phi, config.noise)[None]
         if config.shot_noise:
-            counts = simulate_counts(settings, chi_a, config.rate,
-                                     _seed_seq(config.seed, pi, 3)).counts
+            counts = simulate_counts(settings, chis[0], config.rate, _seed_seq(config.seed, pi, 3))
             boot = _replicas(counts, config.gate_bootstrap_samples, config.seed, (pi, 3))
-            estimates, reps = _process_estimates(settings, 3, counts, boot, metrics,
-                                                 config.gate_mle_max_iters)
-        points.append(GatePoint(phi, *map(_metric, metrics(chi_a), reps, estimates)))
+            chis = np.concatenate([chis, _process_estimates(settings, 3, counts, boot,
+                                                            config.gate_mle_max_iters)])
+        columns = _gate_metrics(chis, np.kron(eye8, u_ccp(phi).matrix) @ phi3)
+        points.append(GatePoint(phi, *map(_metric, columns)))
     return ScenarioResult(mode="gate_tomography", config=config, gates=tuple(points))
 
 

@@ -73,6 +73,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(stack, -1, -2))
+
+
+def _check_states(stack: np.ndarray, evals: np.ndarray) -> None:
+    """Density-matrix invariants for every row of a (B, d, d) stack with eigenvalues ``evals``."""
+    if (np.abs(stack - _dagger(stack)) > HERM_TOL).any():
+        raise InvalidStateError("density matrix is not Hermitian")
+    tr = np.trace(stack, axis1=1, axis2=2)
+    off = np.abs(tr - 1.0) > 1e-9
+    if off.any():
+        raise InvalidStateError(f"density matrix trace {tr[off][0]} is not 1")
+    if (evals < -NEG_EIG_TOL).any():
+        raise InvalidStateError(f"density matrix has negative eigenvalue {evals.min()}")
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector of an ``n``-qubit register."""
@@ -119,14 +135,7 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidStateError(f"density matrix must be square, got {mat.shape}")
         n = _qubit_count(mat.shape[0])
-        if np.abs(mat - mat.conj().T).max() > max(HERM_TOL, 1e-12):
-            raise InvalidStateError("density matrix is not Hermitian")
-        tr = mat.trace()
-        if abs(tr - 1.0) > 1e-9:
-            raise InvalidStateError(f"density matrix trace {tr} is not 1")
-        evals = np.linalg.eigvalsh(mat)
-        if evals.min() < -NEG_EIG_TOL:
-            raise InvalidStateError(f"density matrix has negative eigenvalue {evals.min()}")
+        _check_states(mat[None], np.linalg.eigvalsh(mat)[None])
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "n", n)
 
@@ -183,12 +192,6 @@ def ket(label: str) -> np.ndarray:
         return _KETS[label].copy()
     except KeyError:
         raise KeyError(f"unknown state label {label!r}; expected one of {BASIS_LABELS}")
-
-
-def product_ket(labels: Iterable[str]) -> np.ndarray:
-    """Product ket over several qubits, leftmost label most significant."""
-    kets = [ket(lab) for lab in labels]
-    return reduce(np.kron, kets)
 
 
 def rotation(axis: str, angle: float) -> np.ndarray:
@@ -304,55 +307,54 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
+def binary_entropy(x):
+    """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0; elementwise on arrays."""
+    x = np.asarray(x, dtype=float)
+    inside = (x > 0.0) & (x < 1.0)
+    y = np.where(inside, x, 0.5)
+    h = np.where(inside, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
+    return float(h) if h.ndim == 0 else h
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence, C = max(0, l1 - l2 - l3 - l4).
+_YY = np.kron(PAULI["y"], PAULI["y"])
+
+
+def concurrence(rho):
+    """Two-qubit concurrence, C = max(0, l1 - l2 - l3 - l4) (Wootters, PRL 80, 2245, 1998).
 
     The l_i are the decreasingly sorted square roots of the eigenvalues of
     rho (sy ⊗ sy) rho* (sy ⊗ sy), evaluated through the Hermitian form
     sqrt(rho) rho~ sqrt(rho) so that degenerate zero eigenvalues stay
-    accurate to machine precision.
+    accurate to machine precision.  ``rho`` is a ``DensityMatrix`` or an
+    array holding one (4, 4) matrix or a (B, 4, 4) stack, whose rows are
+    checked as ``DensityMatrix`` checks its matrix.  Returns a float for one
+    matrix and a (B,) array for a stack; each row is computed on its own.
     """
-    if rho.dim != 4:
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (4, 4):
         raise DimensionMismatchError("concurrence is defined for two qubits only")
-    yy = np.kron(PAULI["y"], PAULI["y"])
-    rho_tilde = yy @ rho.matrix.conj() @ yy
-    evals, vecs = np.linalg.eigh(rho.matrix)
+    stack = mat.reshape(-1, 4, 4)
+    evals, vecs = np.linalg.eigh(stack)
+    if not isinstance(rho, DensityMatrix):
+        _check_states(stack, evals)
+    rho_tilde = _YY @ stack.conj() @ _YY
     # eigenvalues at the numerical noise floor must become exact zeros:
     # the square root otherwise amplifies 1e-16 noise to 1e-8 in sqrt(rho)
-    evals = np.where(evals < 1e-13 * evals.max(), 0.0, evals)
-    sqrt_rho = (vecs * np.sqrt(evals)) @ vecs.conj().T
+    evals = np.where(evals < 1e-13 * evals.max(axis=1, keepdims=True), 0.0, evals)
+    sqrt_rho = (vecs * np.sqrt(evals)[:, None, :]) @ _dagger(vecs)
     herm = sqrt_rho @ rho_tilde @ sqrt_rho
-    herm = 0.5 * (herm + herm.conj().T)
-    lams_sq = np.linalg.eigvalsh(herm)
-    lams_sq = np.where(lams_sq < 1e-13 * max(lams_sq.max(), 0.0), 0.0, lams_sq)
+    lams_sq = np.linalg.eigvalsh(0.5 * (herm + _dagger(herm)))
+    lams_sq = np.where(lams_sq < 1e-13 * np.maximum(lams_sq.max(axis=1, keepdims=True), 0.0),
+                       0.0, lams_sq)
     lams = np.sqrt(lams_sq)
-    return float(max(0.0, lams[3] - lams[2] - lams[1] - lams[0]))
+    c = np.maximum(0.0, lams[:, 3] - lams[:, 2] - lams[:, 1] - lams[:, 0])
+    return float(c[0]) if mat.ndim == 2 else c
 
 
-def entanglement_of_formation(rho: DensityMatrix) -> float:
-    """Two-qubit entanglement of formation via the concurrence closed form."""
+def entanglement_of_formation(rho):
+    """Two-qubit entanglement of formation via the concurrence closed form.
+
+    Takes what ``concurrence`` takes and returns a float or a (B,) array likewise.
+    """
     c = concurrence(rho)
-    return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
-
-
-def random_pure_state(n: int, rng: np.random.Generator) -> PureState:
-    """Haar-ish random pure state (normalized complex Gaussian vector)."""
-    d = 2**n
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return PureState(v / np.linalg.norm(v))
-
-
-def random_density_matrix(n: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
-    """Random mixed state from a Wishart-style construction."""
-    d = 2**n
-    r = rank or d
-    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
-    m = g @ g.conj().T
-    return DensityMatrix(m / m.trace())
+    return binary_entropy((1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0)

@@ -160,9 +160,9 @@ def criterion_5_tomography_fidelity() -> tuple[bool, str]:
     ef_err = []
     f_err = []
     for seed in range(20):
-        tomo = simulate_counts(settings, chi_analytic, rate=3e4, seed=seed)
-        chi_hat = ProcessMatrix(mle_process(settings, tomo.counts[None, :])[0], 1)
-        ef_err.append(abs(entanglement_of_formation(chi_hat.normalized_state()) - ef_expected))
+        counts = simulate_counts(settings, chi_analytic, rate=3e4, seed=seed)
+        chi_hat = ProcessMatrix(mle_process(settings, counts[None, :])[0], 1).chi
+        ef_err.append(abs(entanglement_of_formation(chi_hat / chi_hat.trace().real) - ef_expected))
         f_err.append(abs(process_fidelity(chi_hat, phi_plus) - _F_DEPHASED_HALF))
     ef_med, f_med = float(np.median(ef_err)), float(np.median(f_err))
     return (ef_med < 0.02 and f_med < 0.01,

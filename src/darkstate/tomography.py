@@ -56,12 +56,6 @@ class MLEConvergenceWarning(RuntimeWarning):
     """The R-rho-R iteration stopped at its iteration cap above its tolerance."""
 
 
-def _as_seed(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 @dataclass(frozen=True)
 class MeasurementSetting:
     """One preparation/projection record.
@@ -79,24 +73,6 @@ class MeasurementSetting:
                 raise ValueError(f"unknown state label {lab!r}")
         if not self.projection:
             raise ValueError("projection labels must be nonempty")
-
-
-@dataclass(frozen=True)
-class Tomogram:
-    """Raw tomography data: settings with their detection-event counts."""
-
-    settings: tuple[MeasurementSetting, ...]
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=float)
-        if counts.shape != (len(self.settings),):
-            raise ValueError("counts length must match settings length")
-        if (counts < 0).any():
-            raise ValueError("counts must be nonnegative")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "settings", tuple(self.settings))
 
 
 @dataclass(frozen=True)
@@ -121,12 +97,6 @@ class ProcessMatrix:
             raise ValueError("chi is not positive semidefinite")
         chi.setflags(write=False)
         object.__setattr__(self, "chi", chi)
-
-    def normalized_state(self) -> DensityMatrix:
-        tr = self.chi.trace().real
-        if tr <= 0.0:
-            raise ValueError("chi has nonpositive trace")
-        return DensityMatrix(self.chi / tr)
 
 
 def build_state_settings(n: int) -> tuple[MeasurementSetting, ...]:
@@ -210,8 +180,8 @@ def setting_kets(settings: Sequence[MeasurementSetting], process: bool) -> np.nd
 
 def simulate_counts(settings: Sequence[MeasurementSetting],
                     M: DensityMatrix | ProcessMatrix | np.ndarray,
-                    rate: float, seed) -> Tomogram:
-    """Poissonian counts with mean rate * 2^n_in * <k|M|k> per setting ket k.
+                    rate: float, seed) -> np.ndarray:
+    """Poissonian counts, shape (N,), with mean rate * 2^n_in * <k|M|k> per setting ket k.
 
     ``M`` is the state for state settings (n_in = 0) and, for process
     settings with n_in input qubits, the trace-free Choi matrix in the
@@ -227,8 +197,8 @@ def simulate_counts(settings: Sequence[MeasurementSetting],
         raise ValueError("setting dimension does not match the matrix dimension")
     probs = np.einsum("ne,ne->n", kets.conj() @ mat, kets).real.clip(0.0, None)
     means = rate * 2 ** len(settings[0].preparation) * probs
-    rng = np.random.default_rng(_as_seed(seed))
-    return Tomogram(settings, rng.poisson(means))
+    rng = np.random.default_rng(seed)
+    return rng.poisson(means).astype(float)
 
 
 def _mode_products(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -486,24 +456,37 @@ def _chi_array(chi) -> np.ndarray:
     return chi.chi if isinstance(chi, ProcessMatrix) else np.asarray(chi, dtype=complex)
 
 
-def process_fidelity(chi, chi_ideal) -> float:
-    """Normalized overlap Tr[chi chi_ideal] / (Tr[chi] Tr[chi_ideal])."""
+def _positive_traces(a: np.ndarray) -> np.ndarray:
+    traces = np.trace(a, axis1=-2, axis2=-1).real
+    if (traces <= 0.0).any():
+        raise ValueError("process matrix has nonpositive trace")
+    return traces
+
+
+def _scalar_or_stack(values: np.ndarray):
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def process_fidelity(chi, chi_ideal):
+    """Normalized overlap Tr[chi chi_ideal] / (Tr[chi] Tr[chi_ideal]).
+
+    ``chi`` is one Choi matrix (a float is returned) or a (B, d, d) stack
+    (a (B,) array, each row computed on its own).
+    """
     a, b_mat = _chi_array(chi), _chi_array(chi_ideal)
-    if a.shape != b_mat.shape:
+    if a.shape[-2:] != b_mat.shape:
         raise ValueError("process matrices have different dimensions")
-    ta, tb = a.trace().real, b_mat.trace().real
-    if ta <= 0.0 or tb <= 0.0:
-        raise ValueError("process matrix has nonpositive trace")
-    return float(np.trace(a @ b_mat).real / (ta * tb))
+    overlap = np.trace(a @ b_mat, axis1=-2, axis2=-1).real
+    return _scalar_or_stack(overlap / (_positive_traces(a) * _positive_traces(b_mat)))
 
 
-def process_purity(chi) -> float:
-    """Tr[chi^2] / Tr[chi]^2; equals 1 only for a single-Kraus operation."""
+def process_purity(chi):
+    """Tr[chi^2] / Tr[chi]^2; equals 1 only for a single-Kraus operation.
+
+    Takes one Choi matrix or a stack, as ``process_fidelity`` does.
+    """
     a = _chi_array(chi)
-    tr = a.trace().real
-    if tr <= 0.0:
-        raise ValueError("process matrix has nonpositive trace")
-    return float(np.trace(a @ a).real / tr**2)
+    return _scalar_or_stack(np.trace(a @ a, axis1=-2, axis2=-1).real / _positive_traces(a)**2)
 
 
 def resample_counts(counts: np.ndarray, samples: int, seed: int,

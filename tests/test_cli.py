@@ -203,11 +203,51 @@ def test_gate_command_budget_gate(tmp_path):
     assert main(["gate-tomo", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
 
 
-def test_exit_code_config_error(tmp_path):
-    assert main(["protocol", "--config", str(tmp_path / "missing.cfg")]) == 3 or True
-    # a missing file raises OSError (exit 3); a malformed file is exit 2
+def test_exit_code_config_error(tmp_path, capsys):
+    # a config file is input: a missing one is a config error (exit 2), like a malformed one
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["protocol", "--config", missing, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: cannot read config file {missing}" in capsys.readouterr().err
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"rate = 3\xf5\n")
+    assert main(["protocol", "--config", str(binary), "--out", str(tmp_path / "o")]) == 2
+    assert f"cannot read config file {binary}: 'utf-8' codec" in capsys.readouterr().err
     bad = write(tmp_path / "bad.cfg", "bogus = 1\n")
     assert main(["protocol", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--seed", "-1"], "seed must be nonnegative"),
+    (["--bootstrap", "-1"], "bootstrap sample counts must be nonnegative"),
+    (["--set", "bootstrap_samples=-1"], "bootstrap sample counts must be nonnegative"),
+])
+def test_negative_seed_and_bootstrap_are_config_errors(tmp_path, capsys, argv, message):
+    # the --seed and --bootstrap flags are validated as config overrides
+    assert main(["protocol", *argv, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_gate_mle_max_iters_must_be_positive(tmp_path, capsys):
+    # zero iterations would write the maximally mixed start (1/64) as every fig7 value
+    assert main(["gate-tomo", "--full-3q-tomo", "--set", "phi_grid=pi",
+                 "--set", "gate_mle_max_iters=0", "--out", str(tmp_path / "o")]) == 2
+    assert "gate_mle_max_iters must be at least 1" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        parse_config(None, ["gate_mle_max_iters=-3"])
+    assert parse_config(None, ["gate_mle_max_iters=2"]).gate_mle_max_iters == 2
+
+
+def test_flags_override_config_and_set(tmp_path):
+    cfg = write(tmp_path / "t.cfg", "seed = 4\nbootstrap_samples = 9\n")
+    out = tmp_path / "o"
+    assert main(["reference", "--config", cfg, "--set", "seed=5", "--seed", "6",
+                 "--bootstrap", "0", "--set", "phi_grid=pi", "--set", "signal_states=0",
+                 "--out", str(out)]) == 0
+    manifest = (out / "manifest.json").read_text()
+    assert '"seed": 6' in manifest
+    assert '"bootstrap_samples": 0' in manifest
 
 
 def test_exit_code_unwritable_output(tmp_path):

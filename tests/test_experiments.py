@@ -31,10 +31,10 @@ from darkstate.qmath import (
     DensityMatrix,
     ket,
     max_entangled,
-    product_ket,
     projector,
 )
 from darkstate.tomography import build_state_settings, mle_state, process_fidelity
+from helpers import product_ket
 
 EF_DEPHASED_HALF = 0.6008760366928562   # entanglement at |q| = cos(pi/4)
 
@@ -281,6 +281,16 @@ def test_sweep_makes_one_state_mle_call_per_grid_point(record_calls):
     assert len(calls["mle_state"]) == len(experiments.DEFAULT_PROTOCOL_GRID)
 
 
+@pytest.mark.parametrize("bootstrap", [0, 30])
+def test_sweep_makes_one_eof_call_per_grid_point(record_calls, bootstrap):
+    # the channel metrics of a grid point are one call on the stack of its
+    # analytic Choi matrix, the estimate and the replicas
+    calls = record_calls(experiments, ("entanglement_of_formation",))
+    run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=bootstrap))
+    assert len(calls["entanglement_of_formation"]) == len(experiments.DEFAULT_PROTOCOL_GRID)
+    assert {len(ef) for ef in calls["entanglement_of_formation"]} == {2 + bootstrap}
+
+
 def test_reference_near_pure_batches_return_without_warning():
     # the 1000-replica batches of state R at grid points 1 and 12 of a default
     # reference run (seed 0) stopped R-rho-R at its iteration cap; the suite
@@ -384,6 +394,22 @@ def test_phase_optimized_fidelity_recovers_local_rotations():
     assert plain < 0.9
     opt = optimize_local_phase_fidelity(chi_rot, ideal_vec, 3)
     assert opt == pytest.approx(1.0, abs=1e-6)
+
+
+def test_phase_optimized_fidelity_stack_rows_match_single_calls():
+    phi = 1.9
+    ideal_vec = np.kron(np.eye(8, dtype=complex), u_ccp(phi).matrix) @ max_entangled(3).amplitudes
+    noisy = NoiseParams(gate_depolarizing=0.1, phase_jitter_std=0.3)
+    stack = np.stack([_gate_choi(phi, NoiseParams()), _gate_choi(phi, noisy),
+                      _gate_choi(0.7, noisy), 0.5 * np.eye(64) / 64.0])
+    rows = optimize_local_phase_fidelity(stack, ideal_vec, 3)
+    assert rows.shape == (len(stack),)
+    for i, chi in enumerate(stack):
+        single = optimize_local_phase_fidelity(chi, ideal_vec, 3)
+        assert isinstance(single, float)
+        assert single == rows[i]                      # bit for bit
+    assert rows[0] == pytest.approx(1.0, abs=1e-12)
+    assert rows[3] == pytest.approx(1.0 / 64.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("boot", [0, 3])

@@ -22,9 +22,9 @@ from darkstate.qmath import (
     PureState,
     ket,
     partial_trace,
-    random_density_matrix,
     state_fidelity,
 )
+from helpers import random_density_matrix
 
 
 def diag_env(p0: float) -> DensityMatrix:

@@ -20,14 +20,12 @@ from darkstate.qmath import (
     max_entangled,
     partial_trace,
     partial_trace_array,
-    product_ket,
     projector,
     purity,
-    random_density_matrix,
-    random_pure_state,
     state_fidelity,
     tensor,
 )
+from helpers import product_ket, random_density_matrix, random_pure_state
 
 COS_PI_4 = math.cos(math.pi / 4.0)
 
@@ -212,12 +210,75 @@ def test_ef_matches_entropy_of_entanglement_for_pure_states():
 def test_concurrence_dimension_error():
     with pytest.raises(DimensionMismatchError):
         concurrence(DensityMatrix.maximally_mixed(1))
+    with pytest.raises(DimensionMismatchError):
+        concurrence(np.zeros((2, 3, 2, 2)))
+
+
+def werner(p: float) -> np.ndarray:
+    """p |Phi+><Phi+| + (1 - p) I / 4; entangled exactly for p > 1/3."""
+    return p * bell_state().to_density().matrix + (1.0 - p) * np.eye(4) / 4.0
+
+
+def two_qubit_stack() -> np.ndarray:
+    rng = np.random.default_rng(60)
+    # near-pure: the 1e-15 admixture sits below the 1e-13 eigenvalue floor
+    floored = (1.0 - 1e-15) * bell_state().to_density().matrix + 1e-15 * np.diag([0, 1, 0, 0])
+    return np.stack([
+        bell_state().to_density().matrix,
+        tensor(DensityMatrix.from_label("+"), DensityMatrix.from_label("0")).matrix,
+        werner(1.0 / 3.0 - 1e-6), werner(1.0 / 3.0 + 1e-6),
+        *(random_density_matrix(2, rng, rank=r).matrix for r in (1, 1, 2, 2, 4, 4)),
+        floored])
+
+
+def test_concurrence_stack_rows_match_single_calls():
+    stack = two_qubit_stack()
+    for fn in (concurrence, entanglement_of_formation):
+        rows = fn(stack)
+        assert isinstance(rows, np.ndarray) and rows.shape == (len(stack),)
+        for i, mat in enumerate(stack):
+            single = fn(mat)
+            assert isinstance(single, float)
+            assert single == rows[i]                      # bit for bit
+            assert fn(DensityMatrix(mat)) == rows[i]
+    c = concurrence(stack)
+    assert c[2] == 0.0
+    assert c[3] == pytest.approx(1.5e-6, rel=1e-6)       # (3p - 1) / 2 just above 1/3
+    assert c[0] == pytest.approx(1.0, abs=1e-12)
+    assert c[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_concurrence_empty_stack():
+    empty = np.zeros((0, 4, 4), dtype=complex)
+    assert concurrence(empty).shape == (0,)
+    assert entanglement_of_formation(empty).shape == (0,)
+
+
+@pytest.mark.parametrize("defect,message", [
+    (lambda m: m + np.triu(np.full((4, 4), 1e-9), 1), "not Hermitian"),
+    (lambda m: 1.01 * m, "trace"),
+    (lambda m: np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex), "negative eigenvalue"),
+])
+def test_concurrence_stack_validates_every_row(defect, message):
+    # array input is checked row by row as DensityMatrix checks its matrix
+    stack = two_qubit_stack()
+    stack[5] = defect(stack[5])
+    with pytest.raises(InvalidStateError, match=message):
+        DensityMatrix(stack[5])
+    for fn in (concurrence, entanglement_of_formation):
+        with pytest.raises(InvalidStateError, match=message):
+            fn(stack)
 
 
 def test_binary_entropy_edges():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
     assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
+    x = np.array([0.0, 1e-300, 0.25, 0.5, 0.9, 1.0 - 1e-16, 1.0])
+    h = binary_entropy(x)
+    assert h.shape == x.shape
+    assert h.tolist() == [binary_entropy(float(v)) for v in x]
+    assert h[0] == h[-1] == 0.0
 
 
 # ---------------------------------------------------------------------------

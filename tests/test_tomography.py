@@ -11,9 +11,7 @@ from darkstate.qmath import (
     ket,
     max_entangled,
     partial_trace,
-    product_ket,
     projector,
-    random_density_matrix,
     state_fidelity,
     PureState,
 )
@@ -22,7 +20,6 @@ from darkstate.tomography import (
     MLEConvergenceWarning,
     MeasurementSetting,
     ProcessMatrix,
-    Tomogram,
     build_process_settings,
     build_state_settings,
     channel_to_choi,
@@ -36,25 +33,25 @@ from darkstate.tomography import (
 )
 from darkstate import tomography
 from darkstate.tomography import _born, _check_complete, _grid, _rrr, _weighted_projectors
+from helpers import product_ket, random_density_matrix
 
 PHI_PLUS = projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
 
 
-def exact_tomogram(rho: np.ndarray, n: int, scale: float = 1e6) -> Tomogram:
-    """Noise-free tomogram: counts equal the exact setting means."""
-    settings = build_state_settings(n)
+def exact_counts(rho: np.ndarray, n: int, scale: float = 1e6) -> np.ndarray:
+    """Noise-free counts of ``build_state_settings(n)``: the exact setting means."""
     counts = np.array([scale * np.real(product_ket(s.projection).conj() @ rho
                                        @ product_ket(s.projection))
-                       for s in settings])
-    return Tomogram(settings, counts.clip(0.0, None))
+                       for s in build_state_settings(n)])
+    return counts.clip(0.0, None)
 
 
-def state_estimate(tomo: Tomogram) -> DensityMatrix:
-    return DensityMatrix(mle_state(tomo.settings, tomo.counts[None, :])[0])
+def state_estimate(settings, counts: np.ndarray) -> DensityMatrix:
+    return DensityMatrix(mle_state(settings, counts[None, :])[0])
 
 
-def process_estimate(tomo: Tomogram, n: int) -> ProcessMatrix:
-    return ProcessMatrix(mle_process(tomo.settings, tomo.counts[None, :])[0], n)
+def process_estimate(settings, counts: np.ndarray, n: int) -> ProcessMatrix:
+    return ProcessMatrix(mle_process(settings, counts[None, :])[0], n)
 
 
 def log_likelihood(settings, counts: np.ndarray, rho: np.ndarray, process: bool = False) -> float:
@@ -89,7 +86,7 @@ class MeanRng:
 
 def count_means(monkeypatch, settings, mat, rate: float) -> np.ndarray:
     monkeypatch.setattr(np.random, "default_rng", lambda seed: MeanRng())
-    return simulate_counts(settings, mat, rate, seed=0).counts
+    return simulate_counts(settings, mat, rate, seed=0)
 
 
 def dephasing_kraus(q: complex) -> list[np.ndarray]:
@@ -119,15 +116,16 @@ def test_setting_validation():
 
 def test_simulate_counts_orthogonal_projection_is_silent():
     settings = (MeasurementSetting((), ("1",)),)
-    tomo = simulate_counts(settings, DensityMatrix.from_label("0"), rate=1e5, seed=0)
-    assert tomo.counts[0] == 0
+    counts = simulate_counts(settings, DensityMatrix.from_label("0"), rate=1e5, seed=0)
+    assert counts.shape == (1,)
+    assert counts[0] == 0
 
 
 def test_simulate_counts_mixed_state_mean():
     # projections of I/2 fire at half the rate: empirical mean near 150
     settings = (MeasurementSetting((), ("+",)),)
     rho = DensityMatrix.maximally_mixed(1)
-    draws = np.array([simulate_counts(settings, rho, rate=300.0, seed=s).counts[0]
+    draws = np.array([simulate_counts(settings, rho, rate=300.0, seed=s)[0]
                       for s in range(1000)])
     assert abs(draws.mean() - 150.0) < 5.0 * math.sqrt(150.0 / 1000.0)
 
@@ -136,7 +134,7 @@ def test_simulate_counts_basis_completeness():
     # the two outcomes of one basis together see every photon
     settings = (MeasurementSetting((), ("+",)), MeasurementSetting((), ("-",)))
     rho = DensityMatrix.from_label("L")
-    totals = np.array([simulate_counts(settings, rho, rate=200.0, seed=s).counts.sum()
+    totals = np.array([simulate_counts(settings, rho, rate=200.0, seed=s).sum()
                        for s in range(500)])
     assert abs(totals.mean() - 200.0) < 5.0 * math.sqrt(200.0 / 500.0)
 
@@ -146,15 +144,7 @@ def test_simulate_counts_deterministic():
     rho = DensityMatrix.from_label("L")
     a = simulate_counts(settings, rho, rate=300.0, seed=42)
     b = simulate_counts(settings, rho, rate=300.0, seed=42)
-    np.testing.assert_array_equal(a.counts, b.counts)
-
-
-def test_tomogram_validation():
-    settings = build_state_settings(1)
-    with pytest.raises(ValueError):
-        Tomogram(settings, np.zeros(3))
-    with pytest.raises(ValueError):
-        Tomogram(settings, -np.ones(6))
+    np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +152,14 @@ def test_tomogram_validation():
 
 
 def test_mle_state_noiseless_plus():
-    tomo = exact_tomogram(projector(ket("+")), 1)
-    rho_hat = state_estimate(tomo)
+    rho_hat = state_estimate(build_state_settings(1), exact_counts(projector(ket("+")), 1))
     assert state_fidelity(rho_hat, PureState(ket("+"))) > 1.0 - 1e-6
 
 
 def test_mle_state_statistical_convergence():
-    tomo = simulate_counts(build_state_settings(1), DensityMatrix.maximally_mixed(1),
-                           rate=1e6, seed=7)
-    rho_hat = state_estimate(tomo)
+    settings = build_state_settings(1)
+    counts = simulate_counts(settings, DensityMatrix.maximally_mixed(1), rate=1e6, seed=7)
+    rho_hat = state_estimate(settings, counts)
     diff = rho_hat.matrix - np.eye(2) / 2
     trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
     assert trace_distance < 0.01
@@ -183,7 +172,7 @@ def test_mle_process_likelihood_monotone():
     settings = build_process_settings(1)
     for seed in range(4):
         chi = random_density_matrix(2, rng).matrix
-        counts = simulate_counts(settings, chi, rate=300.0, seed=seed).counts
+        counts = simulate_counts(settings, chi, rate=300.0, seed=seed)
         logliks = [log_likelihood(settings, counts, mle_process(settings, counts[None, :],
                                                                 max_iters=k)[0], process=True)
                    for k in (1, 2, 4, 8, 16, 32, 64, 128)]
@@ -191,9 +180,9 @@ def test_mle_process_likelihood_monotone():
 
 
 def test_mle_state_output_is_physical():
-    tomo = simulate_counts(build_state_settings(1), DensityMatrix.from_label("R"),
-                           rate=100.0, seed=3)
-    rho_hat = mle_state(tomo.settings, tomo.counts[None, :])
+    settings = build_state_settings(1)
+    counts = simulate_counts(settings, DensityMatrix.from_label("R"), rate=100.0, seed=3)
+    rho_hat = mle_state(settings, counts[None, :])
     assert rho_hat.shape == (1, 2, 2)
     DensityMatrix(rho_hat[0])   # construction enforces the invariants
 
@@ -211,8 +200,7 @@ def test_mle_state_two_qubit_marginal_sums():
                        for lab in BASIS_LABELS])
     np.testing.assert_allclose(means2.sum(axis=1), 3.0 * means1, atol=1e-12)
     # reconstructing from the summed noise-free counts recovers the marginal
-    tomo = Tomogram(build_state_settings(1), 1e6 * means2.sum(axis=1))
-    rho_hat = state_estimate(tomo)
+    rho_hat = state_estimate(build_state_settings(1), 1e6 * means2.sum(axis=1))
     np.testing.assert_allclose(rho_hat.matrix, reduced.matrix, atol=1e-5)
 
 
@@ -239,7 +227,7 @@ def test_mle_zero_total_replica_is_maximally_mixed():
     for settings, mat, estimate in (
             (build_state_settings(1), DensityMatrix.from_label("+"), mle_state),
             (build_process_settings(1), rotation_choi(0.4), mle_process)):
-        counts = simulate_counts(settings, mat, rate=300.0, seed=12).counts.astype(float)
+        counts = simulate_counts(settings, mat, rate=300.0, seed=12)
         batch = estimate(settings, np.stack([counts, np.zeros(len(counts)), counts]))
         d = batch.shape[1]
         np.testing.assert_array_equal(batch[1], np.eye(d) / d)
@@ -253,9 +241,9 @@ def test_mle_batch_row_matches_single_call():
     # where its own reconstruction stops and every step acts on it as on a
     # single call
     settings = build_process_settings(1)
-    slow = simulate_counts(settings, rotation_choi(0.4), rate=300.0, seed=13).counts
+    slow = simulate_counts(settings, rotation_choi(0.4), rate=300.0, seed=13)
     dephasing = channel_to_choi(dephasing_kraus(0.0), n=1)
-    fast = [simulate_counts(settings, dephasing, rate=300.0, seed=s).counts for s in (14, 15)]
+    fast = [simulate_counts(settings, dephasing, rate=300.0, seed=s) for s in (14, 15)]
     batch = mle_process(settings, np.stack([slow, *fast]))
     single = mle_process(settings, slow[None, :])
     np.testing.assert_array_equal(batch[0], single[0])
@@ -263,14 +251,14 @@ def test_mle_batch_row_matches_single_call():
 
 def test_mle_iteration_cap_warns():
     settings = build_process_settings(1)
-    counts = simulate_counts(settings, rotation_choi(0.4), rate=1e6, seed=0).counts
+    counts = simulate_counts(settings, rotation_choi(0.4), rate=1e6, seed=0)
     with pytest.warns(MLEConvergenceWarning, match=r"d = 4, B = 1\): final delta"):
         mle_process(settings, counts[None, :], max_iters=1)
 
 
 def test_mle_converged_call_does_not_warn():
     settings = build_process_settings(1)
-    counts = simulate_counts(settings, rotation_choi(0.4), rate=300.0, seed=7).counts
+    counts = simulate_counts(settings, rotation_choi(0.4), rate=300.0, seed=7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mle_process(settings, counts[None, :])
@@ -314,7 +302,7 @@ def test_qubit_mle_interior_is_linear_inversion():
 
 
 def test_qubit_mle_boundary_is_pure_and_stationary():
-    counts = simulate_counts(SIX, DensityMatrix.from_label("L"), rate=300.0, seed=3).counts
+    counts = simulate_counts(SIX, DensityMatrix.from_label("L"), rate=300.0, seed=3)
     u, v = counts[0::2], counts[1::2]
     assert (((u - v) / (u + v)) ** 2).sum() > 1.0   # linear inversion lies outside the ball
     rho = mle_state(SIX, counts[None, :])[0]
@@ -329,7 +317,7 @@ def test_qubit_mle_beats_random_search():
     for seed in range(6):
         state = random_density_matrix(1, rng) if seed % 2 else DensityMatrix.from_label(
             BASIS_LABELS[seed])
-        counts = simulate_counts(SIX, state, rate=100.0, seed=seed).counts.astype(float)
+        counts = simulate_counts(SIX, state, rate=100.0, seed=seed)
         a = bloch_vector(mle_state(SIX, counts[None, :])[0])
         best = bloch_log_likelihood(SIX, counts, search).max()
         assert bloch_log_likelihood(SIX, counts, a[None, :])[0] >= best - 1e-12
@@ -358,7 +346,7 @@ def test_qubit_mle_partial_permuted_and_duplicated_settings():
     assert np.abs(rrr_step(partial, counts, rho) - rho).max() <= 1e-12
     best = bloch_log_likelihood(partial, counts, ball_search(200_000, np.random.default_rng(52)))
     assert bloch_log_likelihood(partial, counts, bloch_vector(rho)[None, :])[0] >= best.max() - 1e-12
-    full = simulate_counts(SIX, DensityMatrix.from_label("+"), rate=300.0, seed=8).counts
+    full = simulate_counts(SIX, DensityMatrix.from_label("+"), rate=300.0, seed=8)
     reference = mle_state(SIX, full[None, :])
     order = [4, 1, 5, 0, 3, 2]
     np.testing.assert_array_equal(
@@ -370,9 +358,9 @@ def test_qubit_mle_partial_permuted_and_duplicated_settings():
 
 def test_qubit_mle_batch_rows_match_single_calls():
     rng = np.random.default_rng(53)
-    rows = [simulate_counts(SIX, random_density_matrix(1, rng), rate=300.0, seed=s).counts
+    rows = [simulate_counts(SIX, random_density_matrix(1, rng), rate=300.0, seed=s)
             for s in range(4)]
-    rows += [simulate_counts(SIX, DensityMatrix.from_label(lab), rate=r, seed=9).counts
+    rows += [simulate_counts(SIX, DensityMatrix.from_label(lab), rate=r, seed=9)
              for lab in BASIS_LABELS for r in (30.0, 3000.0)]
     rows += [np.array([30.0, 0.0, 0.0, 0.0, 12.0, 5.0]), np.zeros(6)]
     batch = mle_state(SIX, np.array(rows, dtype=float))
@@ -387,7 +375,7 @@ def test_qubit_mle_agrees_with_rrr():
     states = [random_density_matrix(1, rng) for _ in range(10)]
     states += [DensityMatrix(w * projector(ket(lab)) + (1.0 - w) * np.eye(2) / 2)
                for w in (0.99, 1.0) for lab in ("L", "0", "+")]
-    counts = np.array([simulate_counts(SIX, state, rate=300.0, seed=s).counts
+    counts = np.array([simulate_counts(SIX, state, rate=300.0, seed=s)
                        for s in range(2) for state in states], dtype=float)
     u, v = counts[:, 0::2], counts[:, 1::2]
     assert (((u - v) / (u + v)) ** 2).sum(axis=1).max() > 1.0   # some on the sphere
@@ -400,7 +388,7 @@ def test_qubit_mle_agrees_with_rrr():
 
 def test_qubit_sphere_solve_cap_warns(monkeypatch):
     monkeypatch.setattr(tomography, "_SPHERE_MAX_ITERS", 1)
-    counts = simulate_counts(SIX, DensityMatrix.from_label("L"), rate=300.0, seed=3).counts
+    counts = simulate_counts(SIX, DensityMatrix.from_label("L"), rate=300.0, seed=3)
     with pytest.warns(MLEConvergenceWarning, match="sphere solve stopped at 1 iterations"):
         rho = mle_state(SIX, counts[None, :])[0]
     assert np.linalg.norm(bloch_vector(rho)) == pytest.approx(1.0, abs=1e-14)
@@ -446,7 +434,7 @@ def test_structured_born_rule_matches_dense_three_qubit_process():
 def test_mle_permuted_settings_bit_identical():
     settings = build_process_settings(1)
     counts = simulate_counts(settings, channel_to_choi(dephasing_kraus(0.7), n=1),
-                             rate=300.0, seed=21).counts
+                             rate=300.0, seed=21)
     order = np.random.default_rng(22).permutation(len(settings))
     a = mle_process(settings, counts[None, :])
     b = mle_process([settings[i] for i in order], counts[order][None, :])
@@ -456,7 +444,7 @@ def test_mle_permuted_settings_bit_identical():
 def test_mle_duplicate_setting_matches_merged():
     settings = build_state_settings(2)
     counts = simulate_counts(settings, random_density_matrix(2, np.random.default_rng(23)),
-                             rate=300.0, seed=24).counts.astype(float)
+                             rate=300.0, seed=24)
     split = np.concatenate([counts, [0.0]])
     split[[5, -1]] = counts[5] // 2, counts[5] - counts[5] // 2
     merged = mle_state(settings, counts[None, :])
@@ -487,12 +475,12 @@ def test_gram_branch_on_three_qubit_process_sets():
 
 def test_mle_process_identity_noiseless():
     settings = build_process_settings(1)
-    means = Tomogram(settings, np.array([
+    means = np.array([
         1e6 * np.real(product_ket(s.projection).conj()
                       @ projector(product_ket(s.preparation))
                       @ product_ket(s.projection))
-        for s in settings]))
-    chi_hat = process_estimate(means, 1)
+        for s in settings])
+    chi_hat = process_estimate(settings, means, 1)
     assert process_fidelity(chi_hat, PHI_PLUS) > 1.0 - 1e-6
 
 
@@ -510,7 +498,7 @@ def test_mle_process_full_dephasing():
                                      @ channel(projector(product_ket(s.preparation)))
                                      @ product_ket(s.projection))
                        for s in settings])
-    chi_hat = process_estimate(Tomogram(settings, counts), 1)
+    chi_hat = process_estimate(settings, counts, 1)
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[3, 3] = 0.5
     np.testing.assert_allclose(chi_hat.chi, expected, atol=1e-5)
@@ -518,16 +506,16 @@ def test_mle_process_full_dephasing():
 
 def test_mle_process_cz_end_to_end():
     chi_ideal = channel_to_choi(u_cp(math.pi), n=2)
-    tomo = simulate_counts(build_process_settings(2), chi_ideal, rate=1e5, seed=5)
-    chi_hat = process_estimate(tomo, 2)
+    settings = build_process_settings(2)
+    chi_hat = process_estimate(settings, simulate_counts(settings, chi_ideal, rate=1e5, seed=5), 2)
     assert process_fidelity(chi_hat, chi_ideal) > 0.999
 
 
 def test_mle_process_requires_preparations():
-    tomo = simulate_counts(build_state_settings(1), DensityMatrix.maximally_mixed(1),
-                           rate=100.0, seed=0)
+    settings = build_state_settings(1)
+    counts = simulate_counts(settings, DensityMatrix.maximally_mixed(1), rate=100.0, seed=0)
     with pytest.raises(ValueError):
-        mle_process(tomo.settings, tomo.counts[None, :])
+        mle_process(settings, counts[None, :])
     with pytest.raises(ValueError):
         setting_kets(build_process_settings(1), process=False)
 
@@ -641,6 +629,31 @@ def test_process_metric_errors():
         process_fidelity(np.zeros((4, 4)), chi)
     with pytest.raises(ValueError):
         process_purity(np.zeros((4, 4)))
+    stack = np.stack([chi.chi, np.zeros((4, 4))])   # every row of a stack is checked
+    with pytest.raises(ValueError, match="nonpositive trace"):
+        process_fidelity(stack, chi)
+    with pytest.raises(ValueError, match="nonpositive trace"):
+        process_purity(stack)
+    with pytest.raises(ValueError, match="different dimensions"):
+        process_fidelity(stack, np.eye(16))
+
+
+def test_process_metrics_stack_rows_match_single_calls():
+    rng = np.random.default_rng(61)
+    for n in (1, 2):
+        target = channel_to_choi(u_cp(0.8), n=n) if n == 2 else rotation_choi(0.3)
+        # trace-free stack: random Choi matrices of several ranks and scales
+        stack = np.stack([scale * random_density_matrix(2 * n, rng, rank=r).matrix
+                          for scale, r in ((1.0, 1), (0.2, 2), (3.0, 4 ** n), (1.0, 3))])
+        for fn, args in ((process_fidelity, (target,)), (process_purity, ())):
+            rows = fn(stack, *args)
+            assert rows.shape == (len(stack),)
+            for i, chi in enumerate(stack):
+                single = fn(chi, *args)
+                assert isinstance(single, float)
+                assert single == rows[i]                      # bit for bit
+                assert fn(ProcessMatrix(chi, n), *args) == rows[i]
+        assert process_purity(np.zeros((0, 4 ** n, 4 ** n))).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
