@@ -419,9 +419,7 @@ def _marginal_states(samples: Sequence[_Sample]) -> list[tuple[np.ndarray, np.nd
 
     Row 0 of each (1 + R, 2, 2) stack is the estimate from the sample's counts,
     rows 1.. those from its R replicas.  Every tomogram of the samples goes
-    into one ``mle_state`` call: the single-qubit estimate of a row does not
-    depend on the rest of its batch, so one call per grid point gives the
-    same states as one call per tomogram.
+    into one ``mle_state`` call.
     """
     live = [s.counts is not None and not s.empty for s in samples]
     tomograms = [m for s, ok in zip(samples, live) if ok
@@ -483,15 +481,12 @@ def _state_point(phi: float, label: str, sample: _Sample, anchor: _Sample,
 
 def _process_estimates(settings: Sequence[MeasurementSetting], n: int, counts: np.ndarray,
                        reps: np.ndarray, max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
-    """MLE Choi matrix of ``counts`` (validated), then one per replica in ``reps``; (1 + R, d, d).
-
-    The point estimate and the replicas are two ``mle_process`` calls: an
-    R-rho-R row depends on the batch it runs in.
-    """
-    chi = ProcessMatrix(mle_process(settings, counts[None, :], max_iters=max_iters)[0], n).chi
-    if not len(reps):   # mle_process takes no empty batch
-        return chi[None]
-    return np.concatenate([chi[None], mle_process(settings, reps, max_iters=max_iters)])
+    """MLE Choi matrix of ``counts`` (validated), then one per replica in ``reps``; (1 + R, d, d)."""
+    if counts.sum() == 0:
+        raise ValueError("tomogram has zero total counts")
+    chis = mle_process(settings, np.vstack([counts, reps]), max_iters=max_iters)
+    ProcessMatrix(chis[0], n)
+    return chis
 
 
 def _channel_point(samples: Sequence[_Sample], config: ScenarioConfig, key: tuple[int, ...]

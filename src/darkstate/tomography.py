@@ -11,6 +11,7 @@ reconstructed with the iterative R-rho-R fixed-point method (Hradil, PRA
 
     R(rho) = sum_j (f_j / p_j(rho)) Pi_j,    rho <- N[R rho R]
 
+Each row of a batch iterates until its own step falls below the tolerance.
 No trace preservation is imposed, so postselected (trace-decreasing)
 channels reconstruct naturally; the quality metrics normalize away the
 scale.  A single qubit needs no iteration: its likelihood splits into one
@@ -271,11 +272,13 @@ def _mle(settings: Sequence[MeasurementSetting], process: bool, counts,
          tol: float, max_iters: int) -> np.ndarray:
     """Maximum-likelihood estimates for the rows of ``counts`` (shape (B, N)).
 
-    Returns the (B, d, d) estimates.  A replica with no counts carries no
-    information and gets I/d; a single tomogram with no counts raises.
-    Counts are summed onto the 6^m label grid once, so settings may come in
-    any order, repeat, or cover only part of the grid.  Single-qubit state
-    settings are solved exactly (``_qubit_mle``), everything else by R-rho-R.
+    Returns the (B, d, d) estimates, each row solved on its own: it equals its
+    single call bit for bit, and an empty batch gives (0, d, d).  A replica
+    with no counts carries no information and gets I/d; a single tomogram
+    with no counts raises.  Counts are summed onto the 6^m label grid once,
+    so settings may come in any order, repeat, or cover only part of the
+    grid.  Single-qubit state settings are solved exactly (``_qubit_mle``),
+    everything else by R-rho-R, each row stopping at its own tolerance.
     """
     idx, grid, frames = _grid(settings, process)
     counts = np.asarray(counts, dtype=float)
@@ -293,31 +296,33 @@ def _mle(settings: Sequence[MeasurementSetting], process: bool, counts,
 
 def _rrr(grid_counts: np.ndarray, frames: Sequence[np.ndarray], tol: float,
          max_iters: int) -> np.ndarray:
-    """Batched R-rho-R iteration on (B, 6^m) grid counts; the batch stops at its slowest row."""
+    """Batched R-rho-R on (B, 6^m) grid counts; a row stops once its max |delta rho| < tol."""
     b, d = len(grid_counts), 2 ** len(frames)
     eye = np.eye(d, dtype=complex)
-    rho = np.tile(eye / d, (b, 1, 1))
-    zero_total = grid_counts.sum(axis=1) == 0
+    out = np.tile(eye / d, (b, 1, 1))
+    rows = np.flatnonzero(grid_counts.sum(axis=1) > 0)   # rows without counts stay I/d
+    counts, rho, delta = grid_counts[rows], out[rows], np.full(len(rows), math.inf)
     frames_t, frames_c = [f.T for f in frames], [f.conj() for f in frames]
-    delta = math.inf
     for _ in range(max_iters):
+        if not len(rows):
+            return out
         p = _born(rho, frames_t).real.clip(_PROB_FLOOR, None)
-        r_op = _weighted_projectors(grid_counts / p, frames_c)
+        r_op = _weighted_projectors(counts / p, frames_c)
         new = r_op @ rho @ r_op
         new = 0.5 * (new + np.conj(np.swapaxes(new, 1, 2)))
         traces = np.einsum("bdd->b", new).real
         traces[traces <= 0.0] = 1.0
         new /= traces[:, None, None]
-        new[zero_total] = eye / d
-        delta = np.abs(new - rho).max()
-        rho = new
-        if delta < tol:
-            break
-    else:
+        delta = np.abs(new - rho).max(axis=(1, 2))
+        done = delta < tol
+        out[rows[done]] = new[done]
+        rows, counts, rho, delta = (x[~done] for x in (rows, counts, new, delta))
+    if len(rows):
         warnings.warn(f"R-rho-R stopped at max_iters = {max_iters} (d = {d}, "
-                      f"B = {b}): final delta {delta:.3g} >= tol {tol:g}",
-                      MLEConvergenceWarning, stacklevel=4)
-    return rho
+                      f"B = {b}): final delta {delta.max():.3g} >= tol {tol:g} "
+                      f"in {len(rows)} of {b} rows", MLEConvergenceWarning, stacklevel=4)
+        out[rows] = rho
+    return out
 
 
 # sigma_k = |+k><+k| - |-k><-k| for the axis k whose outcomes are labels 2k and 2k + 1
@@ -335,8 +340,7 @@ def _qubit_mle(grid_counts: np.ndarray) -> np.ndarray:
     counts of the two outcomes.  Its maximum over all a is the linear
     inversion (u - v) / (u + v), 0 on an axis without counts.  Inside the
     Bloch ball that is the estimate; outside, the maximum lies on the sphere
-    (``_sphere_mle``).  Each row is solved on its own, so a row's estimate
-    does not depend on the rest of its batch.
+    (``_sphere_mle``).
     """
     u, v = grid_counts[:, 0::2], grid_counts[:, 1::2]
     a = (u - v) / np.maximum(u + v, 1.0)
@@ -415,14 +419,15 @@ def mle_state(settings: Sequence[MeasurementSetting], counts,
     """Maximum-likelihood states from counts of shape (B, N); returns (B, d, d).
 
     Single-qubit settings are solved exactly; ``tol`` and ``max_iters`` bound
-    the R-rho-R iteration of larger states.
+    the R-rho-R iteration of larger states, each row on its own (see ``_mle``).
     """
     return _mle(settings, False, counts, tol, max_iters)
 
 
 def mle_process(settings: Sequence[MeasurementSetting], counts,
                 tol: float = MLE_TOL, max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
-    """Maximum-likelihood Choi matrices (trace free) from counts of shape (B, N)."""
+    """Maximum-likelihood Choi matrices (trace free) from counts of shape (B, N);
+    each row by its own R-rho-R run (see ``_mle``)."""
     return _mle(settings, True, counts, tol, max_iters)
 
 

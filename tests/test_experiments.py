@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,6 +282,15 @@ def test_sweep_makes_one_state_mle_call_per_grid_point(record_calls):
     assert len(calls["mle_state"]) == len(experiments.DEFAULT_PROTOCOL_GRID)
 
 
+def test_sweep_makes_one_process_mle_call_per_grid_point(record_calls):
+    # the channel estimate of a grid point and its replicas go into one
+    # mle_process call
+    calls = record_calls(experiments, ("mle_process",))
+    run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=3))
+    assert len(calls["mle_process"]) == len(experiments.DEFAULT_PROTOCOL_GRID)
+    assert {len(chis) for chis in calls["mle_process"]} == {1 + 3}
+
+
 @pytest.mark.parametrize("bootstrap", [0, 30])
 def test_sweep_makes_one_eof_call_per_grid_point(record_calls, bootstrap):
     # the channel metrics of a grid point are one call on the stack of its
@@ -427,6 +437,18 @@ def test_gate_metrics_with_and_without_bootstrap(tmp_path, boot):
         stds = [line.rstrip("\n").split(",")[-1] for line in fh][1:]
     assert len(stds) == 3
     assert all((s != "0") if boot else (s == "0") for s in stds)
+
+
+def test_gate_point_makes_one_process_mle_call(record_calls):
+    # the point estimate and its replicas are one mle_process call; a point
+    # that draws no counts still fails as an empty tomogram
+    calls = record_calls(experiments, ("mle_process",))
+    cfg = ScenarioConfig(mode="gate_tomography", phi_grid=(math.pi,), rate=3000.0, seed=1,
+                         gate_bootstrap_samples=2)
+    run_gate_tomography(cfg, acknowledge_full_tomography=True)
+    assert [len(chis) for chis in calls["mle_process"]] == [1 + 2]
+    with pytest.raises(ValueError, match="tomogram has zero total counts"):
+        run_gate_tomography(replace(cfg, rate=1e-12), acknowledge_full_tomography=True)
 
 
 def test_gate_full_tomography_end_to_end():

@@ -236,17 +236,29 @@ def test_mle_zero_total_replica_is_maximally_mixed():
         np.testing.assert_array_equal(batch[2], alone)
 
 
-def test_mle_batch_row_matches_single_call():
-    # row 0 (a unitary channel, near pure) converges last, so the batch stops
-    # where its own reconstruction stops and every step acts on it as on a
-    # single call
-    settings = build_process_settings(1)
-    slow = simulate_counts(settings, rotation_choi(0.4), rate=300.0, seed=13)
+@pytest.mark.parametrize("settings, estimate", [(build_process_settings(1), mle_process),
+                                                 (build_state_settings(2), mle_state)],
+                         ids=["process", "state"])
+def test_mle_batch_rows_match_single_calls(settings, estimate):
+    # a slow near-unitary channel, two fast dephasing channels at other rates
+    # and a zero-count row: every row stops at its own tolerance, so each
+    # equals its own single call
     dephasing = channel_to_choi(dephasing_kraus(0.0), n=1)
-    fast = [simulate_counts(settings, dephasing, rate=300.0, seed=s) for s in (14, 15)]
-    batch = mle_process(settings, np.stack([slow, *fast]))
-    single = mle_process(settings, slow[None, :])
-    np.testing.assert_array_equal(batch[0], single[0])
+    rows = [simulate_counts(settings, rotation_choi(0.4), rate=300.0, seed=13),
+            simulate_counts(settings, dephasing, rate=30.0, seed=14),
+            simulate_counts(settings, dephasing, rate=3000.0, seed=15)]
+    batch = estimate(settings, np.stack([*rows, np.zeros(len(settings))]))
+    for row, rho in zip(rows, batch):
+        np.testing.assert_array_equal(rho, estimate(settings, row[None, :])[0])
+    np.testing.assert_array_equal(batch[-1], np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("settings, estimate, d", [(build_state_settings(1), mle_state, 2),
+                                                   (build_state_settings(2), mle_state, 4),
+                                                   (build_process_settings(1), mle_process, 4)],
+                         ids=["qubit", "two-qubit", "process"])
+def test_mle_empty_batch_returns_empty_stack(settings, estimate, d):
+    assert estimate(settings, np.zeros((0, len(settings)))).shape == (0, d, d)
 
 
 def test_mle_iteration_cap_warns():
@@ -254,6 +266,9 @@ def test_mle_iteration_cap_warns():
     counts = simulate_counts(settings, rotation_choi(0.4), rate=1e6, seed=0)
     with pytest.warns(MLEConvergenceWarning, match=r"d = 4, B = 1\): final delta"):
         mle_process(settings, counts[None, :], max_iters=1)
+    # the zero-count row never enters the iteration, so only one row is capped
+    with pytest.warns(MLEConvergenceWarning, match=r"B = 2\): final delta .* in 1 of 2 rows$"):
+        mle_process(settings, np.stack([counts, np.zeros(len(counts))]), max_iters=1)
 
 
 def test_mle_converged_call_does_not_warn():
