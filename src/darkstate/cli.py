@@ -63,7 +63,10 @@ def _eval_number(text: str) -> float:
             return math.pi
         raise ConfigError(f"unsupported expression {text!r}")
 
-    return float(ev(tree))
+    try:
+        return float(ev(tree))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"cannot evaluate {text!r}: {exc}") from exc
 
 
 def _parse_bool(text: str, key: str) -> bool:
@@ -209,10 +212,17 @@ def _summarize_sweep(result) -> list[str]:
 
 
 def _run_selftest(args) -> int:
-    from .selftest import run_criteria
+    from .selftest import _CRITERIA, run_criteria
     numbers = None
     if args.criteria:
-        numbers = tuple(int(part) for part in args.criteria.split(",") if part.strip())
+        known = [number for number, _name, _fn in _CRITERIA]
+        try:
+            numbers = tuple(int(part) for part in args.criteria.split(",") if part.strip())
+        except ValueError:
+            numbers = ()
+        if not numbers or not set(numbers) <= set(known):
+            raise ConfigError(f"--criteria {args.criteria!r}: expected criterion numbers "
+                              f"{known[0]}-{known[-1]}, comma-separated")
     results = run_criteria(numbers)
     failed = 0
     for res in results:

@@ -89,8 +89,8 @@ class NoiseParams:
             raise ValueError(f"herald_error {self.herald_error} outside [0, 1]")
         if not (0.0 <= self.gate_depolarizing <= 1.0):
             raise ValueError(f"gate_depolarizing {self.gate_depolarizing} outside [0, 1]")
-        if self.phase_jitter_std < 0.0:
-            raise ValueError("phase_jitter_std must be nonnegative")
+        if not 0.0 <= self.phase_jitter_std < math.inf:
+            raise ValueError(f"phase_jitter_std {self.phase_jitter_std} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.rate <= 0.0:
-            raise ValueError("rate must be positive")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError(f"rate {self.rate} must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not self.signal_states:
@@ -121,6 +121,8 @@ class ScenarioConfig:
         for lab in self.signal_states:
             if lab not in BASIS_LABELS:
                 raise ValueError(f"unknown signal state label {lab!r}")
+        if len(set(self.signal_states)) != len(self.signal_states):
+            raise ValueError(f"signal_states {self.signal_states} repeat a label")
         if isinstance(self.env_state, str) and self.env_state not in ("maximally_mixed", "plus"):
             raise ValueError(f"unknown env_state {self.env_state!r}")
         if self.bootstrap_samples < 0 or self.gate_bootstrap_samples < 0:
@@ -254,18 +256,17 @@ def _protocol_point(phi: float, psi_label: str, env: np.ndarray, noise: NoisePar
     rho = cp @ rho @ cp.conj().T
     if noise.phase_jitter_std > 0.0:
         rho = _sector_damp(rho, _SE_SECTOR, math.exp(-noise.phase_jitter_std**2 / 2.0))
-    proj_perp, proj_para = (expand_operator(p, 3, (0,)) for p in _herald_projectors(phi))
-    w_good, rho_good = project(rho, proj_perp)
-    w_fail, rho_fail = project(rho, proj_para)
-    eps = noise.herald_error
-    weight = (1.0 - eps) * w_good + eps * w_fail
+    # a declared herald is the success branch, or with probability herald_error the failure one
+    weight = 0.0
+    declared = np.zeros((8, 8), dtype=complex)
+    for share, proj in zip((1.0 - noise.herald_error, noise.herald_error),
+                           _herald_projectors(phi)):
+        w, post = project(rho, expand_operator(proj, 3, (0,)))
+        if post is not None:   # a branch project drops at roundoff weight carries none
+            weight += share * w
+            declared += share * w * post
     if weight <= 0.0:
         raise DegenerateCouplingError(f"herald never fires at phi = {phi}")
-    declared = np.zeros((8, 8), dtype=complex)
-    if rho_good is not None:
-        declared += (1.0 - eps) * w_good * rho_good
-    if rho_fail is not None:
-        declared += eps * w_fail * rho_fail
     declared /= weight
     return partial_trace_array(declared, 3, (1, 2)), weight
 
@@ -601,10 +602,11 @@ def _sandwich(u: np.ndarray, mats: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u.conj()[:, None, :] @ mats @ v[:, :, None])[:, 0, 0]
 
 
-def optimize_local_phase_fidelity(chi, ideal_vec: np.ndarray, n: int, sweeps: int = 6):
+def optimize_local_phase_fidelity(chi, ideal_vec: np.ndarray, n: int):
     """Maximal overlap fidelity over local Z phases on the output qubits.
 
-    Each coordinate maximization is exact: splitting the ideal vector on one
+    Six rounds of coordinate ascent, one phase per output bit.  Each
+    coordinate maximization is exact: splitting the ideal vector on one
     output bit makes the overlap a + 2 Re(e^{i theta} b), maximized at
     theta = -arg(b).  ``chi`` is one Choi matrix (a float is returned) or a
     (B, d, d) stack (a (B,) array, each row optimized on its own).
@@ -614,7 +616,7 @@ def optimize_local_phase_fidelity(chi, ideal_vec: np.ndarray, n: int, sweeps: in
     v = np.tile(np.asarray(ideal_vec, dtype=complex), (len(mats), 1))
     idx = np.arange(v.shape[1])
     out_bits = [(idx >> k) & 1 for k in range(n)]   # output half = low n bits
-    for _ in range(sweeps):
+    for _ in range(6):
         for bit in out_bits:
             v0 = np.where(bit == 0, v, 0.0)
             v1 = np.where(bit == 1, v, 0.0)

@@ -66,36 +66,6 @@ def u_ccp(phi) -> OperatorMatrix:
     return OperatorMatrix(np.diag(diag), unitary=True)
 
 
-def coherence_factor(rho_e: DensityMatrix, phi) -> complex:
-    """Off-diagonal decay factor q = p0 + e^{i phi} p1.
-
-    Only the environment populations enter; its coherences are irrelevant
-    to the induced dephasing.
-    """
-    if rho_e.dim != 2:
-        raise ValueError("environment must be a single qubit")
-    value = _angle(phi)
-    p0 = rho_e.matrix[0, 0].real
-    p1 = rho_e.matrix[1, 1].real
-    return complex(p0 + np.exp(1j * value) * p1)
-
-
-def apply_dephasing(rho_s: DensityMatrix, q: complex) -> DensityMatrix:
-    """Scale the off-diagonal elements of a single-qubit state by q.
-
-    The assignment of q versus its conjugate to the two off-diagonal
-    entries matches exact evolution under ``u_cp``: <1|rho|0> picks up q.
-    """
-    if rho_s.dim != 2:
-        raise ValueError("signal must be a single qubit")
-    if abs(q) > 1.0 + 1e-12:
-        raise ValueError(f"dephasing factor |q| = {abs(q)} exceeds 1")
-    out = np.array(rho_s.matrix)
-    out[1, 0] *= q
-    out[0, 1] *= np.conj(q)
-    return DensityMatrix(out)
-
-
 def _herald_projectors(value: float) -> tuple[np.ndarray, np.ndarray]:
     # success: |phi_perp> = (|0> - e^{i phi}|1>)/sqrt2; failure: the complement
     perp = np.array([1.0, -np.exp(1j * value)], dtype=complex) / math.sqrt(2.0)
@@ -131,13 +101,12 @@ def herald_outcomes(rho_e: DensityMatrix, phi) -> tuple[HeraldOutcome, HeraldOut
 def herald_dark_state(rho_e: DensityMatrix, phi) -> HeraldOutcome:
     """Success branch of the heralding measurement.
 
-    When the success probability vanishes (environment purely in |1>),
-    the failure outcome is returned instead, with probability 1.
+    When the success branch has no post-measurement state (its probability
+    vanishes, as for an environment purely in |1>, or is at roundoff scale,
+    as for phi near 0 or 2 pi), the failure outcome is returned instead.
     """
     succ, fail = herald_outcomes(rho_e, phi)
-    if succ.probability <= 1e-15:
-        return fail
-    return succ
+    return fail if succ.post_state is None else succ
 
 
 def repeat_success_probability(p0: float, phi, n: int, thermalizing: bool) -> float:
@@ -184,20 +153,12 @@ def simulate_repeat_protocol(rho_e: DensityMatrix, phi, n: int, thermalizing: bo
     return total_success
 
 
-def population_ratio_update(ratio: float, phi) -> float:
-    """One |+>-projection round: the population ratio p1/p0 shrinks by cos^2(phi/2)."""
-    if ratio < 0.0:
-        raise ValueError("population ratio must be nonnegative")
-    value = _angle(phi)
-    return ratio * math.cos(value / 2.0) ** 2
-
-
 def plus_projection_update(rho_e: DensityMatrix, phi) -> tuple[float, DensityMatrix]:
     """Couple a fresh |+> probe, project it onto |+>, return (weight, post env).
 
     This is the coupling-strength-agnostic variant of the protocol: it does
     not collapse the environment to |0> but suppresses its |1> population
-    geometrically round by round.
+    geometrically: each round multiplies the ratio p1/p0 by cos^2(phi/2).
     """
     if rho_e.dim != 2:
         raise ValueError("environment must be a single qubit")

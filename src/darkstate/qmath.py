@@ -4,7 +4,7 @@ States and operators are immutable, validated wrappers around dense numpy
 arrays.  A single ordering convention is used throughout the package: the
 leftmost tensor factor owns the most significant bit of a computational
 basis index, so the two-qubit basis state ``|10>`` has index 2 and
-``tensor(a, b)`` places ``a`` on the high bits.
+``np.kron(a, b)`` places ``a`` on the high bits.
 
 Registers are tiny (at most 8 qubits), so everything is dense and every
 eigenproblem goes through a plain Hermitian solver.
@@ -13,15 +13,13 @@ eigenproblem goes through a plain Hermitian solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 NORM_TOL = 1e-12
 HERM_TOL = 1e-12
-TRACE_TOL = 1e-12
 NEG_EIG_TOL = 1e-10
 UNITARY_TOL = 1e-12
 
@@ -54,10 +52,6 @@ class InvalidStateError(ValueError):
 
 class DimensionMismatchError(ValueError):
     """Operands act on registers of incompatible dimension."""
-
-
-class KindMismatchError(TypeError):
-    """Binary operation applied to operands of different kinds."""
 
 
 def _qubit_count(dim: int) -> int:
@@ -94,7 +88,7 @@ class PureState:
     """Normalized state vector of an ``n``-qubit register."""
 
     amplitudes: np.ndarray
-    n: int = 0
+    n: int = field(init=False)
 
     def __post_init__(self):
         amps = _freeze(np.asarray(self.amplitudes).ravel())
@@ -107,20 +101,9 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "n", n)
 
-    @classmethod
-    def from_label(cls, labels: str | Sequence[str]) -> "PureState":
-        """Product state from per-qubit labels, e.g. ``"+"`` or ``("0", "L")``."""
-        kets = [ket(lab) for lab in labels]
-        if not kets:
-            raise InvalidStateError("empty label sequence")
-        return cls(reduce(np.kron, kets))
-
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +111,7 @@ class DensityMatrix:
     """Trace-one positive operator on an ``n``-qubit register."""
 
     matrix: np.ndarray
-    n: int = 0
+    n: int = field(init=False)
 
     def __post_init__(self):
         mat = _freeze(np.asarray(self.matrix))
@@ -138,15 +121,6 @@ class DensityMatrix:
         _check_states(mat[None], np.linalg.eigvalsh(mat)[None])
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "n", n)
-
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "DensityMatrix":
-        d = 2**n
-        return cls(np.eye(d, dtype=complex) / d)
-
-    @classmethod
-    def from_label(cls, labels: str | Sequence[str]) -> "DensityMatrix":
-        return PureState.from_label(labels).to_density()
 
     @property
     def dim(self) -> int:
@@ -162,7 +136,7 @@ class OperatorMatrix:
     """
 
     matrix: np.ndarray
-    n: int = 0
+    n: int = field(init=False)
     unitary: bool = False
 
     def __post_init__(self):
@@ -172,18 +146,10 @@ class OperatorMatrix:
         n = _qubit_count(mat.shape[0])
         if self.unitary:
             defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-            if defect > max(UNITARY_TOL, 1e-12):
+            if defect > UNITARY_TOL:
                 raise InvalidStateError(f"operator flagged unitary has defect {defect}")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "n", n)
-
-    @classmethod
-    def identity(cls, n: int) -> "OperatorMatrix":
-        return cls(np.eye(2**n, dtype=complex), unitary=True)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def ket(label: str) -> np.ndarray:
@@ -204,20 +170,6 @@ def projector(vec: np.ndarray) -> np.ndarray:
     """|v><v| for a ket given as a 1-d array."""
     v = np.asarray(vec, dtype=complex).ravel()
     return np.outer(v, v.conj())
-
-
-def tensor(a, b):
-    """Kronecker product of two same-kind objects.
-
-    The left operand becomes the most significant qubits of the result.
-    """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.matrix, b.matrix))
-    if isinstance(a, OperatorMatrix) and isinstance(b, OperatorMatrix):
-        return OperatorMatrix(np.kron(a.matrix, b.matrix), unitary=a.unitary and b.unitary)
-    raise KindMismatchError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
 
 
 def partial_trace_array(mat: np.ndarray, n: int, keep: Iterable[int]) -> np.ndarray:
@@ -300,11 +252,6 @@ def state_fidelity(rho: DensityMatrix, psi: PureState) -> float:
     if abs(val.imag) > 1e-10:
         raise InvalidStateError(f"fidelity has imaginary part {val.imag}")
     return float(val.real)
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr[rho^2]."""
-    return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
 def binary_entropy(x):

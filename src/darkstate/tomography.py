@@ -269,7 +269,7 @@ def _check_complete(idx: np.ndarray, grid: np.ndarray, frames: Sequence[np.ndarr
 
 
 def _mle(settings: Sequence[MeasurementSetting], process: bool, counts,
-         tol: float, max_iters: int) -> np.ndarray:
+         max_iters: int) -> np.ndarray:
     """Maximum-likelihood estimates for the rows of ``counts`` (shape (B, N)).
 
     Returns the (B, d, d) estimates, each row solved on its own: it equals its
@@ -291,12 +291,11 @@ def _mle(settings: Sequence[MeasurementSetting], process: bool, counts,
     np.add.at(grid_counts, (slice(None), grid), counts)
     if len(frames) == 1:   # a process has at least two qubits on the grid
         return _qubit_mle(grid_counts)
-    return _rrr(grid_counts, frames, tol, max_iters)
+    return _rrr(grid_counts, frames, max_iters)
 
 
-def _rrr(grid_counts: np.ndarray, frames: Sequence[np.ndarray], tol: float,
-         max_iters: int) -> np.ndarray:
-    """Batched R-rho-R on (B, 6^m) grid counts; a row stops once its max |delta rho| < tol."""
+def _rrr(grid_counts: np.ndarray, frames: Sequence[np.ndarray], max_iters: int) -> np.ndarray:
+    """Batched R-rho-R on (B, 6^m) grid counts; a row stops once its max |delta rho| < MLE_TOL."""
     b, d = len(grid_counts), 2 ** len(frames)
     eye = np.eye(d, dtype=complex)
     out = np.tile(eye / d, (b, 1, 1))
@@ -314,12 +313,12 @@ def _rrr(grid_counts: np.ndarray, frames: Sequence[np.ndarray], tol: float,
         traces[traces <= 0.0] = 1.0
         new /= traces[:, None, None]
         delta = np.abs(new - rho).max(axis=(1, 2))
-        done = delta < tol
+        done = delta < MLE_TOL
         out[rows[done]] = new[done]
         rows, counts, rho, delta = (x[~done] for x in (rows, counts, new, delta))
     if len(rows):
         warnings.warn(f"R-rho-R stopped at max_iters = {max_iters} (d = {d}, "
-                      f"B = {b}): final delta {delta.max():.3g} >= tol {tol:g} "
+                      f"B = {b}): final delta {delta.max():.3g} >= tol {MLE_TOL:g} "
                       f"in {len(rows)} of {b} rows", MLEConvergenceWarning, stacklevel=4)
         out[rows] = rho
     return out
@@ -415,20 +414,20 @@ def _sphere_mle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def mle_state(settings: Sequence[MeasurementSetting], counts,
-              tol: float = MLE_TOL, max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
+              max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
     """Maximum-likelihood states from counts of shape (B, N); returns (B, d, d).
 
-    Single-qubit settings are solved exactly; ``tol`` and ``max_iters`` bound
-    the R-rho-R iteration of larger states, each row on its own (see ``_mle``).
+    Single-qubit settings are solved exactly; ``max_iters`` bounds the R-rho-R
+    iteration of larger states, each row on its own (see ``_mle``).
     """
-    return _mle(settings, False, counts, tol, max_iters)
+    return _mle(settings, False, counts, max_iters)
 
 
 def mle_process(settings: Sequence[MeasurementSetting], counts,
-                tol: float = MLE_TOL, max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
+                max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
     """Maximum-likelihood Choi matrices (trace free) from counts of shape (B, N);
     each row by its own R-rho-R run (see ``_mle``)."""
-    return _mle(settings, True, counts, tol, max_iters)
+    return _mle(settings, True, counts, max_iters)
 
 
 def channel_to_choi(operators, n: int | None = None) -> ProcessMatrix:

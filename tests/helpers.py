@@ -5,12 +5,22 @@ from typing import Iterable
 
 import numpy as np
 
-from darkstate.qmath import DensityMatrix, PureState, ket
+from darkstate.qmath import DensityMatrix, PureState, ket, projector
 
 
 def product_ket(labels: Iterable[str]) -> np.ndarray:
     """Product ket over several qubits, leftmost label most significant."""
     return reduce(np.kron, [ket(lab) for lab in labels])
+
+
+def product_density(labels: Iterable[str]) -> DensityMatrix:
+    """Pure product state as a density matrix, leftmost label most significant."""
+    return DensityMatrix(projector(product_ket(labels)))
+
+
+def purity(rho: DensityMatrix) -> float:
+    """Tr[rho^2]."""
+    return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> PureState:

@@ -239,6 +239,25 @@ def test_gate_mle_max_iters_must_be_positive(tmp_path, capsys):
     assert parse_config(None, ["gate_mle_max_iters=2"]).gate_mle_max_iters == 2
 
 
+@pytest.mark.parametrize("command", ["protocol", "reference", "channel"])
+@pytest.mark.parametrize("override,message", [
+    ("rate=1/0", "cannot evaluate '1/0': float division by zero"),
+    ("rate=1" + "0" * 400, "int too large to convert to float"),
+    ("rate=1e308*10", "rate inf must be finite and positive"),
+    ("noise.phase_jitter_std=1e308*10-1e308*10", "phase_jitter_std nan must be finite"),
+], ids=["zero-division", "int-overflow", "inf", "nan"])
+def test_nonfinite_numbers_are_config_errors(tmp_path, capsys, command, override, message):
+    assert main([command, "--set", override, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_duplicate_signal_states_are_config_errors(tmp_path, capsys):
+    # a sweep keys its fig5 samples by label, so a repeated label would drop one silently
+    assert main(["protocol", "--set", "signal_states=+,+", "--out", str(tmp_path / "o")]) == 2
+    assert "config error: signal_states ('+', '+') repeat a label" in capsys.readouterr().err
+
+
 def test_flags_override_config_and_set(tmp_path):
     cfg = write(tmp_path / "t.cfg", "seed = 4\nbootstrap_samples = 9\n")
     out = tmp_path / "o"
@@ -275,6 +294,14 @@ def test_selftest_single_criterion(capsys):
     out = capsys.readouterr().out
     assert "PASS  criterion 1" in out
     assert "PASS  criterion 4" in out
+
+
+@pytest.mark.parametrize("criteria", ["0,99", "abc", "1,x", ","])
+def test_selftest_rejects_unknown_criteria(capsys, criteria):
+    assert main(["selftest", "--criteria", criteria]) == 2
+    captured = capsys.readouterr()
+    assert "expected criterion numbers 1-10" in captured.err
+    assert "criteria passed" not in captured.out
 
 
 def test_selftest_reports_wall_time_per_criterion(capsys):

@@ -16,6 +16,7 @@ from darkstate.experiments import (
     _env_matrix,
     _gate_choi,
     _marginal_counts,
+    _protocol_point,
     _sample,
     _sector_damp,
     channel_choi_from_outputs,
@@ -178,6 +179,11 @@ def test_noise_params_validation():
         NoiseParams(gate_depolarizing=-0.1)
     with pytest.raises(ValueError):
         NoiseParams(phase_jitter_std=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            NoiseParams(phase_jitter_std=bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            ScenarioConfig(rate=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +338,24 @@ def test_protocol_rejects_zero_phi():
     cfg = ScenarioConfig(mode="protocol", phi_grid=(0.0, math.pi), **ANALYTIC)
     with pytest.raises(DegenerateCouplingError):
         run_protocol_sweep(cfg)
+
+
+@pytest.mark.parametrize("phi", [1e-7, 2.0 * math.pi - 1e-7])
+@pytest.mark.parametrize("shot_noise", [False, True])
+def test_protocol_near_zero_coupling_never_heralds(phi, shot_noise):
+    # the success weight here (~1e-15) is below project's roundoff floor, so
+    # the branch is dropped and counts as no herald, not as a trace-0 state
+    cfg = ScenarioConfig(mode="protocol", phi_grid=(phi,), shot_noise=shot_noise,
+                         bootstrap_samples=0)
+    with pytest.raises(DegenerateCouplingError, match="herald never fires"):
+        run_protocol_sweep(cfg)
+
+
+@pytest.mark.parametrize("phi", [1e-7, 2.0 * math.pi - 1e-7])
+def test_herald_error_keeps_failure_branch_near_zero_coupling(phi):
+    rho_se, weight = _protocol_point(phi, "+", np.eye(2) / 2, NoiseParams(herald_error=0.1))
+    assert weight == pytest.approx(0.1, rel=1e-9)   # the failure branch has weight ~1
+    assert DensityMatrix(rho_se).n == 2             # a trace-one state
 
 
 def test_mode_mismatch_rejected():

@@ -8,7 +8,6 @@ from darkstate.qmath import (
     DensityMatrix,
     DimensionMismatchError,
     InvalidStateError,
-    KindMismatchError,
     OperatorMatrix,
     PAULI,
     PureState,
@@ -21,17 +20,22 @@ from darkstate.qmath import (
     partial_trace,
     partial_trace_array,
     projector,
-    purity,
     state_fidelity,
-    tensor,
 )
-from helpers import product_ket, random_density_matrix, random_pure_state
+from helpers import product_density, purity, random_density_matrix, random_pure_state
 
 COS_PI_4 = math.cos(math.pi / 4.0)
 
 
-def bell_state() -> PureState:
-    return PureState(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
+def bell_state() -> DensityMatrix:
+    return DensityMatrix(projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0)))
+
+
+def pure_density(psi: PureState) -> DensityMatrix:
+    return DensityMatrix(projector(psi.amplitudes))
+
+
+MIXED = DensityMatrix(np.eye(2) / 2)
 
 
 def cp_gate(phi: float) -> np.ndarray:
@@ -39,47 +43,11 @@ def cp_gate(phi: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tensor
-
-
-def test_tensor_identity_operators():
-    eye = OperatorMatrix.identity(1)
-    out = tensor(eye, eye)
-    np.testing.assert_allclose(out.matrix, np.eye(4), atol=1e-15)
-    assert out.n == 2 and out.unitary
-
-
-def test_tensor_basis_kets():
-    out = tensor(PureState(ket("0")), PureState(ket("1")))
-    np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0], atol=1e-15)
-
-
-def test_tensor_zz_eigenvector():
-    zz = tensor(OperatorMatrix(PAULI["z"], unitary=True), OperatorMatrix(PAULI["z"], unitary=True))
-    v11 = product_ket("11")
-    np.testing.assert_allclose(zz.matrix @ v11, v11, atol=1e-15)
-
-
-def test_tensor_kind_mismatch():
-    with pytest.raises(KindMismatchError):
-        tensor(PureState(ket("0")), DensityMatrix.maximally_mixed(1))
-
-
-def test_tensor_associativity_and_dims():
-    rng = np.random.default_rng(0)
-    a, b, c = (random_pure_state(1, rng) for _ in range(3))
-    left = tensor(tensor(a, b), c)
-    right = tensor(a, tensor(b, c))
-    np.testing.assert_allclose(left.amplitudes, right.amplitudes, atol=1e-14)
-    assert left.dim == a.dim * b.dim * c.dim
-
-
-# ---------------------------------------------------------------------------
 # partial trace
 
 
 def test_partial_trace_bell_marginals():
-    rho = bell_state().to_density()
+    rho = bell_state()
     for keep in ((0,), (1,)):
         np.testing.assert_allclose(partial_trace(rho, keep).matrix, np.eye(2) / 2, atol=1e-14)
 
@@ -89,7 +57,7 @@ def test_partial_trace_product_factorization():
     for _ in range(5):
         rho_a = random_density_matrix(1, rng)
         rho_b = random_density_matrix(1, rng)
-        joint = tensor(rho_a, rho_b)
+        joint = DensityMatrix(np.kron(rho_a.matrix, rho_b.matrix))
         np.testing.assert_allclose(partial_trace(joint, (0,)).matrix, rho_a.matrix, atol=1e-12)
         np.testing.assert_allclose(partial_trace(joint, (1,)).matrix, rho_b.matrix, atol=1e-12)
 
@@ -120,8 +88,8 @@ def test_partial_trace_keep_order_and_errors():
 
 def test_state_fidelity_trivial_cases():
     plus = PureState(ket("+"))
-    assert state_fidelity(plus.to_density(), plus) == pytest.approx(1.0, abs=1e-14)
-    assert state_fidelity(DensityMatrix.maximally_mixed(1), plus) == pytest.approx(0.5, abs=1e-14)
+    assert state_fidelity(pure_density(plus), plus) == pytest.approx(1.0, abs=1e-14)
+    assert state_fidelity(MIXED, plus) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_dephased_plus_fidelity_and_purity():
@@ -136,12 +104,12 @@ def test_dephased_plus_fidelity_and_purity():
 
 def test_fidelity_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        state_fidelity(DensityMatrix.maximally_mixed(2), PureState(ket("0")))
+        state_fidelity(DensityMatrix(np.eye(4) / 4), PureState(ket("0")))
 
 
 def test_purity_bounds():
-    assert purity(bell_state().to_density()) == pytest.approx(1.0, abs=1e-12)
-    assert purity(DensityMatrix.maximally_mixed(1)) == pytest.approx(0.5, abs=1e-14)
+    assert purity(bell_state()) == pytest.approx(1.0, abs=1e-12)
+    assert purity(MIXED) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_purity_one_implies_pure():
@@ -150,7 +118,7 @@ def test_purity_one_implies_pure():
         rho = random_density_matrix(2, rng, rank=rng.integers(1, 5))
         if abs(purity(rho) - 1.0) < 1e-10:
             assert np.linalg.eigvalsh(rho.matrix).max() > 1.0 - 1e-8
-    pure = random_pure_state(2, rng).to_density()
+    pure = pure_density(random_pure_state(2, rng))
     assert abs(purity(pure) - 1.0) < 1e-10
     assert np.linalg.eigvalsh(pure.matrix).max() > 1.0 - 1e-8
 
@@ -173,13 +141,13 @@ def test_metrics_unitary_invariance():
 
 
 def test_concurrence_bell():
-    rho = bell_state().to_density()
+    rho = bell_state()
     assert concurrence(rho) == pytest.approx(1.0, abs=1e-12)
     assert entanglement_of_formation(rho) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_concurrence_product_state():
-    rho = tensor(DensityMatrix.from_label("+"), DensityMatrix.from_label("0"))
+    rho = product_density("+0")
     assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
     assert entanglement_of_formation(rho) == pytest.approx(0.0, abs=1e-12)
 
@@ -200,32 +168,32 @@ def test_ef_matches_entropy_of_entanglement_for_pure_states():
     rng = np.random.default_rng(5)
     for _ in range(25):
         psi = random_pure_state(2, rng)
-        reduced = partial_trace(psi.to_density(), (0,)).matrix
+        reduced = partial_trace(pure_density(psi), (0,)).matrix
         evals = np.linalg.eigvalsh(reduced)
         evals = evals[evals > 1e-15]
         entropy = float(-(evals * np.log2(evals)).sum())
-        assert entanglement_of_formation(psi.to_density()) == pytest.approx(entropy, abs=1e-9)
+        assert entanglement_of_formation(pure_density(psi)) == pytest.approx(entropy, abs=1e-9)
 
 
 def test_concurrence_dimension_error():
     with pytest.raises(DimensionMismatchError):
-        concurrence(DensityMatrix.maximally_mixed(1))
+        concurrence(MIXED)
     with pytest.raises(DimensionMismatchError):
         concurrence(np.zeros((2, 3, 2, 2)))
 
 
 def werner(p: float) -> np.ndarray:
     """p |Phi+><Phi+| + (1 - p) I / 4; entangled exactly for p > 1/3."""
-    return p * bell_state().to_density().matrix + (1.0 - p) * np.eye(4) / 4.0
+    return p * bell_state().matrix + (1.0 - p) * np.eye(4) / 4.0
 
 
 def two_qubit_stack() -> np.ndarray:
     rng = np.random.default_rng(60)
     # near-pure: the 1e-15 admixture sits below the 1e-13 eigenvalue floor
-    floored = (1.0 - 1e-15) * bell_state().to_density().matrix + 1e-15 * np.diag([0, 1, 0, 0])
+    floored = (1.0 - 1e-15) * bell_state().matrix + 1e-15 * np.diag([0, 1, 0, 0])
     return np.stack([
-        bell_state().to_density().matrix,
-        tensor(DensityMatrix.from_label("+"), DensityMatrix.from_label("0")).matrix,
+        bell_state().matrix,
+        product_density("+0").matrix,
         werner(1.0 / 3.0 - 1e-6), werner(1.0 / 3.0 + 1e-6),
         *(random_density_matrix(2, rng, rank=r).matrix for r in (1, 1, 2, 2, 4, 4)),
         floored])

@@ -33,7 +33,7 @@ from darkstate.tomography import (
 )
 from darkstate import tomography
 from darkstate.tomography import _born, _check_complete, _grid, _rrr, _weighted_projectors
-from helpers import product_ket, random_density_matrix
+from helpers import product_density, product_ket, random_density_matrix
 
 PHI_PLUS = projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
 
@@ -116,7 +116,7 @@ def test_setting_validation():
 
 def test_simulate_counts_orthogonal_projection_is_silent():
     settings = (MeasurementSetting((), ("1",)),)
-    counts = simulate_counts(settings, DensityMatrix.from_label("0"), rate=1e5, seed=0)
+    counts = simulate_counts(settings, product_density("0"), rate=1e5, seed=0)
     assert counts.shape == (1,)
     assert counts[0] == 0
 
@@ -124,7 +124,7 @@ def test_simulate_counts_orthogonal_projection_is_silent():
 def test_simulate_counts_mixed_state_mean():
     # projections of I/2 fire at half the rate: empirical mean near 150
     settings = (MeasurementSetting((), ("+",)),)
-    rho = DensityMatrix.maximally_mixed(1)
+    rho = DensityMatrix(np.eye(2) / 2)
     draws = np.array([simulate_counts(settings, rho, rate=300.0, seed=s)[0]
                       for s in range(1000)])
     assert abs(draws.mean() - 150.0) < 5.0 * math.sqrt(150.0 / 1000.0)
@@ -133,7 +133,7 @@ def test_simulate_counts_mixed_state_mean():
 def test_simulate_counts_basis_completeness():
     # the two outcomes of one basis together see every photon
     settings = (MeasurementSetting((), ("+",)), MeasurementSetting((), ("-",)))
-    rho = DensityMatrix.from_label("L")
+    rho = product_density("L")
     totals = np.array([simulate_counts(settings, rho, rate=200.0, seed=s).sum()
                        for s in range(500)])
     assert abs(totals.mean() - 200.0) < 5.0 * math.sqrt(200.0 / 500.0)
@@ -141,7 +141,7 @@ def test_simulate_counts_basis_completeness():
 
 def test_simulate_counts_deterministic():
     settings = build_state_settings(1)
-    rho = DensityMatrix.from_label("L")
+    rho = product_density("L")
     a = simulate_counts(settings, rho, rate=300.0, seed=42)
     b = simulate_counts(settings, rho, rate=300.0, seed=42)
     np.testing.assert_array_equal(a, b)
@@ -158,7 +158,7 @@ def test_mle_state_noiseless_plus():
 
 def test_mle_state_statistical_convergence():
     settings = build_state_settings(1)
-    counts = simulate_counts(settings, DensityMatrix.maximally_mixed(1), rate=1e6, seed=7)
+    counts = simulate_counts(settings, DensityMatrix(np.eye(2) / 2), rate=1e6, seed=7)
     rho_hat = state_estimate(settings, counts)
     diff = rho_hat.matrix - np.eye(2) / 2
     trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
@@ -181,7 +181,7 @@ def test_mle_process_likelihood_monotone():
 
 def test_mle_state_output_is_physical():
     settings = build_state_settings(1)
-    counts = simulate_counts(settings, DensityMatrix.from_label("R"), rate=100.0, seed=3)
+    counts = simulate_counts(settings, product_density("R"), rate=100.0, seed=3)
     rho_hat = mle_state(settings, counts[None, :])
     assert rho_hat.shape == (1, 2, 2)
     DensityMatrix(rho_hat[0])   # construction enforces the invariants
@@ -225,7 +225,7 @@ def test_mle_zero_total_tomogram_raises():
 def test_mle_zero_total_replica_is_maximally_mixed():
     # the exact qubit solution (d = 2) and the R-rho-R iteration (d = 4)
     for settings, mat, estimate in (
-            (build_state_settings(1), DensityMatrix.from_label("+"), mle_state),
+            (build_state_settings(1), product_density("+"), mle_state),
             (build_process_settings(1), rotation_choi(0.4), mle_process)):
         counts = simulate_counts(settings, mat, rate=300.0, seed=12)
         batch = estimate(settings, np.stack([counts, np.zeros(len(counts)), counts]))
@@ -317,7 +317,7 @@ def test_qubit_mle_interior_is_linear_inversion():
 
 
 def test_qubit_mle_boundary_is_pure_and_stationary():
-    counts = simulate_counts(SIX, DensityMatrix.from_label("L"), rate=300.0, seed=3)
+    counts = simulate_counts(SIX, product_density("L"), rate=300.0, seed=3)
     u, v = counts[0::2], counts[1::2]
     assert (((u - v) / (u + v)) ** 2).sum() > 1.0   # linear inversion lies outside the ball
     rho = mle_state(SIX, counts[None, :])[0]
@@ -330,7 +330,7 @@ def test_qubit_mle_beats_random_search():
     rng = np.random.default_rng(50)
     search = ball_search(200_000, rng)
     for seed in range(6):
-        state = random_density_matrix(1, rng) if seed % 2 else DensityMatrix.from_label(
+        state = random_density_matrix(1, rng) if seed % 2 else product_density(
             BASIS_LABELS[seed])
         counts = simulate_counts(SIX, state, rate=100.0, seed=seed)
         a = bloch_vector(mle_state(SIX, counts[None, :])[0])
@@ -361,7 +361,7 @@ def test_qubit_mle_partial_permuted_and_duplicated_settings():
     assert np.abs(rrr_step(partial, counts, rho) - rho).max() <= 1e-12
     best = bloch_log_likelihood(partial, counts, ball_search(200_000, np.random.default_rng(52)))
     assert bloch_log_likelihood(partial, counts, bloch_vector(rho)[None, :])[0] >= best.max() - 1e-12
-    full = simulate_counts(SIX, DensityMatrix.from_label("+"), rate=300.0, seed=8)
+    full = simulate_counts(SIX, product_density("+"), rate=300.0, seed=8)
     reference = mle_state(SIX, full[None, :])
     order = [4, 1, 5, 0, 3, 2]
     np.testing.assert_array_equal(
@@ -375,7 +375,7 @@ def test_qubit_mle_batch_rows_match_single_calls():
     rng = np.random.default_rng(53)
     rows = [simulate_counts(SIX, random_density_matrix(1, rng), rate=300.0, seed=s)
             for s in range(4)]
-    rows += [simulate_counts(SIX, DensityMatrix.from_label(lab), rate=r, seed=9)
+    rows += [simulate_counts(SIX, product_density(lab), rate=r, seed=9)
              for lab in BASIS_LABELS for r in (30.0, 3000.0)]
     rows += [np.array([30.0, 0.0, 0.0, 0.0, 12.0, 5.0]), np.zeros(6)]
     batch = mle_state(SIX, np.array(rows, dtype=float))
@@ -384,8 +384,8 @@ def test_qubit_mle_batch_rows_match_single_calls():
     np.testing.assert_array_equal(batch[-1], np.eye(2) / 2)
 
 
-def test_qubit_mle_agrees_with_rrr():
-    # the R-rho-R iteration on the six-state grid is the reference
+def test_qubit_mle_agrees_with_rrr(monkeypatch):
+    # the R-rho-R iteration on the six-state grid, run to a tighter tolerance, is the reference
     rng = np.random.default_rng(54)
     states = [random_density_matrix(1, rng) for _ in range(10)]
     states += [DensityMatrix(w * projector(ket(lab)) + (1.0 - w) * np.eye(2) / 2)
@@ -395,7 +395,8 @@ def test_qubit_mle_agrees_with_rrr():
     u, v = counts[:, 0::2], counts[:, 1::2]
     assert (((u - v) / (u + v)) ** 2).sum(axis=1).max() > 1.0   # some on the sphere
     exact = mle_state(SIX, counts)
-    iterated = _rrr(counts, _grid(SIX, False)[2], 1e-13, 200_000)
+    monkeypatch.setattr(tomography, "MLE_TOL", 1e-13)
+    iterated = _rrr(counts, _grid(SIX, False)[2], 200_000)
     assert np.abs(exact - iterated).max() <= 1e-9
     for c, e, i in zip(counts, exact, iterated):
         assert log_likelihood(SIX, c, e) >= log_likelihood(SIX, c, i) - 1e-9
@@ -403,7 +404,7 @@ def test_qubit_mle_agrees_with_rrr():
 
 def test_qubit_sphere_solve_cap_warns(monkeypatch):
     monkeypatch.setattr(tomography, "_SPHERE_MAX_ITERS", 1)
-    counts = simulate_counts(SIX, DensityMatrix.from_label("L"), rate=300.0, seed=3)
+    counts = simulate_counts(SIX, product_density("L"), rate=300.0, seed=3)
     with pytest.warns(MLEConvergenceWarning, match="sphere solve stopped at 1 iterations"):
         rho = mle_state(SIX, counts[None, :])[0]
     assert np.linalg.norm(bloch_vector(rho)) == pytest.approx(1.0, abs=1e-14)
@@ -528,7 +529,7 @@ def test_mle_process_cz_end_to_end():
 
 def test_mle_process_requires_preparations():
     settings = build_state_settings(1)
-    counts = simulate_counts(settings, DensityMatrix.maximally_mixed(1), rate=100.0, seed=0)
+    counts = simulate_counts(settings, DensityMatrix(np.eye(2) / 2), rate=100.0, seed=0)
     with pytest.raises(ValueError):
         mle_process(settings, counts[None, :])
     with pytest.raises(ValueError):
