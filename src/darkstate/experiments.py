@@ -136,6 +136,8 @@ class ScenarioConfig:
             for p in grid:
                 if not (0.0 <= p < 2.0 * math.pi):
                     raise ValueError(f"grid value {p} outside [0, 2*pi)")
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"phi_grid {grid} repeats a value")
             object.__setattr__(self, "phi_grid", grid)
 
     def resolved_grid(self) -> tuple[float, ...]:

@@ -135,9 +135,12 @@ def _label_index(settings: Sequence[MeasurementSetting], process: bool
             raise ValueError("state setting carries preparation labels")
     if len({(len(s.preparation), len(s.projection)) for s in settings}) != 1:
         raise ValueError("settings act on different numbers of qubits")
-    idx = np.array([[_LABEL_ROW[lab] for lab in (*s.preparation, *s.projection)]
-                    for s in settings])
-    return idx, len(settings[0].preparation)
+    n_in = len(settings[0].preparation)
+    m = n_in + len(settings[0].projection)
+    flat = np.fromiter((_LABEL_ROW[lab] for s in settings
+                        for lab in (*s.preparation, *s.projection)),
+                       dtype=int, count=len(settings) * m)
+    return flat.reshape(len(settings), m), n_in
 
 
 def _grid(settings: Sequence[MeasurementSetting], process: bool
@@ -179,6 +182,10 @@ def setting_kets(settings: Sequence[MeasurementSetting], process: bool) -> np.nd
     return kets
 
 
+# rows of the dense ket table held at once: 1296 kets of d = 64 are about 1.3 MB
+_BORN_BLOCK = 1296
+
+
 def simulate_counts(settings: Sequence[MeasurementSetting],
                     M: DensityMatrix | ProcessMatrix | np.ndarray,
                     rate: float, seed) -> np.ndarray:
@@ -192,12 +199,21 @@ def simulate_counts(settings: Sequence[MeasurementSetting],
     if rate <= 0.0:
         raise ValueError("rate must be positive")
     settings = tuple(settings)
+    if not settings:
+        raise ValueError("settings must be nonempty")
+    # the blocks below check their settings one block at a time
+    shapes = {(len(s.preparation), len(s.projection)) for s in settings}
+    if len(shapes) != 1:
+        raise ValueError("settings act on different numbers of qubits")
+    n_in, n_out = shapes.pop()
     mat = M.matrix if isinstance(M, DensityMatrix) else _chi_array(M)
-    kets = setting_kets(settings, process=any(s.preparation for s in settings))
-    if kets.shape[1] != mat.shape[0]:
+    if 2 ** (n_in + n_out) != mat.shape[0]:
         raise ValueError("setting dimension does not match the matrix dimension")
-    probs = np.einsum("ne,ne->n", kets.conj() @ mat, kets).real.clip(0.0, None)
-    means = rate * 2 ** len(settings[0].preparation) * probs
+    probs = np.empty(len(settings))
+    for a in range(0, len(settings), _BORN_BLOCK):
+        kets = setting_kets(settings[a:a + _BORN_BLOCK], process=n_in > 0)
+        probs[a:a + _BORN_BLOCK] = np.einsum("ne,ne->n", kets.conj() @ mat, kets).real
+    means = rate * 2 ** n_in * probs.clip(0.0, None)
     rng = np.random.default_rng(seed)
     return rng.poisson(means).astype(float)
 

@@ -258,6 +258,14 @@ def test_duplicate_signal_states_are_config_errors(tmp_path, capsys):
     assert "config error: signal_states ('+', '+') repeat a label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["protocol", "gate-tomo"])
+def test_duplicate_phi_grid_values_are_config_errors(tmp_path, capsys, command):
+    # each grid index draws its own counts, so a repeated phi would write two rows for one point
+    assert main([command, "--set", "phi_grid=pi/2,pi/2", "--out", str(tmp_path / "o")]) == 2
+    assert "config error: phi_grid (1.5707963267948966, 1.5707963267948966) repeats a value" \
+        in capsys.readouterr().err
+
+
 def test_flags_override_config_and_set(tmp_path):
     cfg = write(tmp_path / "t.cfg", "seed = 4\nbootstrap_samples = 9\n")
     out = tmp_path / "o"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from darkstate.tomography import (
     simulate_counts,
 )
 from darkstate import tomography
+from darkstate.experiments import NoiseParams, _gate_choi
 from darkstate.tomography import _born, _check_complete, _grid, _rrr, _weighted_projectors
 from helpers import product_density, product_ket, random_density_matrix
 
@@ -603,6 +605,53 @@ def test_choi_composition_consistency(monkeypatch):
         expected.append(np.real(proj.conj() @ rot @ mid @ rot.conj().T @ proj))
     got = count_means(monkeypatch, settings, channel_to_choi(composed, n=1), 1.0)
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def gate_settings():
+    return build_process_settings(3)
+
+
+@pytest.mark.parametrize("phi", [math.pi, math.pi / 8])
+@pytest.mark.parametrize("noise", [NoiseParams(),
+                                   NoiseParams(gate_depolarizing=0.05, phase_jitter_std=0.2)],
+                         ids=["noiseless", "noisy"])
+def test_simulate_counts_blocks_match_one_shot(monkeypatch, gate_settings, phi, noise):
+    # the exact-zero means decide which Poisson draws take randomness, so the
+    # blocked Born rule must equal the whole-table formula bit for bit
+    chi = _gate_choi(phi, noise)
+    kets = setting_kets(gate_settings, process=True)
+    one_shot = 300.0 * 2**3 * np.einsum("ne,ne->n", kets.conj() @ chi, kets).real.clip(0.0, None)
+    assert len(gate_settings) > tomography._BORN_BLOCK
+    assert np.array_equal(simulate_counts(gate_settings, chi, 300.0, seed=11),
+                          np.random.default_rng(11).poisson(one_shot))
+    means = count_means(monkeypatch, gate_settings, chi, 300.0)
+    assert np.array_equal(means, one_shot)   # so the exact zeros match too
+    if phi == math.pi and noise == NoiseParams():
+        assert (means == 0.0).sum() == 15128
+
+
+def test_simulate_counts_memory_stays_blocked(gate_settings):
+    # the whole 46 656 x 64 ket table, its conjugate and their product would take > 100 MB
+    chi = _gate_choi(math.pi, NoiseParams())
+    tracemalloc.start()
+    try:
+        simulate_counts(gate_settings, chi, 300.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_simulate_counts_validates_across_blocks():
+    # each block alone is uniform and gives 8-dim kets; only the whole list mixes splits
+    block = tomography._BORN_BLOCK
+    settings = ([MeasurementSetting(("0", "1"), ("+",))] * block
+                + [MeasurementSetting(("0",), ("1", "+"))] * block)
+    with pytest.raises(ValueError, match="settings act on different numbers of qubits"):
+        simulate_counts(settings, np.eye(8, dtype=complex), 100.0, seed=0)
+    with pytest.raises(ValueError, match="setting dimension does not match the matrix dimension"):
+        simulate_counts(build_state_settings(2), DensityMatrix(np.eye(2) / 2), 100.0, seed=0)
 
 
 # ---------------------------------------------------------------------------
