@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
 import math
 import sys
 
@@ -25,14 +24,6 @@ from .qmath import BASIS_LABELS
 
 class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration input."""
-
-
-_NOISE_KEYS = ("noise.herald_error", "noise.gate_depolarizing", "noise.phase_jitter_std")
-_KNOWN_KEYS = (
-    "mode", "phi_grid", "env_state", "signal_states", "rate", "seed",
-    "bootstrap_samples", "shot_noise", "gate_bootstrap_samples",
-    "gate_mle_max_iters", *_NOISE_KEYS,
-)
 
 
 def _eval_number(text: str) -> float:
@@ -69,20 +60,43 @@ def _eval_number(text: str) -> float:
         raise ConfigError(f"cannot evaluate {text!r}: {exc}") from exc
 
 
-def _parse_bool(text: str, key: str) -> bool:
+def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"key {key}: expected a boolean, got {text!r}")
+    raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int(text: str, key: str) -> int:
+def _parse_int(text: str) -> int:
     try:
         return int(text.strip())
     except ValueError as exc:
-        raise ConfigError(f"key {key}: expected an integer, got {text!r}") from exc
+        raise ConfigError(f"expected an integer, got {text!r}") from exc
+
+
+def _parts(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+# every config key and its parser; ``noise.*`` keys go to NoiseParams, the rest to ScenarioConfig
+_PARSERS = {
+    "mode": str.strip,
+    "phi_grid": lambda text: (None if text.strip() == "default"
+                              else tuple(_eval_number(part) for part in _parts(text))),
+    "env_state": str.strip,
+    "signal_states": lambda text: tuple(_parts(text)),
+    "rate": _eval_number,
+    "seed": _parse_int,
+    "bootstrap_samples": _parse_int,
+    "shot_noise": _parse_bool,
+    "gate_bootstrap_samples": _parse_int,
+    "gate_mle_max_iters": _parse_int,
+    "noise.herald_error": _eval_number,
+    "noise.gate_depolarizing": _eval_number,
+    "noise.phase_jitter_std": _eval_number,
+}
 
 
 def read_config_entries(path: str) -> dict[str, tuple[str, int]]:
@@ -107,10 +121,7 @@ def read_config_entries(path: str) -> dict[str, tuple[str, int]]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        full = f"{section}.{key}" if section else key
-        if full not in _KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {full!r}")
-        entries[full] = (value, lineno)
+        entries[f"{section}.{key}" if section else key] = (value, lineno)
     return entries
 
 
@@ -124,30 +135,14 @@ def build_config(entries: dict[str, tuple[str, int]], source: str = "") -> Scena
     kwargs: dict = {}
     noise_kwargs: dict = {}
     for key, (text, _line) in entries.items():
+        if key not in _PARSERS:
+            raise ConfigError(f"{where(key)}unknown key {key!r}")
         try:
-            if key == "mode":
-                kwargs["mode"] = text.strip()
-            elif key == "env_state":
-                kwargs["env_state"] = text.strip()
-            elif key == "phi_grid":
-                if text.strip() != "default":
-                    kwargs["phi_grid"] = tuple(_eval_number(part)
-                                               for part in text.split(",") if part.strip())
-            elif key == "signal_states":
-                kwargs["signal_states"] = tuple(part.strip() for part in text.split(",")
-                                                if part.strip())
-            elif key == "rate":
-                kwargs["rate"] = _eval_number(text)
-            elif key == "seed":
-                kwargs["seed"] = _parse_int(text, key)
-            elif key in ("bootstrap_samples", "gate_bootstrap_samples", "gate_mle_max_iters"):
-                kwargs[key] = _parse_int(text, key)
-            elif key == "shot_noise":
-                kwargs["shot_noise"] = _parse_bool(text, key)
-            elif key.startswith("noise."):
-                noise_kwargs[key.split(".", 1)[1]] = _eval_number(text)
+            value = _PARSERS[key](text)
         except ConfigError as exc:
-            raise ConfigError(f"{where(key)}{exc}") from exc
+            raise ConfigError(f"{where(key)}key {key}: {exc}") from exc
+        section, _, name = key.rpartition(".")
+        (noise_kwargs if section else kwargs)[name] = value
     try:
         kwargs["noise"] = NoiseParams(**noise_kwargs)
         return ScenarioConfig(**kwargs)
@@ -162,8 +157,6 @@ def parse_config(path: str | None, overrides: list[str] = ()) -> ScenarioConfig:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form KEY=VALUE")
         key, value = (part.strip() for part in item.split("=", 1))
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"override references unknown key {key!r}")
         entries[key] = (value, 0)
     return build_config(entries, source=path or "")
 
@@ -234,45 +227,41 @@ def _run_selftest(args) -> int:
     return 0 if failed == 0 else 1
 
 
+_COMMAND_MODES = {"protocol": "protocol", "reference": "reference", "gate-tomo": "gate_tomography"}
+
+
 def _dispatch(args) -> int:
     if args.command == "selftest":
         return _run_selftest(args)
 
+    # channel keeps the config's mode; the other commands set it
     flags = [f"{key}={value}" for key, value in (("seed", args.seed),
-                                                  ("bootstrap_samples", args.bootstrap))
+                                                  ("bootstrap_samples", args.bootstrap),
+                                                  ("mode", _COMMAND_MODES.get(args.command)))
              if value is not None]
     config = parse_config(args.config, [*args.overrides, *flags])
-
-    if args.command in ("protocol", "reference"):
-        config = dataclasses.replace(config, mode=args.command)
-        runner = run_protocol_sweep if args.command == "protocol" else run_reference_sweep
-        result = runner(config)
-        paths = write_scenario_csvs(result, args.out)
-        paths.append(write_manifest(config, args.command, args.out))
-        for line in _summarize_sweep(result):
-            print(line)
-    elif args.command == "channel":
+    channel = args.command == "channel"
+    if channel:
         if config.mode == "gate_tomography":
-            raise ValueError("channel analysis applies to protocol or reference sweeps")
+            raise ConfigError("channel analysis applies to protocol or reference sweeps")
         if set(config.signal_states) != set(BASIS_LABELS):
-            raise ValueError("channel analysis requires all six signal states")
-        runner = run_protocol_sweep if config.mode == "protocol" else run_reference_sweep
-        result = runner(config, figures=("fig5",))
-        paths = write_scenario_csvs(result, args.out)
-        paths.append(write_manifest(config, "channel", args.out))
-        for pp in result.phis:
-            print(f"phi={pp.phi:.4f}  E_f={pp.channel_ef.value:.4f}  "
-                  f"F={pp.channel_fidelity.value:.4f}")
-    else:  # gate-tomo
-        config = dataclasses.replace(config, mode="gate_tomography")
+            raise ConfigError("channel analysis requires all six signal states")
+
+    if args.command == "gate-tomo":
         result = run_gate_tomography(config, acknowledge_full_tomography=args.full_3q_tomo)
         paths = write_gate_csv(result, args.out)
-        paths.append(write_manifest(config, "gate-tomo", args.out))
-        for gp in result.gates:
-            print(f"phi={gp.phi:.4f}  F_CCP={gp.fidelity.value:.4f}  "
-                  f"P_CCP={gp.purity.value:.4f}")
-    for path in paths:
-        print(f"wrote {path}")
+        summary = [f"phi={gp.phi:.4f}  F_CCP={gp.fidelity.value:.4f}  "
+                   f"P_CCP={gp.purity.value:.4f}" for gp in result.gates]
+    else:
+        runner = run_protocol_sweep if config.mode == "protocol" else run_reference_sweep
+        result = runner(config, states=not channel)
+        paths = write_scenario_csvs(result, args.out)
+        summary = ([f"phi={pp.phi:.4f}  E_f={pp.channel_ef.value:.4f}  "
+                    f"F={pp.channel_fidelity.value:.4f}" for pp in result.phis]
+                   if channel else _summarize_sweep(result))
+    paths.append(write_manifest(config, args.command, args.out))
+    for line in [*summary, *(f"wrote {path}" for path in paths)]:
+        print(line)
     return 0
 
 

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -127,6 +127,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown env_state {self.env_state!r}")
         if self.bootstrap_samples < 0 or self.gate_bootstrap_samples < 0:
             raise ValueError("bootstrap sample counts must be nonnegative")
+        if 1 in (self.bootstrap_samples, self.gate_bootstrap_samples):
+            raise ValueError("a bootstrap needs at least 2 samples (0 runs none)")
         if self.gate_mle_max_iters < 1:
             raise ValueError("gate_mle_max_iters must be at least 1")
         if self.phi_grid is not None:
@@ -138,6 +140,8 @@ class ScenarioConfig:
                     raise ValueError(f"grid value {p} outside [0, 2*pi)")
             if len(set(grid)) != len(grid):
                 raise ValueError(f"phi_grid {grid} repeats a value")
+            if self.mode != "reference" and 0.0 in grid:
+                raise DegenerateCouplingError(f"phi = 0 cannot appear in a {self.mode} grid")
             object.__setattr__(self, "phi_grid", grid)
 
     def resolved_grid(self) -> tuple[float, ...]:
@@ -339,8 +343,8 @@ def _seed_seq(seed: int, *key: int) -> np.random.SeedSequence:
 
 
 def _replicas(counts: np.ndarray, samples: int, seed: int, key: tuple[int, ...]) -> np.ndarray:
-    """Bootstrap replicas of ``counts``, shape (samples, N); none below two samples."""
-    if samples < 2:
+    """Bootstrap replicas of ``counts``, shape (samples, N); none without samples."""
+    if samples == 0:
         return np.zeros((0, counts.size))
     return resample_counts(counts, samples, seed, key=key)
 
@@ -386,13 +390,13 @@ class _Sample:
         return self.counts is not None and not self.counts.any()
 
 
-def _sample(mode: str, phi: float, label: str, env: np.ndarray, config: ScenarioConfig,
+def _sample(phi: float, label: str, env: np.ndarray, config: ScenarioConfig,
             key: tuple[int, ...], bootstrap: int) -> _Sample:
-    """Simulate one grid point with ``bootstrap`` replicas (fewer than two: none).
+    """Simulate one grid point of ``config.mode`` with ``bootstrap`` replicas (0: none).
 
     Counts and replicas both derive from spawn key ``key``, on streams of their own.
     """
-    pipeline = _protocol_point if mode == "protocol" else _reference_point
+    pipeline = _protocol_point if config.mode == "protocol" else _reference_point
     rho_se, weight = pipeline(phi, label, env, config.noise)
     # the gate's success probability relative to its phi = 0 and phi = pi value 1/9
     transmission = ccp_success_probability(phi) * 9.0 * weight
@@ -510,23 +514,20 @@ def _channel_point(samples: Sequence[_Sample], config: ScenarioConfig, key: tupl
     return tuple(map(_metric, columns))
 
 
-def _run_sweep(config: ScenarioConfig, mode: str, figures: tuple[str, ...]) -> ScenarioResult:
+def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> ScenarioResult:
     if config.mode != mode:
         raise ValueError(f"config mode {config.mode!r} does not match runner {mode!r}")
     grid = config.resolved_grid()
-    if mode == "protocol" and any(p == 0.0 for p in grid):
-        raise DegenerateCouplingError("phi = 0 cannot appear in a protocol grid")
     env = _env_matrix(config.env_state)
     labels = config.signal_states
     anchor_phi = math.pi if mode == "protocol" else 0.0
-    with_states = "fig3" in figures or "fig4" in figures
-    with_channel = "fig5" in figures and set(labels) == set(BASIS_LABELS)
+    with_channel = set(labels) == set(BASIS_LABELS)
 
     # state replicas are read only by fig3/fig4
     bootstrap = config.bootstrap_samples if with_states else 0
 
     def samples(key: int, phi: float) -> list[_Sample]:
-        return [_sample(mode, phi, lab, env, config, (key, si), bootstrap)
+        return [_sample(phi, lab, env, config, (key, si), bootstrap)
                 for si, lab in enumerate(labels)]
 
     # the anchor normalizes the success probability; a grid point at its phi reuses it
@@ -565,20 +566,18 @@ def _run_sweep(config: ScenarioConfig, mode: str, figures: tuple[str, ...]) -> S
                           states=tuple(state_points), phis=tuple(phi_points))
 
 
-def run_protocol_sweep(config: ScenarioConfig,
-                       figures: tuple[str, ...] = ("fig3", "fig4", "fig5")) -> ScenarioResult:
+def run_protocol_sweep(config: ScenarioConfig, states: bool = True) -> ScenarioResult:
     """Heralded sweep: gate, signal preparation, coupling, herald, metrics.
 
-    ``figures`` selects what is reconstructed: the per-state points of fig3
-    and fig4 (either name selects both) and the fig5 channel.
+    The fig5 channel is rebuilt when the signal states are all six labels;
+    ``states`` selects the per-state points of fig3 and fig4 as well.
     """
-    return _run_sweep(config, "protocol", figures)
+    return _run_sweep(config, "protocol", states)
 
 
-def run_reference_sweep(config: ScenarioConfig,
-                        figures: tuple[str, ...] = ("fig3", "fig4", "fig5")) -> ScenarioResult:
-    """Unprotected sweep, no herald; ``figures`` as for ``run_protocol_sweep``."""
-    return _run_sweep(config, "reference", figures)
+def run_reference_sweep(config: ScenarioConfig, states: bool = True) -> ScenarioResult:
+    """Unprotected sweep, no herald; ``states`` as for ``run_protocol_sweep``."""
+    return _run_sweep(config, "reference", states)
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +648,6 @@ def run_gate_tomography(config: ScenarioConfig,
     if config.shot_noise and not acknowledge_full_tomography:
         raise BudgetError("full 6^6-setting process tomography requires the budget flag")
     grid = config.resolved_grid()
-    if any(p == 0.0 for p in grid):
-        raise DegenerateCouplingError("phi = 0 is outside the realizable gate range")
     phi3 = max_entangled(3).amplitudes
     eye8 = np.eye(8, dtype=complex)
     points: list[GatePoint] = []
@@ -726,24 +723,11 @@ def write_gate_csv(result: ScenarioResult, outdir: str) -> list[str]:
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    env = config.env_state if isinstance(config.env_state, str) else "custom"
-    return {
-        "mode": config.mode,
-        "phi_grid": [float(p) for p in config.resolved_grid()],
-        "env_state": env,
-        "signal_states": list(config.signal_states),
-        "rate": config.rate,
-        "noise": {
-            "herald_error": config.noise.herald_error,
-            "gate_depolarizing": config.noise.gate_depolarizing,
-            "phase_jitter_std": config.noise.phase_jitter_std,
-        },
-        "seed": config.seed,
-        "bootstrap_samples": config.bootstrap_samples,
-        "shot_noise": config.shot_noise,
-        "gate_bootstrap_samples": config.gate_bootstrap_samples,
-        "gate_mle_max_iters": config.gate_mle_max_iters,
-    }
+    out = asdict(config)
+    out["phi_grid"] = list(config.resolved_grid())
+    if not isinstance(config.env_state, str):
+        out["env_state"] = "custom"
+    return out
 
 
 def write_manifest(config: ScenarioConfig, command: str, outdir: str) -> str:

@@ -429,14 +429,13 @@ def _sphere_mle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def mle_state(settings: Sequence[MeasurementSetting], counts,
-              max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
+def mle_state(settings: Sequence[MeasurementSetting], counts) -> np.ndarray:
     """Maximum-likelihood states from counts of shape (B, N); returns (B, d, d).
 
-    Single-qubit settings are solved exactly; ``max_iters`` bounds the R-rho-R
-    iteration of larger states, each row on its own (see ``_mle``).
+    Single-qubit settings are solved exactly; larger states by up to
+    ``MLE_MAX_ITERS`` R-rho-R iterations, each row on its own (see ``_mle``).
     """
-    return _mle(settings, False, counts, max_iters)
+    return _mle(settings, False, counts, MLE_MAX_ITERS)
 
 
 def mle_process(settings: Sequence[MeasurementSetting], counts,

@@ -1,10 +1,15 @@
 import csv
+import dataclasses
 import math
 import os
+import re
+from pathlib import Path
 
 import pytest
 
+from darkstate import cli
 from darkstate.cli import ConfigError, main, parse_config
+from darkstate.experiments import NoiseParams, ScenarioConfig, config_to_dict
 from darkstate.qmath import BASIS_LABELS
 
 
@@ -100,6 +105,21 @@ def test_bad_bool_and_int():
         parse_config(None, ["seed=1.5"])
 
 
+def test_config_keys_have_one_schema():
+    # a dataclass field without a parser, a manifest key without a field, or a
+    # key the README does not document fails here
+    scenario = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"noise"}
+    noise = {f.name for f in dataclasses.fields(NoiseParams)}
+    assert set(cli._PARSERS) == scenario | {f"noise.{name}" for name in noise}
+    manifest = config_to_dict(ScenarioConfig())
+    assert set(manifest) == scenario | {"noise"}
+    assert set(manifest["noise"]) == noise
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    for key in cli._PARSERS:
+        assert re.search(rf"\b{key.removeprefix('noise.')}\b", section), key
+
+
 # ---------------------------------------------------------------------------
 # command dispatch
 
@@ -185,7 +205,14 @@ def test_channel_and_sweep_write_identical_fig5(tmp_path, mode, grid):
 
 def test_channel_command_requires_full_alphabet(tmp_path):
     cfg = write(tmp_path / "c.cfg", "signal_states = 0,+\nshot_noise = false\n")
-    assert main(["channel", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    assert main(["channel", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+def test_channel_command_rejects_gate_mode(tmp_path, capsys):
+    assert main(["channel", "--set", "mode=gate_tomography", "--out", str(tmp_path / "x")]) == 2
+    assert "config error: channel analysis applies to protocol or reference sweeps" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_gate_command_analytic(tmp_path):
@@ -264,6 +291,30 @@ def test_duplicate_phi_grid_values_are_config_errors(tmp_path, capsys, command):
     assert main([command, "--set", "phi_grid=pi/2,pi/2", "--out", str(tmp_path / "o")]) == 2
     assert "config error: phi_grid (1.5707963267948966, 1.5707963267948966) repeats a value" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["protocol", "gate-tomo"])
+def test_zero_phi_outside_reference_is_a_config_error(tmp_path, capsys, command):
+    # the protocol herald never fires at phi = 0, and the gate is not realizable there
+    assert main([command, "--set", "phi_grid=0,pi", "--set", "shot_noise=false",
+                 "--out", str(tmp_path / "o")]) == 2
+    mode = "protocol" if command == "protocol" else "gate_tomography"
+    assert f"config error: phi = 0 cannot appear in a {mode} grid" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert main(["reference", "--set", "phi_grid=0,pi", "--set", "shot_noise=false",
+                 "--out", str(tmp_path / "r")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["protocol", "--bootstrap", "1"],
+    ["reference", "--set", "bootstrap_samples=1"],
+    ["gate-tomo", "--full-3q-tomo", "--set", "gate_bootstrap_samples=1"],
+])
+def test_bootstrap_of_one_is_a_config_error(tmp_path, capsys, argv):
+    # one replica has no spread: every std would read 0, as if no bootstrap ran
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: a bootstrap needs at least 2 samples" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_flags_override_config_and_set(tmp_path):

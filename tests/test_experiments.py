@@ -315,7 +315,7 @@ def test_reference_near_pure_batches_return_without_warning():
     env = _env_matrix(config.env_state)
     si = BASIS_LABELS.index("R")
     for pi in (1, 12):
-        sample = _sample("reference", DEFAULT_REFERENCE_GRID[pi], "R", env, config, (pi, si),
+        sample = _sample(DEFAULT_REFERENCE_GRID[pi], "R", env, config, (pi, si),
                          config.bootstrap_samples)
         for counts in _marginal_counts(sample.reps):
             rhos = mle_state(build_state_settings(1), counts)
@@ -335,8 +335,8 @@ def test_sweep_determinism():
 
 
 def test_protocol_rejects_zero_phi():
-    cfg = ScenarioConfig(mode="protocol", phi_grid=(0.0, math.pi), **ANALYTIC)
     with pytest.raises(DegenerateCouplingError):
+        cfg = ScenarioConfig(mode="protocol", phi_grid=(0.0, math.pi), **ANALYTIC)
         run_protocol_sweep(cfg)
 
 
