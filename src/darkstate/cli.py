@@ -153,12 +153,23 @@ def build_config(entries: dict[str, tuple[str, int]], source: str = "") -> Scena
 def parse_config(path: str | None, overrides: list[str] = ()) -> ScenarioConfig:
     """Load a config file (all defaults when absent) and apply overrides."""
     entries = read_config_entries(path) if path else {}
+    replaced = []
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form KEY=VALUE")
         key, value = (part.strip() for part in item.split("=", 1))
+        if key in entries:
+            replaced.append((key, entries[key]))
         entries[key] = (value, 0)
-    return build_config(entries, source=path or "")
+    config = build_config(entries, source=path or "")
+    # a value an override replaced is checked in the config it alone would change
+    for key, (text, line) in replaced:
+        try:
+            build_config({**entries, key: (text, 0)})
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{line}: {exc}" if line else
+                              f"override {key}={text}: {exc}") from exc
+    return config
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

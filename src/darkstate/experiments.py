@@ -55,8 +55,7 @@ _ANCHOR_KEY = 10_000
 _MODES = ("protocol", "reference", "gate_tomography")
 
 # pi/6 to 11pi/6 in steps of 5pi/36.  linspace lands one ulp below pi at k = 6; the exact
-# value lets that point reuse the anchor.  The other points keep their linspace values:
-# an ulp moves which Born means are exactly zero, and with them the Poisson stream.
+# value lets that point reuse the anchor's sample, which is drawn at phi = pi.
 DEFAULT_PROTOCOL_GRID = tuple(math.pi if k == 6 else float(x) for k, x in enumerate(
     np.linspace(math.pi / 6.0, 2.0 * math.pi - math.pi / 6.0, 13)))
 DEFAULT_REFERENCE_GRID = (0.0,) + DEFAULT_PROTOCOL_GRID

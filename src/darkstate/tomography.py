@@ -17,12 +17,13 @@ channels reconstruct naturally; the quality metrics normalize away the
 scale.  A single qubit needs no iteration: its likelihood splits into one
 binomial per Pauli axis and is maximized in closed form (``_qubit_mle``).
 
-Every ket is a product of single-qubit kets, so the estimator never builds
-the ket table.  With the per-qubit frame F[l, (r, c)] = conj(k_l[r]) k_l[c],
-the Born probabilities over the whole 6^m label grid are M, its (r_q, c_q)
-indices interleaved, pushed through F one qubit at a time, and R is the same
-chain run backwards through conj(F) (the "shuffle" algorithm for Kronecker
-products: Fernandes, Plateau, Stewart, J. ACM 45, 381, 1998).
+Every ket is a product of single-qubit kets, so neither the count simulator
+nor the estimator builds the ket table.  With the per-qubit frame
+F[l, (r, c)] = conj(k_l[r]) k_l[c], the Born probabilities over the whole
+6^m label grid are M, its (r_q, c_q) indices interleaved, pushed through F
+one qubit at a time, and R is the same chain run backwards through conj(F)
+(the "shuffle" algorithm for Kronecker products: Fernandes, Plateau,
+Stewart, J. ACM 45, 381, 1998).
 """
 
 from __future__ import annotations
@@ -182,10 +183,6 @@ def setting_kets(settings: Sequence[MeasurementSetting], process: bool) -> np.nd
     return kets
 
 
-# rows of the dense ket table held at once: 1296 kets of d = 64 are about 1.3 MB
-_BORN_BLOCK = 1296
-
-
 def simulate_counts(settings: Sequence[MeasurementSetting],
                     M: DensityMatrix | ProcessMatrix | np.ndarray,
                     rate: float, seed) -> np.ndarray:
@@ -194,28 +191,20 @@ def simulate_counts(settings: Sequence[MeasurementSetting],
     ``M`` is the state for state settings (n_in = 0) and, for process
     settings with n_in input qubits, the trace-free Choi matrix in the
     normalization of ``channel_to_choi``.  ``seed`` is an int or a
-    ``SeedSequence``.
+    ``SeedSequence``.  Means below 1e-15 of the largest are roundoff of exact
+    zeros and read 0, so the draws do not hinge on the last bits of M.
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    settings = tuple(settings)
-    if not settings:
-        raise ValueError("settings must be nonempty")
-    # the blocks below check their settings one block at a time
-    shapes = {(len(s.preparation), len(s.projection)) for s in settings}
-    if len(shapes) != 1:
-        raise ValueError("settings act on different numbers of qubits")
-    n_in, n_out = shapes.pop()
+    n_in = len(settings[0].preparation) if settings else 0
+    _, grid, frames = _grid(settings, process=n_in > 0)
     mat = M.matrix if isinstance(M, DensityMatrix) else _chi_array(M)
-    if 2 ** (n_in + n_out) != mat.shape[0]:
+    if 2 ** len(frames) != mat.shape[0]:
         raise ValueError("setting dimension does not match the matrix dimension")
-    probs = np.empty(len(settings))
-    for a in range(0, len(settings), _BORN_BLOCK):
-        kets = setting_kets(settings[a:a + _BORN_BLOCK], process=n_in > 0)
-        probs[a:a + _BORN_BLOCK] = np.einsum("ne,ne->n", kets.conj() @ mat, kets).real
-    means = rate * 2 ** n_in * probs.clip(0.0, None)
+    p = _born(mat[None], [f.T for f in frames])[0].real
+    p[p < 1e-15 * p.max()] = 0.0
     rng = np.random.default_rng(seed)
-    return rng.poisson(means).astype(float)
+    return rng.poisson(rate * 2 ** n_in * p[grid]).astype(float)
 
 
 def _mode_products(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:

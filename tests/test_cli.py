@@ -328,6 +328,30 @@ def test_flags_override_config_and_set(tmp_path):
     assert '"bootstrap_samples": 0' in manifest
 
 
+@pytest.mark.parametrize("text, argv, message", [
+    ("rate = 300\nseed = -1\n", ["protocol", "--seed", "3"], "{cfg}:2: seed must be nonnegative"),
+    ("mode = bogus\n", ["protocol"], "{cfg}:1: unknown mode 'bogus'"),
+    ("seed = x\n", ["reference", "--set", "seed=3"], "{cfg}:1: key seed: expected an integer"),
+    ("", ["protocol", "--set", "mode=bogus"], "override mode=bogus: unknown mode 'bogus'"),
+], ids=["seed-flag", "mode-command", "set-parser", "set-mode-command"])
+def test_overridden_values_are_still_checked(tmp_path, capsys, text, argv, message):
+    cfg = write(tmp_path / "t.cfg", text)
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message.format(cfg=cfg) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_overridden_file_value_is_checked_alone(tmp_path):
+    # phi = 0 suits the reference command's mode; the file alone, in the
+    # default protocol mode, would not be a valid config
+    cfg = write(tmp_path / "t.cfg", "phi_grid = 0, pi/2\n")
+    for extra in ([], ["--set", "phi_grid=pi"]):
+        out = tmp_path / f"o{len(extra)}"
+        assert main(["reference", "--config", cfg, "--bootstrap", "0", *extra,
+                     "--out", str(out)]) == 0
+    assert '"mode": "reference"' in (out / "manifest.json").read_text()
+
+
 def test_exit_code_unwritable_output(tmp_path):
     cfg = write(tmp_path / "ok.cfg", IDEAL_CFG)
     blocker = write(tmp_path / "blocker", "not a directory")
@@ -464,22 +488,23 @@ def test_zero_count_points_are_nan_not_fatal(tmp_path, capsys, bootstrap):
 
 def test_zero_count_anchor_makes_success_nan(tmp_path, capsys):
     # at this rate and seed the phi = pi anchors of several states draw no
-    # counts, while state 1 draws two counts at phi = 1.396: its success
-    # ratio has no denominator, so it must read nan rather than a raw count.
-    # The anchor of state - drew one count, so some of its replicas drew
-    # none: their ratios, and so the std, are nan too
+    # counts, while state - draws one count at each of phi = 2.269, 2.705 and
+    # 4.887, and state 1 one at phi = 4.014: their success ratios have no
+    # denominator, so they must read nan rather than a raw count.  The anchor
+    # of state 0 drew one count, so some of its replicas drew none: their
+    # ratios, and so the std, are nan too
     out = tmp_path / "out"
-    assert main(["protocol", "--set", "rate=0.05", "--bootstrap", "5",
+    assert main(["protocol", "--set", "rate=0.05", "--bootstrap", "5", "--seed", "3",
                  "--out", str(out)]) == 0
     reports = [line for line in capsys.readouterr().err.splitlines()
                if line.startswith("state ")]
     empty_anchors, partial_anchors = anchor_reports(reports)
     assert len(reports) == len(empty_anchors) + len(partial_anchors)
-    assert {"1", "L"} <= empty_anchors < set(BASIS_LABELS)
-    assert partial_anchors == {"-"}
+    assert {"1", "-"} <= empty_anchors < set(BASIS_LABELS)
+    assert partial_anchors == {"0"}
     rows = [r for r in read_csv(out / "fig3_purity_fidelity_success.csv")
             if r["metric"] == "success_norm"]
     assert len(rows) == 6 * 13
     check_success_rows(rows, empty_anchors, partial_anchors)
-    at_anchor = next(r for r in rows if r["state_label"] == "-" and r["phi"] == PI_CELL)
+    at_anchor = next(r for r in rows if r["state_label"] == "0" and r["phi"] == PI_CELL)
     assert (at_anchor["value"], at_anchor["std"]) == ("1", "0")

@@ -280,6 +280,20 @@ def test_default_grid_reuses_the_anchor(record_calls):
         assert (sp.success_norm.estimate, sp.success_norm.std) == (1.0, 0.0)
 
 
+def test_protocol_counts_survive_one_ulp_of_phi():
+    # roundoff-level Born means read 0, so an ulp of phi redraws no grid point
+    env = _env_matrix("maximally_mixed")
+    config = ScenarioConfig(mode="protocol", bootstrap_samples=0)
+    redrawn = []
+    for k, phi in enumerate(experiments.DEFAULT_PROTOCOL_GRID):
+        for si, label in enumerate(BASIS_LABELS):
+            a, b = (_sample(p, label, env, config, (k, si), 0).counts
+                    for p in (phi, np.nextafter(phi, 10.0)))
+            if not np.array_equal(a, b):
+                redrawn.append((k, label))
+    assert redrawn == []
+
+
 def test_sweep_makes_one_state_mle_call_per_grid_point(record_calls):
     # every single-qubit tomogram of a grid point, its replicas included, goes
     # into one mle_state call

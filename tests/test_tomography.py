@@ -616,22 +616,23 @@ def gate_settings():
 @pytest.mark.parametrize("noise", [NoiseParams(),
                                    NoiseParams(gate_depolarizing=0.05, phase_jitter_std=0.2)],
                          ids=["noiseless", "noisy"])
-def test_simulate_counts_blocks_match_one_shot(monkeypatch, gate_settings, phi, noise):
-    # the exact-zero means decide which Poisson draws take randomness, so the
-    # blocked Born rule must equal the whole-table formula bit for bit
+def test_simulate_counts_draws_floored_grid_means(monkeypatch, gate_settings, phi, noise):
+    # the grid Born rule agrees with the dense ket table, and means below 1e-15 of the
+    # largest (roundoff of exact zeros) read 0, so they take no randomness
     chi = _gate_choi(phi, noise)
-    kets = setting_kets(gate_settings, process=True)
-    one_shot = 300.0 * 2**3 * np.einsum("ne,ne->n", kets.conj() @ chi, kets).real.clip(0.0, None)
-    assert len(gate_settings) > tomography._BORN_BLOCK
-    assert np.array_equal(simulate_counts(gate_settings, chi, 300.0, seed=11),
-                          np.random.default_rng(11).poisson(one_shot))
+    rng = np.random.default_rng(11)
+    counts = simulate_counts(gate_settings, chi, 300.0, seed=11)
     means = count_means(monkeypatch, gate_settings, chi, 300.0)
-    assert np.array_equal(means, one_shot)   # so the exact zeros match too
+    assert np.array_equal(counts, rng.poisson(means))
+    kets = setting_kets(gate_settings, process=True)
+    dense = 300.0 * 2**3 * np.einsum("ne,ne->n", kets.conj() @ chi, kets).real
+    np.testing.assert_allclose(means, dense, rtol=0.0, atol=1e-13 * dense.max())
+    assert means[means > 0.0].min() >= 1e-15 * means.max()
     if phi == math.pi and noise == NoiseParams():
         assert (means == 0.0).sum() == 15128
 
 
-def test_simulate_counts_memory_stays_blocked(gate_settings):
+def test_simulate_counts_memory_stays_small(gate_settings):
     # the whole 46 656 x 64 ket table, its conjugate and their product would take > 100 MB
     chi = _gate_choi(math.pi, NoiseParams())
     tracemalloc.start()
@@ -643,15 +644,15 @@ def test_simulate_counts_memory_stays_blocked(gate_settings):
     assert peak < 16e6
 
 
-def test_simulate_counts_validates_across_blocks():
-    # each block alone is uniform and gives 8-dim kets; only the whole list mixes splits
-    block = tomography._BORN_BLOCK
-    settings = ([MeasurementSetting(("0", "1"), ("+",))] * block
-                + [MeasurementSetting(("0",), ("1", "+"))] * block)
+def test_simulate_counts_validates_settings_and_dimension():
+    # both settings give 8-dim kets; only their qubit splits differ
+    settings = [MeasurementSetting(("0", "1"), ("+",)), MeasurementSetting(("0",), ("1", "+"))]
     with pytest.raises(ValueError, match="settings act on different numbers of qubits"):
         simulate_counts(settings, np.eye(8, dtype=complex), 100.0, seed=0)
     with pytest.raises(ValueError, match="setting dimension does not match the matrix dimension"):
         simulate_counts(build_state_settings(2), DensityMatrix(np.eye(2) / 2), 100.0, seed=0)
+    with pytest.raises(ValueError, match="settings must be nonempty"):
+        simulate_counts((), DensityMatrix(np.eye(2) / 2), 100.0, seed=0)
 
 
 # ---------------------------------------------------------------------------
