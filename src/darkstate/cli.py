@@ -245,9 +245,11 @@ def _dispatch(args) -> int:
     if args.command == "selftest":
         return _run_selftest(args)
 
-    # channel keeps the config's mode; the other commands set it
+    # channel keeps the config's mode; the other commands set it.  gate-tomo reads
+    # only the gate bootstrap, so its flag sets that one
+    bootstrap = "gate_bootstrap_samples" if args.command == "gate-tomo" else "bootstrap_samples"
     flags = [f"{key}={value}" for key, value in (("seed", args.seed),
-                                                  ("bootstrap_samples", args.bootstrap),
+                                                  (bootstrap, args.bootstrap),
                                                   ("mode", _COMMAND_MODES.get(args.command)))
              if value is not None]
     config = parse_config(args.config, [*args.overrides, *flags])

@@ -22,8 +22,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .optical_gate import ccp_success_probability, realize_ccp
-from .protocol import DegenerateCouplingError, _herald_projectors, u_ccp, u_cp
+from .optical_gate import ccp_success_probability
+from .protocol import DegenerateCouplingError, _herald_projectors, u_ccp
 from .qmath import (
     BASIS_LABELS,
     DensityMatrix,
@@ -42,7 +42,6 @@ from .tomography import (
     _chi_array,
     build_process_settings,
     build_state_settings,
-    channel_to_choi,
     mle_process,
     mle_state,
     process_fidelity,
@@ -230,37 +229,40 @@ def _prep_unitary(label: str) -> np.ndarray:
     return np.array([[np.conj(b), a], [-np.conj(a), b]], dtype=complex)
 
 
-def _sector_damp(rho: np.ndarray, mask: np.ndarray, factor: float) -> np.ndarray:
-    weights = np.where(mask[:, None] ^ mask[None, :], factor, 1.0)
-    return rho * weights
+def _phase(rho: np.ndarray, phi: float, sector: np.ndarray, jitter: float) -> np.ndarray:
+    """Controlled phase e^{i phi} on the basis states in ``sector``, averaged over a
+    Gaussian jitter of phi with std ``jitter``.
+
+    U = diag(u) is diagonal, so U rho U† is the elementwise u_j rho_jk conj(u_k); the
+    average over the jitter multiplies each coherence across the sector boundary by
+    exp(-jitter^2 / 2).
+    """
+    u = np.where(sector, np.exp(1j * phi), 1.0)
+    across = sector[:, None] ^ sector[None, :]
+    return u[:, None] * rho * u.conj() * np.where(across, math.exp(-jitter**2 / 2.0), 1.0)
 
 
-def _depolarize(rho: np.ndarray, strength: float) -> np.ndarray:
-    d = rho.shape[0]
-    return (1.0 - strength) * rho + strength * rho.trace() * np.eye(d, dtype=complex) / d
+def _gate(rho: np.ndarray, phi: float, noise: NoiseParams) -> np.ndarray:
+    """The CCP gate with its phase jitter and depolarizing on the low three qubits of
+    ``rho``; the qubits above stay idle (the input copy of a Choi matrix).
 
-
-def _apply_gate_noise(rho: np.ndarray, noise: NoiseParams) -> np.ndarray:
-    if noise.phase_jitter_std > 0.0:
-        rho = _sector_damp(rho, _CCP_SECTOR, math.exp(-noise.phase_jitter_std**2 / 2.0))
-    if noise.gate_depolarizing > 0.0:
-        rho = _depolarize(rho, noise.gate_depolarizing)
+    Depolarizing maps rho to (1 - p) rho + p Tr_out(rho) (x) I/8.
+    """
+    d = len(rho)
+    rho = _phase(rho, phi, np.tile(_CCP_SECTOR, d // 8), noise.phase_jitter_std)
+    p = noise.gate_depolarizing
+    if p > 0.0:
+        rho_in = rho.reshape(d // 8, 8, d // 8, 8).trace(axis1=1, axis2=3)
+        rho = (1.0 - p) * rho + p * np.kron(rho_in, np.eye(8) / 8.0)
     return rho
 
 
 def _protocol_point(phi: float, psi_label: str, env: np.ndarray, noise: NoiseParams
                     ) -> tuple[np.ndarray, float]:
     """Declared joint (S, E) state of one grid point and its herald weight."""
-    rho = np.kron(np.kron(_P_PLUS, _P_ONE), env)
-    gate = u_ccp(phi).matrix
-    rho = gate @ rho @ gate.conj().T
-    rho = _apply_gate_noise(rho, noise)
+    rho = _gate(np.kron(np.kron(_P_PLUS, _P_ONE), env), phi, noise)
     v = expand_operator(_prep_unitary(psi_label), 3, (1,))
-    rho = v @ rho @ v.conj().T
-    cp = expand_operator(u_cp(phi).matrix, 3, (1, 2))
-    rho = cp @ rho @ cp.conj().T
-    if noise.phase_jitter_std > 0.0:
-        rho = _sector_damp(rho, _SE_SECTOR, math.exp(-noise.phase_jitter_std**2 / 2.0))
+    rho = _phase(v @ rho @ v.conj().T, phi, _SE_SECTOR, noise.phase_jitter_std)
     # a declared herald is the success branch, or with probability herald_error the failure one
     weight = 0.0
     declared = np.zeros((8, 8), dtype=complex)
@@ -278,11 +280,7 @@ def _protocol_point(phi: float, psi_label: str, env: np.ndarray, noise: NoisePar
 
 def _reference_point(phi: float, psi_label: str, env: np.ndarray, noise: NoiseParams
                      ) -> tuple[np.ndarray, float]:
-    psi = projector(ket(psi_label))
-    rho = np.kron(np.kron(_P_ONE, psi), env)
-    gate = u_ccp(phi).matrix
-    rho = gate @ rho @ gate.conj().T
-    rho = _apply_gate_noise(rho, noise)
+    rho = _gate(np.kron(np.kron(_P_ONE, projector(ket(psi_label))), env), phi, noise)
     return partial_trace_array(rho, 3, (1, 2)), 1.0
 
 
@@ -341,13 +339,6 @@ def _seed_seq(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
 
 
-def _replicas(counts: np.ndarray, samples: int, seed: int, key: tuple[int, ...]) -> np.ndarray:
-    """Bootstrap replicas of ``counts``, shape (samples, N); none without samples."""
-    if samples == 0:
-        return np.zeros((0, counts.size))
-    return resample_counts(counts, samples, seed, key=key)
-
-
 def _metric(column: np.ndarray) -> MetricValue:
     """Both tracks of one quantity from its column over a metric stack.
 
@@ -404,7 +395,7 @@ def _sample(phi: float, label: str, env: np.ndarray, config: ScenarioConfig,
     counts = simulate_counts(_TQ_SETTINGS, rho_se, config.rate * transmission,
                              _seed_seq(config.seed, *key, 0))
     return _Sample(rho_se, weight, transmission, counts,
-                   _replicas(counts, bootstrap, config.seed, key))
+                   resample_counts(counts, bootstrap, config.seed, key))
 
 
 def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -505,7 +496,7 @@ def _channel_point(samples: Sequence[_Sample], config: ScenarioConfig, key: tupl
     if config.shot_noise and not empty:
         # preparation-major signal counts, as in _CHANNEL_SETTINGS
         counts = _marginal_counts(np.stack([s.counts for s in samples]))[0].ravel()
-        boot = _replicas(counts, config.bootstrap_samples, config.seed, key)
+        boot = resample_counts(counts, config.bootstrap_samples, config.seed, key)
         chis = np.concatenate([chis, _process_estimates(_CHANNEL_SETTINGS, 1, counts, boot)])
     columns = _channel_metrics(chis)
     if empty:   # a preparation without counts leaves the channel undetermined
@@ -582,19 +573,10 @@ def run_reference_sweep(config: ScenarioConfig, states: bool = True) -> Scenario
 # ---------------------------------------------------------------------------
 # gate tomography
 
-_OUT_SECTOR_64 = (np.arange(64) & 0b000111) == 0b000111
-
-
 def _gate_choi(phi: float, noise: NoiseParams) -> np.ndarray:
-    k0 = realize_ccp(phi).success_amplitude * u_ccp(phi).matrix
-    chi = channel_to_choi(k0, n=3).chi.copy()
-    if noise.phase_jitter_std > 0.0:
-        chi = _sector_damp(chi, _OUT_SECTOR_64, math.exp(-noise.phase_jitter_std**2 / 2.0))
-    if noise.gate_depolarizing > 0.0:
-        rho_in = partial_trace_array(chi, 6, range(3))
-        chi = ((1.0 - noise.gate_depolarizing) * chi
-               + noise.gate_depolarizing * np.kron(rho_in, np.eye(8, dtype=complex) / 8.0))
-    return chi
+    """Choi matrix of the noisy gate on its success branch; its trace is the success probability."""
+    phi3 = max_entangled(3).amplitudes
+    return ccp_success_probability(phi) * _gate(np.outer(phi3, phi3.conj()), phi, noise)
 
 
 def _sandwich(u: np.ndarray, mats: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -655,7 +637,7 @@ def run_gate_tomography(config: ScenarioConfig,
         chis = _gate_choi(phi, config.noise)[None]
         if config.shot_noise:
             counts = simulate_counts(settings, chis[0], config.rate, _seed_seq(config.seed, pi, 3))
-            boot = _replicas(counts, config.gate_bootstrap_samples, config.seed, (pi, 3))
+            boot = resample_counts(counts, config.gate_bootstrap_samples, config.seed, (pi, 3))
             chis = np.concatenate([chis, _process_estimates(settings, 3, counts, boot,
                                                             config.gate_mle_max_iters)])
         columns = _gate_metrics(chis, np.kron(eye8, u_ccp(phi).matrix) @ phi3)

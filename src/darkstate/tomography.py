@@ -4,10 +4,13 @@ Measurement settings draw from the six-state alphabet per qubit (three
 mutually unbiased bases).  Through channel-state duality every setting is
 one ket k: the projection ket for state tomography, and the product
 conj(prep) (x) proj on the doubled register for process tomography, where
-the Choi matrix takes the place of the state.  So one rule serves both:
-counts are Poissonian with mean rate * 2^n_in * <k|M|k>, and M is
-reconstructed with the iterative R-rho-R fixed-point method (Hradil, PRA
-55, R1561, 1997):
+the Choi matrix takes the place of the state.  The Choi matrix of a channel
+E on n qubits is chi = (I (x) E)(|Phi_n><Phi_n|), with |Phi_n> the
+normalized maximally entangled state and the input copy on the high
+qubits, so its trace is the channel's success weight (1 when E preserves
+the trace).  So one rule serves both: counts are Poissonian with mean
+rate * 2^n_in * <k|M|k>, and M is reconstructed with the iterative R-rho-R
+fixed-point method (Hradil, PRA 55, R1561, 1997):
 
     R(rho) = sum_j (f_j / p_j(rho)) Pi_j,    rho <- N[R rho R]
 
@@ -40,9 +43,7 @@ import numpy as np
 from .qmath import (
     BASIS_LABELS,
     DensityMatrix,
-    OperatorMatrix,
     ket,
-    max_entangled,
 )
 
 MLE_TOL = 1e-10
@@ -189,9 +190,9 @@ def simulate_counts(settings: Sequence[MeasurementSetting],
     """Poissonian counts, shape (N,), with mean rate * 2^n_in * <k|M|k> per setting ket k.
 
     ``M`` is the state for state settings (n_in = 0) and, for process
-    settings with n_in input qubits, the trace-free Choi matrix in the
-    normalization of ``channel_to_choi``.  ``seed`` is an int or a
-    ``SeedSequence``.  Means below 1e-15 of the largest are roundoff of exact
+    settings with n_in input qubits, the Choi matrix built on the normalized
+    |Phi_n_in>, whose trace is the channel's success weight.  ``seed`` is an
+    int or a ``SeedSequence``.  Means below 1e-15 of the largest are roundoff of exact
     zeros and read 0, so the draws do not hinge on the last bits of M.
     """
     if rate <= 0.0:
@@ -432,32 +433,6 @@ def mle_process(settings: Sequence[MeasurementSetting], counts,
     """Maximum-likelihood Choi matrices (trace free) from counts of shape (B, N);
     each row by its own R-rho-R run (see ``_mle``)."""
     return _mle(settings, True, counts, max_iters)
-
-
-def channel_to_choi(operators, n: int | None = None) -> ProcessMatrix:
-    """Exact Choi matrix of a channel given by Kraus operators (or one unitary).
-
-    chi = sum_k (I (x) K_k) |Phi_n><Phi_n| (I (x) K_k)† with the input copy
-    on the high qubits.
-    """
-    if isinstance(operators, (OperatorMatrix, np.ndarray)):
-        operators = [operators]
-    mats = [op.matrix if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
-            for op in operators]
-    if not mats:
-        raise ValueError("empty Kraus list")
-    d = mats[0].shape[0]
-    if n is None:
-        n = int(round(math.log2(d)))
-    if any(m.shape != (d, d) for m in mats) or 2**n != d:
-        raise ValueError("Kraus operators must be square with dimension 2^n")
-    phi = max_entangled(n).amplitudes
-    eye = np.eye(d, dtype=complex)
-    chi = np.zeros((d * d, d * d), dtype=complex)
-    for m in mats:
-        v = np.kron(eye, m) @ phi
-        chi += np.outer(v, v.conj())
-    return ProcessMatrix(chi, n)
 
 
 def _chi_array(chi) -> np.ndarray:

@@ -1,11 +1,12 @@
-"""State constructors used only by the tests."""
+"""State and channel constructors used only by the tests."""
 
 from functools import reduce
 from typing import Iterable
 
 import numpy as np
 
-from darkstate.qmath import DensityMatrix, PureState, ket, projector
+from darkstate.qmath import DensityMatrix, OperatorMatrix, PureState, ket, max_entangled, projector
+from darkstate.tomography import ProcessMatrix
 
 
 def product_ket(labels: Iterable[str]) -> np.ndarray:
@@ -38,3 +39,17 @@ def random_density_matrix(n: int, rng: np.random.Generator, rank: int | None = N
     g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace())
+
+
+def channel_to_choi(operators, n: int) -> ProcessMatrix:
+    """Exact Choi matrix of an n-qubit channel given by Kraus operators (or one unitary).
+
+    chi = sum_k (I (x) K_k) |Phi_n><Phi_n| (I (x) K_k)† with |Phi_n> normalized and the
+    input copy on the high qubits, so the trace is the channel's success weight.
+    """
+    if isinstance(operators, (OperatorMatrix, np.ndarray)):
+        operators = [operators]
+    eye = np.eye(2**n)
+    kets = [np.kron(eye, getattr(op, "matrix", op)) @ max_entangled(n).amplitudes
+            for op in operators]
+    return ProcessMatrix(sum(np.outer(v, v.conj()) for v in kets), n)

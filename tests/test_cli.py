@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import math
 import os
 import re
@@ -188,7 +189,9 @@ def test_channel_command_draws_no_state_replicas(tmp_path, record_calls):
     calls = record_calls(experiments, ("resample_counts",))
     assert main(["channel", "--set", "phi_grid=pi/2,pi", "--bootstrap", "3",
                  "--out", str(tmp_path / "chan")]) == 0
-    assert [len(reps) for reps in calls["resample_counts"]] == [3, 3]
+    drawn = [len(reps) for reps in calls["resample_counts"]]
+    assert drawn.count(0) == 2 * 6   # each state sample asks for no replicas
+    assert [n for n in drawn if n] == [3, 3]
 
 
 @pytest.mark.parametrize("mode,grid", [("protocol", "pi/2,pi"), ("reference", "0,pi/2")])
@@ -309,6 +312,7 @@ def test_zero_phi_outside_reference_is_a_config_error(tmp_path, capsys, command)
     ["protocol", "--bootstrap", "1"],
     ["reference", "--set", "bootstrap_samples=1"],
     ["gate-tomo", "--full-3q-tomo", "--set", "gate_bootstrap_samples=1"],
+    ["gate-tomo", "--full-3q-tomo", "--bootstrap", "1"],
 ])
 def test_bootstrap_of_one_is_a_config_error(tmp_path, capsys, argv):
     # one replica has no spread: every std would read 0, as if no bootstrap ran
@@ -326,6 +330,16 @@ def test_flags_override_config_and_set(tmp_path):
     manifest = (out / "manifest.json").read_text()
     assert '"seed": 6' in manifest
     assert '"bootstrap_samples": 0' in manifest
+
+
+def test_gate_bootstrap_flag_sets_the_gate_bootstrap(tmp_path):
+    out = tmp_path / "o"
+    assert main(["gate-tomo", "--full-3q-tomo", "--set", "phi_grid=pi", "--bootstrap", "3",
+                 "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["gate_bootstrap_samples"], config["bootstrap_samples"]) == (3, 1000)
+    rows = read_csv(out / "fig7_gate.csv")
+    assert len(rows) == 3 and all(float(row["std"]) > 0.0 for row in rows)
 
 
 @pytest.mark.parametrize("text, argv, message", [

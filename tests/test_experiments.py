@@ -8,17 +8,17 @@ import pytest
 from darkstate import experiments
 from darkstate.experiments import (
     _CCP_SECTOR,
+    _SE_SECTOR,
     DEFAULT_REFERENCE_GRID,
     BudgetError,
     NoiseParams,
     ScenarioConfig,
-    _depolarize,
     _env_matrix,
     _gate_choi,
     _marginal_counts,
+    _phase,
     _protocol_point,
     _sample,
-    _sector_damp,
     channel_choi_from_outputs,
     optimize_local_phase_fidelity,
     run_gate_tomography,
@@ -27,16 +27,17 @@ from darkstate.experiments import (
     write_gate_csv,
 )
 from darkstate.optical_gate import realize_ccp
-from darkstate.protocol import DegenerateCouplingError, u_ccp
+from darkstate.protocol import TWO_PI, DegenerateCouplingError, u_ccp, u_cp
 from darkstate.qmath import (
     BASIS_LABELS,
     DensityMatrix,
+    expand_operator,
     ket,
     max_entangled,
     projector,
 )
 from darkstate.tomography import build_state_settings, mle_state, process_fidelity
-from helpers import product_ket
+from helpers import channel_to_choi, product_ket, random_density_matrix
 
 EF_DEPHASED_HALF = 0.6008760366928562   # entanglement at |q| = cos(pi/4)
 
@@ -411,17 +412,36 @@ def test_gate_fully_depolarized_purity():
     NoiseParams(), NoiseParams(gate_depolarizing=0.2, phase_jitter_std=0.4)])
 def test_gate_choi_matches_kraus_form(noise):
     # the Choi matrix that drives the gate counts, against the noisy gate
-    # applied in Kraus form to each of the 216 product preparations
+    # applied in Kraus form to each of the 216 product preparations; the success
+    # amplitude comes from the stage-by-stage optical model
+    damp, p = math.exp(-noise.phase_jitter_std**2 / 2.0), noise.gate_depolarizing
     for phi in (math.pi / 8.0, math.pi / 2.0, 5.0 * math.pi / 4.0):
         k0 = realize_ccp(phi).success_amplitude * u_ccp(phi).matrix
         blocks = _gate_choi(phi, noise).reshape(8, 8, 8, 8)
         for labels in itertools.product(BASIS_LABELS, repeat=3):
             rho = projector(product_ket(labels))
             out = k0 @ rho @ k0.conj().T
-            out = _sector_damp(out, _CCP_SECTOR, math.exp(-noise.phase_jitter_std**2 / 2.0))
-            out = _depolarize(out, noise.gate_depolarizing)
+            out[7, :7] *= damp   # jitter dephases |111> against the rest
+            out[:7, 7] *= damp
+            out = (1.0 - p) * out + p * np.trace(out) * np.eye(8) / 8.0
             via_choi = 8.0 * np.einsum("ij,iajb->ab", rho, blocks)
             np.testing.assert_allclose(via_choi, out, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sector, unitary", [
+    (_CCP_SECTOR, lambda phi: u_ccp(phi).matrix),
+    (_SE_SECTOR, lambda phi: expand_operator(u_cp(phi).matrix, 3, (1, 2))),
+], ids=["ccp", "signal-environment"])
+def test_phase_is_the_gauss_hermite_jitter_average(sector, unitary):
+    # U(phi + delta) rho U(phi + delta)† averaged over delta ~ N(0, sigma^2)
+    rho = random_density_matrix(3, np.random.default_rng(4)).matrix
+    phi, sigma = 2.3, 0.45
+    nodes, weights = np.polynomial.hermite.hermgauss(40)
+    us = [unitary((phi + math.sqrt(2.0) * sigma * x) % TWO_PI) for x in nodes]
+    average = sum(w / math.sqrt(math.pi) * u @ rho @ u.conj().T for u, w in zip(us, weights))
+    np.testing.assert_allclose(_phase(rho, phi, sector, sigma), average, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(_phase(rho, phi, sector, 0.0), unitary(phi) @ rho
+                               @ unitary(phi).conj().T, rtol=0.0, atol=1e-15)
 
 
 def test_gate_budget_flag_enforced():
@@ -436,7 +456,6 @@ def test_phase_optimized_fidelity_recovers_local_rotations():
     rz = lambda t: np.diag([1.0, np.exp(1j * t)]).astype(complex)
     w = np.kron(np.kron(rz(0.4), rz(-0.9)), rz(1.3))
     rotated = w @ u_ccp(phi).matrix
-    from darkstate.tomography import channel_to_choi
     chi_rot = channel_to_choi(rotated, n=3)
     plain = process_fidelity(chi_rot, np.outer(ideal_vec, ideal_vec.conj()))
     assert plain < 0.9

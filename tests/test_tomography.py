@@ -23,7 +23,6 @@ from darkstate.tomography import (
     ProcessMatrix,
     build_process_settings,
     build_state_settings,
-    channel_to_choi,
     mle_process,
     mle_state,
     process_fidelity,
@@ -35,7 +34,7 @@ from darkstate.tomography import (
 from darkstate import tomography
 from darkstate.experiments import NoiseParams, _gate_choi
 from darkstate.tomography import _born, _check_complete, _grid, _rrr, _weighted_projectors
-from helpers import product_density, product_ket, random_density_matrix
+from helpers import channel_to_choi, product_density, product_ket, random_density_matrix
 
 PHI_PLUS = projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
 
