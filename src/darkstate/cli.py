@@ -48,7 +48,8 @@ def _eval_number(text: str) -> float:
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             val = ev(node.operand)
             return val if isinstance(node.op, ast.UAdd) else -val
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+                and not isinstance(node.value, bool)):   # True and False are ints
             return float(node.value)
         if isinstance(node, ast.Name) and node.id == "pi":
             return math.pi
@@ -179,7 +180,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--bootstrap", type=int, default=None,
-                        help="override the bootstrap sample count")
+                        help="override the bootstrap sample count "
+                             "(gate_bootstrap_samples under gate-tomo)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

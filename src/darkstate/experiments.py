@@ -12,6 +12,7 @@ with the probe on the most significant qubit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -658,9 +659,14 @@ def _write_files(outdir: str, files: Mapping[str, str]) -> list[str]:
     paths = []
     for name, text in files.items():
         path = os.path.join(outdir, name)
-        with open(f"{path}.tmp", "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-        os.replace(f"{path}.tmp", path)
+        try:
+            with open(f"{path}.tmp", "w", encoding="ascii", newline="\n") as fh:
+                fh.write(text)
+            os.replace(f"{path}.tmp", path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(f"{path}.tmp")
+            raise
         paths.append(path)
     return paths
 

@@ -20,8 +20,10 @@ channels reconstruct naturally; the quality metrics normalize away the
 scale.  A single qubit needs no iteration: its likelihood splits into one
 binomial per Pauli axis and is maximized in closed form (``_qubit_mle``).
 
-Every ket is a product of single-qubit kets, so neither the count simulator
-nor the estimator builds the ket table.  With the per-qubit frame
+Settings are the full 6^m label grid of ``build_state_settings`` or
+``build_process_settings``, in their order.  Every ket is a product of
+single-qubit kets, so neither the count simulator nor the estimator builds
+the ket table.  With the per-qubit frame
 F[l, (r, c)] = conj(k_l[r]) k_l[c], the Born probabilities over the whole
 6^m label grid are M, its (r_q, c_q) indices interleaved, pushed through F
 one qubit at a time, and R is the same chain run backwards through conj(F)
@@ -49,10 +51,6 @@ from .qmath import (
 MLE_TOL = 1e-10
 MLE_MAX_ITERS = 20000
 _PROB_FLOOR = 1e-14
-
-
-class IncompleteMeasurementError(ValueError):
-    """The measurement set cannot determine the state (singular frame)."""
 
 
 class MLEConvergenceWarning(RuntimeWarning):
@@ -145,17 +143,17 @@ def _label_index(settings: Sequence[MeasurementSetting], process: bool
     return flat.reshape(len(settings), m), n_in
 
 
-def _grid(settings: Sequence[MeasurementSetting], process: bool
-          ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Label rows (N, m), their flat index on the 6^m grid, and the m frames.
+def _frames(settings: Sequence[MeasurementSetting], process: bool) -> list[np.ndarray]:
+    """The m per-qubit frames of a full 6^m label grid, in ``build_*_settings`` order.
 
     Preparation qubits take conj(F), because the process ket is
     conj(prep) (x) proj.
     """
     idx, n_in = _label_index(settings, process)
     m = idx.shape[1]
-    frames = [_FRAME.conj()] * n_in + [_FRAME] * (m - n_in)
-    return idx, idx @ 6 ** np.arange(m - 1, -1, -1), frames
+    if not np.array_equal(idx @ 6 ** np.arange(m - 1, -1, -1), np.arange(6**m)):
+        raise ValueError(f"settings must be the full 6^{m} label grid in build order")
+    return [_FRAME.conj()] * n_in + [_FRAME] * (m - n_in)
 
 
 def _product_rows(idx: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -198,14 +196,14 @@ def simulate_counts(settings: Sequence[MeasurementSetting],
     if rate <= 0.0:
         raise ValueError("rate must be positive")
     n_in = len(settings[0].preparation) if settings else 0
-    _, grid, frames = _grid(settings, process=n_in > 0)
+    frames = _frames(settings, process=n_in > 0)
     mat = M.matrix if isinstance(M, DensityMatrix) else _chi_array(M)
     if 2 ** len(frames) != mat.shape[0]:
         raise ValueError("setting dimension does not match the matrix dimension")
     p = _born(mat[None], [f.T for f in frames])[0].real
     p[p < 1e-15 * p.max()] = 0.0
     rng = np.random.default_rng(seed)
-    return rng.poisson(rate * 2 ** n_in * p[grid]).astype(float)
+    return rng.poisson(rate * 2 ** n_in * p).astype(float)
 
 
 def _mode_products(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -248,32 +246,6 @@ def _weighted_projectors(w: np.ndarray, frames_c: Sequence[np.ndarray]) -> np.nd
     return x.transpose(_interleaved_axes(m)[1]).reshape(len(w), 2**m, 2**m)
 
 
-def _check_complete(idx: np.ndarray, grid: np.ndarray, frames: Sequence[np.ndarray]) -> None:
-    """Verify the projectors span the full operator space.
-
-    The rank test uses one vectorized projector per setting, the product of
-    its frame rows; for very large setting lists (the 6^6 case) that matrix
-    would not fit comfortably, so only the cheap necessary condition that
-    sum_k |k><k| is invertible is applied there.
-    """
-    n_set, d = len(idx), 2 ** len(frames)
-    if n_set < d * d:
-        raise IncompleteMeasurementError(
-            f"{n_set} settings cannot determine a dimension-{d} state")
-    if n_set * d * d <= 2_000_000:
-        svals = np.linalg.svd(_product_rows(idx, frames), compute_uv=False)
-        if svals[d * d - 1] < 1e-9 * svals[0]:
-            raise IncompleteMeasurementError(
-                "measurement set is informationally incomplete (singular frame)")
-    else:
-        multiplicity = np.bincount(grid, minlength=6 ** len(frames)).astype(float)
-        gram = _weighted_projectors(multiplicity[None, :], [f.conj() for f in frames])[0]
-        evals = np.linalg.eigvalsh(gram)
-        if evals.min() < 1e-9 * max(evals.max(), 1.0):
-            raise IncompleteMeasurementError(
-                "measurement set is informationally incomplete (singular frame)")
-
-
 def _mle(settings: Sequence[MeasurementSetting], process: bool, counts,
          max_iters: int) -> np.ndarray:
     """Maximum-likelihood estimates for the rows of ``counts`` (shape (B, N)).
@@ -281,23 +253,19 @@ def _mle(settings: Sequence[MeasurementSetting], process: bool, counts,
     Returns the (B, d, d) estimates, each row solved on its own: it equals its
     single call bit for bit, and an empty batch gives (0, d, d).  A replica
     with no counts carries no information and gets I/d; a single tomogram
-    with no counts raises.  Counts are summed onto the 6^m label grid once,
-    so settings may come in any order, repeat, or cover only part of the
-    grid.  Single-qubit state settings are solved exactly (``_qubit_mle``),
-    everything else by R-rho-R, each row stopping at its own tolerance.
+    with no counts raises.  Single-qubit state settings are solved exactly
+    (``_qubit_mle``), everything else by R-rho-R, each row stopping at its
+    own tolerance.
     """
-    idx, grid, frames = _grid(settings, process)
+    frames = _frames(settings, process)
     counts = np.asarray(counts, dtype=float)
-    if counts.ndim != 2 or counts.shape[1] != len(idx):
-        raise ValueError(f"counts must have shape (B, {len(idx)}), got {counts.shape}")
+    if counts.ndim != 2 or counts.shape[1] != len(settings):
+        raise ValueError(f"counts must have shape (B, {len(settings)}), got {counts.shape}")
     if len(counts) == 1 and counts.sum() == 0:
         raise ValueError("tomogram has zero total counts")
-    _check_complete(idx, grid, frames)
-    grid_counts = np.zeros((len(counts), 6 ** len(frames)))
-    np.add.at(grid_counts, (slice(None), grid), counts)
     if len(frames) == 1:   # a process has at least two qubits on the grid
-        return _qubit_mle(grid_counts)
-    return _rrr(grid_counts, frames, max_iters)
+        return _qubit_mle(counts)
+    return _rrr(counts, frames, max_iters)
 
 
 def _rrr(grid_counts: np.ndarray, frames: Sequence[np.ndarray], max_iters: int) -> np.ndarray:

@@ -275,7 +275,9 @@ def test_gate_mle_max_iters_must_be_positive(tmp_path, capsys):
     ("rate=1" + "0" * 400, "int too large to convert to float"),
     ("rate=1e308*10", "rate inf must be finite and positive"),
     ("noise.phase_jitter_std=1e308*10-1e308*10", "phase_jitter_std nan must be finite"),
-], ids=["zero-division", "int-overflow", "inf", "nan"])
+    ("rate=True", "unsupported expression 'True'"),          # bool is an int subclass
+    ("phi_grid=False", "unsupported expression 'False'"),
+], ids=["zero-division", "int-overflow", "inf", "nan", "bool-rate", "bool-grid"])
 def test_nonfinite_numbers_are_config_errors(tmp_path, capsys, command, override, message):
     assert main([command, "--set", override, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
@@ -371,6 +373,14 @@ def test_exit_code_unwritable_output(tmp_path):
     blocker = write(tmp_path / "blocker", "not a directory")
     code = main(["protocol", "--config", cfg, "--out", os.path.join(blocker, "sub")])
     assert code == 3
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    # the rename onto a directory fails after the temporary file is written
+    out = tmp_path / "o"
+    (out / "fig5_channel.csv").mkdir(parents=True)
+    assert main(["channel", "--set", "phi_grid=pi", "--bootstrap", "0", "--out", str(out)]) == 3
+    assert not list(out.glob("*.tmp"))
 
 
 def test_seed_and_bootstrap_flags(tmp_path):

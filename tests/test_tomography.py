@@ -17,7 +17,6 @@ from darkstate.qmath import (
     PureState,
 )
 from darkstate.tomography import (
-    IncompleteMeasurementError,
     MLEConvergenceWarning,
     MeasurementSetting,
     ProcessMatrix,
@@ -33,7 +32,7 @@ from darkstate.tomography import (
 )
 from darkstate import tomography
 from darkstate.experiments import NoiseParams, _gate_choi
-from darkstate.tomography import _born, _check_complete, _grid, _rrr, _weighted_projectors
+from darkstate.tomography import _born, _frames, _rrr, _weighted_projectors
 from helpers import channel_to_choi, product_density, product_ket, random_density_matrix
 
 PHI_PLUS = projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
@@ -115,29 +114,53 @@ def test_setting_validation():
         MeasurementSetting((), ())
 
 
+LABEL = {lab: i for i, lab in enumerate(BASIS_LABELS)}
+
+
 def test_simulate_counts_orthogonal_projection_is_silent():
-    settings = (MeasurementSetting((), ("1",)),)
-    counts = simulate_counts(settings, product_density("0"), rate=1e5, seed=0)
-    assert counts.shape == (1,)
-    assert counts[0] == 0
+    counts = simulate_counts(build_state_settings(1), product_density("0"), rate=1e5, seed=0)
+    assert counts.shape == (6,)
+    assert counts[LABEL["1"]] == 0
 
 
 def test_simulate_counts_mixed_state_mean():
     # projections of I/2 fire at half the rate: empirical mean near 150
-    settings = (MeasurementSetting((), ("+",)),)
-    rho = DensityMatrix(np.eye(2) / 2)
-    draws = np.array([simulate_counts(settings, rho, rate=300.0, seed=s)[0]
+    settings, rho = build_state_settings(1), DensityMatrix(np.eye(2) / 2)
+    draws = np.array([simulate_counts(settings, rho, rate=300.0, seed=s)[LABEL["+"]]
                       for s in range(1000)])
     assert abs(draws.mean() - 150.0) < 5.0 * math.sqrt(150.0 / 1000.0)
 
 
 def test_simulate_counts_basis_completeness():
     # the two outcomes of one basis together see every photon
-    settings = (MeasurementSetting((), ("+",)), MeasurementSetting((), ("-",)))
-    rho = product_density("L")
-    totals = np.array([simulate_counts(settings, rho, rate=200.0, seed=s).sum()
+    settings, rho = build_state_settings(1), product_density("L")
+    pair = [LABEL["+"], LABEL["-"]]
+    totals = np.array([simulate_counts(settings, rho, rate=200.0, seed=s)[pair].sum()
                        for s in range(500)])
     assert abs(totals.mean() - 200.0) < 5.0 * math.sqrt(200.0 / 500.0)
+
+
+def non_grid_lists(process: bool) -> dict:
+    """Setting lists that are not the full grid in build order; all on one qubit."""
+    full = build_process_settings(1) if process else build_state_settings(1)
+    prep = ("0",) if process else ()
+    return {"permuted": full[1:] + full[:1],
+            "partial": tuple(MeasurementSetting(prep, (lab,)) for lab in ("0", "1", "+", "L")),
+            "duplicated": (*full, full[2]),
+            "rank-deficient": tuple(MeasurementSetting(prep, (lab,))
+                                    for lab in ("0", "0", "1", "1"))}
+
+
+@pytest.mark.parametrize("case", ["permuted", "partial", "duplicated", "rank-deficient"])
+@pytest.mark.parametrize("process", [False, True], ids=["state", "process"])
+def test_non_grid_settings_raise(case, process):
+    settings = non_grid_lists(process)[case]
+    estimate = mle_process if process else mle_state
+    mat = rotation_choi(0.4) if process else product_density("+")
+    with pytest.raises(ValueError, match=r"full 6\^[12] label grid"):
+        estimate(settings, np.ones((1, len(settings))))
+    with pytest.raises(ValueError, match=r"full 6\^[12] label grid"):
+        simulate_counts(settings, mat, rate=300.0, seed=0)
 
 
 def test_simulate_counts_deterministic():
@@ -206,9 +229,6 @@ def test_mle_state_two_qubit_marginal_sums():
 
 
 def test_mle_state_errors():
-    settings = (MeasurementSetting((), ("0",)), MeasurementSetting((), ("1",)))
-    with pytest.raises(IncompleteMeasurementError):
-        mle_state(settings, np.array([[5.0, 5.0]]))
     full = build_state_settings(1)
     with pytest.raises(ValueError):
         mle_state(full, np.ones(6))          # counts must be (B, N)
@@ -355,23 +375,6 @@ def test_qubit_mle_zero_and_one_sided_axes():
         assert bloch_log_likelihood(SIX, counts, a[None, :])[0] >= best - 1e-12
 
 
-def test_qubit_mle_partial_permuted_and_duplicated_settings():
-    partial = tuple(MeasurementSetting((), (lab,)) for lab in ("0", "1", "+", "L"))
-    counts = np.array([40.0, 20.0, 35.0, 28.0])
-    rho = mle_state(partial, counts[None, :])[0]
-    assert np.abs(rrr_step(partial, counts, rho) - rho).max() <= 1e-12
-    best = bloch_log_likelihood(partial, counts, ball_search(200_000, np.random.default_rng(52)))
-    assert bloch_log_likelihood(partial, counts, bloch_vector(rho)[None, :])[0] >= best.max() - 1e-12
-    full = simulate_counts(SIX, product_density("+"), rate=300.0, seed=8)
-    reference = mle_state(SIX, full[None, :])
-    order = [4, 1, 5, 0, 3, 2]
-    np.testing.assert_array_equal(
-        mle_state([SIX[i] for i in order], full[order][None, :]), reference)
-    split = np.concatenate([full, [0.0]])
-    split[[2, -1]] = full[2] // 2, full[2] - full[2] // 2
-    np.testing.assert_array_equal(mle_state((*SIX, SIX[2]), split[None, :]), reference)
-
-
 def test_qubit_mle_batch_rows_match_single_calls():
     rng = np.random.default_rng(53)
     rows = [simulate_counts(SIX, random_density_matrix(1, rng), rate=300.0, seed=s)
@@ -397,7 +400,7 @@ def test_qubit_mle_agrees_with_rrr(monkeypatch):
     assert (((u - v) / (u + v)) ** 2).sum(axis=1).max() > 1.0   # some on the sphere
     exact = mle_state(SIX, counts)
     monkeypatch.setattr(tomography, "MLE_TOL", 1e-13)
-    iterated = _rrr(counts, _grid(SIX, False)[2], 200_000)
+    iterated = _rrr(counts, _frames(SIX, False), 200_000)
     assert np.abs(exact - iterated).max() <= 1e-9
     for c, e, i in zip(counts, exact, iterated):
         assert log_likelihood(SIX, c, e) >= log_likelihood(SIX, c, i) - 1e-9
@@ -425,15 +428,13 @@ def test_structured_maps_match_dense(process, n):
     rng = np.random.default_rng(40 + n)
     settings = build_process_settings(n) if process else build_state_settings(n)
     kets = setting_kets(settings, process=process)
-    _, grid, frames = _grid(settings, process)
+    frames = _frames(settings, process)
     mats = random_psd(kets.shape[1], 3, rng)
-    p = _born(mats, [f.T for f in frames])[:, grid]
+    p = _born(mats, [f.T for f in frames])
     dense_p = np.stack([np.einsum("ne,ne->n", kets.conj() @ m, kets) for m in mats])
     assert abs(p - dense_p).max() <= 1e-13 * abs(dense_p).max()
     w = rng.random((3, len(settings)))
-    w_grid = np.zeros((3, 6 ** len(frames)))
-    w_grid[:, grid] = w
-    r_op = _weighted_projectors(w_grid, [f.conj() for f in frames])
+    r_op = _weighted_projectors(w, [f.conj() for f in frames])
     dense_r = np.stack([(kets.T * wi) @ kets.conj() for wi in w])
     assert abs(r_op - dense_r).max() <= 1e-13 * abs(dense_r).max()
 
@@ -441,49 +442,11 @@ def test_structured_maps_match_dense(process, n):
 def test_structured_born_rule_matches_dense_three_qubit_process():
     settings = build_process_settings(3)
     kets = setting_kets(settings, process=True)
-    _, grid, frames = _grid(settings, True)
+    frames = _frames(settings, True)
     chi = random_psd(64, 1, np.random.default_rng(43))
-    p = _born(chi, [f.T for f in frames])[0, grid]
+    p = _born(chi, [f.T for f in frames])[0]
     dense_p = np.einsum("ne,ne->n", kets.conj() @ chi[0], kets)
     assert abs(p - dense_p).max() <= 1e-13 * abs(dense_p).max()
-
-
-def test_mle_permuted_settings_bit_identical():
-    settings = build_process_settings(1)
-    counts = simulate_counts(settings, channel_to_choi(dephasing_kraus(0.7), n=1),
-                             rate=300.0, seed=21)
-    order = np.random.default_rng(22).permutation(len(settings))
-    a = mle_process(settings, counts[None, :])
-    b = mle_process([settings[i] for i in order], counts[order][None, :])
-    np.testing.assert_array_equal(a, b)
-
-
-def test_mle_duplicate_setting_matches_merged():
-    settings = build_state_settings(2)
-    counts = simulate_counts(settings, random_density_matrix(2, np.random.default_rng(23)),
-                             rate=300.0, seed=24)
-    split = np.concatenate([counts, [0.0]])
-    split[[5, -1]] = counts[5] // 2, counts[5] - counts[5] // 2
-    merged = mle_state(settings, counts[None, :])
-    dup = mle_state((*settings, settings[5]), split[None, :])
-    np.testing.assert_allclose(dup, merged, rtol=0.0, atol=1e-12)
-
-
-def test_singular_small_frame_raises():
-    # four settings reach the rank test; two distinct projectors cannot span
-    settings = tuple(MeasurementSetting((), (lab,)) for lab in ("0", "0", "1", "1"))
-    with pytest.raises(IncompleteMeasurementError, match="singular frame"):
-        mle_state(settings, np.array([[5.0, 4.0, 3.0, 6.0]]))
-
-
-def test_gram_branch_on_three_qubit_process_sets():
-    # 6^6 settings on d = 64 take the sum_k |k><k| test
-    full = build_process_settings(3)
-    _check_complete(*_grid(full, True))
-    # projecting the first output qubit on |0> only leaves |1> unseen
-    partial = [s for s in full if s.projection[0] == "0"]
-    with pytest.raises(IncompleteMeasurementError, match="singular frame"):
-        _check_complete(*_grid(partial, True))
 
 
 # ---------------------------------------------------------------------------
