@@ -38,8 +38,8 @@ from .qmath import (
 )
 from .tomography import (
     MLE_MAX_ITERS,
-    MeasurementSetting,
     ProcessMatrix,
+    SettingGrid,
     _chi_array,
     build_process_settings,
     build_state_settings,
@@ -477,7 +477,7 @@ def _state_point(phi: float, label: str, sample: _Sample, anchor: _Sample,
     return StatePoint(phi, label, purity, fidelity, success_norm, env_pop1), columns[2]
 
 
-def _process_estimates(settings: Sequence[MeasurementSetting], n: int, counts: np.ndarray,
+def _process_estimates(settings: SettingGrid, n: int, counts: np.ndarray,
                        reps: np.ndarray, max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
     """MLE Choi matrix of ``counts`` (validated), then one per replica in ``reps``; (1 + R, d, d)."""
     if counts.sum() == 0:
@@ -633,7 +633,7 @@ def run_gate_tomography(config: ScenarioConfig,
     phi3 = max_entangled(3).amplitudes
     eye8 = np.eye(8, dtype=complex)
     points: list[GatePoint] = []
-    settings = build_process_settings(3) if config.shot_noise else None
+    settings = build_process_settings(3)
     for pi, phi in enumerate(grid):
         chis = _gate_choi(phi, config.noise)[None]
         if config.shot_noise:

@@ -20,10 +20,11 @@ channels reconstruct naturally; the quality metrics normalize away the
 scale.  A single qubit needs no iteration: its likelihood splits into one
 binomial per Pauli axis and is maximized in closed form (``_qubit_mle``).
 
-Settings are the full 6^m label grid of ``build_state_settings`` or
-``build_process_settings``, in their order.  Every ket is a product of
-single-qubit kets, so neither the count simulator nor the estimator builds
-the ket table.  With the per-qubit frame
+Settings are a ``SettingGrid`` from ``build_state_settings`` or
+``build_process_settings``: a descriptor of the full 6^m label grid, in
+build order, whose ``MeasurementSetting`` items are made on demand.  Every
+ket is a product of single-qubit kets, so neither the count simulator nor
+the estimator builds a setting or the ket table.  With the per-qubit frame
 F[l, (r, c)] = conj(k_l[r]) k_l[c], the Born probabilities over the whole
 6^m label grid are M, its (r_q, c_q) indices interleaved, pushed through F
 one qubit at a time, and R is the same chain run backwards through conj(F)
@@ -36,9 +37,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -100,89 +102,90 @@ class ProcessMatrix:
         object.__setattr__(self, "chi", chi)
 
 
-def build_state_settings(n: int) -> tuple[MeasurementSetting, ...]:
+@dataclass(frozen=True)
+class SettingGrid(Sequence):
+    """The full 6^(n_in + n_out) label grid of tomography settings, in build order.
+
+    Setting j carries the base-6 digits of j as label rows, preparation
+    labels first and the leftmost most significant; state grids have
+    n_in = 0.  The grid is a descriptor: its ``MeasurementSetting`` items are
+    made only when it is indexed or iterated, and the count simulator and
+    the estimator read nothing but ``n_in`` and ``n_out``.
+    """
+
+    n_in: int
+    n_out: int
+
+    def __post_init__(self):
+        for n, low in ((self.n_in, 0), (self.n_out, 1)):
+            if not isinstance(n, int) or isinstance(n, bool) or n < low:
+                raise ValueError(f"qubit counts must be ints with n_in >= 0 and n_out >= 1, "
+                                 f"got n_in = {self.n_in!r}, n_out = {self.n_out!r}")
+
+    def __len__(self) -> int:
+        return 6 ** (self.n_in + self.n_out)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[i] for i in range(*j.indices(len(self))))
+        j = operator.index(j)
+        if not -len(self) <= j < len(self):
+            raise IndexError(f"setting index {j} out of range for {len(self)} settings")
+        digits = np.unravel_index(j % len(self), (6,) * (self.n_in + self.n_out))
+        labels = tuple(BASIS_LABELS[int(r)] for r in digits)
+        return MeasurementSetting(labels[:self.n_in], labels[self.n_in:])
+
+    def __iter__(self):
+        for labels in itertools.product(BASIS_LABELS, repeat=self.n_in + self.n_out):
+            yield MeasurementSetting(labels[:self.n_in], labels[self.n_in:])
+
+
+def build_state_settings(n: int) -> SettingGrid:
     """All 6^n product projections for state tomography of n qubits."""
-    return tuple(
-        MeasurementSetting((), proj)
-        for proj in itertools.product(BASIS_LABELS, repeat=n)
-    )
+    return SettingGrid(0, n)
 
 
-def build_process_settings(n: int) -> tuple[MeasurementSetting, ...]:
+def build_process_settings(n: int) -> SettingGrid:
     """All 6^n x 6^n preparation-projection pairs for process tomography."""
-    return tuple(
-        MeasurementSetting(prep, proj)
-        for prep in itertools.product(BASIS_LABELS, repeat=n)
-        for proj in itertools.product(BASIS_LABELS, repeat=n)
-    )
+    return SettingGrid(n, n)
 
 
 _KET_TABLE = np.array([ket(lab) for lab in BASIS_LABELS])
-_LABEL_ROW = {lab: i for i, lab in enumerate(BASIS_LABELS)}
 # per-qubit frame: _FRAME[l, 2 r + c] = conj(k_l[r]) k_l[c]
 _FRAME = (_KET_TABLE.conj()[:, :, None] * _KET_TABLE[:, None, :]).reshape(6, 4)
 
 
-def _label_index(settings: Sequence[MeasurementSetting], process: bool
-                 ) -> tuple[np.ndarray, int]:
-    """Validated (N, m) label-row indices, preparation labels first, and n_in."""
-    if not settings:
-        raise ValueError("settings must be nonempty")
-    for s in settings:
-        if process and not s.preparation:
-            raise ValueError("process setting lacks preparation labels")
-        if not process and s.preparation:
-            raise ValueError("state setting carries preparation labels")
-    if len({(len(s.preparation), len(s.projection)) for s in settings}) != 1:
-        raise ValueError("settings act on different numbers of qubits")
-    n_in = len(settings[0].preparation)
-    m = n_in + len(settings[0].projection)
-    flat = np.fromiter((_LABEL_ROW[lab] for s in settings
-                        for lab in (*s.preparation, *s.projection)),
-                       dtype=int, count=len(settings) * m)
-    return flat.reshape(len(settings), m), n_in
-
-
-def _frames(settings: Sequence[MeasurementSetting], process: bool) -> list[np.ndarray]:
-    """The m per-qubit frames of a full 6^m label grid, in ``build_*_settings`` order.
+def _frames(settings: SettingGrid, process: bool | None) -> list[np.ndarray]:
+    """The per-qubit frames of a ``SettingGrid``, preparation qubits first.
 
     Preparation qubits take conj(F), because the process ket is
-    conj(prep) (x) proj.
+    conj(prep) (x) proj.  ``process`` is the kind of grid the caller needs,
+    or None for either.
     """
-    idx, n_in = _label_index(settings, process)
-    m = idx.shape[1]
-    if not np.array_equal(idx @ 6 ** np.arange(m - 1, -1, -1), np.arange(6**m)):
+    if not isinstance(settings, SettingGrid):
+        first = settings[0] if len(settings) else None
+        m = len(first.preparation) + len(first.projection) if first else "m"
         raise ValueError(f"settings must be the full 6^{m} label grid in build order")
-    return [_FRAME.conj()] * n_in + [_FRAME] * (m - n_in)
+    if process is not None and process != (settings.n_in > 0):
+        raise ValueError("process settings need preparation labels; state settings carry none")
+    return [_FRAME.conj()] * settings.n_in + [_FRAME] * settings.n_out
 
 
-def _product_rows(idx: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker products of table rows, one table per column of ``idx``.
-
-    The leftmost column is most significant.
-    """
-    rows = tables[0][idx[:, 0]]
-    for q in range(1, idx.shape[1]):
-        rows = (rows[:, :, None] * tables[q][idx[:, q]][:, None, :]).reshape(len(idx), -1)
-    return rows
-
-
-def setting_kets(settings: Sequence[MeasurementSetting], process: bool) -> np.ndarray:
+def setting_kets(settings: SettingGrid, process: bool) -> np.ndarray:
     """Stack of measurement kets, one row per setting.
 
     For process settings the ket is conj(prep) (x) proj: conjugating the
     preparation half is the channel-state duality convention that makes the
-    Choi matrix appear as an ordinary state to the estimator.
+    Choi matrix appear as an ordinary state to the estimator.  The grid's
+    build order is Kronecker order, so the stack is the Kronecker product of
+    the per-qubit ket tables.
     """
-    idx, n_in = _label_index(settings, process)
-    kets = _product_rows(idx[:, n_in:], [_KET_TABLE] * (idx.shape[1] - n_in))
-    if process:
-        prep = _product_rows(idx[:, :n_in], [_KET_TABLE] * n_in).conj()
-        kets = (prep[:, :, None] * kets[:, None, :]).reshape(len(kets), -1)
-    return kets
+    _frames(settings, process)
+    tables = [_KET_TABLE.conj()] * settings.n_in + [_KET_TABLE] * settings.n_out
+    return functools.reduce(np.kron, tables)
 
 
-def simulate_counts(settings: Sequence[MeasurementSetting],
+def simulate_counts(settings: SettingGrid,
                     M: DensityMatrix | ProcessMatrix | np.ndarray,
                     rate: float, seed) -> np.ndarray:
     """Poissonian counts, shape (N,), with mean rate * 2^n_in * <k|M|k> per setting ket k.
@@ -195,15 +198,14 @@ def simulate_counts(settings: Sequence[MeasurementSetting],
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    n_in = len(settings[0].preparation) if settings else 0
-    frames = _frames(settings, process=n_in > 0)
+    frames = _frames(settings, process=None)
     mat = M.matrix if isinstance(M, DensityMatrix) else _chi_array(M)
     if 2 ** len(frames) != mat.shape[0]:
         raise ValueError("setting dimension does not match the matrix dimension")
     p = _born(mat[None], [f.T for f in frames])[0].real
     p[p < 1e-15 * p.max()] = 0.0
     rng = np.random.default_rng(seed)
-    return rng.poisson(rate * 2 ** n_in * p).astype(float)
+    return rng.poisson(rate * 2 ** settings.n_in * p).astype(float)
 
 
 def _mode_products(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -246,7 +248,7 @@ def _weighted_projectors(w: np.ndarray, frames_c: Sequence[np.ndarray]) -> np.nd
     return x.transpose(_interleaved_axes(m)[1]).reshape(len(w), 2**m, 2**m)
 
 
-def _mle(settings: Sequence[MeasurementSetting], process: bool, counts,
+def _mle(settings: SettingGrid, process: bool, counts,
          max_iters: int) -> np.ndarray:
     """Maximum-likelihood estimates for the rows of ``counts`` (shape (B, N)).
 
@@ -387,7 +389,7 @@ def _sphere_mle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def mle_state(settings: Sequence[MeasurementSetting], counts) -> np.ndarray:
+def mle_state(settings: SettingGrid, counts) -> np.ndarray:
     """Maximum-likelihood states from counts of shape (B, N); returns (B, d, d).
 
     Single-qubit settings are solved exactly; larger states by up to
@@ -396,7 +398,7 @@ def mle_state(settings: Sequence[MeasurementSetting], counts) -> np.ndarray:
     return _mle(settings, False, counts, MLE_MAX_ITERS)
 
 
-def mle_process(settings: Sequence[MeasurementSetting], counts,
+def mle_process(settings: SettingGrid, counts,
                 max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
     """Maximum-likelihood Choi matrices (trace free) from counts of shape (B, N);
     each row by its own R-rho-R run (see ``_mle``)."""

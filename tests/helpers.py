@@ -1,17 +1,30 @@
 """State and channel constructors used only by the tests."""
 
+import itertools
 from functools import reduce
 from typing import Iterable
 
 import numpy as np
 
-from darkstate.qmath import DensityMatrix, OperatorMatrix, PureState, ket, max_entangled, projector
-from darkstate.tomography import ProcessMatrix
+from darkstate.qmath import (BASIS_LABELS, DensityMatrix, OperatorMatrix, PureState, ket,
+                             max_entangled, projector)
+from darkstate.tomography import MeasurementSetting, ProcessMatrix
 
 
 def product_ket(labels: Iterable[str]) -> np.ndarray:
     """Product ket over several qubits, leftmost label most significant."""
     return reduce(np.kron, [ket(lab) for lab in labels])
+
+
+def product_settings(n: int, process: bool) -> tuple[MeasurementSetting, ...]:
+    """The 6^n state or 6^2n process settings as an explicit tuple, preparation-major.
+
+    The reference for the order and items of ``build_state_settings`` and
+    ``build_process_settings``: itertools.product over the six-state alphabet.
+    """
+    preps = itertools.product(BASIS_LABELS, repeat=n) if process else [()]
+    return tuple(MeasurementSetting(prep, proj)
+                 for prep in preps for proj in itertools.product(BASIS_LABELS, repeat=n))
 
 
 def product_density(labels: Iterable[str]) -> DensityMatrix:

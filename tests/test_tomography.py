@@ -33,7 +33,8 @@ from darkstate.tomography import (
 from darkstate import tomography
 from darkstate.experiments import NoiseParams, _gate_choi
 from darkstate.tomography import _born, _frames, _rrr, _weighted_projectors
-from helpers import channel_to_choi, product_density, product_ket, random_density_matrix
+from helpers import (channel_to_choi, product_density, product_ket, product_settings,
+                     random_density_matrix)
 
 PHI_PLUS = projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
 
@@ -114,6 +115,42 @@ def test_setting_validation():
         MeasurementSetting((), ())
 
 
+@pytest.mark.parametrize("process", [False, True], ids=["state", "process"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_setting_grid_items_match_product_construction(n, process):
+    grid = build_process_settings(n) if process else build_state_settings(n)
+    ref = product_settings(n, process)
+    assert len(grid) == len(ref)
+    assert tuple(grid) == ref
+    assert [grid[j] for j in range(len(ref))] == list(ref)
+    assert (grid[-1], grid[-len(ref)]) == (ref[-1], ref[0])
+    assert grid[1:] + grid[:1] == ref[1:] + ref[:1]      # a slice is a tuple
+    assert grid[-2::-5] == ref[-2::-5]
+    for j in (len(ref), -len(ref) - 1):
+        with pytest.raises(IndexError):
+            grid[j]
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.0, "2"])
+def test_settings_builders_reject_bad_qubit_counts(n):
+    for build in (build_state_settings, build_process_settings):
+        with pytest.raises(ValueError, match="qubit counts must be ints"):
+            build(n)
+
+
+def test_gate_point_builds_no_setting(monkeypatch):
+    # the simulator and the estimator read only the grid's qubit counts
+    def refuse(self):
+        raise AssertionError("a MeasurementSetting was built")
+
+    monkeypatch.setattr(MeasurementSetting, "__post_init__", refuse)
+    settings = build_process_settings(3)
+    counts = simulate_counts(settings, _gate_choi(math.pi, NoiseParams()), 300.0, seed=0)
+    with pytest.warns(MLEConvergenceWarning):
+        chi = mle_process(settings, counts[None, :], max_iters=1)
+    assert chi.shape == (1, 64, 64)
+
+
 LABEL = {lab: i for i, lab in enumerate(BASIS_LABELS)}
 
 
@@ -144,14 +181,16 @@ def non_grid_lists(process: bool) -> dict:
     """Setting lists that are not the full grid in build order; all on one qubit."""
     full = build_process_settings(1) if process else build_state_settings(1)
     prep = ("0",) if process else ()
-    return {"permuted": full[1:] + full[:1],
+    return {"copied": tuple(full),
+            "permuted": full[1:] + full[:1],
             "partial": tuple(MeasurementSetting(prep, (lab,)) for lab in ("0", "1", "+", "L")),
             "duplicated": (*full, full[2]),
             "rank-deficient": tuple(MeasurementSetting(prep, (lab,))
                                     for lab in ("0", "0", "1", "1"))}
 
 
-@pytest.mark.parametrize("case", ["permuted", "partial", "duplicated", "rank-deficient"])
+@pytest.mark.parametrize("case", ["copied", "permuted", "partial", "duplicated",
+                                  "rank-deficient"])
 @pytest.mark.parametrize("process", [False, True], ids=["state", "process"])
 def test_non_grid_settings_raise(case, process):
     settings = non_grid_lists(process)[case]
@@ -608,12 +647,13 @@ def test_simulate_counts_memory_stays_small(gate_settings):
 
 def test_simulate_counts_validates_settings_and_dimension():
     # both settings give 8-dim kets; only their qubit splits differ
+    # (no grid mixes qubit splits or is empty, so such lists are not the grid)
     settings = [MeasurementSetting(("0", "1"), ("+",)), MeasurementSetting(("0",), ("1", "+"))]
-    with pytest.raises(ValueError, match="settings act on different numbers of qubits"):
+    with pytest.raises(ValueError, match=r"full 6\^3 label grid in build order"):
         simulate_counts(settings, np.eye(8, dtype=complex), 100.0, seed=0)
     with pytest.raises(ValueError, match="setting dimension does not match the matrix dimension"):
         simulate_counts(build_state_settings(2), DensityMatrix(np.eye(2) / 2), 100.0, seed=0)
-    with pytest.raises(ValueError, match="settings must be nonempty"):
+    with pytest.raises(ValueError, match=r"full 6\^m label grid in build order"):
         simulate_counts((), DensityMatrix(np.eye(2) / 2), 100.0, seed=0)
 
 
