@@ -24,12 +24,17 @@ Settings are a ``SettingGrid`` from ``build_state_settings`` or
 ``build_process_settings``: a descriptor of the full 6^m label grid, in
 build order, whose ``MeasurementSetting`` items are made on demand.  Every
 ket is a product of single-qubit kets, so neither the count simulator nor
-the estimator builds a setting or the ket table.  With the per-qubit frame
-F[l, (r, c)] = conj(k_l[r]) k_l[c], the Born probabilities over the whole
-6^m label grid are M, its (r_q, c_q) indices interleaved, pushed through F
-one qubit at a time, and R is the same chain run backwards through conj(F)
-(the "shuffle" algorithm for Kronecker products: Fernandes, Plateau,
-Stewart, J. ACM 45, 381, 1998).
+the estimator builds a setting or the ket table.  They work in the real
+Pauli basis: each single-qubit projector is |k_l><k_l| = sum_mu T[mu, l]
+sigma_mu with the real 4 x 6 table T[mu, l] = <k_l|sigma_mu|k_l> / 2, so the
+Born probabilities over the 6^m grid are the real coefficients tr(M P) of
+the 4^m Pauli strings P pushed through T one qubit at a time (the "shuffle"
+algorithm for Kronecker products: Fernandes, Plateau, Stewart, J. ACM 45,
+381, 1998).  The coefficients themselves take one gather of M's entries,
+one 2^m x 2^m Walsh-Hadamard matmul and a fixed phase per string, which
+also flips the sign of Y on the conjugated preparation qubits
+(``_PauliTables``).  R is the exact adjoint: the chain through T^T, the
+phases, the Hadamard matmul and the inverse gather.
 """
 
 from __future__ import annotations
@@ -151,16 +156,16 @@ def build_process_settings(n: int) -> SettingGrid:
 
 
 _KET_TABLE = np.array([ket(lab) for lab in BASIS_LABELS])
-# per-qubit frame: _FRAME[l, 2 r + c] = conj(k_l[r]) k_l[c]
-_FRAME = (_KET_TABLE.conj()[:, :, None] * _KET_TABLE[:, None, :]).reshape(6, 4)
+# T[mu, l] = <k_l|sigma_mu|k_l> / 2 for sigma_mu = I, Z, X, Y, exactly: labels 2k and
+# 2k + 1 are the +1 and -1 eigenstates of Pauli axis k = Z, X, Y (the rows of _PAULI)
+_PAULI_FRAME = 0.5 * np.vstack([np.ones(6), np.kron(np.eye(3), [1.0, -1.0])])
+_PAULI_FRAME.setflags(write=False)
 
 
-def _frames(settings: SettingGrid, process: bool | None) -> list[np.ndarray]:
-    """The per-qubit frames of a ``SettingGrid``, preparation qubits first.
+def _check_grid(settings: SettingGrid, process: bool | None) -> None:
+    """Raise unless ``settings`` is a ``SettingGrid`` of the kind the caller needs.
 
-    Preparation qubits take conj(F), because the process ket is
-    conj(prep) (x) proj.  ``process`` is the kind of grid the caller needs,
-    or None for either.
+    ``process`` is the kind of grid the caller needs, or None for either.
     """
     if not isinstance(settings, SettingGrid):
         first = settings[0] if len(settings) else None
@@ -168,7 +173,51 @@ def _frames(settings: SettingGrid, process: bool | None) -> list[np.ndarray]:
         raise ValueError(f"settings must be the full 6^{m} label grid in build order")
     if process is not None and process != (settings.n_in > 0):
         raise ValueError("process settings need preparation labels; state settings carry none")
-    return [_FRAME.conj()] * settings.n_in + [_FRAME] * settings.n_out
+
+
+@dataclass(frozen=True)
+class _PauliTables:
+    """Index and sign tables of the Pauli-basis Born and R maps on one label grid.
+
+    For the Pauli string P(a, b) = i^|a & b| X^a Z^b (bit q of a and b is
+    qubit q, the leftmost qubit most significant), tr(rho X^a Z^b) =
+    sum_y rho[y, y ^ a] (-1)^|b & y|: the gather D[a, y] = rho[y, y ^ a]
+    times the Walsh-Hadamard matrix.  ``gather`` reads [Re D, Im D] from the
+    float view of rho and ``scatter`` is its inverse permutation.  The real
+    coefficient c_ab = tr(rho P_ab) is ``sign`` times one entry of
+    [Re DH, Im DH], the one ``select`` names; ``select`` lists the (a, b)
+    in per-qubit (a_q, b_q) order, the row order of ``_PAULI_FRAME``.
+    Preparation qubits carry conj(sigma), so their Y flips sign.
+    """
+
+    m: int
+    gather: np.ndarray
+    scatter: np.ndarray
+    hadamard: np.ndarray
+    select: np.ndarray
+    sign: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_tables(n_in: int, n_out: int) -> _PauliTables:
+    """The ``_PauliTables`` of the 6^(n_in + n_out) grid, built on first use."""
+    m = n_in + n_out
+    d = 2**m
+    a, y = np.ogrid[:d, :d]   # y is also the Z bits b
+    gather = (2 * (y * d + (y ^ a)) + np.arange(2)[:, None, None]).ravel()
+    ab = a & y
+    # Re(i^k z) is Re z, -Im z, -Re z, Im z for k = 0, 1, 2, 3 (mod 4); a preparation Y adds 2
+    k = np.bitwise_count(ab).astype(int) + 2 * np.bitwise_count(ab >> n_out)
+    part = k % 2
+    sign = np.where(k % 4 < 2, 1.0, -1.0) * np.where(part, -1.0, 1.0)
+    # (a, b) order -> (a_1, b_1, ..., a_m, b_m) order
+    pairs = np.arange(d * d).reshape((2,) * (2 * m)).transpose(
+        [axis for q in range(m) for axis in (q, m + q)]).ravel()
+    tables = _PauliTables(m, gather, np.argsort(gather), (-1.0) ** np.bitwise_count(ab),
+                          (part * d * d + a * d + y).ravel()[pairs], sign.ravel()[pairs])
+    for table in (tables.gather, tables.scatter, tables.hadamard, tables.select, tables.sign):
+        table.setflags(write=False)
+    return tables
 
 
 def setting_kets(settings: SettingGrid, process: bool) -> np.ndarray:
@@ -180,7 +229,7 @@ def setting_kets(settings: SettingGrid, process: bool) -> np.ndarray:
     build order is Kronecker order, so the stack is the Kronecker product of
     the per-qubit ket tables.
     """
-    _frames(settings, process)
+    _check_grid(settings, process)
     tables = [_KET_TABLE.conj()] * settings.n_in + [_KET_TABLE] * settings.n_out
     return functools.reduce(np.kron, tables)
 
@@ -193,59 +242,63 @@ def simulate_counts(settings: SettingGrid,
     ``M`` is the state for state settings (n_in = 0) and, for process
     settings with n_in input qubits, the Choi matrix built on the normalized
     |Phi_n_in>, whose trace is the channel's success weight.  ``seed`` is an
-    int or a ``SeedSequence``.  Means below 1e-15 of the largest are roundoff of exact
+    int or a ``SeedSequence``.  Means below 1e-12 of the largest are roundoff of exact
     zeros and read 0, so the draws do not hinge on the last bits of M.
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")
-    frames = _frames(settings, process=None)
+    _check_grid(settings, process=None)
+    tables = _pauli_tables(settings.n_in, settings.n_out)
     mat = M.matrix if isinstance(M, DensityMatrix) else _chi_array(M)
-    if 2 ** len(frames) != mat.shape[0]:
+    if 2**tables.m != mat.shape[0]:
         raise ValueError("setting dimension does not match the matrix dimension")
-    p = _born(mat[None], [f.T for f in frames])[0].real
-    p[p < 1e-15 * p.max()] = 0.0
+    p = _born(mat[None], tables)[0]
+    p[p < 1e-12 * p.max()] = 0.0
     rng = np.random.default_rng(seed)
     return rng.poisson(rate * 2 ** settings.n_in * p).astype(float)
 
 
-def _mode_products(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract axis q of x (B, K_1, ..., K_m) with mats[q] (K_q x L_q).
+def _mode_products(x: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:
+    """Contract each of the m grid axes of x (B, K^m) with mat (K x L); returns (B, L^m).
 
-    Returns (B, L_1 * ... * L_m).  Each step multiplies the last axis and
-    moves the new index to the front, so after m steps the axes are back in
-    order.
+    Each step contracts the leading axis and writes the new index last, so
+    after m steps the axes are back in order.
     """
     b = len(x)
-    for mat in reversed(mats):
-        x = (x.reshape(b, -1, mat.shape[0]) @ mat).swapaxes(1, 2)
+    for _ in range(m):
+        x = x.reshape(b, mat.shape[0], -1)
+        out = np.empty((b, x.shape[2], mat.shape[1]))
+        np.matmul(mat.T, x, out=out.swapaxes(1, 2))
+        x = out
     return x.reshape(b, -1)
 
 
-@functools.lru_cache(maxsize=None)
-def _interleaved_axes(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis orders taking (B, r_1..r_m, c_1..c_m) to (B, r_1, c_1, ..., r_m, c_m) and back."""
-    forward = (0, *itertools.chain.from_iterable((1 + q, 1 + m + q) for q in range(m)))
-    return forward, (0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2))
+def _born(rho: np.ndarray, tables: _PauliTables) -> np.ndarray:
+    """<k|rho|k> for every ket k of the 6^m grid; (B, d, d) -> (B, 6^m), real.
 
-
-def _born(rho: np.ndarray, frames_t: Sequence[np.ndarray]) -> np.ndarray:
-    """<k|rho|k> for every ket k of the 6^m grid; (B, d, d) -> (B, 6^m), complex.
-
-    ``frames_t`` holds the transposed frames F_q.T.
+    The Pauli coefficients tr(rho P) come from one gather, one Walsh-Hadamard
+    matmul and one signed select (``_PauliTables``); the real per-qubit frame
+    ``_PAULI_FRAME`` takes them to the grid.
     """
-    m = len(frames_t)
-    x = rho.reshape((len(rho),) + (2,) * (2 * m)).transpose(_interleaved_axes(m)[0])
-    return _mode_products(x, frames_t)
+    b, d = len(rho), 2**tables.m
+    parts = np.take(np.asarray(rho, dtype=complex).reshape(b, -1).view(np.float64),
+                    tables.gather, axis=1)
+    parts = (parts.reshape(-1, d) @ tables.hadamard).reshape(b, -1)
+    coeffs = np.take(parts, tables.select, axis=1) * tables.sign
+    return _mode_products(coeffs, _PAULI_FRAME, tables.m)
 
 
-def _weighted_projectors(w: np.ndarray, frames_c: Sequence[np.ndarray]) -> np.ndarray:
+def _weighted_projectors(w: np.ndarray, tables: _PauliTables) -> np.ndarray:
     """sum_k w_k |k><k| over the 6^m grid; (B, 6^m) -> (B, d, d).
 
-    ``frames_c`` holds the conjugated frames conj(F_q).
+    The exact adjoint of ``_born``: the transposed frame chain, the signed
+    scatter, the Hadamard matmul and the inverse gather.
     """
-    m = len(frames_c)
-    x = _mode_products(w, frames_c).reshape((len(w),) + (2,) * (2 * m))
-    return x.transpose(_interleaved_axes(m)[1]).reshape(len(w), 2**m, 2**m)
+    b, d = len(w), 2**tables.m
+    parts = np.zeros((b, 2 * d * d))
+    parts[:, tables.select] = _mode_products(w, _PAULI_FRAME.T, tables.m) * tables.sign
+    parts = (parts.reshape(-1, d) @ tables.hadamard).reshape(b, -1)
+    return np.take(parts, tables.scatter, axis=1).view(complex).reshape(b, d, d)
 
 
 def _mle(settings: SettingGrid, process: bool, counts,
@@ -259,39 +312,40 @@ def _mle(settings: SettingGrid, process: bool, counts,
     (``_qubit_mle``), everything else by R-rho-R, each row stopping at its
     own tolerance.
     """
-    frames = _frames(settings, process)
+    _check_grid(settings, process)
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[1] != len(settings):
         raise ValueError(f"counts must have shape (B, {len(settings)}), got {counts.shape}")
     if len(counts) == 1 and counts.sum() == 0:
         raise ValueError("tomogram has zero total counts")
-    if len(frames) == 1:   # a process has at least two qubits on the grid
+    if settings.n_in + settings.n_out == 1:   # a process has at least two qubits on the grid
         return _qubit_mle(counts)
-    return _rrr(counts, frames, max_iters)
+    return _rrr(counts, _pauli_tables(settings.n_in, settings.n_out), max_iters)
 
 
-def _rrr(grid_counts: np.ndarray, frames: Sequence[np.ndarray], max_iters: int) -> np.ndarray:
+def _rrr(grid_counts: np.ndarray, tables: _PauliTables, max_iters: int) -> np.ndarray:
     """Batched R-rho-R on (B, 6^m) grid counts; a row stops once its max |delta rho| < MLE_TOL."""
-    b, d = len(grid_counts), 2 ** len(frames)
+    b, d = len(grid_counts), 2**tables.m
     eye = np.eye(d, dtype=complex)
     out = np.tile(eye / d, (b, 1, 1))
     rows = np.flatnonzero(grid_counts.sum(axis=1) > 0)   # rows without counts stay I/d
     counts, rho, delta = grid_counts[rows], out[rows], np.full(len(rows), math.inf)
-    frames_t, frames_c = [f.T for f in frames], [f.conj() for f in frames]
     for _ in range(max_iters):
         if not len(rows):
             return out
-        p = _born(rho, frames_t).real.clip(_PROB_FLOOR, None)
-        r_op = _weighted_projectors(counts / p, frames_c)
+        p = _born(rho, tables).clip(_PROB_FLOOR, None)
+        r_op = _weighted_projectors(counts / p, tables)
         new = r_op @ rho @ r_op
-        new = 0.5 * (new + np.conj(np.swapaxes(new, 1, 2)))
+        new += np.conj(np.swapaxes(new, 1, 2))   # 2 x Hermitian part; normalizing cancels the 2
         traces = np.einsum("bdd->b", new).real
         traces[traces <= 0.0] = 1.0
         new /= traces[:, None, None]
         delta = np.abs(new - rho).max(axis=(1, 2))
         done = delta < MLE_TOL
-        out[rows[done]] = new[done]
-        rows, counts, rho, delta = (x[~done] for x in (rows, counts, new, delta))
+        if done.any():
+            out[rows[done]] = new[done]
+            rows, counts, new, delta = (x[~done] for x in (rows, counts, new, delta))
+        rho = new
     if len(rows):
         warnings.warn(f"R-rho-R stopped at max_iters = {max_iters} (d = {d}, "
                       f"B = {b}): final delta {delta.max():.3g} >= tol {MLE_TOL:g} "

@@ -282,16 +282,20 @@ def test_default_grid_reuses_the_anchor(record_calls):
 
 
 def test_protocol_counts_survive_one_ulp_of_phi():
-    # roundoff-level Born means read 0, so an ulp of phi redraws no grid point
+    # roundoff-level Born means read 0, so 1 to 4 ulp of phi either way redraw no grid point
     env = _env_matrix("maximally_mixed")
     config = ScenarioConfig(mode="protocol", bootstrap_samples=0)
     redrawn = []
     for k, phi in enumerate(experiments.DEFAULT_PROTOCOL_GRID):
         for si, label in enumerate(BASIS_LABELS):
-            a, b = (_sample(p, label, env, config, (k, si), 0).counts
-                    for p in (phi, np.nextafter(phi, 10.0)))
-            if not np.array_equal(a, b):
-                redrawn.append((k, label))
+            base = _sample(phi, label, env, config, (k, si), 0).counts
+            for toward in (10.0, -10.0):
+                shifted = phi
+                for ulp in range(1, 5):
+                    shifted = np.nextafter(shifted, toward)
+                    counts = _sample(shifted, label, env, config, (k, si), 0).counts
+                    if not np.array_equal(base, counts):
+                        redrawn.append((k, label, int(math.copysign(ulp, toward))))
     assert redrawn == []
 
 

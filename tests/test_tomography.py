@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from darkstate.tomography import (
 )
 from darkstate import tomography
 from darkstate.experiments import NoiseParams, _gate_choi
-from darkstate.tomography import _born, _frames, _rrr, _weighted_projectors
+from darkstate.tomography import _born, _pauli_tables, _rrr, _weighted_projectors
 from helpers import (channel_to_choi, product_density, product_ket, product_settings,
                      random_density_matrix)
 
@@ -439,7 +443,7 @@ def test_qubit_mle_agrees_with_rrr(monkeypatch):
     assert (((u - v) / (u + v)) ** 2).sum(axis=1).max() > 1.0   # some on the sphere
     exact = mle_state(SIX, counts)
     monkeypatch.setattr(tomography, "MLE_TOL", 1e-13)
-    iterated = _rrr(counts, _frames(SIX, False), 200_000)
+    iterated = _rrr(counts, _pauli_tables(0, 1), 200_000)
     assert np.abs(exact - iterated).max() <= 1e-9
     for c, e, i in zip(counts, exact, iterated):
         assert log_likelihood(SIX, c, e) >= log_likelihood(SIX, c, i) - 1e-9
@@ -467,25 +471,42 @@ def test_structured_maps_match_dense(process, n):
     rng = np.random.default_rng(40 + n)
     settings = build_process_settings(n) if process else build_state_settings(n)
     kets = setting_kets(settings, process=process)
-    frames = _frames(settings, process)
+    tables = _pauli_tables(settings.n_in, settings.n_out)
     mats = random_psd(kets.shape[1], 3, rng)
-    p = _born(mats, [f.T for f in frames])
+    p = _born(mats, tables)
     dense_p = np.stack([np.einsum("ne,ne->n", kets.conj() @ m, kets) for m in mats])
     assert abs(p - dense_p).max() <= 1e-13 * abs(dense_p).max()
     w = rng.random((3, len(settings)))
-    r_op = _weighted_projectors(w, [f.conj() for f in frames])
+    r_op = _weighted_projectors(w, tables)
     dense_r = np.stack([(kets.T * wi) @ kets.conj() for wi in w])
     assert abs(r_op - dense_r).max() <= 1e-13 * abs(dense_r).max()
 
 
-def test_structured_born_rule_matches_dense_three_qubit_process():
+def test_structured_maps_match_dense_three_qubit_process():
+    # n_in = 3 is where the preparation qubits' Y sign matters on the 6^6 grid
     settings = build_process_settings(3)
     kets = setting_kets(settings, process=True)
-    frames = _frames(settings, True)
-    chi = random_psd(64, 1, np.random.default_rng(43))
-    p = _born(chi, [f.T for f in frames])[0]
+    tables = _pauli_tables(3, 3)
+    rng = np.random.default_rng(43)
+    chi = random_psd(64, 1, rng)
+    p = _born(chi, tables)
+    assert p.dtype == np.float64 and p.shape == (1, len(settings))
     dense_p = np.einsum("ne,ne->n", kets.conj() @ chi[0], kets)
-    assert abs(p - dense_p).max() <= 1e-13 * abs(dense_p).max()
+    assert abs(p[0] - dense_p).max() <= 1e-13 * abs(dense_p).max()
+    w = rng.random((1, len(settings)))
+    r_op = _weighted_projectors(w, tables)
+    dense_r = (kets.T * w[0]) @ kets.conj()
+    assert abs(r_op[0] - dense_r).max() <= 1e-13 * abs(dense_r).max()
+
+
+def test_import_builds_no_pauli_table():
+    # the per-grid tables are built on first use, so importing the CLI stays cheap
+    code = ("import darkstate.cli, darkstate.tomography as t; "
+            "print(t._pauli_tables.cache_info().currsize)")
+    src = Path(tomography.__file__).parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +639,7 @@ def gate_settings():
                                    NoiseParams(gate_depolarizing=0.05, phase_jitter_std=0.2)],
                          ids=["noiseless", "noisy"])
 def test_simulate_counts_draws_floored_grid_means(monkeypatch, gate_settings, phi, noise):
-    # the grid Born rule agrees with the dense ket table, and means below 1e-15 of the
+    # the grid Born rule agrees with the dense ket table, and means below 1e-12 of the
     # largest (roundoff of exact zeros) read 0, so they take no randomness
     chi = _gate_choi(phi, noise)
     rng = np.random.default_rng(11)
@@ -628,7 +649,7 @@ def test_simulate_counts_draws_floored_grid_means(monkeypatch, gate_settings, ph
     kets = setting_kets(gate_settings, process=True)
     dense = 300.0 * 2**3 * np.einsum("ne,ne->n", kets.conj() @ chi, kets).real
     np.testing.assert_allclose(means, dense, rtol=0.0, atol=1e-13 * dense.max())
-    assert means[means > 0.0].min() >= 1e-15 * means.max()
+    assert means[means > 0.0].min() >= 1e-12 * means.max()
     if phi == math.pi and noise == NoiseParams():
         assert (means == 0.0).sum() == 15128
 
