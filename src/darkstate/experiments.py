@@ -258,31 +258,43 @@ def _gate(rho: np.ndarray, phi: float, noise: NoiseParams) -> np.ndarray:
     return rho
 
 
-def _protocol_point(phi: float, psi_label: str, env: np.ndarray, noise: NoiseParams
-                    ) -> tuple[np.ndarray, float]:
-    """Declared joint (S, E) state of one grid point and its herald weight."""
-    rho = _gate(np.kron(np.kron(_P_PLUS, _P_ONE), env), phi, noise)
-    v = expand_operator(_prep_unitary(psi_label), 3, (1,))
-    rho = _phase(v @ rho @ v.conj().T, phi, _SE_SECTOR, noise.phase_jitter_std)
+def _protocol_points(phi: float, labels: Sequence[str], env: np.ndarray, noise: NoiseParams
+                     ) -> list[tuple[np.ndarray, float]]:
+    """Declared joint (S, E) state and herald weight of each labelled signal state at one phi.
+
+    The gated state and the herald projectors do not depend on the signal, so
+    they are built once for all the labels.
+    """
+    gated = _gate(np.kron(np.kron(_P_PLUS, _P_ONE), env), phi, noise)
     # a declared herald is the success branch, or with probability herald_error the failure one
-    weight = 0.0
-    declared = np.zeros((8, 8), dtype=complex)
-    for share, proj in zip((1.0 - noise.herald_error, noise.herald_error),
-                           _herald_projectors(phi)):
-        w, post = project(rho, expand_operator(proj, 3, (0,)))
-        if post is not None:   # a branch project drops at roundoff weight carries none
-            weight += share * w
-            declared += share * w * post
-    if weight <= 0.0:
-        raise DegenerateCouplingError(f"herald never fires at phi = {phi}")
-    declared /= weight
-    return partial_trace_array(declared, 3, (1, 2)), weight
+    heralds = tuple(zip((1.0 - noise.herald_error, noise.herald_error),
+                        [expand_operator(proj, 3, (0,)) for proj in _herald_projectors(phi)]))
+    points = []
+    for psi_label in labels:
+        v = expand_operator(_prep_unitary(psi_label), 3, (1,))
+        rho = _phase(v @ gated @ v.conj().T, phi, _SE_SECTOR, noise.phase_jitter_std)
+        weight = 0.0
+        declared = np.zeros((8, 8), dtype=complex)
+        for share, proj in heralds:
+            w, post = project(rho, proj)
+            if post is not None:   # a branch project drops at roundoff weight carries none
+                weight += share * w
+                declared += share * w * post
+        if weight <= 0.0:
+            raise DegenerateCouplingError(f"herald never fires at phi = {phi}")
+        declared /= weight
+        points.append((partial_trace_array(declared, 3, (1, 2)), weight))
+    return points
 
 
-def _reference_point(phi: float, psi_label: str, env: np.ndarray, noise: NoiseParams
-                     ) -> tuple[np.ndarray, float]:
-    rho = _gate(np.kron(np.kron(_P_ONE, projector(ket(psi_label))), env), phi, noise)
-    return partial_trace_array(rho, 3, (1, 2)), 1.0
+def _reference_points(phi: float, labels: Sequence[str], env: np.ndarray, noise: NoiseParams
+                      ) -> list[tuple[np.ndarray, float]]:
+    """Joint (S, E) state after the unprotected gate of each labelled signal state; weight 1."""
+    points = []
+    for psi_label in labels:
+        rho = _gate(np.kron(np.kron(_P_ONE, projector(ket(psi_label))), env), phi, noise)
+        points.append((partial_trace_array(rho, 3, (1, 2)), 1.0))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -381,22 +393,27 @@ class _Sample:
         return self.counts is not None and not self.counts.any()
 
 
-def _sample(phi: float, label: str, env: np.ndarray, config: ScenarioConfig,
-            key: tuple[int, ...], bootstrap: int) -> _Sample:
-    """Simulate one grid point of ``config.mode`` with ``bootstrap`` replicas (0: none).
+def _samples(phi: float, labels: Sequence[str], env: np.ndarray, config: ScenarioConfig,
+             keys: Sequence[tuple[int, ...]], bootstrap: int) -> list[_Sample]:
+    """Simulate each labelled signal state at one grid point of ``config.mode`` with
+    ``bootstrap`` replicas (0: none).
 
-    Counts and replicas both derive from spawn key ``key``, on streams of their own.
+    The sample of ``labels[i]`` draws its counts and replicas from spawn key
+    ``keys[i]``, on streams of their own.
     """
-    pipeline = _protocol_point if config.mode == "protocol" else _reference_point
-    rho_se, weight = pipeline(phi, label, env, config.noise)
-    # the gate's success probability relative to its phi = 0 and phi = pi value 1/9
-    transmission = ccp_success_probability(phi) * 9.0 * weight
-    if not config.shot_noise:
-        return _Sample(rho_se, weight, transmission, None, None)
-    counts = simulate_counts(_TQ_SETTINGS, rho_se, config.rate * transmission,
-                             _seed_seq(config.seed, *key, 0))
-    return _Sample(rho_se, weight, transmission, counts,
-                   resample_counts(counts, bootstrap, config.seed, key))
+    pipeline = _protocol_points if config.mode == "protocol" else _reference_points
+    samples = []
+    for (rho_se, weight), key in zip(pipeline(phi, labels, env, config.noise), keys):
+        # the gate's success probability relative to its phi = 0 and phi = pi value 1/9
+        transmission = ccp_success_probability(phi) * 9.0 * weight
+        if not config.shot_noise:
+            samples.append(_Sample(rho_se, weight, transmission, None, None))
+            continue
+        counts = simulate_counts(_TQ_SETTINGS, rho_se, config.rate * transmission,
+                                 _seed_seq(config.seed, *key, 0))
+        samples.append(_Sample(rho_se, weight, transmission, counts,
+                               resample_counts(counts, bootstrap, config.seed, key)))
+    return samples
 
 
 def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -478,31 +495,71 @@ def _state_point(phi: float, label: str, sample: _Sample, anchor: _Sample,
 
 
 def _process_estimates(settings: SettingGrid, n: int, counts: np.ndarray,
-                       reps: np.ndarray, max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
-    """MLE Choi matrix of ``counts`` (validated), then one per replica in ``reps``; (1 + R, d, d)."""
-    if counts.sum() == 0:
+                       points: Sequence[int], max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
+    """MLE Choi matrices of the rows of ``counts``, all in one ``mle_process`` call; (B, d, d).
+
+    The rows at ``points`` are the tomograms of grid points: one with no
+    counts raises, and each estimate is validated.  The other rows are their
+    bootstrap replicas.
+    """
+    if any(counts[i].sum() == 0 for i in points):
         raise ValueError("tomogram has zero total counts")
-    chis = mle_process(settings, np.vstack([counts, reps]), max_iters=max_iters)
-    ProcessMatrix(chis[0], n)
+    chis = mle_process(settings, counts, max_iters=max_iters)
+    for i in points:
+        ProcessMatrix(chis[i], n)
     return chis
 
 
-def _channel_point(samples: Sequence[_Sample], config: ScenarioConfig, key: tuple[int, ...]
-                   ) -> tuple[MetricValue, MetricValue]:
-    """fig5 at one phi: the signal channel, from one sample per state of BASIS_LABELS."""
+# Consecutive grid points put their channel tomograms into one mle_process call until the
+# next point would push it past this many rows, and a call that reaches it runs at once, so
+# a point with at least this many rows gets a call of its own.  Per-row R-rho-R cost is
+# flat from about 250 rows, so a larger call saves little and costs memory.
+_CHANNEL_BATCH_ROWS = 1000
+
+
+def _channel_input(samples: Sequence[_Sample], config: ScenarioConfig, key: tuple[int, ...]
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+    """fig5 input at one phi, from one sample per state of BASIS_LABELS.
+
+    Returns the analytic signal-channel Choi matrix and the (1 + R, 36)
+    tomogram stack of the channel estimate (row 0) and its replicas.  The
+    stack is None without shot noise, and when a preparation drew no counts.
+    """
     outputs = {lab: s.weight * partial_trace_array(s.rho_se, 2, (0,))
                for lab, s in zip(BASIS_LABELS, samples)}
-    chis = channel_choi_from_outputs(outputs)[None]
-    empty = any(s.empty for s in samples)
-    if config.shot_noise and not empty:
-        # preparation-major signal counts, as in _CHANNEL_SETTINGS
-        counts = _marginal_counts(np.stack([s.counts for s in samples]))[0].ravel()
-        boot = resample_counts(counts, config.bootstrap_samples, config.seed, key)
-        chis = np.concatenate([chis, _process_estimates(_CHANNEL_SETTINGS, 1, counts, boot)])
-    columns = _channel_metrics(chis)
-    if empty:   # a preparation without counts leaves the channel undetermined
-        columns = _with_nan_estimate(columns, 0)
-    return tuple(map(_metric, columns))
+    chi = channel_choi_from_outputs(outputs)
+    if not config.shot_noise or any(s.empty for s in samples):
+        return chi, None
+    # preparation-major signal counts, as in _CHANNEL_SETTINGS
+    counts = _marginal_counts(np.stack([s.counts for s in samples]))[0].ravel()
+    boot = resample_counts(counts, config.bootstrap_samples, config.seed, key)
+    return chi, np.vstack([counts, boot])
+
+
+def _channel_points(inputs: Sequence[tuple[np.ndarray, np.ndarray | None]], shot_noise: bool
+                    ) -> list[tuple[MetricValue, MetricValue]]:
+    """fig5 metrics of the ``_channel_input``s of consecutive grid points.
+
+    All their tomograms go into one ``_process_estimates`` call, each point's
+    estimate followed by its replicas.
+    """
+    stacks = [t for _, t in inputs if t is not None]
+    estimates = iter(())
+    if stacks:
+        starts = np.cumsum([0] + [len(t) for t in stacks[:-1]])
+        # a lone stack (every default 1000-replica point) goes in uncopied
+        counts = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        estimates = iter(np.split(_process_estimates(_CHANNEL_SETTINGS, 1, counts, starts),
+                                  starts[1:]))
+    points = []
+    for chi, tomograms in inputs:
+        chis = chi[None] if tomograms is None else np.concatenate([chi[None], next(estimates)])
+        columns = _channel_metrics(chis)
+        if shot_noise and tomograms is None:
+            # a preparation without counts leaves the channel undetermined
+            columns = _with_nan_estimate(columns, 0)
+        points.append(tuple(map(_metric, columns)))
+    return points
 
 
 def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> ScenarioResult:
@@ -518,8 +575,8 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
     bootstrap = config.bootstrap_samples if with_states else 0
 
     def samples(key: int, phi: float) -> list[_Sample]:
-        return [_sample(phi, lab, env, config, (key, si), bootstrap)
-                for si, lab in enumerate(labels)]
+        return _samples(phi, labels, env, config, [(key, si) for si in range(len(labels))],
+                        bootstrap)
 
     # the anchor normalizes the success probability; a grid point at its phi reuses it
     anchors = samples(_ANCHOR_KEY, anchor_phi) if with_states or anchor_phi in grid else None
@@ -534,13 +591,32 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
 
     state_points: list[StatePoint] = []
     phi_points: list[PhiPoint] = []
+    # grid points (phi, mean row, channel input) whose channel MLE call is pending
+    pending: list[tuple[float, MetricValue | None, tuple[np.ndarray, np.ndarray | None]]] = []
+
+    def rows(points) -> int:
+        return sum(len(t) for *_, (_, t) in points if t is not None)
+
+    def finish_pending() -> None:
+        channels = _channel_points([c for *_, c in pending], config.shot_noise)
+        phi_points.extend(PhiPoint(p, m, *metrics)
+                          for (p, m, _), metrics in zip(pending, channels))
+        pending.clear()
+
+    def queue(point) -> None:
+        if rows(pending) + rows([point]) > _CHANNEL_BATCH_ROWS:
+            finish_pending()
+        pending.append(point)
+        if rows(pending) >= _CHANNEL_BATCH_ROWS:   # full: hold no tomogram past its call
+            finish_pending()
+
     for pi, phi in enumerate(grid):
         at_phi = anchors if phi == anchor_phi else samples(pi, phi)
         for lab, sample in zip(labels, at_phi):
             if sample.empty:
                 print(f"phi = {phi:.6g}, state {lab}: no counts, estimates are nan",
                       file=sys.stderr)
-        mean = channel_ef = channel_fid = None
+        mean = None
         if with_states:
             points, pops = zip(*(
                 _state_point(phi, lab, sample, anchor, rhos) for lab, sample, anchor, rhos
@@ -548,11 +624,13 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
             state_points.extend(points)
             # the fig4 mean row: environment population averaged over the states
             mean = _metric(np.mean(pops, axis=0))
-        if with_channel:
-            by_label = dict(zip(labels, at_phi))
-            channel_ef, channel_fid = _channel_point([by_label[lab] for lab in BASIS_LABELS],
-                                                     config, (pi, 99))
-        phi_points.append(PhiPoint(phi, mean, channel_ef, channel_fid))
+        if not with_channel:
+            phi_points.append(PhiPoint(phi, mean))
+            continue
+        # an index, not a dict: no name keeps the samples alive into the next point's MLE
+        queue((phi, mean, _channel_input([at_phi[labels.index(lab)] for lab in BASIS_LABELS],
+                                         config, (pi, 99))))
+    finish_pending()
     return ScenarioResult(mode=mode, config=config,
                           states=tuple(state_points), phis=tuple(phi_points))
 
@@ -639,8 +717,8 @@ def run_gate_tomography(config: ScenarioConfig,
         if config.shot_noise:
             counts = simulate_counts(settings, chis[0], config.rate, _seed_seq(config.seed, pi, 3))
             boot = resample_counts(counts, config.gate_bootstrap_samples, config.seed, (pi, 3))
-            chis = np.concatenate([chis, _process_estimates(settings, 3, counts, boot,
-                                                            config.gate_mle_max_iters)])
+            chis = np.concatenate([chis, _process_estimates(
+                settings, 3, np.vstack([counts, boot]), (0,), config.gate_mle_max_iters)])
         columns = _gate_metrics(chis, np.kron(eye8, u_ccp(phi).matrix) @ phi3)
         points.append(GatePoint(phi, *map(_metric, columns)))
     return ScenarioResult(mode="gate_tomography", config=config, gates=tuple(points))

@@ -6,8 +6,11 @@ from typing import Iterable
 
 import numpy as np
 
-from darkstate.qmath import (BASIS_LABELS, DensityMatrix, OperatorMatrix, PureState, ket,
-                             max_entangled, projector)
+from darkstate.experiments import _P_ONE, _P_PLUS, _SE_SECTOR, _gate, _phase, _prep_unitary
+from darkstate.protocol import _herald_projectors
+from darkstate.qmath import (BASIS_LABELS, DensityMatrix, OperatorMatrix, PureState,
+                             expand_operator, ket, max_entangled, partial_trace_array, project,
+                             projector)
 from darkstate.tomography import MeasurementSetting, ProcessMatrix
 
 
@@ -66,3 +69,24 @@ def channel_to_choi(operators, n: int) -> ProcessMatrix:
     kets = [np.kron(eye, getattr(op, "matrix", op)) @ max_entangled(n).amplitudes
             for op in operators]
     return ProcessMatrix(sum(np.outer(v, v.conj()) for v in kets), n)
+
+
+def protocol_point(phi: float, psi_label: str, env: np.ndarray, noise) -> tuple[np.ndarray, float]:
+    """Declared joint (S, E) state of one signal state at ``phi`` and its herald weight.
+
+    The reference for ``experiments._protocol_points``: the whole pipeline,
+    gate and herald projectors included, built for the one label.
+    """
+    rho = _gate(np.kron(np.kron(_P_PLUS, _P_ONE), env), phi, noise)
+    v = expand_operator(_prep_unitary(psi_label), 3, (1,))
+    rho = _phase(v @ rho @ v.conj().T, phi, _SE_SECTOR, noise.phase_jitter_std)
+    weight = 0.0
+    declared = np.zeros((8, 8), dtype=complex)
+    for share, proj in zip((1.0 - noise.herald_error, noise.herald_error),
+                           _herald_projectors(phi)):
+        w, post = project(rho, expand_operator(proj, 3, (0,)))
+        if post is not None:
+            weight += share * w
+            declared += share * w * post
+    declared /= weight
+    return partial_trace_array(declared, 3, (1, 2)), weight

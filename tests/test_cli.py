@@ -180,7 +180,7 @@ def test_channel_command_reconstructs_no_state(tmp_path, record_calls):
     assert main(["channel", "--set", "phi_grid=pi/2,pi", "--bootstrap", "3",
                  "--out", str(tmp_path / "chan")]) == 0
     assert {name: len(out) for name, out in calls.items()} == {
-        "mle_state": 0, "mle_process": 2}   # point and replicas in one call per phi
+        "mle_state": 0, "mle_process": 1}   # both points and their replicas in one call
 
 
 def test_channel_command_draws_no_state_replicas(tmp_path, record_calls):

@@ -17,8 +17,8 @@ from darkstate.experiments import (
     _gate_choi,
     _marginal_counts,
     _phase,
-    _protocol_point,
-    _sample,
+    _protocol_points,
+    _samples,
     channel_choi_from_outputs,
     optimize_local_phase_fidelity,
     run_gate_tomography,
@@ -36,8 +36,16 @@ from darkstate.qmath import (
     max_entangled,
     projector,
 )
-from darkstate.tomography import build_state_settings, mle_state, process_fidelity
-from helpers import channel_to_choi, product_ket, random_density_matrix
+from darkstate.tomography import (
+    MLEConvergenceWarning,
+    build_state_settings,
+    mle_process,
+    mle_state,
+    process_fidelity,
+    resample_counts,
+    simulate_counts,
+)
+from helpers import channel_to_choi, product_ket, protocol_point, random_density_matrix
 
 EF_DEPHASED_HALF = 0.6008760366928562   # entanglement at |q| = cos(pi/4)
 
@@ -288,12 +296,12 @@ def test_protocol_counts_survive_one_ulp_of_phi():
     redrawn = []
     for k, phi in enumerate(experiments.DEFAULT_PROTOCOL_GRID):
         for si, label in enumerate(BASIS_LABELS):
-            base = _sample(phi, label, env, config, (k, si), 0).counts
+            base = _samples(phi, (label,), env, config, [(k, si)], 0)[0].counts
             for toward in (10.0, -10.0):
                 shifted = phi
                 for ulp in range(1, 5):
                     shifted = np.nextafter(shifted, toward)
-                    counts = _sample(shifted, label, env, config, (k, si), 0).counts
+                    counts = _samples(shifted, (label,), env, config, [(k, si)], 0)[0].counts
                     if not np.array_equal(base, counts):
                         redrawn.append((k, label, int(math.copysign(ulp, toward))))
     assert redrawn == []
@@ -307,13 +315,123 @@ def test_sweep_makes_one_state_mle_call_per_grid_point(record_calls):
     assert len(calls["mle_state"]) == len(experiments.DEFAULT_PROTOCOL_GRID)
 
 
-def test_sweep_makes_one_process_mle_call_per_grid_point(record_calls):
-    # the channel estimate of a grid point and its replicas go into one
-    # mle_process call
-    calls = record_calls(experiments, ("mle_process",))
-    run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=3))
-    assert len(calls["mle_process"]) == len(experiments.DEFAULT_PROTOCOL_GRID)
-    assert {len(chis) for chis in calls["mle_process"]} == {1 + 3}
+def record_process_counts(monkeypatch) -> list[np.ndarray]:
+    """Patch experiments.mle_process to record the counts of each call."""
+    calls = []
+
+    def recording(settings, counts, **kwargs):
+        calls.append(np.array(counts))
+        return mle_process(settings, counts, **kwargs)
+
+    monkeypatch.setattr(experiments, "mle_process", recording)
+    return calls
+
+
+def test_sweep_batches_channel_tomograms_up_to_the_row_cap(monkeypatch):
+    # consecutive grid points share an mle_process call until the next point
+    # would push it past the row cap; each point's estimate row is followed by
+    # its own replicas, in the same call
+    monkeypatch.setattr(experiments, "_CHANNEL_BATCH_ROWS", 10)
+    calls = record_process_counts(monkeypatch)
+    config = ScenarioConfig(mode="protocol", bootstrap_samples=3)
+    run_protocol_sweep(config, states=False)
+    grid = experiments.DEFAULT_PROTOCOL_GRID
+    assert [len(counts) for counts in calls] == [8] * 6 + [4]   # two 4-row points a call
+    for pi, rows in enumerate(np.split(np.concatenate(calls), len(grid))):
+        assert np.array_equal(rows[1:], resample_counts(rows[0], 3, config.seed, (pi, 99)))
+
+
+@pytest.mark.parametrize("cap, bootstrap", [(2, 3), (4, 3), (None, None)],
+                         ids=["over-cap", "at-cap", "default-cap"])
+def test_point_of_at_least_cap_rows_gets_a_call_of_its_own(monkeypatch, cap, bootstrap):
+    # the cap bounds the memory of one call: a point is never split, one at or
+    # over the cap (a default 1000-replica point) shares its call with none, and
+    # its call runs before the next point draws its counts
+    if cap is None:
+        cap = experiments._CHANNEL_BATCH_ROWS
+        bootstrap = cap - 1
+    monkeypatch.setattr(experiments, "_CHANNEL_BATCH_ROWS", cap)
+    calls = record_process_counts(monkeypatch)
+    simulate = experiments.simulate_counts
+    monkeypatch.setattr(experiments, "simulate_counts",
+                        lambda *args: calls.append(None) or simulate(*args))
+    grid = (math.pi / 2.0, 1.5 * math.pi, 5.0)   # no anchor: states=False and pi is off the grid
+    run_protocol_sweep(ScenarioConfig(mode="protocol", phi_grid=grid,
+                                      bootstrap_samples=bootstrap), states=False)
+    assert [c is None for c in calls] == ([True] * 6 + [False]) * len(grid)
+    assert [len(c) for c in calls if c is not None] == [1 + bootstrap] * len(grid)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(bootstrap_samples=0), dict(bootstrap_samples=3), dict(bootstrap_samples=30),
+    dict(mode="reference", bootstrap_samples=30),
+    dict(rate=0.05, seed=3, bootstrap_samples=30), dict(rate=1.0, seed=3, bootstrap_samples=30)],
+    ids=["boot0", "boot3", "boot30", "reference", "rate-0.05", "rate-1"])
+def test_channel_batching_leaves_the_result_unchanged(monkeypatch, overrides):
+    # a row cap of 1 gives every grid point its own call, as one call per point
+    # did; the rows of a batch are solved independently, so the result must be
+    # the same to the bit (repr spells out every float, nan included)
+    config = ScenarioConfig(**overrides)
+    run = run_protocol_sweep if config.mode == "protocol" else run_reference_sweep
+    batched = run(config)
+    monkeypatch.setattr(experiments, "_CHANNEL_BATCH_ROWS", 1)
+    assert repr(run(config)) == repr(batched)
+    # at seed 3 a preparation draws no counts at every point at rate 0.05, and at
+    # some points at rate 1: those points have no tomogram, and a batch skips them
+    if config.rate < 1.0:
+        assert all(math.isnan(pp.channel_ef.estimate) for pp in batched.phis)
+    elif config.rate == 1.0:
+        assert {math.isnan(pp.channel_ef.estimate) for pp in batched.phis} == {False, True}
+
+
+def test_batched_channel_estimates_keep_the_point_checks(monkeypatch):
+    # every point row of a batch is checked: a point without counts raises, a
+    # capped row warns from the mle_process call in experiments, its "k of B
+    # rows" counting over the whole batch, and every point estimate is validated
+    settings = experiments._CHANNEL_SETTINGS
+    counts = np.stack([simulate_counts(settings, channel_to_choi(np.diag([1.0, np.exp(1j * phi)]),
+                                                                1).chi, 300.0, seed)
+                       for seed, phi in enumerate((1.0, 2.0, 3.0))])
+    with pytest.raises(ValueError, match="tomogram has zero total counts"):
+        experiments._process_estimates(settings, 1, np.vstack([counts, 0.0 * counts[:1]]),
+                                       (0, 3))
+    with pytest.warns(MLEConvergenceWarning, match=r"B = 3\): .* in 3 of 3 rows$") as caught:
+        chis = experiments._process_estimates(settings, 1, counts, (0, 2), max_iters=1)
+    assert [w.filename for w in caught] == [experiments.__file__]
+    for i, row in enumerate(counts):
+        with pytest.warns(MLEConvergenceWarning):
+            single = mle_process(settings, row[None], max_iters=1)
+        assert np.array_equal(chis[i], single[0])
+    # a non-Hermitian estimate in the second point's row
+    monkeypatch.setattr(experiments, "mle_process",
+                        lambda *args, **kwargs: chis + np.triu(np.ones((4, 4)), 1) * (
+                            np.arange(3) == 2)[:, None, None])
+    with pytest.raises(ValueError, match="chi is not Hermitian"):
+        experiments._process_estimates(settings, 1, counts, (0, 2))
+    experiments._process_estimates(settings, 1, counts, (0, 1))   # a replica row is not checked
+
+
+def test_protocol_sweep_builds_the_phi_only_part_once_per_grid_point(record_calls):
+    # the gated (P, S, E) state and the herald projectors do not depend on the
+    # signal state: one of each per phi, not one per phi and state
+    calls = record_calls(experiments, ("_gate", "_herald_projectors"))
+    run_protocol_sweep(ScenarioConfig(mode="protocol", **ANALYTIC))
+    n = len(experiments.DEFAULT_PROTOCOL_GRID)
+    assert {name: len(out) for name, out in calls.items()} == {
+        "_gate": n, "_herald_projectors": n}
+
+
+@pytest.mark.parametrize("phi", [0.3, math.pi / 2.0, math.pi, 5.9])
+def test_protocol_points_match_the_per_label_formula(phi):
+    # sharing the phi-only part across the labels leaves every float operation
+    # of the per-label pipeline as it was
+    env = random_density_matrix(1, np.random.default_rng(4)).matrix
+    noise = NoiseParams(herald_error=0.07, gate_depolarizing=0.05, phase_jitter_std=0.3)
+    for label, (rho, weight) in zip(BASIS_LABELS,
+                                    _protocol_points(phi, BASIS_LABELS, env, noise)):
+        ref_rho, ref_weight = protocol_point(phi, label, env, noise)
+        assert weight == ref_weight
+        assert rho.tobytes() == ref_rho.tobytes()
 
 
 @pytest.mark.parametrize("bootstrap", [0, 30])
@@ -334,8 +452,8 @@ def test_reference_near_pure_batches_return_without_warning():
     env = _env_matrix(config.env_state)
     si = BASIS_LABELS.index("R")
     for pi in (1, 12):
-        sample = _sample(DEFAULT_REFERENCE_GRID[pi], "R", env, config, (pi, si),
-                         config.bootstrap_samples)
+        sample, = _samples(DEFAULT_REFERENCE_GRID[pi], ("R",), env, config, [(pi, si)],
+                           config.bootstrap_samples)
         for counts in _marginal_counts(sample.reps):
             rhos = mle_state(build_state_settings(1), counts)
             assert rhos.shape == (1000, 2, 2)
@@ -372,7 +490,8 @@ def test_protocol_near_zero_coupling_never_heralds(phi, shot_noise):
 
 @pytest.mark.parametrize("phi", [1e-7, 2.0 * math.pi - 1e-7])
 def test_herald_error_keeps_failure_branch_near_zero_coupling(phi):
-    rho_se, weight = _protocol_point(phi, "+", np.eye(2) / 2, NoiseParams(herald_error=0.1))
+    (rho_se, weight), = _protocol_points(phi, ("+",), np.eye(2) / 2,
+                                         NoiseParams(herald_error=0.1))
     assert weight == pytest.approx(0.1, rel=1e-9)   # the failure branch has weight ~1
     assert DensityMatrix(rho_se).n == 2             # a trace-one state
 
