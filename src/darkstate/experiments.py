@@ -28,6 +28,8 @@ from .protocol import DegenerateCouplingError, _herald_projectors, u_ccp
 from .qmath import (
     BASIS_LABELS,
     DensityMatrix,
+    _check_states,
+    _dagger,
     entanglement_of_formation,
     expand_operator,
     ket,
@@ -245,56 +247,62 @@ def _phase(rho: np.ndarray, phi: float, sector: np.ndarray, jitter: float) -> np
 
 def _gate(rho: np.ndarray, phi: float, noise: NoiseParams) -> np.ndarray:
     """The CCP gate with its phase jitter and depolarizing on the low three qubits of
-    ``rho``; the qubits above stay idle (the input copy of a Choi matrix).
+    ``rho``, one matrix or a (B, d, d) stack; the qubits above stay idle (the input
+    copy of a Choi matrix).
 
     Depolarizing maps rho to (1 - p) rho + p Tr_out(rho) (x) I/8.
     """
-    d = len(rho)
+    d = rho.shape[-1]
     rho = _phase(rho, phi, np.tile(_CCP_SECTOR, d // 8), noise.phase_jitter_std)
     p = noise.gate_depolarizing
     if p > 0.0:
-        rho_in = rho.reshape(d // 8, 8, d // 8, 8).trace(axis1=1, axis2=3)
+        rho_in = rho.reshape(rho.shape[:-2] + (d // 8, 8, d // 8, 8)).trace(axis1=-3, axis2=-1)
         rho = (1.0 - p) * rho + p * np.kron(rho_in, np.eye(8) / 8.0)
     return rho
 
 
-def _protocol_points(phi: float, labels: Sequence[str], env: np.ndarray, noise: NoiseParams
-                     ) -> list[tuple[np.ndarray, float]]:
-    """Declared joint (S, E) state and herald weight of each labelled signal state at one phi.
+def _preparations(mode: str, labels: Sequence[str]) -> np.ndarray:
+    """The phi-independent part of each labelled signal state's pipeline, one row per label.
+
+    For the protocol, the (L, 8, 8) unitaries on S of (P, S, E) that take |1>
+    to the labelled states; for the reference, the (L, 2, 2) signal states.
+    """
+    if mode == "protocol":
+        return np.stack([expand_operator(_prep_unitary(lab), 3, (1,)) for lab in labels])
+    return np.stack([projector(ket(lab)) for lab in labels])
+
+
+def _protocol_points(phi: float, preps: np.ndarray, env: np.ndarray, noise: NoiseParams
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Declared joint (S, E) states (L, 4, 4) and herald weights (L,) at one phi of the
+    signal states that the ``_preparations`` rows ``preps`` prepare.
 
     The gated state and the herald projectors do not depend on the signal, so
-    they are built once for all the labels.
+    they are built once for all the states, and every state goes through the
+    rest of the pipeline in one stack.
     """
     gated = _gate(np.kron(np.kron(_P_PLUS, _P_ONE), env), phi, noise)
+    rho = _phase(preps @ gated @ _dagger(preps), phi, _SE_SECTOR, noise.phase_jitter_std)
+    weights = np.zeros(len(preps))
+    declared = np.zeros(rho.shape, dtype=complex)
     # a declared herald is the success branch, or with probability herald_error the failure one
-    heralds = tuple(zip((1.0 - noise.herald_error, noise.herald_error),
-                        [expand_operator(proj, 3, (0,)) for proj in _herald_projectors(phi)]))
-    points = []
-    for psi_label in labels:
-        v = expand_operator(_prep_unitary(psi_label), 3, (1,))
-        rho = _phase(v @ gated @ v.conj().T, phi, _SE_SECTOR, noise.phase_jitter_std)
-        weight = 0.0
-        declared = np.zeros((8, 8), dtype=complex)
-        for share, proj in heralds:
-            w, post = project(rho, proj)
-            if post is not None:   # a branch project drops at roundoff weight carries none
-                weight += share * w
-                declared += share * w * post
-        if weight <= 0.0:
-            raise DegenerateCouplingError(f"herald never fires at phi = {phi}")
-        declared /= weight
-        points.append((partial_trace_array(declared, 3, (1, 2)), weight))
-    return points
+    for share, proj in zip((1.0 - noise.herald_error, noise.herald_error),
+                           _herald_projectors(phi)):
+        # a branch project drops at roundoff weight has weight 0 and carries nothing
+        w, post = project(rho, expand_operator(proj, 3, (0,)))
+        weights += share * w
+        declared += (share * w)[:, None, None] * post
+    if (weights <= 0.0).any():
+        raise DegenerateCouplingError(f"herald never fires at phi = {phi}")
+    return partial_trace_array(declared / weights[:, None, None], 3, (1, 2)), weights
 
 
-def _reference_points(phi: float, labels: Sequence[str], env: np.ndarray, noise: NoiseParams
-                      ) -> list[tuple[np.ndarray, float]]:
-    """Joint (S, E) state after the unprotected gate of each labelled signal state; weight 1."""
-    points = []
-    for psi_label in labels:
-        rho = _gate(np.kron(np.kron(_P_ONE, projector(ket(psi_label))), env), phi, noise)
-        points.append((partial_trace_array(rho, 3, (1, 2)), 1.0))
-    return points
+def _reference_points(phi: float, preps: np.ndarray, env: np.ndarray, noise: NoiseParams
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Joint (S, E) states (L, 4, 4) after the unprotected gate of the (L, 2, 2) signal
+    states ``preps``, and their weights, all 1."""
+    rho = _gate(np.kron(np.kron(_P_ONE, preps), env), phi, noise)
+    return partial_trace_array(rho, 3, (1, 2)), np.ones(len(preps))
 
 
 # ---------------------------------------------------------------------------
@@ -352,68 +360,67 @@ def _seed_seq(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
 
 
-def _metric(column: np.ndarray) -> MetricValue:
-    """Both tracks of one quantity from its column over a metric stack.
+def _metrics(block: np.ndarray) -> list[MetricValue]:
+    """Both tracks of one quantity from each row of a (K, 1 + E) column block.
 
-    Entry 0 is the analytic value.  With shot noise, entry 1 is the estimate
-    and entries 2.. are its bootstrap replicas (none without a bootstrap).
+    Column 0 is the analytic value.  With shot noise, column 1 is the
+    estimate and columns 2.. are its bootstrap replicas (none without a
+    bootstrap); the replica std is one call over the block.
     """
-    analytic = float(column[0])
-    if len(column) == 1:
-        return MetricValue(analytic=analytic)
-    estimate, reps = float(column[1]), column[2:]
-    if reps.size:
-        std = float(reps.std(ddof=1))
+    if block.shape[1] == 1:
+        return [MetricValue(analytic=float(a)) for a in block[:, 0]]
+    if block.shape[1] > 2:
+        stds = block[:, 2:].std(axis=1, ddof=1)
     else:
-        std = math.nan if math.isnan(estimate) else 0.0
-    return MetricValue(analytic=analytic, estimate=estimate, std=std)
-
-
-def _with_nan_estimate(columns, reps: int) -> list[np.ndarray]:
-    """Analytic-only columns extended by a nan estimate and ``reps`` nan replicas."""
-    return [np.append(c, np.full(1 + reps, math.nan)) for c in columns]
+        stds = np.where(np.isnan(block[:, 1]), math.nan, 0.0)
+    return [MetricValue(analytic=float(a), estimate=float(e), std=float(s))
+            for a, e, s in zip(block[:, 0], block[:, 1], stds)]
 
 
 @dataclass(frozen=True)
-class _Sample:
-    """One signal state at one phi: its declared (S, E) state and its simulated data.
+class _Samples:
+    """The labelled signal states at one phi: their declared (S, E) states and their
+    simulated data, row i for label i.
 
-    ``counts`` (the 36 two-qubit settings) and ``reps`` (their bootstrap
-    replicas, empty without a bootstrap) are None without shot noise.
+    ``counts`` (L, 36), over the 36 two-qubit settings, and ``reps`` (L, R, 36),
+    their bootstrap replicas (R = 0 without a bootstrap), are None without
+    shot noise.
     """
 
-    rho_se: np.ndarray
-    weight: float           # herald weight
-    transmission: float
+    rho_se: np.ndarray          # (L, 4, 4)
+    weights: np.ndarray         # (L,) herald weights
+    transmissions: np.ndarray   # (L,)
     counts: np.ndarray | None
     reps: np.ndarray | None
 
     @property
-    def empty(self) -> bool:
-        return self.counts is not None and not self.counts.any()
+    def empty(self) -> np.ndarray:
+        """(L,) flags of the states that drew no counts."""
+        if self.counts is None:
+            return np.zeros(len(self.weights), dtype=bool)
+        return ~self.counts.any(axis=1)
 
 
-def _samples(phi: float, labels: Sequence[str], env: np.ndarray, config: ScenarioConfig,
-             keys: Sequence[tuple[int, ...]], bootstrap: int) -> list[_Sample]:
-    """Simulate each labelled signal state at one grid point of ``config.mode`` with
-    ``bootstrap`` replicas (0: none).
+def _samples(phi: float, preps: np.ndarray, env: np.ndarray, config: ScenarioConfig,
+             keys: Sequence[tuple[int, ...]], bootstrap: int) -> _Samples:
+    """Simulate the signal states of the ``_preparations`` rows ``preps`` at one grid point
+    of ``config.mode``, with ``bootstrap`` replicas (0: none).
 
-    The sample of ``labels[i]`` draws its counts and replicas from spawn key
-    ``keys[i]``, on streams of their own.
+    State i draws its counts and replicas from spawn key ``keys[i]``, on
+    streams of their own.
     """
     pipeline = _protocol_points if config.mode == "protocol" else _reference_points
-    samples = []
-    for (rho_se, weight), key in zip(pipeline(phi, labels, env, config.noise), keys):
-        # the gate's success probability relative to its phi = 0 and phi = pi value 1/9
-        transmission = ccp_success_probability(phi) * 9.0 * weight
-        if not config.shot_noise:
-            samples.append(_Sample(rho_se, weight, transmission, None, None))
-            continue
-        counts = simulate_counts(_TQ_SETTINGS, rho_se, config.rate * transmission,
-                                 _seed_seq(config.seed, *key, 0))
-        samples.append(_Sample(rho_se, weight, transmission, counts,
-                               resample_counts(counts, bootstrap, config.seed, key)))
-    return samples
+    rho_se, weights = pipeline(phi, preps, env, config.noise)
+    # the gate's success probability relative to its phi = 0 and phi = pi value 1/9
+    transmissions = ccp_success_probability(phi) * 9.0 * weights
+    if not config.shot_noise:
+        return _Samples(rho_se, weights, transmissions, None, None)
+    counts, reps = [], []
+    for rho, transmission, key in zip(rho_se, transmissions, keys):
+        counts.append(simulate_counts(_TQ_SETTINGS, rho, config.rate * transmission,
+                                      _seed_seq(config.seed, *key, 0)))
+        reps.append(resample_counts(counts[-1], bootstrap, config.seed, key))
+    return _Samples(rho_se, weights, transmissions, np.stack(counts), np.stack(reps))
 
 
 def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -421,77 +428,77 @@ def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return grid.sum(axis=2), grid.sum(axis=1)   # signal sums, environment sums
 
 
-def _qubit_metrics(rhos_s: np.ndarray, rhos_e: np.ndarray, psi: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signal purity and fidelity to ``psi``, environment |1> population, per row of
-    the (B, 2, 2) signal and environment stacks."""
-    return (np.einsum("bde,bed->b", rhos_s, rhos_s).real,
-            np.einsum("d,bde,e->b", psi.conj(), rhos_s, psi).real, rhos_e[:, 1, 1].real)
+def _marginal_states(samples: _Samples) -> np.ndarray:
+    """Signal (row 0) and environment (row 1) state of each label, (2, L, 1 + E, 2, 2).
 
-
-def _marginal_states(samples: Sequence[_Sample]) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    """MLE signal and environment states of each sample that drew counts (None otherwise).
-
-    Row 0 of each (1 + R, 2, 2) stack is the estimate from the sample's counts,
-    rows 1.. those from its R replicas.  Every tomogram of the samples goes
-    into one ``mle_state`` call.
+    Column 0 holds the analytic states.  With shot noise, column 1 holds the
+    MLE states from the counts and columns 2.. those from the replicas, nan
+    for a state that drew no counts.  Every tomogram goes into one
+    ``mle_state`` call, and the point estimates are checked as
+    ``DensityMatrix`` checks its matrix.
     """
-    live = [s.counts is not None and not s.empty for s in samples]
-    tomograms = [m for s, ok in zip(samples, live) if ok
-                 for m in _marginal_counts(np.vstack([s.counts, s.reps]))]
-    if not tomograms:
-        return [None] * len(samples)
-    rhos = iter(np.split(mle_state(_SQ_SETTINGS, np.concatenate(tomograms)),
-                         np.cumsum([len(t) for t in tomograms])[:-1]))
-    return [(next(rhos), next(rhos)) if ok else None for ok in live]
+    rhos = np.stack([partial_trace_array(samples.rho_se, 2, (q,)) for q in (0, 1)])[:, :, None]
+    if samples.counts is None:
+        return rhos
+    live = ~samples.empty
+    n, r = int(live.sum()), samples.reps.shape[1]
+    estimates = np.full((2, len(live), 1 + r, 2, 2), math.nan, dtype=complex)
+    if n:
+        # per label: the signal tomograms, then the environment ones
+        tomograms = np.stack([t.reshape(n, 1 + r, 6) for t in _marginal_counts(
+            np.concatenate([samples.counts[live, None], samples.reps[live]], axis=1))], axis=1)
+        fits = mle_state(_SQ_SETTINGS, tomograms.reshape(-1, 6)).reshape(n, 2, 1 + r, 2, 2)
+        points = fits[:, :, 0].reshape(-1, 2, 2)
+        _check_states(points, np.linalg.eigvalsh(points))
+        estimates[:, live] = fits.swapaxes(0, 1)
+    # contiguous per kind, so each metric sums its terms as a lone state's stack does
+    return np.concatenate([rhos, estimates], axis=2)
 
 
-def _state_columns(sample: _Sample, psi: np.ndarray,
-                   rhos: tuple[np.ndarray, np.ndarray] | None) -> list[np.ndarray]:
-    """``_qubit_metrics`` columns of a sample (see ``_metric``).
-
-    ``rhos`` are the sample's signal and environment states from
-    ``_marginal_states``, stacked under the analytic states.  A sample that
-    drew no counts has a nan estimate and nan replicas.
-    """
-    stacks = [partial_trace_array(sample.rho_se, 2, (q,))[None] for q in (0, 1)]
-    if rhos is not None:
-        for rho in rhos:
-            DensityMatrix(rho[0])   # the point estimates
-        stacks = [np.concatenate([a, r]) for a, r in zip(stacks, rhos)]
-    columns = _qubit_metrics(*stacks, psi)
-    return _with_nan_estimate(columns, len(sample.reps)) if sample.empty else list(columns)
-
-
-def _success_column(sample: _Sample, anchor: _Sample) -> np.ndarray:
+def _success_columns(samples: _Samples, anchors: _Samples) -> np.ndarray:
     """Transmission relative to the anchor's, then (with shot noise) the count total
-    over the anchor's, for the sample and for each replica (see ``_metric``).
+    over the anchor's, for the estimate and each replica; one row per state (see
+    ``_metrics``).
 
     The anchor itself reads exactly 1; an anchor without counts leaves the
     ratio undefined (nan) at every grid point, and so does an anchor replica
     without counts for that replica.
     """
-    analytic = [sample.transmission / anchor.transmission]
-    if sample.counts is None:
-        return np.array(analytic)
-    if anchor.empty:
-        return np.array(analytic + [math.nan])
-    if sample is anchor:
-        return np.concatenate([analytic, [1.0], np.zeros(len(sample.reps))])
-    anchor_totals = anchor.reps.sum(axis=1)
-    return np.concatenate([analytic, [sample.counts.sum() / anchor.counts.sum()],
-                           np.divide(sample.reps.sum(axis=1), anchor_totals,
-                                     out=np.full(len(anchor_totals), math.nan),
-                                     where=anchor_totals > 0)])
+    analytic = (samples.transmissions / anchors.transmissions)[:, None]
+    if samples.counts is None:
+        return analytic
+    if samples is anchors:
+        ratios = np.hstack([np.ones((len(analytic), 1)), np.zeros(samples.reps.shape[:2])])
+        ratios[anchors.empty] = math.nan
+    else:
+        totals = [np.hstack([s.counts.sum(axis=1)[:, None], s.reps.sum(axis=2)])
+                  for s in (samples, anchors)]
+        ratios = np.divide(*totals, out=np.full(totals[1].shape, math.nan),
+                           where=totals[1] > 0)
+    return np.hstack([analytic, ratios])
 
 
-def _state_point(phi: float, label: str, sample: _Sample, anchor: _Sample,
-                 rhos: tuple[np.ndarray, np.ndarray] | None) -> tuple[StatePoint, np.ndarray]:
-    """fig3/fig4 row of one sample, and its env-population column for the mean row."""
-    columns = _state_columns(sample, ket(label), rhos)
-    purity, fidelity, env_pop1 = map(_metric, columns)
-    success_norm = _metric(_success_column(sample, anchor))
-    return StatePoint(phi, label, purity, fidelity, success_norm, env_pop1), columns[2]
+def _state_points(phi: float, labels: Sequence[str], samples: _Samples, anchors: _Samples
+                  ) -> tuple[list[StatePoint], MetricValue]:
+    """fig3/fig4 rows of the labelled states at one phi, and the fig4 mean row.
+
+    Each metric is one computation over the ``_marginal_states`` stack of all
+    the states, and its (L, 1 + E) block of columns one ``_metrics`` call.
+    """
+    sig, env = _marginal_states(samples)
+    psi = np.array([ket(lab) for lab in labels])
+    purity = np.einsum("lbde,lbed->lb", sig, sig).real
+    fidelity = np.einsum("ld,lbde,le->lb", psi.conj(), sig, psi).real
+    # einsum sums a lone matrix's terms in another order (to the last bit) than a stack's;
+    # the analytic fidelity of a state without estimates keeps its lone-matrix value
+    alone = np.ones(len(labels), dtype=bool) if samples.counts is None else samples.empty
+    for i in np.flatnonzero(alone):
+        fidelity[i, 0] = np.einsum("d,de,e->", psi[i].conj(), sig[i, 0], psi[i]).real
+    env_pop1 = np.ascontiguousarray(env[:, :, 1, 1].real)
+    columns = map(_metrics, (purity, fidelity, _success_columns(samples, anchors), env_pop1))
+    points = [StatePoint(phi, lab, *metrics) for lab, *metrics in zip(labels, *columns)]
+    # the fig4 mean row: environment population averaged over the states
+    return points, _metrics(np.mean(env_pop1, axis=0)[None])[0]
 
 
 def _process_estimates(settings: SettingGrid, n: int, counts: np.ndarray,
@@ -517,21 +524,22 @@ def _process_estimates(settings: SettingGrid, n: int, counts: np.ndarray,
 _CHANNEL_BATCH_ROWS = 1000
 
 
-def _channel_input(samples: Sequence[_Sample], config: ScenarioConfig, key: tuple[int, ...]
-                   ) -> tuple[np.ndarray, np.ndarray | None]:
-    """fig5 input at one phi, from one sample per state of BASIS_LABELS.
+def _channel_input(samples: _Samples, labels: Sequence[str], config: ScenarioConfig,
+                   key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    """fig5 input at one phi, from the samples of ``labels``, an order of BASIS_LABELS.
 
     Returns the analytic signal-channel Choi matrix and the (1 + R, 36)
     tomogram stack of the channel estimate (row 0) and its replicas.  The
     stack is None without shot noise, and when a preparation drew no counts.
     """
-    outputs = {lab: s.weight * partial_trace_array(s.rho_se, 2, (0,))
-               for lab, s in zip(BASIS_LABELS, samples)}
-    chi = channel_choi_from_outputs(outputs)
-    if not config.shot_noise or any(s.empty for s in samples):
+    order = [labels.index(lab) for lab in BASIS_LABELS]
+    outputs = samples.weights[order, None, None] * partial_trace_array(samples.rho_se[order], 2,
+                                                                       (0,))
+    chi = channel_choi_from_outputs(dict(zip(BASIS_LABELS, outputs)))
+    if not config.shot_noise or samples.empty.any():
         return chi, None
     # preparation-major signal counts, as in _CHANNEL_SETTINGS
-    counts = _marginal_counts(np.stack([s.counts for s in samples]))[0].ravel()
+    counts = _marginal_counts(samples.counts[order])[0].ravel()
     boot = resample_counts(counts, config.bootstrap_samples, config.seed, key)
     return chi, np.vstack([counts, boot])
 
@@ -541,8 +549,12 @@ def _channel_points(inputs: Sequence[tuple[np.ndarray, np.ndarray | None]], shot
     """fig5 metrics of the ``_channel_input``s of consecutive grid points.
 
     All their tomograms go into one ``_process_estimates`` call, each point's
-    estimate followed by its replicas.
+    estimate followed by its replicas, and all their Choi matrices, each
+    analytic one followed by its point's estimates, into one
+    ``_channel_metrics`` call.
     """
+    if not inputs:
+        return []
     stacks = [t for _, t in inputs if t is not None]
     estimates = iter(())
     if stacks:
@@ -551,14 +563,16 @@ def _channel_points(inputs: Sequence[tuple[np.ndarray, np.ndarray | None]], shot
         counts = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
         estimates = iter(np.split(_process_estimates(_CHANNEL_SETTINGS, 1, counts, starts),
                                   starts[1:]))
+    chis = [chi[None] if t is None else np.concatenate([chi[None], next(estimates)])
+            for chi, t in inputs]
+    blocks = np.split(np.stack(_channel_metrics(np.concatenate(chis))),
+                      np.cumsum([len(c) for c in chis[:-1]]), axis=1)
     points = []
-    for chi, tomograms in inputs:
-        chis = chi[None] if tomograms is None else np.concatenate([chi[None], next(estimates)])
-        columns = _channel_metrics(chis)
+    for (_, tomograms), block in zip(inputs, blocks):
         if shot_noise and tomograms is None:
             # a preparation without counts leaves the channel undetermined
-            columns = _with_nan_estimate(columns, 0)
-        points.append(tuple(map(_metric, columns)))
+            block = np.hstack([block, np.full((2, 1), math.nan)])
+        points.append(tuple(_metrics(block)))
     return points
 
 
@@ -568,26 +582,28 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
     grid = config.resolved_grid()
     env = _env_matrix(config.env_state)
     labels = config.signal_states
+    preps = _preparations(mode, labels)
     anchor_phi = math.pi if mode == "protocol" else 0.0
     with_channel = set(labels) == set(BASIS_LABELS)
 
     # state replicas are read only by fig3/fig4
     bootstrap = config.bootstrap_samples if with_states else 0
 
-    def samples(key: int, phi: float) -> list[_Sample]:
-        return _samples(phi, labels, env, config, [(key, si) for si in range(len(labels))],
+    def samples(key: int, phi: float) -> _Samples:
+        return _samples(phi, preps, env, config, [(key, si) for si in range(len(labels))],
                         bootstrap)
 
     # the anchor normalizes the success probability; a grid point at its phi reuses it
     anchors = samples(_ANCHOR_KEY, anchor_phi) if with_states or anchor_phi in grid else None
-    for lab, anchor in zip(labels, anchors) if with_states else ():
-        where = f"state {lab}: anchor at phi = {anchor_phi:.6g} drew no counts"
-        empty_reps = 0 if anchor.reps is None else int((anchor.reps.sum(axis=1) == 0).sum())
-        if anchor.empty:
-            print(f"{where}, success_norm is nan", file=sys.stderr)
-        elif empty_reps:
-            print(f"{where} in {empty_reps} of {len(anchor.reps)} bootstrap replicas, "
-                  "success_norm std is nan", file=sys.stderr)
+    if with_states and anchors.reps is not None:
+        empty_reps = (anchors.reps.sum(axis=2) == 0).sum(axis=1)
+        for lab, empty, n_empty in zip(labels, anchors.empty, empty_reps):
+            where = f"state {lab}: anchor at phi = {anchor_phi:.6g} drew no counts"
+            if empty:
+                print(f"{where}, success_norm is nan", file=sys.stderr)
+            elif n_empty:
+                print(f"{where} in {n_empty} of {anchors.reps.shape[1]} bootstrap replicas, "
+                      "success_norm std is nan", file=sys.stderr)
 
     state_points: list[StatePoint] = []
     phi_points: list[PhiPoint] = []
@@ -612,24 +628,18 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
 
     for pi, phi in enumerate(grid):
         at_phi = anchors if phi == anchor_phi else samples(pi, phi)
-        for lab, sample in zip(labels, at_phi):
-            if sample.empty:
+        for lab, empty in zip(labels, at_phi.empty):
+            if empty:
                 print(f"phi = {phi:.6g}, state {lab}: no counts, estimates are nan",
                       file=sys.stderr)
         mean = None
         if with_states:
-            points, pops = zip(*(
-                _state_point(phi, lab, sample, anchor, rhos) for lab, sample, anchor, rhos
-                in zip(labels, at_phi, anchors, _marginal_states(at_phi))))
+            points, mean = _state_points(phi, labels, at_phi, anchors)
             state_points.extend(points)
-            # the fig4 mean row: environment population averaged over the states
-            mean = _metric(np.mean(pops, axis=0))
         if not with_channel:
             phi_points.append(PhiPoint(phi, mean))
             continue
-        # an index, not a dict: no name keeps the samples alive into the next point's MLE
-        queue((phi, mean, _channel_input([at_phi[labels.index(lab)] for lab in BASIS_LABELS],
-                                         config, (pi, 99))))
+        queue((phi, mean, _channel_input(at_phi, labels, config, (pi, 99))))
     finish_pending()
     return ScenarioResult(mode=mode, config=config,
                           states=tuple(state_points), phis=tuple(phi_points))
@@ -720,7 +730,7 @@ def run_gate_tomography(config: ScenarioConfig,
             chis = np.concatenate([chis, _process_estimates(
                 settings, 3, np.vstack([counts, boot]), (0,), config.gate_mle_max_iters)])
         columns = _gate_metrics(chis, np.kron(eye8, u_ccp(phi).matrix) @ phi3)
-        points.append(GatePoint(phi, *map(_metric, columns)))
+        points.append(GatePoint(phi, *_metrics(np.stack(columns))))
     return ScenarioResult(mode="gate_tomography", config=config, gates=tuple(points))
 
 

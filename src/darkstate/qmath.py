@@ -173,7 +173,8 @@ def projector(vec: np.ndarray) -> np.ndarray:
 
 
 def partial_trace_array(mat: np.ndarray, n: int, keep: Iterable[int]) -> np.ndarray:
-    """Partial trace on a raw 2^n x 2^n array, keeping the listed qubits.
+    """Partial trace on a raw 2^n x 2^n array or a (B, 2^n, 2^n) stack, keeping the
+    listed qubits; each row of a stack is traced on its own.
 
     Qubit 0 is the most significant (leftmost) factor.  The kept qubits
     retain their relative order.
@@ -184,14 +185,15 @@ def partial_trace_array(mat: np.ndarray, n: int, keep: Iterable[int]) -> np.ndar
     if keep[0] < 0 or keep[-1] >= n:
         raise DimensionMismatchError(f"keep set {keep} out of range for {n} qubits")
     remaining = list(range(n))
-    t = np.asarray(mat, dtype=complex).reshape((2,) * (2 * n))
+    mat = np.asarray(mat, dtype=complex)
+    lead = mat.shape[:-2]
+    t = mat.reshape(lead + (2,) * (2 * n))
     for q in sorted(set(range(n)) - set(keep), reverse=True):
-        pos = remaining.index(q)
-        m = len(remaining)
-        t = np.trace(t, axis1=pos, axis2=pos + m)
+        pos = len(lead) + remaining.index(q)
+        t = np.trace(t, axis1=pos, axis2=pos + len(remaining))
         remaining.remove(q)
     d = 2 ** len(remaining)
-    return t.reshape(d, d)
+    return t.reshape(lead + (d, d))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -221,19 +223,27 @@ def expand_operator(op: np.ndarray, n: int, targets: Sequence[int]) -> np.ndarra
     return np.ascontiguousarray(t.reshape(2**n, 2**n))
 
 
-def project(rho: np.ndarray, proj: np.ndarray) -> tuple[float, np.ndarray | None]:
+def project(rho: np.ndarray, proj: np.ndarray):
     """Apply a projector; return (weight, renormalized state or None).
 
     Weights at roundoff scale count as zero: renormalizing them would
-    amplify floating-point asymmetry into an unphysical state.
+    amplify floating-point asymmetry into an unphysical state.  ``rho`` may
+    also be a (B, d, d) stack, each row projected on its own; then the
+    result is the (B,) weights and the (B, d, d) states, and a row whose
+    branch is dropped has weight 0 and the zero matrix for its state, so it
+    adds nothing to a weighted sum of branches.
     """
-    sub = proj @ rho @ proj.conj().T
-    w = float(sub.trace().real)
-    scale = abs(float(np.trace(rho).real)) or 1.0
-    if w <= 1e-14 * scale:
-        return max(w, 0.0), None
-    out = sub / w
-    return w, 0.5 * (out + out.conj().T)
+    rho = np.asarray(rho)
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+    sub = proj @ stack @ proj.conj().T
+    w = np.trace(sub, axis1=1, axis2=2).real
+    scale = np.abs(np.trace(stack, axis1=1, axis2=2).real)
+    kept = ~(w <= 1e-14 * np.where(scale > 0.0, scale, 1.0))
+    out = sub / np.where(kept, w, 1.0)[:, None, None]
+    out = np.where(kept[:, None, None], 0.5 * (out + _dagger(out)), 0.0)
+    if rho.ndim == 3:
+        return np.where(kept, w, 0.0), out
+    return (float(w[0]), out[0]) if kept[0] else (max(float(w[0]), 0.0), None)
 
 
 def max_entangled(n: int) -> PureState:

@@ -109,3 +109,12 @@ def test_guard_sees_definitions_and_callers():
     # recursion is no caller; the read of A.m at top level is
     assert read_names(tree, strings=False) == {"self", "A", "m"}
     assert read_names(ast.parse("g('h')"), strings=True) == {"g", "h"}
+
+
+def test_declared_numpy_floor_has_bitwise_count():
+    # the Pauli tables use np.bitwise_count, which numpy has from 2.0 on
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    floors = [dep.split(">=", 1)[1] for dep in dependencies if dep.startswith("numpy>=")]
+    assert len(floors) == 1, dependencies
+    assert tuple(int(part) for part in floors[0].split(".")[:2]) >= (2, 0)

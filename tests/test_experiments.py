@@ -17,7 +17,9 @@ from darkstate.experiments import (
     _gate_choi,
     _marginal_counts,
     _phase,
+    _preparations,
     _protocol_points,
+    _reference_points,
     _samples,
     channel_choi_from_outputs,
     optimize_local_phase_fidelity,
@@ -31,6 +33,7 @@ from darkstate.protocol import TWO_PI, DegenerateCouplingError, u_ccp, u_cp
 from darkstate.qmath import (
     BASIS_LABELS,
     DensityMatrix,
+    InvalidStateError,
     expand_operator,
     ket,
     max_entangled,
@@ -45,7 +48,8 @@ from darkstate.tomography import (
     resample_counts,
     simulate_counts,
 )
-from helpers import channel_to_choi, product_ket, protocol_point, random_density_matrix
+from helpers import (channel_to_choi, product_ket, protocol_point, random_density_matrix,
+                     reference_point, state_points)
 
 EF_DEPHASED_HALF = 0.6008760366928562   # entanglement at |q| = cos(pi/4)
 
@@ -293,16 +297,18 @@ def test_protocol_counts_survive_one_ulp_of_phi():
     # roundoff-level Born means read 0, so 1 to 4 ulp of phi either way redraw no grid point
     env = _env_matrix("maximally_mixed")
     config = ScenarioConfig(mode="protocol", bootstrap_samples=0)
+    preps = _preparations("protocol", BASIS_LABELS)
     redrawn = []
     for k, phi in enumerate(experiments.DEFAULT_PROTOCOL_GRID):
-        for si, label in enumerate(BASIS_LABELS):
-            base = _samples(phi, (label,), env, config, [(k, si)], 0)[0].counts
-            for toward in (10.0, -10.0):
-                shifted = phi
-                for ulp in range(1, 5):
-                    shifted = np.nextafter(shifted, toward)
-                    counts = _samples(shifted, (label,), env, config, [(k, si)], 0)[0].counts
-                    if not np.array_equal(base, counts):
+        base = _samples(phi, preps, env, config, [(k, si) for si, _ in enumerate(preps)], 0).counts
+        for toward in (10.0, -10.0):
+            shifted = phi
+            for ulp in range(1, 5):
+                shifted = np.nextafter(shifted, toward)
+                counts = _samples(shifted, preps, env, config,
+                                  [(k, si) for si, _ in enumerate(preps)], 0).counts
+                for label, a, b in zip(BASIS_LABELS, base, counts):
+                    if not np.array_equal(a, b):
                         redrawn.append((k, label, int(math.copysign(ulp, toward))))
     assert redrawn == []
 
@@ -421,27 +427,129 @@ def test_protocol_sweep_builds_the_phi_only_part_once_per_grid_point(record_call
         "_gate": n, "_herald_projectors": n}
 
 
+@pytest.mark.parametrize("mode", ["protocol", "reference"])
+def test_sweep_builds_the_preparations_once(record_calls, mode):
+    # the preparation of each signal state does not depend on phi: one stack
+    # per sweep, the anchor's included
+    calls = record_calls(experiments, ("_preparations", "_prep_unitary"))
+    run = run_protocol_sweep if mode == "protocol" else run_reference_sweep
+    run(ScenarioConfig(mode=mode, bootstrap_samples=0))
+    assert [p.shape for p in calls["_preparations"]] == [
+        (6, 8, 8) if mode == "protocol" else (6, 2, 2)]
+    assert len(calls["_prep_unitary"]) == (6 if mode == "protocol" else 0)
+
+
+NOISY_ENV = random_density_matrix(1, np.random.default_rng(4))
+NOISY = NoiseParams(herald_error=0.07, gate_depolarizing=0.05, phase_jitter_std=0.3)
+
+
 @pytest.mark.parametrize("phi", [0.3, math.pi / 2.0, math.pi, 5.9])
 def test_protocol_points_match_the_per_label_formula(phi):
-    # sharing the phi-only part across the labels leaves every float operation
-    # of the per-label pipeline as it was
-    env = random_density_matrix(1, np.random.default_rng(4)).matrix
-    noise = NoiseParams(herald_error=0.07, gate_depolarizing=0.05, phase_jitter_std=0.3)
-    for label, (rho, weight) in zip(BASIS_LABELS,
-                                    _protocol_points(phi, BASIS_LABELS, env, noise)):
-        ref_rho, ref_weight = protocol_point(phi, label, env, noise)
+    # sharing the phi-only part across the labels and stacking the rest leaves
+    # every float operation of the per-label pipeline as it was
+    rhos, weights = _protocol_points(phi, _preparations("protocol", BASIS_LABELS),
+                                     NOISY_ENV.matrix, NOISY)
+    for label, rho, weight in zip(BASIS_LABELS, rhos, weights):
+        ref_rho, ref_weight = protocol_point(phi, label, NOISY_ENV.matrix, NOISY)
         assert weight == ref_weight
         assert rho.tobytes() == ref_rho.tobytes()
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.3, math.pi, 5.9])
+def test_reference_points_match_the_per_label_formula(phi):
+    rhos, weights = _reference_points(phi, _preparations("reference", BASIS_LABELS),
+                                      NOISY_ENV.matrix, NOISY)
+    for label, rho, weight in zip(BASIS_LABELS, rhos, weights):
+        ref_rho, ref_weight = reference_point(phi, label, NOISY_ENV.matrix, NOISY)
+        assert weight == ref_weight
+        assert rho.tobytes() == ref_rho.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["protocol", "reference"])
+@pytest.mark.parametrize("overrides", [
+    pytest.param(dict(shot_noise=False), id="analytic"),
+    pytest.param(dict(bootstrap_samples=0), id="boot0"),
+    pytest.param(dict(bootstrap_samples=30), id="boot30"),
+    pytest.param(dict(rate=0.05, seed=3, bootstrap_samples=30), id="rate-0.05"),
+    pytest.param(dict(rate=1.0, seed=3, bootstrap_samples=30), id="rate-1"),
+    # the noisy reference channel caps a few d = 4 rows (slow R-rho-R convergence on
+    # noisy channels); the channel is not what this test compares
+    pytest.param(dict(env_state=NOISY_ENV, noise=NOISY, bootstrap_samples=30), id="noisy",
+                 marks=pytest.mark.filterwarnings(
+                     "ignore::darkstate.tomography.MLEConvergenceWarning"))])
+def test_stacked_state_points_match_the_per_state_reference(monkeypatch, mode, overrides):
+    # the states of a grid point go through the metrics as one stack; each
+    # state's rows must come out as its own per-state computation gives them,
+    # to the bit, empty samples and empty replicas included (repr spells out
+    # every float, nan included)
+    config = ScenarioConfig(mode=mode, **overrides)
+    run = run_protocol_sweep if mode == "protocol" else run_reference_sweep
+    stacked = run(config)
+    monkeypatch.setattr(experiments, "_state_points", state_points)
+    assert repr(run(config)) == repr(stacked)
+    if config.rate < 1.0:   # every point has a state without counts
+        assert all(any(math.isnan(sp.fidelity.estimate) for sp in stacked.states
+                       if sp.phi == pp.phi) for pp in stacked.phis)
+
+
 @pytest.mark.parametrize("bootstrap", [0, 30])
-def test_sweep_makes_one_eof_call_per_grid_point(record_calls, bootstrap):
-    # the channel metrics of a grid point are one call on the stack of its
-    # analytic Choi matrix, the estimate and the replicas
-    calls = record_calls(experiments, ("entanglement_of_formation",))
+def test_sweep_makes_one_eof_call_per_channel_batch(record_calls, bootstrap):
+    # the channel metrics of a channel batch are one call on the stack of each
+    # point's analytic Choi matrix, estimate and replicas; the default grid at
+    # these bootstraps is one batch
+    calls = record_calls(experiments, ("entanglement_of_formation", "mle_process"))
     run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=bootstrap))
-    assert len(calls["entanglement_of_formation"]) == len(experiments.DEFAULT_PROTOCOL_GRID)
-    assert {len(ef) for ef in calls["entanglement_of_formation"]} == {2 + bootstrap}
+    n = len(experiments.DEFAULT_PROTOCOL_GRID)
+    assert [len(ef) for ef in calls["entanglement_of_formation"]] == [n * (2 + bootstrap)]
+    assert [len(chis) for chis in calls["mle_process"]] == [n * (1 + bootstrap)]
+
+
+def test_eof_calls_follow_the_channel_batches(monkeypatch, record_calls):
+    # a row cap of 10 puts two 4-row points in each mle_process call; each EoF
+    # call covers the same points, with one analytic row per point
+    monkeypatch.setattr(experiments, "_CHANNEL_BATCH_ROWS", 10)
+    calls = record_calls(experiments, ("entanglement_of_formation", "mle_process"))
+    run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=3), states=False)
+    assert [len(c) for c in calls["mle_process"]] == [8] * 6 + [4]
+    assert [len(ef) for ef in calls["entanglement_of_formation"]] == [10] * 6 + [5]
+
+
+def test_low_rate_sweep_reports_missing_counts_in_order(capsys):
+    # the anchor lines first, in label order, then each grid point's states
+    # without counts, in grid and label order
+    grid = (math.pi / 6.0, math.pi, 5.0)
+    run_protocol_sweep(ScenarioConfig(mode="protocol", phi_grid=grid, rate=0.05, seed=3,
+                                      bootstrap_samples=30))
+    anchor = "anchor at phi = 3.14159 drew no counts"
+    expected = [f"state 0: {anchor} in 12 of 30 bootstrap replicas, success_norm std is nan"]
+    expected += [f"state {lab}: {anchor}, success_norm is nan" for lab in "1+-LR"]
+    expected += [f"phi = {phi}, state {lab}: no counts, estimates are nan"
+                 for phi, labs in (("0.523599", "01-LR"), ("3.14159", "1+-LR"), ("5", "01+-LR"))
+                 for lab in labs]
+    assert capsys.readouterr().err.splitlines() == expected
+
+
+@pytest.mark.parametrize("row, match", [
+    (0, "density matrix has negative eigenvalue"), (1, "density matrix is not Hermitian")])
+def test_stacked_check_rejects_a_bad_point_estimate(monkeypatch, row, match):
+    # every point estimate of a grid point, signal and environment, goes through
+    # one check with DensityMatrix's invariants and messages; replicas are not checked
+    def tampered(bad_row):
+        def fit(settings, counts):
+            rhos = mle_state(settings, counts)
+            rhos[bad_row] = (np.diag([1.5, -0.5]) if row == 0
+                             else rhos[bad_row] + np.triu(np.ones((2, 2)), 1))
+            return rhos
+        return fit
+
+    config = ScenarioConfig(mode="protocol", phi_grid=(math.pi / 2.0,), bootstrap_samples=3)
+    # tomogram order per state: 1 + 3 signal rows, then 1 + 3 environment rows
+    for bad_row in (4 * row, 4 * row + 12):
+        monkeypatch.setattr(experiments, "mle_state", tampered(bad_row))
+        with pytest.raises(InvalidStateError, match=match):
+            run_protocol_sweep(config)
+    monkeypatch.setattr(experiments, "mle_state", tampered(4 * row + 1))   # a replica
+    run_protocol_sweep(config)
 
 
 def test_reference_near_pure_batches_return_without_warning():
@@ -452,9 +560,9 @@ def test_reference_near_pure_batches_return_without_warning():
     env = _env_matrix(config.env_state)
     si = BASIS_LABELS.index("R")
     for pi in (1, 12):
-        sample, = _samples(DEFAULT_REFERENCE_GRID[pi], ("R",), env, config, [(pi, si)],
-                           config.bootstrap_samples)
-        for counts in _marginal_counts(sample.reps):
+        sample = _samples(DEFAULT_REFERENCE_GRID[pi], _preparations("reference", ("R",)), env,
+                          config, [(pi, si)], config.bootstrap_samples)
+        for counts in _marginal_counts(sample.reps[0]):
             rhos = mle_state(build_state_settings(1), counts)
             assert rhos.shape == (1000, 2, 2)
             assert np.linalg.eigvalsh(rhos).min() > -1e-15
@@ -490,8 +598,8 @@ def test_protocol_near_zero_coupling_never_heralds(phi, shot_noise):
 
 @pytest.mark.parametrize("phi", [1e-7, 2.0 * math.pi - 1e-7])
 def test_herald_error_keeps_failure_branch_near_zero_coupling(phi):
-    (rho_se, weight), = _protocol_points(phi, ("+",), np.eye(2) / 2,
-                                         NoiseParams(herald_error=0.1))
+    (rho_se,), (weight,) = _protocol_points(phi, _preparations("protocol", ("+",)),
+                                            np.eye(2) / 2, NoiseParams(herald_error=0.1))
     assert weight == pytest.approx(0.1, rel=1e-9)   # the failure branch has weight ~1
     assert DensityMatrix(rho_se).n == 2             # a trace-one state
 

@@ -19,6 +19,7 @@ from darkstate.qmath import (
     max_entangled,
     partial_trace,
     partial_trace_array,
+    project,
     projector,
     state_fidelity,
 )
@@ -316,3 +317,34 @@ def test_partial_trace_array_matches_wrapper():
     rho = random_density_matrix(2, rng)
     np.testing.assert_allclose(partial_trace_array(rho.matrix, 2, (1,)),
                                partial_trace(rho, (1,)).matrix, atol=1e-14)
+
+
+def test_partial_trace_array_stack_rows_match_single_calls():
+    rng = np.random.default_rng(8)
+    stack = np.stack([random_density_matrix(3, rng).matrix for _ in range(4)])
+    for keep in ((0,), (1,), (2,), (0, 2), (1, 2)):
+        traced = partial_trace_array(stack, 3, keep)
+        assert traced.shape == (4, 2 ** len(keep), 2 ** len(keep))
+        for row, mat in zip(traced, stack):
+            assert row.tobytes() == partial_trace_array(mat, 3, keep).tobytes()
+
+
+def test_project_stack_rows_match_single_calls():
+    # rows are projected on their own; a row whose branch is dropped at roundoff
+    # weight (here 0 and 1e-15) has weight 0 and the zero state in a stack, where a
+    # single call returns its clipped weight and None
+    rng = np.random.default_rng(9)
+    proj = expand_operator(projector(ket("1")), 2, (0,))
+    tiny = np.diag([1.0 - 1e-15, 0.0, 1e-15, 0.0]).astype(complex)
+    stack = np.stack([random_density_matrix(2, rng).matrix, product_density("0+").matrix,
+                      tiny, random_density_matrix(2, rng).matrix])
+    weights, states = project(stack, proj)
+    assert weights.shape == (4,) and states.shape == (4, 4, 4)
+    for i, rho in enumerate(stack):
+        w, post = project(rho, proj)
+        if i in (1, 2):
+            assert post is None and w == (0.0, 1e-15)[i - 1]
+            assert weights[i] == 0.0 and not states[i].any()
+        else:
+            assert (weights[i], states[i].tobytes()) == (w, post.tobytes())
+            assert DensityMatrix(post).n == 2
