@@ -308,33 +308,23 @@ def _reference_points(phi: float, preps: np.ndarray, env: np.ndarray, noise: Noi
 # ---------------------------------------------------------------------------
 # analytic channel assembly
 
-_CHANNEL_COMBOS = {
-    # |j><k| decomposed over the six projector labels
-    (0, 1): (("+", 0.5), ("-", -0.5), ("L", 0.5j), ("R", -0.5j)),
-    (1, 0): (("+", 0.5), ("-", -0.5), ("L", -0.5j), ("R", 0.5j)),
-}
+# _CHOI_TABLE[s, j, k]: the coefficient of state s's output (BASIS_LABELS order) in E(|j><k|),
+# from |0><1| = (X + iY) / 2 with X = |+><+| - |-><-| and Y = |L><L| - |R><R|
+_CHOI_TABLE = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]],
+                        [[0, 0.5], [0.5, 0]], [[0, -0.5], [-0.5, 0]],
+                        [[0, 0.5j], [-0.5j, 0]], [[0, -0.5j], [0.5j, 0]]])
 
 
-def channel_choi_from_outputs(outputs: Mapping[str, np.ndarray]) -> np.ndarray:
+def channel_choi_from_outputs(outputs: np.ndarray) -> np.ndarray:
     """Choi matrix of the linear map defined by its action on the six states.
 
-    ``outputs[label]`` is the (possibly trace-decreasing) output operator
-    for the labelled pure input.  All six labels must be present.
+    ``outputs`` is the (6, 2, 2) stack of the (possibly trace-decreasing)
+    output operators of the six pure inputs, in ``BASIS_LABELS`` order.
     """
-    for lab in BASIS_LABELS:
-        if lab not in outputs:
-            raise ValueError(f"missing channel output for state {lab!r}")
-    lam = {(0, 0): np.asarray(outputs["0"], dtype=complex),
-           (1, 1): np.asarray(outputs["1"], dtype=complex)}
-    for jk, combo in _CHANNEL_COMBOS.items():
-        acc = np.zeros((2, 2), dtype=complex)
-        for lab, coeff in combo:
-            acc = acc + coeff * np.asarray(outputs[lab], dtype=complex)
-        lam[jk] = acc
-    chi = np.zeros((4, 4), dtype=complex)
-    basis = np.eye(2, dtype=complex)
-    for (j, k), block in lam.items():
-        chi += 0.5 * np.kron(np.outer(basis[j], basis[k]), block)
+    outputs = np.asarray(outputs, dtype=complex)
+    if outputs.shape != (6, 2, 2):
+        raise ValueError(f"expected a (6, 2, 2) output stack, got shape {outputs.shape}")
+    chi = 0.5 * np.einsum("sjk,sab->jakb", _CHOI_TABLE, outputs).reshape(4, 4)
     return 0.5 * (chi + chi.conj().T)
 
 
@@ -382,23 +372,22 @@ class _Samples:
     """The labelled signal states at one phi: their declared (S, E) states and their
     simulated data, row i for label i.
 
-    ``counts`` (L, 36), over the 36 two-qubit settings, and ``reps`` (L, R, 36),
-    their bootstrap replicas (R = 0 without a bootstrap), are None without
-    shot noise.
+    ``counts`` (L, 1 + R, 36), over the 36 two-qubit settings, holds each
+    state's tomogram in row 0 and its bootstrap replicas in rows 1..R (R = 0
+    without a bootstrap); it is None without shot noise.
     """
 
     rho_se: np.ndarray          # (L, 4, 4)
     weights: np.ndarray         # (L,) herald weights
     transmissions: np.ndarray   # (L,)
     counts: np.ndarray | None
-    reps: np.ndarray | None
 
     @property
     def empty(self) -> np.ndarray:
         """(L,) flags of the states that drew no counts."""
         if self.counts is None:
             return np.zeros(len(self.weights), dtype=bool)
-        return ~self.counts.any(axis=1)
+        return ~self.counts[:, 0].any(axis=1)
 
 
 def _samples(phi: float, preps: np.ndarray, env: np.ndarray, config: ScenarioConfig,
@@ -414,18 +403,19 @@ def _samples(phi: float, preps: np.ndarray, env: np.ndarray, config: ScenarioCon
     # the gate's success probability relative to its phi = 0 and phi = pi value 1/9
     transmissions = ccp_success_probability(phi) * 9.0 * weights
     if not config.shot_noise:
-        return _Samples(rho_se, weights, transmissions, None, None)
-    counts, reps = [], []
-    for rho, transmission, key in zip(rho_se, transmissions, keys):
-        counts.append(simulate_counts(_TQ_SETTINGS, rho, config.rate * transmission,
-                                      _seed_seq(config.seed, *key, 0)))
-        reps.append(resample_counts(counts[-1], bootstrap, config.seed, key))
-    return _Samples(rho_se, weights, transmissions, np.stack(counts), np.stack(reps))
+        return _Samples(rho_se, weights, transmissions, None)
+    counts = np.empty((len(rho_se), 1 + bootstrap, len(_TQ_SETTINGS)))
+    for stack, rho, transmission, key in zip(counts, rho_se, transmissions, keys):
+        stack[0] = simulate_counts(_TQ_SETTINGS, rho, config.rate * transmission,
+                                   _seed_seq(config.seed, *key, 0))
+        stack[1:] = resample_counts(stack[0], bootstrap, config.seed, key)
+    return _Samples(rho_se, weights, transmissions, counts)
 
 
 def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    grid = counts.reshape(-1, 6, 6)
-    return grid.sum(axis=2), grid.sum(axis=1)   # signal sums, environment sums
+    """Signal and environment marginals (..., 6) of two-qubit tomograms (..., 36)."""
+    grid = counts.reshape(counts.shape[:-1] + (6, 6))
+    return grid.sum(axis=-1), grid.sum(axis=-2)
 
 
 def _marginal_states(samples: _Samples) -> np.ndarray:
@@ -441,13 +431,12 @@ def _marginal_states(samples: _Samples) -> np.ndarray:
     if samples.counts is None:
         return rhos
     live = ~samples.empty
-    n, r = int(live.sum()), samples.reps.shape[1]
-    estimates = np.full((2, len(live), 1 + r, 2, 2), math.nan, dtype=complex)
+    n, rows = int(live.sum()), samples.counts.shape[1]
+    estimates = np.full((2, len(live), rows, 2, 2), math.nan, dtype=complex)
     if n:
         # per label: the signal tomograms, then the environment ones
-        tomograms = np.stack([t.reshape(n, 1 + r, 6) for t in _marginal_counts(
-            np.concatenate([samples.counts[live, None], samples.reps[live]], axis=1))], axis=1)
-        fits = mle_state(_SQ_SETTINGS, tomograms.reshape(-1, 6)).reshape(n, 2, 1 + r, 2, 2)
+        tomograms = np.stack(_marginal_counts(samples.counts), axis=1)[live]
+        fits = mle_state(_SQ_SETTINGS, tomograms.reshape(-1, 6)).reshape(n, 2, rows, 2, 2)
         points = fits[:, :, 0].reshape(-1, 2, 2)
         _check_states(points, np.linalg.eigvalsh(points))
         estimates[:, live] = fits.swapaxes(0, 1)
@@ -468,14 +457,25 @@ def _success_columns(samples: _Samples, anchors: _Samples) -> np.ndarray:
     if samples.counts is None:
         return analytic
     if samples is anchors:
-        ratios = np.hstack([np.ones((len(analytic), 1)), np.zeros(samples.reps.shape[:2])])
+        ratios = np.zeros(samples.counts.shape[:2])
+        ratios[:, 0] = 1.0
         ratios[anchors.empty] = math.nan
     else:
-        totals = [np.hstack([s.counts.sum(axis=1)[:, None], s.reps.sum(axis=2)])
-                  for s in (samples, anchors)]
+        totals = [s.counts.sum(axis=2) for s in (samples, anchors)]
         ratios = np.divide(*totals, out=np.full(totals[1].shape, math.nan),
                            where=totals[1] > 0)
     return np.hstack([analytic, ratios])
+
+
+def _fidelities(psi: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """<psi|rho|psi> of single-qubit kets (..., 2) and state stacks (..., B, 2, 2); (..., B).
+
+    Elementwise arithmetic, terms summed in row-major order, so each row's value
+    does not depend on the stack's length (an einsum sums a lone matrix's terms
+    pairwise and a stack's in order).
+    """
+    t = (psi.conj()[..., None, :, None] * rhos * psi[..., None, None, :]).real
+    return ((t[..., 0, 0] + t[..., 0, 1]) + t[..., 1, 0]) + t[..., 1, 1]
 
 
 def _state_points(phi: float, labels: Sequence[str], samples: _Samples, anchors: _Samples
@@ -486,14 +486,8 @@ def _state_points(phi: float, labels: Sequence[str], samples: _Samples, anchors:
     the states, and its (L, 1 + E) block of columns one ``_metrics`` call.
     """
     sig, env = _marginal_states(samples)
-    psi = np.array([ket(lab) for lab in labels])
     purity = np.einsum("lbde,lbed->lb", sig, sig).real
-    fidelity = np.einsum("ld,lbde,le->lb", psi.conj(), sig, psi).real
-    # einsum sums a lone matrix's terms in another order (to the last bit) than a stack's;
-    # the analytic fidelity of a state without estimates keeps its lone-matrix value
-    alone = np.ones(len(labels), dtype=bool) if samples.counts is None else samples.empty
-    for i in np.flatnonzero(alone):
-        fidelity[i, 0] = np.einsum("d,de,e->", psi[i].conj(), sig[i, 0], psi[i]).real
+    fidelity = _fidelities(np.array([ket(lab) for lab in labels]), sig)
     env_pop1 = np.ascontiguousarray(env[:, :, 1, 1].real)
     columns = map(_metrics, (purity, fidelity, _success_columns(samples, anchors), env_pop1))
     points = [StatePoint(phi, lab, *metrics) for lab, *metrics in zip(labels, *columns)]
@@ -533,13 +527,12 @@ def _channel_input(samples: _Samples, labels: Sequence[str], config: ScenarioCon
     stack is None without shot noise, and when a preparation drew no counts.
     """
     order = [labels.index(lab) for lab in BASIS_LABELS]
-    outputs = samples.weights[order, None, None] * partial_trace_array(samples.rho_se[order], 2,
-                                                                       (0,))
-    chi = channel_choi_from_outputs(dict(zip(BASIS_LABELS, outputs)))
+    chi = channel_choi_from_outputs(samples.weights[order, None, None]
+                                    * partial_trace_array(samples.rho_se[order], 2, (0,)))
     if not config.shot_noise or samples.empty.any():
         return chi, None
     # preparation-major signal counts, as in _CHANNEL_SETTINGS
-    counts = _marginal_counts(samples.counts[order])[0].ravel()
+    counts = _marginal_counts(samples.counts[order, 0])[0].ravel()
     boot = resample_counts(counts, config.bootstrap_samples, config.seed, key)
     return chi, np.vstack([counts, boot])
 
@@ -595,14 +588,15 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
 
     # the anchor normalizes the success probability; a grid point at its phi reuses it
     anchors = samples(_ANCHOR_KEY, anchor_phi) if with_states or anchor_phi in grid else None
-    if with_states and anchors.reps is not None:
-        empty_reps = (anchors.reps.sum(axis=2) == 0).sum(axis=1)
+    if with_states and anchors.counts is not None:
+        reps = anchors.counts[:, 1:]
+        empty_reps = (reps.sum(axis=2) == 0).sum(axis=1)
         for lab, empty, n_empty in zip(labels, anchors.empty, empty_reps):
             where = f"state {lab}: anchor at phi = {anchor_phi:.6g} drew no counts"
             if empty:
                 print(f"{where}, success_norm is nan", file=sys.stderr)
             elif n_empty:
-                print(f"{where} in {n_empty} of {anchors.reps.shape[1]} bootstrap replicas, "
+                print(f"{where} in {n_empty} of {reps.shape[1]} bootstrap replicas, "
                       "success_norm std is nan", file=sys.stderr)
 
     state_points: list[StatePoint] = []

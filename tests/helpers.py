@@ -9,7 +9,7 @@ from typing import Iterable
 import numpy as np
 
 from darkstate.experiments import (_P_ONE, _P_PLUS, _SE_SECTOR, MetricValue, StatePoint, _gate,
-                                   _phase, _prep_unitary)
+                                   _fidelities, _phase, _prep_unitary)
 from darkstate.protocol import _herald_projectors
 from darkstate.qmath import (BASIS_LABELS, DensityMatrix, OperatorMatrix, PureState,
                              expand_operator, ket, max_entangled, partial_trace_array, project,
@@ -124,13 +124,15 @@ def success_column(i: int, samples, anchors) -> np.ndarray:
     analytic = [samples.transmissions[i] / anchors.transmissions[i]]
     if samples.counts is None:
         return np.array(analytic)
-    if not anchors.counts[i].any():
+    counts, reps = samples.counts[i, 0], samples.counts[i, 1:]
+    anchor_counts, anchor_reps = anchors.counts[i, 0], anchors.counts[i, 1:]
+    if not anchor_counts.any():
         return np.array(analytic + [math.nan])
     if samples is anchors:
-        return np.concatenate([analytic, [1.0], np.zeros(len(samples.reps[i]))])
-    anchor_totals = anchors.reps[i].sum(axis=1)
-    return np.concatenate([analytic, [samples.counts[i].sum() / anchors.counts[i].sum()],
-                           np.divide(samples.reps[i].sum(axis=1), anchor_totals,
+        return np.concatenate([analytic, [1.0], np.zeros(len(reps))])
+    anchor_totals = anchor_reps.sum(axis=1)
+    return np.concatenate([analytic, [counts.sum() / anchor_counts.sum()],
+                           np.divide(reps.sum(axis=1), anchor_totals,
                                      out=np.full(len(anchor_totals), math.nan),
                                      where=anchor_totals > 0)])
 
@@ -139,18 +141,18 @@ def state_columns(i: int, samples, psi: np.ndarray) -> list[np.ndarray]:
     """Signal purity, fidelity to ``psi`` and environment |1> population columns of
     state i, from its own analytic states, MLE calls and ``DensityMatrix`` checks."""
     stacks = [partial_trace_array(samples.rho_se[i], 2, (q,))[None] for q in (0, 1)]
-    empty = samples.counts is not None and not samples.counts[i].any()
+    empty = samples.counts is not None and not samples.counts[i, 0].any()
     if samples.counts is not None and not empty:
-        grid = np.vstack([samples.counts[i], samples.reps[i]]).reshape(-1, 6, 6)
+        grid = samples.counts[i].reshape(-1, 6, 6)
         for q, tomograms in enumerate((grid.sum(axis=2), grid.sum(axis=1))):
             rhos = mle_state(build_state_settings(1), tomograms)
             DensityMatrix(rhos[0])   # the point estimate
             stacks[q] = np.concatenate([stacks[q], rhos])
     sig, env = stacks
     columns = [np.einsum("bde,bed->b", sig, sig).real,
-               np.einsum("d,bde,e->b", psi.conj(), sig, psi).real, env[:, 1, 1].real]
+               _fidelities(psi, sig), env[:, 1, 1].real]
     if empty:   # a nan estimate and nan replicas
-        columns = [np.append(c, np.full(1 + len(samples.reps[i]), math.nan)) for c in columns]
+        columns = [np.append(c, np.full(len(samples.counts[i]), math.nan)) for c in columns]
     return columns
 
 

@@ -214,11 +214,25 @@ def test_channel_analytic_values():
 
 
 def test_channel_choi_from_outputs_identity():
-    outputs = {lab: projector(ket(lab)) for lab in BASIS_LABELS}
+    outputs = np.stack([projector(ket(lab)) for lab in BASIS_LABELS])
     chi = channel_choi_from_outputs(outputs)
     np.testing.assert_allclose(chi, projector(max_entangled(1).amplitudes), atol=1e-12)
-    with pytest.raises(ValueError):
-        channel_choi_from_outputs({"0": np.eye(2)})
+    for shape in ((1, 2, 2), (5, 2, 2), (6, 4, 4), (6, 4)):
+        with pytest.raises(ValueError, match="output stack"):
+            channel_choi_from_outputs(np.zeros(shape))
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.6], ids=["cptp", "trace-decreasing"])
+def test_channel_choi_from_outputs_matches_the_kraus_choi(weight):
+    # three random Kraus operators from a random 6 x 2 isometry, scaled to the weight
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+    kraus = math.sqrt(weight) * q.reshape(3, 2, 2)
+    outputs = np.stack([sum(k @ projector(ket(lab)) @ k.conj().T for k in kraus)
+                        for lab in BASIS_LABELS])
+    chi = channel_choi_from_outputs(outputs)
+    np.testing.assert_allclose(chi, channel_to_choi(list(kraus), 1).chi, atol=1e-12)
+    assert np.trace(chi).real == pytest.approx(weight, abs=1e-12)
 
 
 def test_channel_reconstruction_from_sweep_counts():
@@ -300,17 +314,38 @@ def test_protocol_counts_survive_one_ulp_of_phi():
     preps = _preparations("protocol", BASIS_LABELS)
     redrawn = []
     for k, phi in enumerate(experiments.DEFAULT_PROTOCOL_GRID):
-        base = _samples(phi, preps, env, config, [(k, si) for si, _ in enumerate(preps)], 0).counts
+        base = _samples(phi, preps, env, config, [(k, si) for si, _ in enumerate(preps)],
+                        0).counts[:, 0]
         for toward in (10.0, -10.0):
             shifted = phi
             for ulp in range(1, 5):
                 shifted = np.nextafter(shifted, toward)
                 counts = _samples(shifted, preps, env, config,
-                                  [(k, si) for si, _ in enumerate(preps)], 0).counts
+                                  [(k, si) for si, _ in enumerate(preps)], 0).counts[:, 0]
                 for label, a, b in zip(BASIS_LABELS, base, counts):
                     if not np.array_equal(a, b):
                         redrawn.append((k, label, int(math.copysign(ulp, toward))))
     assert redrawn == []
+
+
+@pytest.mark.parametrize("bootstrap", [0, 3])
+def test_samples_stack_each_tomogram_over_its_replicas(bootstrap):
+    # row 0 of a state's count stack is its simulate_counts draw and rows 1..R
+    # are resample_counts of row 0, both on the state's own spawn key; at rate
+    # 0.05 some states draw no counts, and so do their replicas
+    config = ScenarioConfig(mode="protocol", rate=0.05, seed=4, bootstrap_samples=bootstrap)
+    keys = [(7, si) for si in range(len(BASIS_LABELS))]
+    sample = _samples(math.pi, _preparations("protocol", BASIS_LABELS),
+                      _env_matrix(config.env_state), config, keys, bootstrap)
+    assert sample.counts.shape == (len(BASIS_LABELS), 1 + bootstrap, 36)
+    for stack, rho, transmission, key in zip(sample.counts, sample.rho_se,
+                                             sample.transmissions, keys):
+        counts = simulate_counts(build_state_settings(2), rho, config.rate * transmission,
+                                 np.random.SeedSequence(entropy=config.seed, spawn_key=(*key, 0)))
+        assert np.array_equal(stack[0], counts)
+        assert np.array_equal(stack[1:], resample_counts(counts, bootstrap, config.seed, key))
+    assert sample.empty.any() and not sample.empty.all()
+    assert not sample.counts[sample.empty].any()
 
 
 def test_sweep_makes_one_state_mle_call_per_grid_point(record_calls):
@@ -562,7 +597,7 @@ def test_reference_near_pure_batches_return_without_warning():
     for pi in (1, 12):
         sample = _samples(DEFAULT_REFERENCE_GRID[pi], _preparations("reference", ("R",)), env,
                           config, [(pi, si)], config.bootstrap_samples)
-        for counts in _marginal_counts(sample.reps[0]):
+        for counts in _marginal_counts(sample.counts[0, 1:]):
             rhos = mle_state(build_state_settings(1), counts)
             assert rhos.shape == (1000, 2, 2)
             assert np.linalg.eigvalsh(rhos).min() > -1e-15
