@@ -17,14 +17,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import __version__
-from .optical_gate import ccp_success_probability
-from .protocol import DegenerateCouplingError, _herald_projectors, u_ccp
+from .protocol import (DegenerateCouplingError, _herald_projectors, ccp_success_probability,
+                       u_ccp)
 from .qmath import (
     BASIS_LABELS,
     DensityMatrix,
@@ -232,23 +232,25 @@ def _prep_unitary(label: str) -> np.ndarray:
     return np.array([[np.conj(b), a], [-np.conj(a), b]], dtype=complex)
 
 
-def _phase(rho: np.ndarray, phi: float, sector: np.ndarray, jitter: float) -> np.ndarray:
+def _phase(rho: np.ndarray, phi, sector: np.ndarray, jitter: float) -> np.ndarray:
     """Controlled phase e^{i phi} on the basis states in ``sector``, averaged over a
     Gaussian jitter of phi with std ``jitter``.
 
     U = diag(u) is diagonal, so U rho U† is the elementwise u_j rho_jk conj(u_k); the
     average over the jitter multiplies each coherence across the sector boundary by
-    exp(-jitter^2 / 2).
+    exp(-jitter^2 / 2).  ``phi`` is one angle or an array of them, which broadcasts
+    against the leading axes of ``rho``.
     """
-    u = np.where(sector, np.exp(1j * phi), 1.0)
+    u = np.where(sector, np.exp(1j * np.asarray(phi)[..., None]), 1.0)
     across = sector[:, None] ^ sector[None, :]
-    return u[:, None] * rho * u.conj() * np.where(across, math.exp(-jitter**2 / 2.0), 1.0)
+    return (u[..., :, None] * rho * u.conj()[..., None, :]
+            * np.where(across, math.exp(-jitter**2 / 2.0), 1.0))
 
 
-def _gate(rho: np.ndarray, phi: float, noise: NoiseParams) -> np.ndarray:
+def _gate(rho: np.ndarray, phi, noise: NoiseParams) -> np.ndarray:
     """The CCP gate with its phase jitter and depolarizing on the low three qubits of
-    ``rho``, one matrix or a (B, d, d) stack; the qubits above stay idle (the input
-    copy of a Choi matrix).
+    ``rho``, one matrix or a (..., d, d) stack; the qubits above stay idle (the input
+    copy of a Choi matrix).  ``phi`` broadcasts as in ``_phase``.
 
     Depolarizing maps rho to (1 - p) rho + p Tr_out(rho) (x) I/8.
     """
@@ -272,37 +274,43 @@ def _preparations(mode: str, labels: Sequence[str]) -> np.ndarray:
     return np.stack([projector(ket(lab)) for lab in labels])
 
 
-def _protocol_points(phi: float, preps: np.ndarray, env: np.ndarray, noise: NoiseParams
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Declared joint (S, E) states (L, 4, 4) and herald weights (L,) at one phi of the
-    signal states that the ``_preparations`` rows ``preps`` prepare.
+def _protocol_points(phis: Sequence[float], preps: np.ndarray, env: np.ndarray,
+                     noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
+    """Declared joint (S, E) states (P, L, 4, 4) and herald weights (P, L) at the grid
+    points ``phis`` of the signal states that the ``_preparations`` rows ``preps`` prepare.
 
     The gated state and the herald projectors do not depend on the signal, so
-    they are built once for all the states, and every state goes through the
+    they are built once per phi, and every state at every phi goes through the
     rest of the pipeline in one stack.
     """
-    gated = _gate(np.kron(np.kron(_P_PLUS, _P_ONE), env), phi, noise)
-    rho = _phase(preps @ gated @ _dagger(preps), phi, _SE_SECTOR, noise.phase_jitter_std)
-    weights = np.zeros(len(preps))
+    phis = np.asarray(phis, dtype=float)
+    gated = _gate(np.kron(np.kron(_P_PLUS, _P_ONE), env), phis, noise)
+    rho = _phase(preps @ gated[:, None] @ _dagger(preps), phis[:, None], _SE_SECTOR,
+                 noise.phase_jitter_std)
+    heralds = np.array([[expand_operator(proj, 3, (0,)) for proj in _herald_projectors(phi)]
+                        for phi in phis])
+    weights = np.zeros(rho.shape[:2])
     declared = np.zeros(rho.shape, dtype=complex)
     # a declared herald is the success branch, or with probability herald_error the failure one
     for share, proj in zip((1.0 - noise.herald_error, noise.herald_error),
-                           _herald_projectors(phi)):
+                           heralds.swapaxes(0, 1)):
         # a branch project drops at roundoff weight has weight 0 and carries nothing
-        w, post = project(rho, expand_operator(proj, 3, (0,)))
+        w, post = project(rho, proj[:, None])
         weights += share * w
-        declared += (share * w)[:, None, None] * post
-    if (weights <= 0.0).any():
-        raise DegenerateCouplingError(f"herald never fires at phi = {phi}")
-    return partial_trace_array(declared / weights[:, None, None], 3, (1, 2)), weights
+        declared += (share * w)[..., None, None] * post
+    silent = (weights <= 0.0).any(axis=1)
+    if silent.any():
+        raise DegenerateCouplingError(f"herald never fires at phi = {float(phis[silent][0])}")
+    return partial_trace_array(declared / weights[..., None, None], 3, (1, 2)), weights
 
 
-def _reference_points(phi: float, preps: np.ndarray, env: np.ndarray, noise: NoiseParams
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Joint (S, E) states (L, 4, 4) after the unprotected gate of the (L, 2, 2) signal
-    states ``preps``, and their weights, all 1."""
-    rho = _gate(np.kron(np.kron(_P_ONE, preps), env), phi, noise)
-    return partial_trace_array(rho, 3, (1, 2)), np.ones(len(preps))
+def _reference_points(phis: Sequence[float], preps: np.ndarray, env: np.ndarray,
+                      noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
+    """Joint (S, E) states (P, L, 4, 4) after the unprotected gate at the grid points
+    ``phis`` of the (L, 2, 2) signal states ``preps``, and their weights, all 1."""
+    phis = np.asarray(phis, dtype=float)
+    rho = _gate(np.kron(np.kron(_P_ONE, preps), env), phis[:, None], noise)
+    return partial_trace_array(rho, 3, (1, 2)), np.ones(rho.shape[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -369,47 +377,64 @@ def _metrics(block: np.ndarray) -> list[MetricValue]:
 
 @dataclass(frozen=True)
 class _Samples:
-    """The labelled signal states at one phi: their declared (S, E) states and their
-    simulated data, row i for label i.
+    """The labelled signal states at the grid points ``phis`` of one batch: their
+    declared (S, E) states and their simulated data, indexed [point, label].
 
-    ``counts`` (L, 1 + R, 36), over the 36 two-qubit settings, holds each
-    state's tomogram in row 0 and its bootstrap replicas in rows 1..R (R = 0
-    without a bootstrap); it is None without shot noise.
+    ``tomograms`` (P, L, 2, 1 + R, 6) holds the signal (0) and environment (1)
+    marginals of each state's tomogram in row 0 and of its bootstrap replicas in
+    rows 1..R (R = 0 without a bootstrap), and ``totals`` (P, L, 1 + R) their
+    count totals; both are None without shot noise.
     """
 
-    rho_se: np.ndarray          # (L, 4, 4)
-    weights: np.ndarray         # (L,) herald weights
-    transmissions: np.ndarray   # (L,)
-    counts: np.ndarray | None
+    phis: np.ndarray            # (P,)
+    rho_se: np.ndarray          # (P, L, 4, 4)
+    weights: np.ndarray         # (P, L) herald weights
+    transmissions: np.ndarray   # (P, L)
+    tomograms: np.ndarray | None
+    totals: np.ndarray | None
 
     @property
     def empty(self) -> np.ndarray:
-        """(L,) flags of the states that drew no counts."""
-        if self.counts is None:
-            return np.zeros(len(self.weights), dtype=bool)
-        return ~self.counts[:, 0].any(axis=1)
+        """(P, L) flags of the states that drew no counts."""
+        if self.totals is None:
+            return np.zeros(self.weights.shape, dtype=bool)
+        return self.totals[..., 0] == 0.0
+
+    def insert(self, at: int, other: _Samples) -> _Samples:
+        """These samples with the points of ``other`` inserted before point ``at``."""
+        parts = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
+        return _Samples(*(None if a is None else np.concatenate([a[:at], b, a[at:]])
+                          for a, b in parts))
 
 
-def _samples(phi: float, preps: np.ndarray, env: np.ndarray, config: ScenarioConfig,
-             keys: Sequence[tuple[int, ...]], bootstrap: int) -> _Samples:
-    """Simulate the signal states of the ``_preparations`` rows ``preps`` at one grid point
-    of ``config.mode``, with ``bootstrap`` replicas (0: none).
+def _samples(phis: Sequence[float], keys: Sequence[int], preps: np.ndarray, env: np.ndarray,
+             config: ScenarioConfig, bootstrap: int) -> _Samples:
+    """Simulate the signal states of the ``_preparations`` rows ``preps`` at the grid
+    points ``phis`` of ``config.mode``, with ``bootstrap`` replicas (0: none).
 
-    State i draws its counts and replicas from spawn key ``keys[i]``, on
-    streams of their own.
+    State i at point p draws its counts and replicas from spawn key (keys[p], i),
+    on streams of their own.  Its (1 + R, 36) count stack lives only until its
+    marginals and totals are taken.
     """
     pipeline = _protocol_points if config.mode == "protocol" else _reference_points
-    rho_se, weights = pipeline(phi, preps, env, config.noise)
+    rho_se, weights = pipeline(phis, preps, env, config.noise)
     # the gate's success probability relative to its phi = 0 and phi = pi value 1/9
-    transmissions = ccp_success_probability(phi) * 9.0 * weights
+    scales = np.array([ccp_success_probability(phi) for phi in phis]) * 9.0
+    transmissions = scales[:, None] * weights
+    phis = np.array(phis, dtype=float)
     if not config.shot_noise:
-        return _Samples(rho_se, weights, transmissions, None)
-    counts = np.empty((len(rho_se), 1 + bootstrap, len(_TQ_SETTINGS)))
-    for stack, rho, transmission, key in zip(counts, rho_se, transmissions, keys):
-        stack[0] = simulate_counts(_TQ_SETTINGS, rho, config.rate * transmission,
-                                   _seed_seq(config.seed, *key, 0))
-        stack[1:] = resample_counts(stack[0], bootstrap, config.seed, key)
-    return _Samples(rho_se, weights, transmissions, counts)
+        return _Samples(phis, rho_se, weights, transmissions, None, None)
+    tomograms = np.empty(weights.shape + (2, 1 + bootstrap, 6))
+    totals = np.empty(weights.shape + (1 + bootstrap,))
+    counts = np.empty((1 + bootstrap, len(_TQ_SETTINGS)))
+    for p, key in enumerate(keys):
+        for i, (rho, transmission) in enumerate(zip(rho_se[p], transmissions[p])):
+            counts[0] = simulate_counts(_TQ_SETTINGS, rho, config.rate * transmission,
+                                        _seed_seq(config.seed, key, i, 0))
+            counts[1:] = resample_counts(counts[0], bootstrap, config.seed, (key, i))
+            tomograms[p, i] = _marginal_counts(counts)
+            totals[p, i] = counts.sum(axis=1)
+    return _Samples(phis, rho_se, weights, transmissions, tomograms, totals)
 
 
 def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,53 +443,65 @@ def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return grid.sum(axis=-1), grid.sum(axis=-2)
 
 
+# The exact qubit MLE's temporaries grow with its rows, and its rows are independent, so
+# a batch's tomograms go into mle_state in calls of at most this many rows.  A call holds
+# whole states (at least one), so no call is a lone replica row, which would raise as a
+# tomogram without counts.
+_STATE_MLE_ROWS = 1024
+
+
 def _marginal_states(samples: _Samples) -> np.ndarray:
-    """Signal (row 0) and environment (row 1) state of each label, (2, L, 1 + E, 2, 2).
+    """Signal (row 0) and environment (row 1) state of each state of a batch, points
+    major, (2, P·L, 1 + E, 2, 2).
 
     Column 0 holds the analytic states.  With shot noise, column 1 holds the
     MLE states from the counts and columns 2.. those from the replicas, nan
-    for a state that drew no counts.  Every tomogram goes into one
-    ``mle_state`` call, and the point estimates are checked as
-    ``DensityMatrix`` checks its matrix.
+    for a state that drew no counts.  The batch's tomograms go into
+    ``mle_state`` in calls of up to ``_STATE_MLE_ROWS`` rows, and its point
+    estimates are checked at once, as ``DensityMatrix`` checks its matrix.
     """
-    rhos = np.stack([partial_trace_array(samples.rho_se, 2, (q,)) for q in (0, 1)])[:, :, None]
-    if samples.counts is None:
-        return rhos
-    live = ~samples.empty
-    n, rows = int(live.sum()), samples.counts.shape[1]
-    estimates = np.full((2, len(live), rows, 2, 2), math.nan, dtype=complex)
+    rhos = [partial_trace_array(samples.rho_se, 2, (q,)).reshape(-1, 2, 2) for q in (0, 1)]
+    if samples.tomograms is None:
+        return np.stack(rhos)[:, :, None]
+    live = ~samples.empty.ravel()
+    tomograms = samples.tomograms.reshape((-1,) + samples.tomograms.shape[2:])
+    n, rows = int(live.sum()), tomograms.shape[2]
+    # contiguous per kind, so each metric sums its terms as a lone state's stack does
+    states = np.full((2, len(live), 1 + rows, 2, 2), math.nan, dtype=complex)
+    states[:, :, 0] = rhos
     if n:
-        # per label: the signal tomograms, then the environment ones
-        tomograms = np.stack(_marginal_counts(samples.counts), axis=1)[live]
-        fits = mle_state(_SQ_SETTINGS, tomograms.reshape(-1, 6)).reshape(n, 2, rows, 2, 2)
+        # per state: the signal tomograms, then the environment ones
+        at = np.flatnonzero(live)
+        fits = np.empty((n, 2, rows, 2, 2), dtype=complex)
+        per_call = max(1, _STATE_MLE_ROWS // (2 * rows))
+        for start in range(0, n, per_call):
+            part = tomograms[at[start:start + per_call]].reshape(-1, 6)
+            fits[start:start + per_call] = mle_state(_SQ_SETTINGS, part).reshape(-1, 2, rows, 2, 2)
         points = fits[:, :, 0].reshape(-1, 2, 2)
         _check_states(points, np.linalg.eigvalsh(points))
-        estimates[:, live] = fits.swapaxes(0, 1)
-    # contiguous per kind, so each metric sums its terms as a lone state's stack does
-    return np.concatenate([rhos, estimates], axis=2)
+        states[:, live, 1:] = fits.swapaxes(0, 1)
+    return states
 
 
 def _success_columns(samples: _Samples, anchors: _Samples) -> np.ndarray:
     """Transmission relative to the anchor's, then (with shot noise) the count total
-    over the anchor's, for the estimate and each replica; one row per state (see
-    ``_metrics``).
+    over the anchor's, for the estimate and each replica; one row per state of a
+    batch, points major (see ``_metrics``).
 
-    The anchor itself reads exactly 1; an anchor without counts leaves the
-    ratio undefined (nan) at every grid point, and so does an anchor replica
-    without counts for that replica.
+    A point at the anchor's phi reads exactly 1; an anchor without counts
+    leaves the ratio undefined (nan) at every grid point, and so does an anchor
+    replica without counts for that replica.
     """
-    analytic = (samples.transmissions / anchors.transmissions)[:, None]
-    if samples.counts is None:
+    analytic = (samples.transmissions / anchors.transmissions).reshape(-1, 1)
+    if samples.totals is None:
         return analytic
-    if samples is anchors:
-        ratios = np.zeros(samples.counts.shape[:2])
-        ratios[:, 0] = 1.0
-        ratios[anchors.empty] = math.nan
-    else:
-        totals = [s.counts.sum(axis=2) for s in (samples, anchors)]
-        ratios = np.divide(*totals, out=np.full(totals[1].shape, math.nan),
-                           where=totals[1] > 0)
-    return np.hstack([analytic, ratios])
+    ratios = np.divide(samples.totals, anchors.totals, out=np.full(samples.totals.shape, math.nan),
+                       where=anchors.totals > 0)
+    at_anchor = np.zeros(anchors.totals.shape)
+    at_anchor[..., 0] = 1.0
+    at_anchor[anchors.empty] = math.nan
+    ratios[samples.phis == anchors.phis[0]] = at_anchor
+    return np.hstack([analytic, ratios.reshape(len(analytic), -1)])
 
 
 def _fidelities(psi: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -478,21 +515,26 @@ def _fidelities(psi: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     return ((t[..., 0, 0] + t[..., 0, 1]) + t[..., 1, 0]) + t[..., 1, 1]
 
 
-def _state_points(phi: float, labels: Sequence[str], samples: _Samples, anchors: _Samples
-                  ) -> tuple[list[StatePoint], MetricValue]:
-    """fig3/fig4 rows of the labelled states at one phi, and the fig4 mean row.
+def _state_points(labels: Sequence[str], samples: _Samples, anchors: _Samples
+                  ) -> tuple[list[StatePoint], list[MetricValue]]:
+    """fig3/fig4 rows of the labelled states at the grid points of a batch, and each
+    point's fig4 mean row.
 
     Each metric is one computation over the ``_marginal_states`` stack of all
-    the states, and its (L, 1 + E) block of columns one ``_metrics`` call.
+    the batch's states, and its (P·L, 1 + E) block of columns one ``_metrics``
+    call; every state's row is computed on its own.
     """
     sig, env = _marginal_states(samples)
     purity = np.einsum("lbde,lbed->lb", sig, sig).real
-    fidelity = _fidelities(np.array([ket(lab) for lab in labels]), sig)
+    kets = np.array([ket(lab) for lab in labels])
+    fidelity = _fidelities(np.tile(kets, (len(samples.phis), 1)), sig)
     env_pop1 = np.ascontiguousarray(env[:, :, 1, 1].real)
     columns = map(_metrics, (purity, fidelity, _success_columns(samples, anchors), env_pop1))
-    points = [StatePoint(phi, lab, *metrics) for lab, *metrics in zip(labels, *columns)]
-    # the fig4 mean row: environment population averaged over the states
-    return points, _metrics(np.mean(env_pop1, axis=0)[None])[0]
+    rows = [(float(phi), lab) for phi in samples.phis for lab in labels]
+    points = [StatePoint(phi, lab, *metrics) for (phi, lab), *metrics in zip(rows, *columns)]
+    # the fig4 mean rows: environment population averaged over each point's states
+    means = env_pop1.reshape(len(samples.phis), len(labels), -1).mean(axis=1)
+    return points, _metrics(means)
 
 
 def _process_estimates(settings: SettingGrid, n: int, counts: np.ndarray,
@@ -511,43 +553,43 @@ def _process_estimates(settings: SettingGrid, n: int, counts: np.ndarray,
     return chis
 
 
-# Consecutive grid points put their channel tomograms into one mle_process call until the
-# next point would push it past this many rows, and a call that reaches it runs at once, so
-# a point with at least this many rows gets a call of its own.  Per-row R-rho-R cost is
-# flat from about 250 rows, so a larger call saves little and costs memory.
+# A sweep runs its grid in batches of consecutive points whose 1 + R channel rows (R =
+# bootstrap_samples) add up to at most this many, and a point at or over it alone.  Each
+# batch goes through the pipeline, the state estimates and the channel estimates as one
+# stack.  Per-row R-rho-R cost is flat from about 250 rows, so a larger batch saves little
+# and costs memory.
 _CHANNEL_BATCH_ROWS = 1000
 
 
-def _channel_input(samples: _Samples, labels: Sequence[str], config: ScenarioConfig,
+def _channel_input(samples: _Samples, point: int, labels: Sequence[str], config: ScenarioConfig,
                    key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
-    """fig5 input at one phi, from the samples of ``labels``, an order of BASIS_LABELS.
+    """fig5 input at grid point ``point`` of a batch, from the samples of ``labels``, an
+    order of BASIS_LABELS.
 
     Returns the analytic signal-channel Choi matrix and the (1 + R, 36)
     tomogram stack of the channel estimate (row 0) and its replicas.  The
     stack is None without shot noise, and when a preparation drew no counts.
     """
     order = [labels.index(lab) for lab in BASIS_LABELS]
-    chi = channel_choi_from_outputs(samples.weights[order, None, None]
-                                    * partial_trace_array(samples.rho_se[order], 2, (0,)))
-    if not config.shot_noise or samples.empty.any():
+    chi = channel_choi_from_outputs(samples.weights[point][order, None, None]
+                                    * partial_trace_array(samples.rho_se[point][order], 2, (0,)))
+    if not config.shot_noise or samples.empty[point].any():
         return chi, None
     # preparation-major signal counts, as in _CHANNEL_SETTINGS
-    counts = _marginal_counts(samples.counts[order, 0])[0].ravel()
+    counts = samples.tomograms[point][order, 0, 0].ravel()
     boot = resample_counts(counts, config.bootstrap_samples, config.seed, key)
     return chi, np.vstack([counts, boot])
 
 
 def _channel_points(inputs: Sequence[tuple[np.ndarray, np.ndarray | None]], shot_noise: bool
                     ) -> list[tuple[MetricValue, MetricValue]]:
-    """fig5 metrics of the ``_channel_input``s of consecutive grid points.
+    """fig5 metrics of the ``_channel_input``s of the grid points of a batch.
 
     All their tomograms go into one ``_process_estimates`` call, each point's
     estimate followed by its replicas, and all their Choi matrices, each
     analytic one followed by its point's estimates, into one
     ``_channel_metrics`` call.
     """
-    if not inputs:
-        return []
     stacks = [t for _, t in inputs if t is not None]
     estimates = iter(())
     if stacks:
@@ -582,16 +624,14 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
     # state replicas are read only by fig3/fig4
     bootstrap = config.bootstrap_samples if with_states else 0
 
-    def samples(key: int, phi: float) -> _Samples:
-        return _samples(phi, preps, env, config, [(key, si) for si in range(len(labels))],
-                        bootstrap)
+    def samples(phis: Sequence[float], keys: Sequence[int]) -> _Samples:
+        return _samples(phis, keys, preps, env, config, bootstrap)
 
     # the anchor normalizes the success probability; a grid point at its phi reuses it
-    anchors = samples(_ANCHOR_KEY, anchor_phi) if with_states or anchor_phi in grid else None
-    if with_states and anchors.counts is not None:
-        reps = anchors.counts[:, 1:]
-        empty_reps = (reps.sum(axis=2) == 0).sum(axis=1)
-        for lab, empty, n_empty in zip(labels, anchors.empty, empty_reps):
+    anchors = samples([anchor_phi], [_ANCHOR_KEY]) if with_states or anchor_phi in grid else None
+    if with_states and anchors.totals is not None:
+        reps = anchors.totals[0, :, 1:]
+        for lab, empty, n_empty in zip(labels, anchors.empty[0], (reps == 0).sum(axis=1)):
             where = f"state {lab}: anchor at phi = {anchor_phi:.6g} drew no counts"
             if empty:
                 print(f"{where}, success_norm is nan", file=sys.stderr)
@@ -601,40 +641,31 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
 
     state_points: list[StatePoint] = []
     phi_points: list[PhiPoint] = []
-    # grid points (phi, mean row, channel input) whose channel MLE call is pending
-    pending: list[tuple[float, MetricValue | None, tuple[np.ndarray, np.ndarray | None]]] = []
-
-    def rows(points) -> int:
-        return sum(len(t) for *_, (_, t) in points if t is not None)
-
-    def finish_pending() -> None:
-        channels = _channel_points([c for *_, c in pending], config.shot_noise)
-        phi_points.extend(PhiPoint(p, m, *metrics)
-                          for (p, m, _), metrics in zip(pending, channels))
-        pending.clear()
-
-    def queue(point) -> None:
-        if rows(pending) + rows([point]) > _CHANNEL_BATCH_ROWS:
-            finish_pending()
-        pending.append(point)
-        if rows(pending) >= _CHANNEL_BATCH_ROWS:   # full: hold no tomogram past its call
-            finish_pending()
-
-    for pi, phi in enumerate(grid):
-        at_phi = anchors if phi == anchor_phi else samples(pi, phi)
-        for lab, empty in zip(labels, at_phi.empty):
-            if empty:
-                print(f"phi = {phi:.6g}, state {lab}: no counts, estimates are nan",
-                      file=sys.stderr)
-        mean = None
+    size = max(1, _CHANNEL_BATCH_ROWS // (1 + config.bootstrap_samples))
+    for start in range(0, len(grid), size):
+        index = range(start, min(start + size, len(grid)))
+        phis = [grid[i] for i in index]
+        drawn = [i for i in index if grid[i] != anchor_phi]
+        batch = samples([grid[i] for i in drawn], drawn) if drawn else anchors
+        if drawn and len(drawn) < len(index):
+            batch = batch.insert(phis.index(anchor_phi), anchors)
+        for phi, empties in zip(phis, batch.empty):
+            for lab, empty in zip(labels, empties):
+                if empty:
+                    print(f"phi = {phi:.6g}, state {lab}: no counts, estimates are nan",
+                          file=sys.stderr)
+        means = [None] * len(phis)
         if with_states:
-            points, mean = _state_points(phi, labels, at_phi, anchors)
+            points, means = _state_points(labels, batch, anchors)
             state_points.extend(points)
-        if not with_channel:
-            phi_points.append(PhiPoint(phi, mean))
-            continue
-        queue((phi, mean, _channel_input(at_phi, labels, config, (pi, 99))))
-    finish_pending()
+        channels = [()] * len(phis)
+        if with_channel:
+            inputs = [_channel_input(batch, p, labels, config, (pi, 99))
+                      for p, pi in enumerate(index)]
+            del batch   # the channel MLE needs only its tomograms, not the state samples
+            channels = _channel_points(inputs, config.shot_noise)
+        phi_points.extend(PhiPoint(phi, mean, *channel)
+                          for phi, mean, channel in zip(phis, means, channels))
     return ScenarioResult(mode=mode, config=config,
                           states=tuple(state_points), phis=tuple(phi_points))
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import DegenerateCouplingError, TWO_PI, _angle
+from .protocol import ccp_success_probability  # noqa: F401  (this gate's success rate)
 from .qmath import OperatorMatrix, expand_operator, rotation
 
 _P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -111,12 +112,6 @@ def c3z_filter() -> OperatorMatrix:
     diag = np.full(16, 1.0 / 3.0, dtype=complex)
     diag[15] = -1.0 / 3.0
     return OperatorMatrix(np.diag(diag))
-
-
-def ccp_success_probability(phi) -> float:
-    """Overall postselection success probability, 1 / (9 + 9 |sin phi|)."""
-    value = _angle(phi)
-    return 1.0 / (9.0 + 9.0 * abs(math.sin(value)))
 
 
 def _controlled_on_aux(gate: np.ndarray) -> np.ndarray:

@@ -66,6 +66,13 @@ def u_ccp(phi) -> OperatorMatrix:
     return OperatorMatrix(np.diag(diag), unitary=True)
 
 
+def ccp_success_probability(phi) -> float:
+    """Postselection success probability of the linear-optical gate that realizes
+    ``u_ccp(phi)`` (``optical_gate.realize_ccp``), 1 / (9 + 9 |sin phi|)."""
+    value = _angle(phi)
+    return 1.0 / (9.0 + 9.0 * abs(math.sin(value)))
+
+
 def _herald_projectors(value: float) -> tuple[np.ndarray, np.ndarray]:
     # success: |phi_perp> = (|0> - e^{i phi}|1>)/sqrt2; failure: the complement
     perp = np.array([1.0, -np.exp(1j * value)], dtype=complex) / math.sqrt(2.0)

@@ -228,20 +228,21 @@ def project(rho: np.ndarray, proj: np.ndarray):
 
     Weights at roundoff scale count as zero: renormalizing them would
     amplify floating-point asymmetry into an unphysical state.  ``rho`` may
-    also be a (B, d, d) stack, each row projected on its own; then the
-    result is the (B,) weights and the (B, d, d) states, and a row whose
-    branch is dropped has weight 0 and the zero matrix for its state, so it
-    adds nothing to a weighted sum of branches.
+    also be a (..., d, d) stack, each row projected on its own, and ``proj``
+    a stack that broadcasts against it; then the result is the (...) weights
+    and the (..., d, d) states, and a row whose branch is dropped has weight
+    0 and the zero matrix for its state, so it adds nothing to a weighted sum
+    of branches.
     """
     rho = np.asarray(rho)
-    stack = rho.reshape((-1,) + rho.shape[-2:])
-    sub = proj @ stack @ proj.conj().T
-    w = np.trace(sub, axis1=1, axis2=2).real
-    scale = np.abs(np.trace(stack, axis1=1, axis2=2).real)
+    stack = rho if rho.ndim > 2 else rho[None]
+    sub = proj @ stack @ _dagger(proj)
+    w = np.trace(sub, axis1=-2, axis2=-1).real
+    scale = np.abs(np.trace(stack, axis1=-2, axis2=-1).real)
     kept = ~(w <= 1e-14 * np.where(scale > 0.0, scale, 1.0))
-    out = sub / np.where(kept, w, 1.0)[:, None, None]
-    out = np.where(kept[:, None, None], 0.5 * (out + _dagger(out)), 0.0)
-    if rho.ndim == 3:
+    out = sub / np.where(kept, w, 1.0)[..., None, None]
+    out = np.where(kept[..., None, None], 0.5 * (out + _dagger(out)), 0.0)
+    if rho.ndim > 2:
         return np.where(kept, w, 0.0), out
     return (float(w[0]), out[0]) if kept[0] else (max(float(w[0]), 0.0), None)
 

@@ -34,7 +34,13 @@ algorithm for Kronecker products: Fernandes, Plateau, Stewart, J. ACM 45,
 one 2^m x 2^m Walsh-Hadamard matmul and a fixed phase per string, which
 also flips the sign of Y on the conjugated preparation qubits
 (``_PauliTables``).  R is the exact adjoint: the chain through T^T, the
-phases, the Hadamard matmul and the inverse gather.
+phases, the Hadamard matmul and the inverse gather.  On the m = 2 grids
+(two-qubit states, one-qubit processes) the chain is one real 32 x 36
+matrix, and the estimator's R-rho-R loop uses it directly (``_frame_solve``).
+
+Every stage acts on each row of a batch on its own, with no BLAS gemm
+whose row count is the batch size, so a row's estimate does not depend on
+the rows around it: it equals its single call bit for bit.
 """
 
 from __future__ import annotations
@@ -187,7 +193,9 @@ class _PauliTables:
     coefficient c_ab = tr(rho P_ab) is ``sign`` times one entry of
     [Re DH, Im DH], the one ``select`` names; ``select`` lists the (a, b)
     in per-qubit (a_q, b_q) order, the row order of ``_PAULI_FRAME``.
-    Preparation qubits carry conj(sigma), so their Y flips sign.
+    Preparation qubits carry conj(sigma), so their Y flips sign.  On m = 2
+    grids ``frame`` is the whole Born map, (32, 36), from the float view of
+    rho to the grid; its transpose is the R map.
     """
 
     m: int
@@ -196,6 +204,7 @@ class _PauliTables:
     hadamard: np.ndarray
     select: np.ndarray
     sign: np.ndarray
+    frame: np.ndarray | None = None
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,8 +224,15 @@ def _pauli_tables(n_in: int, n_out: int) -> _PauliTables:
         [axis for q in range(m) for axis in (q, m + q)]).ravel()
     tables = _PauliTables(m, gather, np.argsort(gather), (-1.0) ** np.bitwise_count(ab),
                           (part * d * d + a * d + y).ravel()[pairs], sign.ravel()[pairs])
-    for table in (tables.gather, tables.scatter, tables.hadamard, tables.select, tables.sign):
-        table.setflags(write=False)
+    if m == 2:
+        # the chain on the 32 unit vectors of the float view: every map entry is a
+        # sum of products of halves and signs, so the frame holds the chain's map exactly
+        basis = np.eye(2 * d * d).view(complex).reshape(-1, d, d)
+        object.__setattr__(tables, "frame", _born(basis, tables))
+    for table in (tables.gather, tables.scatter, tables.hadamard, tables.select, tables.sign,
+                  tables.frame):
+        if table is not None:
+            table.setflags(write=False)
     return tables
 
 
@@ -283,7 +299,7 @@ def _born(rho: np.ndarray, tables: _PauliTables) -> np.ndarray:
     b, d = len(rho), 2**tables.m
     parts = np.take(np.asarray(rho, dtype=complex).reshape(b, -1).view(np.float64),
                     tables.gather, axis=1)
-    parts = (parts.reshape(-1, d) @ tables.hadamard).reshape(b, -1)
+    parts = np.matmul(parts.reshape(b, -1, d), tables.hadamard).reshape(b, -1)
     coeffs = np.take(parts, tables.select, axis=1) * tables.sign
     return _mode_products(coeffs, _PAULI_FRAME, tables.m)
 
@@ -297,7 +313,7 @@ def _weighted_projectors(w: np.ndarray, tables: _PauliTables) -> np.ndarray:
     b, d = len(w), 2**tables.m
     parts = np.zeros((b, 2 * d * d))
     parts[:, tables.select] = _mode_products(w, _PAULI_FRAME.T, tables.m) * tables.sign
-    parts = (parts.reshape(-1, d) @ tables.hadamard).reshape(b, -1)
+    parts = np.matmul(parts.reshape(b, -1, d), tables.hadamard).reshape(b, -1)
     return np.take(parts, tables.scatter, axis=1).view(complex).reshape(b, d, d)
 
 
@@ -324,15 +340,35 @@ def _mle(settings: SettingGrid, process: bool, counts,
 
 
 def _rrr(grid_counts: np.ndarray, tables: _PauliTables, max_iters: int) -> np.ndarray:
-    """Batched R-rho-R on (B, 6^m) grid counts; a row stops once its max |delta rho| < MLE_TOL."""
+    """Batched R-rho-R on (B, 6^m) grid counts; a row stops once its max |delta rho| < MLE_TOL.
+
+    The m = 2 grids (two-qubit states, one-qubit processes) have their own
+    loop (``_frame_solve``), the others go through the Pauli chain
+    (``_chain_solve``).  Both act on every row on its own, so a row equals its
+    single call bit for bit.
+    """
     b, d = len(grid_counts), 2**tables.m
-    eye = np.eye(d, dtype=complex)
-    out = np.tile(eye / d, (b, 1, 1))
+    out = np.tile(np.eye(d, dtype=complex) / d, (b, 1, 1))
     rows = np.flatnonzero(grid_counts.sum(axis=1) > 0)   # rows without counts stay I/d
-    counts, rho, delta = grid_counts[rows], out[rows], np.full(len(rows), math.inf)
+    solve = _chain_solve if tables.frame is None else _frame_solve
+    delta = solve(grid_counts[rows], out, rows, tables, max_iters)
+    if len(delta):
+        warnings.warn(f"R-rho-R stopped at max_iters = {max_iters} (d = {d}, "
+                      f"B = {b}): final delta {delta.max():.3g} >= tol {MLE_TOL:g} "
+                      f"in {len(delta)} of {b} rows", MLEConvergenceWarning, stacklevel=4)
+    return out
+
+
+def _chain_solve(counts: np.ndarray, out: np.ndarray, rows: np.ndarray, tables: _PauliTables,
+                 max_iters: int) -> np.ndarray:
+    """R-rho-R through the Pauli chain and batched matmuls, from and into ``out[rows]``.
+
+    Returns the last step of each row still moving at ``max_iters``.
+    """
+    rho, delta = out[rows], np.full(len(rows), math.inf)
     for _ in range(max_iters):
         if not len(rows):
-            return out
+            break
         p = _born(rho, tables).clip(_PROB_FLOOR, None)
         r_op = _weighted_projectors(counts / p, tables)
         new = r_op @ rho @ r_op
@@ -346,12 +382,59 @@ def _rrr(grid_counts: np.ndarray, tables: _PauliTables, max_iters: int) -> np.nd
             out[rows[done]] = new[done]
             rows, counts, new, delta = (x[~done] for x in (rows, counts, new, delta))
         rho = new
-    if len(rows):
-        warnings.warn(f"R-rho-R stopped at max_iters = {max_iters} (d = {d}, "
-                      f"B = {b}): final delta {delta.max():.3g} >= tol {MLE_TOL:g} "
-                      f"in {len(rows)} of {b} rows", MLEConvergenceWarning, stacklevel=4)
-        out[rows] = rho
+    out[rows] = rho
+    return delta
+
+
+def _frame_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for each pair of a batch-last (4, 4, n) stack, as four elementwise terms
+    added in order."""
+    out = a[:, 0, None] * b[0]
+    for k in range(1, 4):
+        out += a[:, k, None] * b[k]
     return out
+
+
+def _frame_solve(counts: np.ndarray, out: np.ndarray, rows: np.ndarray, tables: _PauliTables,
+                 max_iters: int) -> np.ndarray:
+    """``_chain_solve`` on an m = 2 grid, with no BLAS gemm over the rows.
+
+    The Born map is the float view of each rho times the (32, 36) ``frame``,
+    and R the weights times its transpose: one (1, 32) or (1, 36) row per
+    matmul of an (n, 1, k) stack, so no row's sums depend on n.  The iterates
+    are kept batch last, (4, 4, n), where the 4 x 4 products, the Hermitian
+    part and the traces are elementwise sums over long rows.
+    """
+    frame = tables.frame
+    counts = counts[:, None, :]
+    rho = np.ascontiguousarray(out[rows].transpose(1, 2, 0))
+    delta = np.full(len(rows), math.inf)
+    for _ in range(max_iters):
+        if not len(rows):
+            break
+        w = np.matmul(np.ascontiguousarray(rho.transpose(2, 0, 1)).view(np.float64)
+                      .reshape(-1, 1, 32), frame)
+        np.divide(counts, np.maximum(w, _PROB_FLOOR, out=w), out=w)
+        r_op = np.ascontiguousarray(np.matmul(w, frame.T).view(complex).reshape(-1, 4, 4)
+                                    .transpose(1, 2, 0))
+        del w   # each array dropped before the products keeps the peak down
+        new = _frame_products(_frame_products(r_op, rho), r_op)
+        new += np.conj(new.transpose(1, 0, 2))   # 2 x Hermitian part; normalizing cancels the 2
+        traces = ((new[0, 0].real + new[1, 1].real) + new[2, 2].real) + new[3, 3].real
+        traces[traces <= 0.0] = 1.0
+        # numpy divides by complex(t, 0) as (Re x + 0 Im x) (1 / t), (Im x - 0 Re x) (1 / t):
+        # scaling the float view by 1 / t gives the same numbers (up to the sign of a zero)
+        parts = new.view(np.float64).reshape(4, 4, -1, 2)
+        parts *= (1.0 / traces)[:, None]
+        delta = np.abs(new - rho).max(axis=(0, 1))
+        done = delta < MLE_TOL
+        if done.any():
+            out[rows[done]] = new[..., done].transpose(2, 0, 1)
+            rows, counts, delta = rows[~done], counts[~done], delta[~done]
+            new = np.ascontiguousarray(new[..., ~done])
+        rho = new
+    out[rows] = rho.transpose(2, 0, 1)
+    return delta
 
 
 # sigma_k = |+k><+k| - |-k><-k| for the axis k whose outcomes are labels 2k and 2k + 1
@@ -376,7 +459,10 @@ def _qubit_mle(grid_counts: np.ndarray) -> np.ndarray:
     outside = (a * a).sum(axis=1) > 1.0
     if outside.any():
         a[outside] = _sphere_mle(u[outside], v[outside])
-    return 0.5 * (np.eye(2) + np.einsum("bk,kde->bde", a, _PAULI))
+    rho = np.einsum("bk,kde->bde", a, _PAULI)
+    rho += np.eye(2)
+    rho *= 0.5
+    return rho
 
 
 def _axis_root(u: np.ndarray, v: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -14,7 +14,8 @@ from darkstate.protocol import _herald_projectors
 from darkstate.qmath import (BASIS_LABELS, DensityMatrix, OperatorMatrix, PureState,
                              expand_operator, ket, max_entangled, partial_trace_array, project,
                              projector)
-from darkstate.tomography import MeasurementSetting, ProcessMatrix, build_state_settings, mle_state
+from darkstate.tomography import (MLE_TOL, MeasurementSetting, ProcessMatrix, _born,
+                                  _weighted_projectors, build_state_settings, mle_state)
 
 
 def product_ket(labels: Iterable[str]) -> np.ndarray:
@@ -74,6 +75,34 @@ def channel_to_choi(operators, n: int) -> ProcessMatrix:
     return ProcessMatrix(sum(np.outer(v, v.conj()) for v in kets), n)
 
 
+def rrr_chain(grid_counts: np.ndarray, tables, max_iters: int = 20000) -> np.ndarray:
+    """R-rho-R on (B, 6^m) grid counts through the Pauli chain and batched matmuls on
+    every grid, each row stopping at its own tolerance.
+
+    The reference for the m = 2 kernel of ``tomography._rrr``: the Born and R
+    maps are ``_born`` and ``_weighted_projectors``, and R rho R is a stacked
+    matmul.  Rows without counts stay I/d.
+    """
+    b, d = len(grid_counts), 2**tables.m
+    out = np.tile(np.eye(d, dtype=complex) / d, (b, 1, 1))
+    rows = np.flatnonzero(grid_counts.sum(axis=1) > 0)
+    counts, rho = grid_counts[rows], out[rows]
+    for _ in range(max_iters):
+        if not len(rows):
+            return out
+        p = _born(rho, tables).clip(1e-14, None)
+        r_op = _weighted_projectors(counts / p, tables)
+        new = r_op @ rho @ r_op
+        new += np.conj(np.swapaxes(new, 1, 2))
+        traces = np.einsum("bdd->b", new).real
+        traces[traces <= 0.0] = 1.0
+        new /= traces[:, None, None]
+        done = np.abs(new - rho).max(axis=(1, 2)) < MLE_TOL
+        out[rows[done]] = new[done]
+        rows, counts, rho = rows[~done], counts[~done], new[~done]
+    raise AssertionError(f"the reference R-rho-R did not converge in {max_iters} iterations")
+
+
 def protocol_point(phi: float, psi_label: str, env: np.ndarray, noise) -> tuple[np.ndarray, float]:
     """Declared joint (S, E) state of one signal state at ``phi`` and its herald weight.
 
@@ -119,32 +148,31 @@ def metric(column: np.ndarray) -> MetricValue:
     return MetricValue(analytic=analytic, estimate=estimate, std=std)
 
 
-def success_column(i: int, samples, anchors) -> np.ndarray:
-    """Success ratio column of state i against its anchor, one state at a time."""
-    analytic = [samples.transmissions[i] / anchors.transmissions[i]]
-    if samples.counts is None:
+def success_column(p: int, i: int, samples, anchors) -> np.ndarray:
+    """Success ratio column of state i at point p of a batch against its anchor, one
+    state at a time."""
+    analytic = [samples.transmissions[p, i] / anchors.transmissions[0, i]]
+    if samples.totals is None:
         return np.array(analytic)
-    counts, reps = samples.counts[i, 0], samples.counts[i, 1:]
-    anchor_counts, anchor_reps = anchors.counts[i, 0], anchors.counts[i, 1:]
-    if not anchor_counts.any():
+    totals, anchor_totals = samples.totals[p, i], anchors.totals[0, i]
+    if not anchor_totals[0]:
         return np.array(analytic + [math.nan])
-    if samples is anchors:
-        return np.concatenate([analytic, [1.0], np.zeros(len(reps))])
-    anchor_totals = anchor_reps.sum(axis=1)
-    return np.concatenate([analytic, [counts.sum() / anchor_counts.sum()],
-                           np.divide(reps.sum(axis=1), anchor_totals,
-                                     out=np.full(len(anchor_totals), math.nan),
-                                     where=anchor_totals > 0)])
+    if samples.phis[p] == anchors.phis[0]:
+        return np.concatenate([analytic, [1.0], np.zeros(len(totals) - 1)])
+    return np.concatenate([analytic, [totals[0] / anchor_totals[0]],
+                           np.divide(totals[1:], anchor_totals[1:],
+                                     out=np.full(len(totals) - 1, math.nan),
+                                     where=anchor_totals[1:] > 0)])
 
 
-def state_columns(i: int, samples, psi: np.ndarray) -> list[np.ndarray]:
+def state_columns(p: int, i: int, samples, psi: np.ndarray) -> list[np.ndarray]:
     """Signal purity, fidelity to ``psi`` and environment |1> population columns of
-    state i, from its own analytic states, MLE calls and ``DensityMatrix`` checks."""
-    stacks = [partial_trace_array(samples.rho_se[i], 2, (q,))[None] for q in (0, 1)]
-    empty = samples.counts is not None and not samples.counts[i, 0].any()
-    if samples.counts is not None and not empty:
-        grid = samples.counts[i].reshape(-1, 6, 6)
-        for q, tomograms in enumerate((grid.sum(axis=2), grid.sum(axis=1))):
+    state i at point p of a batch, from its own analytic states, MLE calls and
+    ``DensityMatrix`` checks."""
+    stacks = [partial_trace_array(samples.rho_se[p, i], 2, (q,))[None] for q in (0, 1)]
+    empty = samples.totals is not None and not samples.totals[p, i, 0]
+    if samples.tomograms is not None and not empty:
+        for q, tomograms in enumerate(samples.tomograms[p, i]):
             rhos = mle_state(build_state_settings(1), tomograms)
             DensityMatrix(rhos[0])   # the point estimate
             stacks[q] = np.concatenate([stacks[q], rhos])
@@ -152,19 +180,24 @@ def state_columns(i: int, samples, psi: np.ndarray) -> list[np.ndarray]:
     columns = [np.einsum("bde,bed->b", sig, sig).real,
                _fidelities(psi, sig), env[:, 1, 1].real]
     if empty:   # a nan estimate and nan replicas
-        columns = [np.append(c, np.full(len(samples.counts[i]), math.nan)) for c in columns]
+        columns = [np.append(c, np.full(samples.totals.shape[-1], math.nan)) for c in columns]
     return columns
 
 
-def state_points(phi: float, labels, samples, anchors) -> tuple[list[StatePoint], MetricValue]:
-    """fig3/fig4 rows at one phi and the fig4 mean row, one state at a time.
+def state_points(labels, samples, anchors) -> tuple[list[StatePoint], list[MetricValue]]:
+    """fig3/fig4 rows at the grid points of a batch and each point's fig4 mean row, one
+    state at a time.
 
     The reference for ``experiments._state_points``, which stacks the states.
     """
-    points, pops = [], []
-    for i, label in enumerate(labels):
-        purity, fidelity, env_pop1 = state_columns(i, samples, ket(label))
-        points.append(StatePoint(phi, label, metric(purity), metric(fidelity),
-                                 metric(success_column(i, samples, anchors)), metric(env_pop1)))
-        pops.append(env_pop1)
-    return points, metric(np.mean(pops, axis=0))
+    points, means = [], []
+    for p, phi in enumerate(samples.phis):
+        pops = []
+        for i, label in enumerate(labels):
+            purity, fidelity, env_pop1 = state_columns(p, i, samples, ket(label))
+            points.append(StatePoint(float(phi), label, metric(purity), metric(fidelity),
+                                     metric(success_column(p, i, samples, anchors)),
+                                     metric(env_pop1)))
+            pops.append(env_pop1)
+        means.append(metric(np.mean(pops, axis=0)))
+    return points, means

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,16 @@ def write(path, text):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def test_cli_import_skips_the_optical_gate():
+    # the sweeps need only the gate's success rate, which lives in protocol;
+    # the stage-by-stage gate realization is imported by selftest alone
+    code = "import sys, darkstate.cli; print('darkstate.optical_gate' in sys.modules)"
+    src = Path(cli.__file__).parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

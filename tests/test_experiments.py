@@ -307,53 +307,68 @@ def test_default_grid_reuses_the_anchor(record_calls):
         assert (sp.success_norm.estimate, sp.success_norm.std) == (1.0, 0.0)
 
 
-def test_protocol_counts_survive_one_ulp_of_phi():
+def test_protocol_counts_survive_one_ulp_of_phi(record_calls):
     # roundoff-level Born means read 0, so 1 to 4 ulp of phi either way redraw no grid point
     env = _env_matrix("maximally_mixed")
     config = ScenarioConfig(mode="protocol", bootstrap_samples=0)
     preps = _preparations("protocol", BASIS_LABELS)
+    grid = np.array(experiments.DEFAULT_PROTOCOL_GRID)
+    calls = record_calls(experiments, ("simulate_counts",))
+
+    def draws(phis):
+        # each state's simulate_counts tomogram, [grid point, label]
+        calls["simulate_counts"].clear()
+        _samples(list(phis), range(len(phis)), preps, env, config, 0)
+        return np.reshape(calls["simulate_counts"], (len(phis), len(preps), -1))
+
+    base = draws(grid)
     redrawn = []
-    for k, phi in enumerate(experiments.DEFAULT_PROTOCOL_GRID):
-        base = _samples(phi, preps, env, config, [(k, si) for si, _ in enumerate(preps)],
-                        0).counts[:, 0]
-        for toward in (10.0, -10.0):
-            shifted = phi
-            for ulp in range(1, 5):
-                shifted = np.nextafter(shifted, toward)
-                counts = _samples(shifted, preps, env, config,
-                                  [(k, si) for si, _ in enumerate(preps)], 0).counts[:, 0]
-                for label, a, b in zip(BASIS_LABELS, base, counts):
-                    if not np.array_equal(a, b):
-                        redrawn.append((k, label, int(math.copysign(ulp, toward))))
+    for toward in (10.0, -10.0):
+        shifted = grid
+        for ulp in range(1, 5):
+            shifted = np.nextafter(shifted, toward)
+            for k, label in zip(*np.nonzero((draws(shifted) != base).any(axis=2))):
+                redrawn.append((k, BASIS_LABELS[label], int(math.copysign(ulp, toward))))
     assert redrawn == []
 
 
 @pytest.mark.parametrize("bootstrap", [0, 3])
 def test_samples_stack_each_tomogram_over_its_replicas(bootstrap):
-    # row 0 of a state's count stack is its simulate_counts draw and rows 1..R
-    # are resample_counts of row 0, both on the state's own spawn key; at rate
-    # 0.05 some states draw no counts, and so do their replicas
+    # row 0 of a state's marginal tomograms and totals comes from its
+    # simulate_counts draw and rows 1..R from resample_counts of that draw,
+    # both on the state's own spawn key (grid key, label index); at rate 0.05
+    # some states draw no counts, and so do their replicas
     config = ScenarioConfig(mode="protocol", rate=0.05, seed=4, bootstrap_samples=bootstrap)
-    keys = [(7, si) for si in range(len(BASIS_LABELS))]
-    sample = _samples(math.pi, _preparations("protocol", BASIS_LABELS),
-                      _env_matrix(config.env_state), config, keys, bootstrap)
-    assert sample.counts.shape == (len(BASIS_LABELS), 1 + bootstrap, 36)
-    for stack, rho, transmission, key in zip(sample.counts, sample.rho_se,
-                                             sample.transmissions, keys):
-        counts = simulate_counts(build_state_settings(2), rho, config.rate * transmission,
-                                 np.random.SeedSequence(entropy=config.seed, spawn_key=(*key, 0)))
-        assert np.array_equal(stack[0], counts)
-        assert np.array_equal(stack[1:], resample_counts(counts, bootstrap, config.seed, key))
+    keys = [7, 2]
+    sample = _samples([math.pi, 2.0], keys, _preparations("protocol", BASIS_LABELS),
+                      _env_matrix(config.env_state), config, bootstrap)
+    assert sample.tomograms.shape == (2, len(BASIS_LABELS), 2, 1 + bootstrap, 6)
+    assert sample.totals.shape == (2, len(BASIS_LABELS), 1 + bootstrap)
+    for p, key in enumerate(keys):
+        for i, (rho, transmission) in enumerate(zip(sample.rho_se[p], sample.transmissions[p])):
+            counts = simulate_counts(build_state_settings(2), rho, config.rate * transmission,
+                                     np.random.SeedSequence(entropy=config.seed,
+                                                            spawn_key=(key, i, 0)))
+            stack = np.vstack([counts, resample_counts(counts, bootstrap, config.seed, (key, i))])
+            assert np.array_equal(sample.tomograms[p, i], np.stack(_marginal_counts(stack)))
+            assert np.array_equal(sample.totals[p, i], stack.sum(axis=1))
     assert sample.empty.any() and not sample.empty.all()
-    assert not sample.counts[sample.empty].any()
+    assert not sample.tomograms[sample.empty].any()
 
 
-def test_sweep_makes_one_state_mle_call_per_grid_point(record_calls):
-    # every single-qubit tomogram of a grid point, its replicas included, goes
-    # into one mle_state call
+def test_sweep_makes_one_state_mle_call_per_batch(monkeypatch, record_calls):
+    # every single-qubit tomogram of a batch's grid points, replicas included,
+    # goes into one mle_state call: 4 rows per tomogram, 2 tomograms per state;
+    # the default grid at bootstrap 3 is one batch, and a row cap of 10 makes
+    # batches of two points
     calls = record_calls(experiments, ("mle_state",))
-    run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=3))
-    assert len(calls["mle_state"]) == len(experiments.DEFAULT_PROTOCOL_GRID)
+    config = ScenarioConfig(mode="protocol", bootstrap_samples=3)
+    run_protocol_sweep(config)
+    assert [len(rhos) for rhos in calls["mle_state"]] == [13 * 6 * 2 * 4]
+    calls["mle_state"].clear()
+    monkeypatch.setattr(experiments, "_CHANNEL_BATCH_ROWS", 10)
+    run_protocol_sweep(config)
+    assert [len(rhos) for rhos in calls["mle_state"]] == [2 * 6 * 2 * 4] * 6 + [6 * 2 * 4]
 
 
 def record_process_counts(monkeypatch) -> list[np.ndarray]:
@@ -406,12 +421,14 @@ def test_point_of_at_least_cap_rows_gets_a_call_of_its_own(monkeypatch, cap, boo
 @pytest.mark.parametrize("overrides", [
     dict(bootstrap_samples=0), dict(bootstrap_samples=3), dict(bootstrap_samples=30),
     dict(mode="reference", bootstrap_samples=30),
-    dict(rate=0.05, seed=3, bootstrap_samples=30), dict(rate=1.0, seed=3, bootstrap_samples=30)],
-    ids=["boot0", "boot3", "boot30", "reference", "rate-0.05", "rate-1"])
+    dict(rate=0.05, seed=3, bootstrap_samples=30), dict(rate=1.0, seed=3, bootstrap_samples=30),
+    dict(rate=0.05, seed=3, bootstrap_samples=3)],
+    ids=["boot0", "boot3", "boot30", "reference", "rate-0.05", "rate-1", "rate-0.05-boot3"])
 def test_channel_batching_leaves_the_result_unchanged(monkeypatch, overrides):
-    # a row cap of 1 gives every grid point its own call, as one call per point
-    # did; the rows of a batch are solved independently, so the result must be
-    # the same to the bit (repr spells out every float, nan included)
+    # a row cap of 1 gives every grid point a batch of its own; every stage
+    # computes each row of a batch on its own, so the result must be the same
+    # to the bit (repr spells out every float, nan included); at rate 0.05 and
+    # bootstrap 3 the whole grid is one batch that mixes empty and live states
     config = ScenarioConfig(**overrides)
     run = run_protocol_sweep if config.mode == "protocol" else run_reference_sweep
     batched = run(config)
@@ -421,8 +438,28 @@ def test_channel_batching_leaves_the_result_unchanged(monkeypatch, overrides):
     # some points at rate 1: those points have no tomogram, and a batch skips them
     if config.rate < 1.0:
         assert all(math.isnan(pp.channel_ef.estimate) for pp in batched.phis)
+        assert {math.isnan(sp.fidelity.estimate) for sp in batched.states} == {False, True}
     elif config.rate == 1.0:
         assert {math.isnan(pp.channel_ef.estimate) for pp in batched.phis} == {False, True}
+
+
+@pytest.mark.parametrize("cap, states_per_call", [(1, 1), (200, 3)])
+def test_state_mle_calls_leave_the_result_unchanged(monkeypatch, record_calls, cap,
+                                                    states_per_call):
+    # a batch's qubit tomograms go into mle_state in calls of whole states, up to
+    # _STATE_MLE_ROWS rows and at least one state (62 rows at bootstrap 30), so
+    # no call is a lone replica row; at rate 1 some replicas draw no counts, and
+    # no bit moves
+    config = ScenarioConfig(mode="protocol", rate=1.0, seed=3, bootstrap_samples=30)
+    whole = run_protocol_sweep(config)
+    monkeypatch.setattr(experiments, "_STATE_MLE_ROWS", cap)
+    calls = record_calls(experiments, ("mle_state",))
+    assert repr(run_protocol_sweep(config)) == repr(whole)
+    sizes = [len(rhos) for rhos in calls["mle_state"]]
+    assert sizes[0] == 62 * states_per_call and max(sizes) == sizes[0]
+    assert sizes[-1] % 62 == 0
+    # replicas without counts come out as I/2
+    assert any((rhos == np.eye(2) / 2).all(axis=(1, 2)).any() for rhos in calls["mle_state"])
 
 
 def test_batched_channel_estimates_keep_the_point_checks(monkeypatch):
@@ -454,12 +491,16 @@ def test_batched_channel_estimates_keep_the_point_checks(monkeypatch):
 
 def test_protocol_sweep_builds_the_phi_only_part_once_per_grid_point(record_calls):
     # the gated (P, S, E) state and the herald projectors do not depend on the
-    # signal state: one of each per phi, not one per phi and state
-    calls = record_calls(experiments, ("_gate", "_herald_projectors"))
-    run_protocol_sweep(ScenarioConfig(mode="protocol", **ANALYTIC))
+    # signal state: one of each per phi, not one per phi and state, also when
+    # the grid runs as one batch (bootstrap 3) and not point by point (1000)
     n = len(experiments.DEFAULT_PROTOCOL_GRID)
-    assert {name: len(out) for name, out in calls.items()} == {
-        "_gate": n, "_herald_projectors": n}
+    for bootstrap in (1000, 3):
+        calls = record_calls(experiments, ("_gate", "_herald_projectors"))
+        run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=bootstrap,
+                                          **ANALYTIC))
+        assert sum(len(gated) for gated in calls["_gate"]) == n
+        assert len(calls["_gate"]) == (n if bootstrap == 1000 else 2)   # the anchor, the rest
+        assert len(calls["_herald_projectors"]) == n
 
 
 @pytest.mark.parametrize("mode", ["protocol", "reference"])
@@ -478,23 +519,30 @@ NOISY_ENV = random_density_matrix(1, np.random.default_rng(4))
 NOISY = NoiseParams(herald_error=0.07, gate_depolarizing=0.05, phase_jitter_std=0.3)
 
 
-@pytest.mark.parametrize("phi", [0.3, math.pi / 2.0, math.pi, 5.9])
+PROTOCOL_PHIS = [0.3, math.pi / 2.0, math.pi, 5.9]
+REFERENCE_PHIS = [0.0, 0.3, math.pi, 5.9]
+
+
+@pytest.mark.parametrize("phi", PROTOCOL_PHIS)
 def test_protocol_points_match_the_per_label_formula(phi):
-    # sharing the phi-only part across the labels and stacking the rest leaves
-    # every float operation of the per-label pipeline as it was
-    rhos, weights = _protocol_points(phi, _preparations("protocol", BASIS_LABELS),
+    # sharing the phi-only part across the labels and stacking the rest over the
+    # labels and the grid points of a batch leaves every float operation of the
+    # per-label pipeline as it was
+    rhos, weights = _protocol_points(PROTOCOL_PHIS, _preparations("protocol", BASIS_LABELS),
                                      NOISY_ENV.matrix, NOISY)
-    for label, rho, weight in zip(BASIS_LABELS, rhos, weights):
+    at = PROTOCOL_PHIS.index(phi)
+    for label, rho, weight in zip(BASIS_LABELS, rhos[at], weights[at]):
         ref_rho, ref_weight = protocol_point(phi, label, NOISY_ENV.matrix, NOISY)
         assert weight == ref_weight
         assert rho.tobytes() == ref_rho.tobytes()
 
 
-@pytest.mark.parametrize("phi", [0.0, 0.3, math.pi, 5.9])
+@pytest.mark.parametrize("phi", REFERENCE_PHIS)
 def test_reference_points_match_the_per_label_formula(phi):
-    rhos, weights = _reference_points(phi, _preparations("reference", BASIS_LABELS),
+    rhos, weights = _reference_points(REFERENCE_PHIS, _preparations("reference", BASIS_LABELS),
                                       NOISY_ENV.matrix, NOISY)
-    for label, rho, weight in zip(BASIS_LABELS, rhos, weights):
+    at = REFERENCE_PHIS.index(phi)
+    for label, rho, weight in zip(BASIS_LABELS, rhos[at], weights[at]):
         ref_rho, ref_weight = reference_point(phi, label, NOISY_ENV.matrix, NOISY)
         assert weight == ref_weight
         assert rho.tobytes() == ref_rho.tobytes()
@@ -592,12 +640,12 @@ def test_reference_near_pure_batches_return_without_warning():
     # reference run (seed 0) stopped R-rho-R at its iteration cap; the suite
     # turns an MLEConvergenceWarning into an error
     config = ScenarioConfig(mode="reference")
-    env = _env_matrix(config.env_state)
-    si = BASIS_LABELS.index("R")
-    for pi in (1, 12):
-        sample = _samples(DEFAULT_REFERENCE_GRID[pi], _preparations("reference", ("R",)), env,
-                          config, [(pi, si)], config.bootstrap_samples)
-        for counts in _marginal_counts(sample.counts[0, 1:]):
+    grid_points = [1, 12]
+    sample = _samples([DEFAULT_REFERENCE_GRID[pi] for pi in grid_points], grid_points,
+                      _preparations("reference", BASIS_LABELS), _env_matrix(config.env_state),
+                      config, config.bootstrap_samples)
+    for tomograms in sample.tomograms[:, BASIS_LABELS.index("R")]:
+        for counts in tomograms[:, 1:]:   # signal, then environment replicas
             rhos = mle_state(build_state_settings(1), counts)
             assert rhos.shape == (1000, 2, 2)
             assert np.linalg.eigvalsh(rhos).min() > -1e-15
@@ -633,8 +681,8 @@ def test_protocol_near_zero_coupling_never_heralds(phi, shot_noise):
 
 @pytest.mark.parametrize("phi", [1e-7, 2.0 * math.pi - 1e-7])
 def test_herald_error_keeps_failure_branch_near_zero_coupling(phi):
-    (rho_se,), (weight,) = _protocol_points(phi, _preparations("protocol", ("+",)),
-                                            np.eye(2) / 2, NoiseParams(herald_error=0.1))
+    ((rho_se,),), ((weight,),) = _protocol_points([phi], _preparations("protocol", ("+",)),
+                                                  np.eye(2) / 2, NoiseParams(herald_error=0.1))
     assert weight == pytest.approx(0.1, rel=1e-9)   # the failure branch has weight ~1
     assert DensityMatrix(rho_se).n == 2             # a trace-one state
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -38,7 +39,7 @@ from darkstate import tomography
 from darkstate.experiments import NoiseParams, _gate_choi
 from darkstate.tomography import _born, _pauli_tables, _rrr, _weighted_projectors
 from helpers import (channel_to_choi, product_density, product_ket, product_settings,
-                     random_density_matrix)
+                     random_density_matrix, rrr_chain)
 
 PHI_PLUS = projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
 
@@ -315,6 +316,66 @@ def test_mle_batch_rows_match_single_calls(settings, estimate):
     for row, rho in zip(rows, batch):
         np.testing.assert_array_equal(rho, estimate(settings, row[None, :])[0])
     np.testing.assert_array_equal(batch[-1], np.eye(4) / 4)
+
+
+def frame_kernel_batch(settings) -> np.ndarray:
+    """120 count rows on an m = 2 grid: 118 partly mixed random states (channels on
+    the process grid) at two rates, a slow near-unitary channel, whose row runs on
+    long after the others stop, and a zero row."""
+    rng = np.random.default_rng(60 + settings.n_in)
+    rows = []
+    for seed in range(118):
+        mix = 0.3 + 0.3 * rng.random()
+        mat = mix * random_density_matrix(2, rng).matrix + (1.0 - mix) * np.eye(4) / 4
+        rows.append(simulate_counts(settings, mat / 2**settings.n_in,
+                                    rate=(300.0, 3000.0)[seed % 2], seed=seed))
+    rows.append(simulate_counts(settings, rotation_choi(0.4).chi, rate=300.0, seed=13))
+    return np.array(rows + [np.zeros(len(settings))])
+
+
+@pytest.mark.parametrize("settings, estimate", [(build_process_settings(1), mle_process),
+                                                 (build_state_settings(2), mle_state)],
+                         ids=["process", "state"])
+def test_frame_kernel_rows_match_single_calls(monkeypatch, settings, estimate):
+    # the m = 2 kernel applies its frame row by row and takes its 4 x 4 products
+    # elementwise, so every row of a 120-row batch equals its single call bit for
+    # bit, also in the tail, where only the slow row is left
+    counts = frame_kernel_batch(settings)
+    live_rows = []   # per iteration: the first product's operand is R, (4, 4, live rows)
+    products = tomography._frame_products
+    monkeypatch.setattr(tomography, "_frame_products",
+                        lambda a, b: live_rows.append(a.shape[-1]) or products(a, b))
+    batch = estimate(settings, counts)
+    live_rows = live_rows[::2]
+    assert live_rows[0] == len(counts) - 1 and 1 <= live_rows[-1] <= 3
+    assert sum(n <= 3 for n in live_rows) >= 10
+    for row, rho in zip(counts, batch[:-1]):
+        np.testing.assert_array_equal(rho, estimate(settings, row[None, :])[0])
+    np.testing.assert_array_equal(batch[-1], np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("settings, estimate", [(build_process_settings(1), mle_process),
+                                                 (build_state_settings(2), mle_state)],
+                         ids=["process", "state"])
+def test_frame_kernel_agrees_with_the_chain(settings, estimate):
+    # the reference runs the Pauli chain and stacked matmuls on the same grid
+    counts = frame_kernel_batch(settings)
+    reference = rrr_chain(counts, _pauli_tables(settings.n_in, settings.n_out))
+    assert np.abs(estimate(settings, counts) - reference).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_in, n_out", [(1, 1), (0, 2)])
+def test_frame_is_the_pauli_chain(n_in, n_out):
+    # the frame holds the chain's Born map on the float view of rho, and its
+    # transpose the chain's R map, entry for entry
+    tables = _pauli_tables(n_in, n_out)
+    assert tables.frame.shape == (32, 36)
+    weights = _weighted_projectors(np.eye(36), tables).reshape(36, -1).view(np.float64)
+    assert np.array_equal(weights, tables.frame.T)
+    rho = random_psd(4, 5, np.random.default_rng(47))
+    p = np.matmul(rho.reshape(5, 1, 16).view(np.float64), tables.frame)[:, 0]
+    assert np.abs(p - _born(rho, tables)).max() <= 1e-14 * np.abs(p).max()
+    assert _pauli_tables(3, 3).frame is None and _pauli_tables(0, 1).frame is None
 
 
 @pytest.mark.parametrize("settings, estimate, d", [(build_state_settings(1), mle_state, 2),
