@@ -34,9 +34,10 @@ algorithm for Kronecker products: Fernandes, Plateau, Stewart, J. ACM 45,
 one 2^m x 2^m Walsh-Hadamard matmul and a fixed phase per string, which
 also flips the sign of Y on the conjugated preparation qubits
 (``_PauliTables``).  R is the exact adjoint: the chain through T^T, the
-phases, the Hadamard matmul and the inverse gather.  On the m = 2 grids
-(two-qubit states, one-qubit processes) the chain is one real 32 x 36
-matrix, and the estimator's R-rho-R loop uses it directly (``_frame_solve``).
+phases, the Hadamard matmul and the inverse gather.  One R-rho-R loop
+(``_rrr``) serves every grid.  On the m = 2 grids (two-qubit states,
+one-qubit processes) the chain is one real 32 x 36 matrix, which the loop's
+step uses directly (``_frame_step``); elsewhere it runs the chain.
 
 Every stage acts on each row of a batch on its own, with no BLAS gemm
 whose row count is the batch size, so a row's estimate does not depend on
@@ -67,7 +68,8 @@ _PROB_FLOOR = 1e-14
 
 
 class MLEConvergenceWarning(RuntimeWarning):
-    """The R-rho-R iteration stopped at its iteration cap above its tolerance."""
+    """An iterative solve stopped at its iteration cap above its tolerance: R-rho-R, or the
+    sphere solve of the exact single-qubit estimate ("sphere solve stopped at ...")."""
 
 
 @dataclass(frozen=True)
@@ -342,48 +344,53 @@ def _mle(settings: SettingGrid, process: bool, counts,
 def _rrr(grid_counts: np.ndarray, tables: _PauliTables, max_iters: int) -> np.ndarray:
     """Batched R-rho-R on (B, 6^m) grid counts; a row stops once its max |delta rho| < MLE_TOL.
 
-    The m = 2 grids (two-qubit states, one-qubit processes) have their own
-    loop (``_frame_solve``), the others go through the Pauli chain
-    (``_chain_solve``).  Both act on every row on its own, so a row equals its
-    single call bit for bit.
+    The live iterates are kept batch last, (d, d, n).  The step
+    (``_frame_step`` on m = 2 grids, ``_chain_step`` elsewhere) acts on every
+    row on its own, so a row equals its single call bit for bit.
     """
     b, d = len(grid_counts), 2**tables.m
     out = np.tile(np.eye(d, dtype=complex) / d, (b, 1, 1))
     rows = np.flatnonzero(grid_counts.sum(axis=1) > 0)   # rows without counts stay I/d
-    solve = _chain_solve if tables.frame is None else _frame_solve
-    delta = solve(grid_counts[rows], out, rows, tables, max_iters)
-    if len(delta):
-        warnings.warn(f"R-rho-R stopped at max_iters = {max_iters} (d = {d}, "
-                      f"B = {b}): final delta {delta.max():.3g} >= tol {MLE_TOL:g} "
-                      f"in {len(delta)} of {b} rows", MLEConvergenceWarning, stacklevel=4)
-    return out
-
-
-def _chain_solve(counts: np.ndarray, out: np.ndarray, rows: np.ndarray, tables: _PauliTables,
-                 max_iters: int) -> np.ndarray:
-    """R-rho-R through the Pauli chain and batched matmuls, from and into ``out[rows]``.
-
-    Returns the last step of each row still moving at ``max_iters``.
-    """
-    rho, delta = out[rows], np.full(len(rows), math.inf)
+    counts = grid_counts[rows]
+    step = _chain_step if tables.frame is None else _frame_step
+    rho = np.ascontiguousarray(out[rows].transpose(1, 2, 0))
+    delta = np.full(len(rows), math.inf)
     for _ in range(max_iters):
         if not len(rows):
             break
-        p = _born(rho, tables).clip(_PROB_FLOOR, None)
-        r_op = _weighted_projectors(counts / p, tables)
-        new = r_op @ rho @ r_op
-        new += np.conj(np.swapaxes(new, 1, 2))   # 2 x Hermitian part; normalizing cancels the 2
-        traces = np.einsum("bdd->b", new).real
-        traces[traces <= 0.0] = 1.0
-        new /= traces[:, None, None]
-        delta = np.abs(new - rho).max(axis=(1, 2))
+        # r_op lives until the next step returns: freed with the step's temporaries, it let
+        # glibc trim the heap and the next step fault the pages in again (424 000 against
+        # about 3 000 minor page faults in the default 8-point gate-tomo run)
+        new, r_op = step(rho, counts, tables)
+        delta = np.abs(new - rho).max(axis=(0, 1))
         done = delta < MLE_TOL
         if done.any():
-            out[rows[done]] = new[done]
-            rows, counts, new, delta = (x[~done] for x in (rows, counts, new, delta))
+            out[rows[done]] = new[..., done].transpose(2, 0, 1)
+            rows, counts, delta = rows[~done], counts[~done], delta[~done]
+            new = np.ascontiguousarray(new[..., ~done])
         rho = new
-    out[rows] = rho
-    return delta
+    out[rows] = rho.transpose(2, 0, 1)
+    if len(rows):
+        warnings.warn(f"R-rho-R stopped at max_iters = {max_iters} (d = {d}, "
+                      f"B = {b}): final delta {delta.max():.3g} >= tol {MLE_TOL:g} "
+                      f"in {len(rows)} of {b} rows", MLEConvergenceWarning, stacklevel=4)
+    return out
+
+
+def _chain_step(rho: np.ndarray, counts: np.ndarray,
+                tables: _PauliTables) -> tuple[np.ndarray, np.ndarray]:
+    """One R-rho-R step on (d, d, n) iterates through the Pauli chain and stacked matmuls,
+    which take the rows batch first: returns a (d, d, n) view of the next iterates and R,
+    both batch first in memory."""
+    rho = np.ascontiguousarray(rho.transpose(2, 0, 1))
+    p = _born(rho, tables).clip(_PROB_FLOOR, None)
+    r_op = _weighted_projectors(counts / p, tables)
+    new = r_op @ rho @ r_op
+    new += np.conj(np.swapaxes(new, 1, 2))   # 2 x Hermitian part; normalizing cancels the 2
+    traces = np.einsum("bdd->b", new).real
+    traces[traces <= 0.0] = 1.0
+    new /= traces[:, None, None]
+    return new.transpose(1, 2, 0), r_op
 
 
 def _frame_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -395,46 +402,32 @@ def _frame_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frame_solve(counts: np.ndarray, out: np.ndarray, rows: np.ndarray, tables: _PauliTables,
-                 max_iters: int) -> np.ndarray:
-    """``_chain_solve`` on an m = 2 grid, with no BLAS gemm over the rows.
+def _frame_step(rho: np.ndarray, counts: np.ndarray,
+                tables: _PauliTables) -> tuple[np.ndarray, np.ndarray]:
+    """``_chain_step`` on an m = 2 grid, with no BLAS gemm over the rows; (4, 4, n) R out.
 
     The Born map is the float view of each rho times the (32, 36) ``frame``,
     and R the weights times its transpose: one (1, 32) or (1, 36) row per
-    matmul of an (n, 1, k) stack, so no row's sums depend on n.  The iterates
-    are kept batch last, (4, 4, n), where the 4 x 4 products, the Hermitian
-    part and the traces are elementwise sums over long rows.
+    matmul of an (n, 1, k) stack, so no row's sums depend on n.  The 4 x 4
+    products, the Hermitian part and the traces are elementwise sums over
+    long rows of the C-contiguous batch-last iterates.
     """
     frame = tables.frame
-    counts = counts[:, None, :]
-    rho = np.ascontiguousarray(out[rows].transpose(1, 2, 0))
-    delta = np.full(len(rows), math.inf)
-    for _ in range(max_iters):
-        if not len(rows):
-            break
-        w = np.matmul(np.ascontiguousarray(rho.transpose(2, 0, 1)).view(np.float64)
-                      .reshape(-1, 1, 32), frame)
-        np.divide(counts, np.maximum(w, _PROB_FLOOR, out=w), out=w)
-        r_op = np.ascontiguousarray(np.matmul(w, frame.T).view(complex).reshape(-1, 4, 4)
-                                    .transpose(1, 2, 0))
-        del w   # each array dropped before the products keeps the peak down
-        new = _frame_products(_frame_products(r_op, rho), r_op)
-        new += np.conj(new.transpose(1, 0, 2))   # 2 x Hermitian part; normalizing cancels the 2
-        traces = ((new[0, 0].real + new[1, 1].real) + new[2, 2].real) + new[3, 3].real
-        traces[traces <= 0.0] = 1.0
-        # numpy divides by complex(t, 0) as (Re x + 0 Im x) (1 / t), (Im x - 0 Re x) (1 / t):
-        # scaling the float view by 1 / t gives the same numbers (up to the sign of a zero)
-        parts = new.view(np.float64).reshape(4, 4, -1, 2)
-        parts *= (1.0 / traces)[:, None]
-        delta = np.abs(new - rho).max(axis=(0, 1))
-        done = delta < MLE_TOL
-        if done.any():
-            out[rows[done]] = new[..., done].transpose(2, 0, 1)
-            rows, counts, delta = rows[~done], counts[~done], delta[~done]
-            new = np.ascontiguousarray(new[..., ~done])
-        rho = new
-    out[rows] = rho.transpose(2, 0, 1)
-    return delta
+    w = np.matmul(np.ascontiguousarray(rho.transpose(2, 0, 1)).view(np.float64)
+                  .reshape(-1, 1, 32), frame)
+    np.divide(counts[:, None, :], np.maximum(w, _PROB_FLOOR, out=w), out=w)
+    r_op = np.ascontiguousarray(np.matmul(w, frame.T).view(complex).reshape(-1, 4, 4)
+                                .transpose(1, 2, 0))
+    del w   # each array dropped before the products keeps the peak down
+    new = _frame_products(_frame_products(r_op, rho), r_op)
+    new += np.conj(new.transpose(1, 0, 2))   # 2 x Hermitian part; normalizing cancels the 2
+    traces = ((new[0, 0].real + new[1, 1].real) + new[2, 2].real) + new[3, 3].real
+    traces[traces <= 0.0] = 1.0
+    # numpy divides by complex(t, 0) as (Re x + 0 Im x) (1 / t), (Im x - 0 Re x) (1 / t):
+    # scaling the float view by 1 / t gives the same numbers (up to the sign of a zero)
+    parts = new.view(np.float64).reshape(4, 4, -1, 2)
+    parts *= (1.0 / traces)[:, None]
+    return new, r_op
 
 
 # sigma_k = |+k><+k| - |-k><-k| for the axis k whose outcomes are labels 2k and 2k + 1

@@ -300,21 +300,31 @@ def test_mle_zero_total_replica_is_maximally_mixed():
         np.testing.assert_array_equal(batch[2], alone)
 
 
-@pytest.mark.parametrize("settings, estimate", [(build_process_settings(1), mle_process),
-                                                 (build_state_settings(2), mle_state)],
-                         ids=["process", "state"])
-def test_mle_batch_rows_match_single_calls(settings, estimate):
-    # a slow near-unitary channel, two fast dephasing channels at other rates
-    # and a zero-count row: every row stops at its own tolerance, so each
-    # equals its own single call
-    dephasing = channel_to_choi(dephasing_kraus(0.0), n=1)
-    rows = [simulate_counts(settings, rotation_choi(0.4), rate=300.0, seed=13),
-            simulate_counts(settings, dephasing, rate=30.0, seed=14),
-            simulate_counts(settings, dephasing, rate=3000.0, seed=15)]
-    batch = estimate(settings, np.stack([*rows, np.zeros(len(settings))]))
-    for row, rho in zip(rows, batch):
+DEPHASING = channel_to_choi(dephasing_kraus(0.0), n=1)
+GHZ3 = projector(np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
+# (matrix, rate, seed) per count row
+M2_BATCH_ROWS = [(rotation_choi(0.4), 300.0, 13), (DEPHASING, 30.0, 14), (DEPHASING, 3000.0, 15)]
+M3_BATCH_ROWS = [(0.995 * GHZ3 + 0.005 * np.eye(8) / 8, 3000.0, 17),
+                 (0.4 * random_density_matrix(3, np.random.default_rng(5)).matrix
+                  + 0.6 * np.eye(8) / 8, 300.0, 18)]
+
+
+@pytest.mark.parametrize("settings, estimate, rows",
+                         [(build_process_settings(1), mle_process, M2_BATCH_ROWS),
+                          (build_state_settings(2), mle_state, M2_BATCH_ROWS),
+                          (build_state_settings(3), mle_state, M3_BATCH_ROWS)],
+                         ids=["process", "state", "three-qubit-state"])
+def test_mle_batch_rows_match_single_calls(settings, estimate, rows):
+    # a slow near-pure row (a near-unitary channel on the process grid), fast
+    # mixed rows and a zero-count row, on the m = 2 frame and on the Pauli
+    # chain: every row stops at its own tolerance, so each equals its own
+    # single call
+    counts = [simulate_counts(settings, mat, rate=rate, seed=seed) for mat, rate, seed in rows]
+    batch = estimate(settings, np.stack([*counts, np.zeros(len(settings))]))
+    for row, rho in zip(counts, batch):
         np.testing.assert_array_equal(rho, estimate(settings, row[None, :])[0])
-    np.testing.assert_array_equal(batch[-1], np.eye(4) / 4)
+    d = batch.shape[1]
+    np.testing.assert_array_equal(batch[-1], np.eye(d) / d)
 
 
 def frame_kernel_batch(settings) -> np.ndarray:
@@ -388,8 +398,14 @@ def test_mle_empty_batch_returns_empty_stack(settings, estimate, d):
 def test_mle_iteration_cap_warns():
     settings = build_process_settings(1)
     counts = simulate_counts(settings, rotation_choi(0.4), rate=1e6, seed=0)
-    with pytest.warns(MLEConvergenceWarning, match=r"d = 4, B = 1\): final delta"):
+    with pytest.warns(MLEConvergenceWarning, match=r"d = 4, B = 1\): final delta") as frame:
         mle_process(settings, counts[None, :], max_iters=1)
+    wide = build_process_settings(2)
+    wide_counts = simulate_counts(wide, channel_to_choi(np.eye(4), n=2), rate=1e6, seed=0)
+    with pytest.warns(MLEConvergenceWarning, match=r"d = 16, B = 1\): final delta") as chain:
+        mle_process(wide, wide_counts[None, :], max_iters=1)
+    # on the m = 2 frame and on the Pauli chain, the warning points at the caller
+    assert [w.filename for w in (*frame, *chain)] == [__file__] * 2
     # the zero-count row never enters the iteration, so only one row is capped
     with pytest.warns(MLEConvergenceWarning, match=r"B = 2\): final delta .* in 1 of 2 rows$"):
         mle_process(settings, np.stack([counts, np.zeros(len(counts))]), max_iters=1)
