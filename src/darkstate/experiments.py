@@ -443,43 +443,29 @@ def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return grid.sum(axis=-1), grid.sum(axis=-2)
 
 
-# The exact qubit MLE's temporaries grow with its rows, and its rows are independent, so
-# a batch's tomograms go into mle_state in calls of at most this many rows.  A call holds
-# whole states (at least one), so no call is a lone replica row, which would raise as a
-# tomogram without counts.
-_STATE_MLE_ROWS = 1024
-
-
 def _marginal_states(samples: _Samples) -> np.ndarray:
     """Signal (row 0) and environment (row 1) state of each state of a batch, points
     major, (2, P·L, 1 + E, 2, 2).
 
     Column 0 holds the analytic states.  With shot noise, column 1 holds the
     MLE states from the counts and columns 2.. those from the replicas, nan
-    for a state that drew no counts.  The batch's tomograms go into
-    ``mle_state`` in calls of up to ``_STATE_MLE_ROWS`` rows, and its point
-    estimates are checked at once, as ``DensityMatrix`` checks its matrix.
+    for a state that drew no counts.  All the batch's tomograms go into one
+    ``mle_state`` call, and its point estimates are checked at once, as
+    ``DensityMatrix`` checks its matrix.
     """
     rhos = [partial_trace_array(samples.rho_se, 2, (q,)).reshape(-1, 2, 2) for q in (0, 1)]
     if samples.tomograms is None:
         return np.stack(rhos)[:, :, None]
-    live = ~samples.empty.ravel()
-    tomograms = samples.tomograms.reshape((-1,) + samples.tomograms.shape[2:])
-    n, rows = int(live.sum()), tomograms.shape[2]
     # contiguous per kind, so each metric sums its terms as a lone state's stack does
-    states = np.full((2, len(live), 1 + rows, 2, 2), math.nan, dtype=complex)
+    states = np.empty((2, len(rhos[0]), 1 + samples.tomograms.shape[3], 2, 2), dtype=complex)
     states[:, :, 0] = rhos
-    if n:
-        # per state: the signal tomograms, then the environment ones
-        at = np.flatnonzero(live)
-        fits = np.empty((n, 2, rows, 2, 2), dtype=complex)
-        per_call = max(1, _STATE_MLE_ROWS // (2 * rows))
-        for start in range(0, n, per_call):
-            part = tomograms[at[start:start + per_call]].reshape(-1, 6)
-            fits[start:start + per_call] = mle_state(_SQ_SETTINGS, part).reshape(-1, 2, rows, 2, 2)
-        points = fits[:, :, 0].reshape(-1, 2, 2)
-        _check_states(points, np.linalg.eigvalsh(points))
-        states[:, live, 1:] = fits.swapaxes(0, 1)
+    # per state: the signal tomograms, then the environment ones; no counts gives I/2
+    fits = mle_state(_SQ_SETTINGS, samples.tomograms.reshape(-1, 6)).reshape(
+        len(rhos[0]), 2, -1, 2, 2)
+    points = fits[:, :, 0].reshape(-1, 2, 2)
+    _check_states(points, np.linalg.eigvalsh(points))
+    states[:, :, 1:] = fits.swapaxes(0, 1)
+    states[:, samples.empty.ravel(), 1:] = math.nan
     return states
 
 
@@ -561,54 +547,48 @@ def _process_estimates(settings: SettingGrid, n: int, counts: np.ndarray,
 _CHANNEL_BATCH_ROWS = 1000
 
 
-def _channel_input(samples: _Samples, point: int, labels: Sequence[str], config: ScenarioConfig,
-                   key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
-    """fig5 input at grid point ``point`` of a batch, from the samples of ``labels``, an
-    order of BASIS_LABELS.
+def _channel_stacks(samples: _Samples, labels: Sequence[str], config: ScenarioConfig,
+                    index: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """fig5 inputs at the grid points ``index`` of a batch, from the samples of ``labels``,
+    an order of BASIS_LABELS.
 
-    Returns the analytic signal-channel Choi matrix and the (1 + R, 36)
-    tomogram stack of the channel estimate (row 0) and its replicas.  The
-    stack is None without shot noise, and when a preparation drew no counts.
+    Returns each point's analytic signal-channel Choi matrix, (P, 4, 4), and the
+    (P, 1 + R, 36) stack of its channel tomogram (row 0) and replicas, (P, 0, 36)
+    without shot noise.  The rows of a point where a preparation drew no counts
+    are zero.
     """
     order = [labels.index(lab) for lab in BASIS_LABELS]
-    chi = channel_choi_from_outputs(samples.weights[point][order, None, None]
-                                    * partial_trace_array(samples.rho_se[point][order], 2, (0,)))
-    if not config.shot_noise or samples.empty[point].any():
-        return chi, None
-    # preparation-major signal counts, as in _CHANNEL_SETTINGS
-    counts = samples.tomograms[point][order, 0, 0].ravel()
-    boot = resample_counts(counts, config.bootstrap_samples, config.seed, key)
-    return chi, np.vstack([counts, boot])
+    chis = np.stack([channel_choi_from_outputs(w[order, None, None]
+                                               * partial_trace_array(rho[order], 2, (0,)))
+                     for w, rho in zip(samples.weights, samples.rho_se)])
+    if not config.shot_noise:
+        return chis, np.empty((len(chis), 0, len(_CHANNEL_SETTINGS)))
+    counts = np.zeros((len(chis), 1 + config.bootstrap_samples, len(_CHANNEL_SETTINGS)))
+    for p in np.flatnonzero(~samples.empty[:, order].any(axis=1)):
+        # preparation-major signal counts, as in _CHANNEL_SETTINGS
+        counts[p, 0] = samples.tomograms[p, order, 0, 0].ravel()
+        counts[p, 1:] = resample_counts(counts[p, 0], config.bootstrap_samples, config.seed,
+                                        (index[p], 99))
+    return chis, counts
 
 
-def _channel_points(inputs: Sequence[tuple[np.ndarray, np.ndarray | None]], shot_noise: bool
-                    ) -> list[tuple[MetricValue, MetricValue]]:
-    """fig5 metrics of the ``_channel_input``s of the grid points of a batch.
+def _channel_points(chis: np.ndarray, counts: np.ndarray) -> list[tuple[MetricValue, MetricValue]]:
+    """fig5 metrics of the ``_channel_stacks`` of the grid points of a batch.
 
-    All their tomograms go into one ``_process_estimates`` call, each point's
-    estimate followed by its replicas, and all their Choi matrices, each
-    analytic one followed by its point's estimates, into one
-    ``_channel_metrics`` call.
+    All their tomograms go into one ``_process_estimates`` call, and all their
+    Choi matrices, each analytic one followed by its point's estimates, into one
+    ``_channel_metrics`` call.  A point whose tomogram has no counts is
+    undetermined: the estimator leaves its rows at I/4, and its estimates are nan.
     """
-    stacks = [t for _, t in inputs if t is not None]
-    estimates = iter(())
-    if stacks:
-        starts = np.cumsum([0] + [len(t) for t in stacks[:-1]])
-        # a lone stack (every default 1000-replica point) goes in uncopied
-        counts = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-        estimates = iter(np.split(_process_estimates(_CHANNEL_SETTINGS, 1, counts, starts),
-                                  starts[1:]))
-    chis = [chi[None] if t is None else np.concatenate([chi[None], next(estimates)])
-            for chi, t in inputs]
-    blocks = np.split(np.stack(_channel_metrics(np.concatenate(chis))),
-                      np.cumsum([len(c) for c in chis[:-1]]), axis=1)
-    points = []
-    for (_, tomograms), block in zip(inputs, blocks):
-        if shot_noise and tomograms is None:
-            # a preparation without counts leaves the channel undetermined
-            block = np.hstack([block, np.full((2, 1), math.nan)])
-        points.append(tuple(_metrics(block)))
-    return points
+    determined = counts[:, :1].any(axis=(1, 2))
+    estimates = np.broadcast_to(np.eye(4) / 4.0, counts.shape[:2] + (4, 4))
+    if determined.any():   # the estimator raises on a lone tomogram without counts
+        estimates = _process_estimates(_CHANNEL_SETTINGS, 1, counts.reshape(-1, counts.shape[2]),
+                                       np.flatnonzero(determined) * counts.shape[1])
+    chis = np.concatenate([chis[:, None], estimates.reshape(counts.shape[:2] + (4, 4))], axis=1)
+    block = np.stack(_channel_metrics(chis.reshape(-1, 4, 4))).reshape(2, len(chis), -1)
+    block[:, ~determined, 1:] = math.nan
+    return list(zip(*map(_metrics, block)))
 
 
 def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> ScenarioResult:
@@ -660,10 +640,9 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
             state_points.extend(points)
         channels = [()] * len(phis)
         if with_channel:
-            inputs = [_channel_input(batch, p, labels, config, (pi, 99))
-                      for p, pi in enumerate(index)]
+            chis, counts = _channel_stacks(batch, labels, config, index)
             del batch   # the channel MLE needs only its tomograms, not the state samples
-            channels = _channel_points(inputs, config.shot_noise)
+            channels = _channel_points(chis, counts)
         phi_points.extend(PhiPoint(phi, mean, *channel)
                           for phi, mean, channel in zip(phis, means, channels))
     return ScenarioResult(mode=mode, config=config,

@@ -383,8 +383,9 @@ def _chain_step(rho: np.ndarray, counts: np.ndarray,
     which take the rows batch first: returns a (d, d, n) view of the next iterates and R,
     both batch first in memory."""
     rho = np.ascontiguousarray(rho.transpose(2, 0, 1))
-    p = _born(rho, tables).clip(_PROB_FLOOR, None)
-    r_op = _weighted_projectors(counts / p, tables)
+    w = _born(rho, tables)
+    np.divide(counts, np.maximum(w, _PROB_FLOOR, out=w), out=w)
+    r_op = _weighted_projectors(w, tables)
     new = r_op @ rho @ r_op
     new += np.conj(np.swapaxes(new, 1, 2))   # 2 x Hermitian part; normalizing cancels the 2
     traces = np.einsum("bdd->b", new).real
@@ -434,6 +435,9 @@ def _frame_step(rho: np.ndarray, counts: np.ndarray,
 _PAULI = (np.einsum("kd,ke->kde", _KET_TABLE[0::2], _KET_TABLE[0::2].conj())
           - np.einsum("kd,ke->kde", _KET_TABLE[1::2], _KET_TABLE[1::2].conj()))
 _SPHERE_MAX_ITERS = 100
+# The solve's temporaries grow with its rows, and its rows are independent, so it takes
+# a batch in blocks of at most this many rows.
+_QUBIT_MLE_ROWS = 1024
 
 
 def _qubit_mle(grid_counts: np.ndarray) -> np.ndarray:
@@ -445,14 +449,17 @@ def _qubit_mle(grid_counts: np.ndarray) -> np.ndarray:
     counts of the two outcomes.  Its maximum over all a is the linear
     inversion (u - v) / (u + v), 0 on an axis without counts.  Inside the
     Bloch ball that is the estimate; outside, the maximum lies on the sphere
-    (``_sphere_mle``).
+    (``_sphere_mle``).  A row without counts comes out as I/2.
     """
-    u, v = grid_counts[:, 0::2], grid_counts[:, 1::2]
-    a = (u - v) / np.maximum(u + v, 1.0)
-    outside = (a * a).sum(axis=1) > 1.0
-    if outside.any():
-        a[outside] = _sphere_mle(u[outside], v[outside])
-    rho = np.einsum("bk,kde->bde", a, _PAULI)
+    rho = np.empty((len(grid_counts), 2, 2), dtype=complex)
+    for start in range(0, len(grid_counts), _QUBIT_MLE_ROWS):
+        block = slice(start, start + _QUBIT_MLE_ROWS)
+        u, v = grid_counts[block, 0::2], grid_counts[block, 1::2]
+        a = (u - v) / np.maximum(u + v, 1.0)
+        outside = (a * a).sum(axis=1) > 1.0
+        if outside.any():
+            a[outside] = _sphere_mle(u[outside], v[outside])
+        np.einsum("bk,kde->bde", a, _PAULI, out=rho[block])
     rho += np.eye(2)
     rho *= 0.5
     return rho

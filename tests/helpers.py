@@ -8,14 +8,17 @@ from typing import Iterable
 
 import numpy as np
 
-from darkstate.experiments import (_P_ONE, _P_PLUS, _SE_SECTOR, MetricValue, StatePoint, _gate,
-                                   _fidelities, _phase, _prep_unitary)
+from darkstate.experiments import (_CHANNEL_SETTINGS, _P_ONE, _P_PLUS, _SE_SECTOR, MetricValue,
+                                   StatePoint, _channel_metrics, _fidelities, _gate, _metrics,
+                                   _phase, _prep_unitary, _process_estimates,
+                                   channel_choi_from_outputs)
 from darkstate.protocol import _herald_projectors
 from darkstate.qmath import (BASIS_LABELS, DensityMatrix, OperatorMatrix, PureState,
                              expand_operator, ket, max_entangled, partial_trace_array, project,
                              projector)
 from darkstate.tomography import (MLE_TOL, MeasurementSetting, ProcessMatrix, _born,
-                                  _weighted_projectors, build_state_settings, mle_state)
+                                  _weighted_projectors, build_state_settings, mle_state,
+                                  resample_counts)
 
 
 def product_ket(labels: Iterable[str]) -> np.ndarray:
@@ -201,3 +204,52 @@ def state_points(labels, samples, anchors) -> tuple[list[StatePoint], list[Metri
             pops.append(env_pop1)
         means.append(metric(np.mean(pops, axis=0)))
     return points, means
+
+
+def channel_input(samples, point: int, labels, config, key: tuple[int, ...]):
+    """fig5 input at grid point ``point`` of a batch, from the samples of ``labels``, an
+    order of BASIS_LABELS: the analytic signal-channel Choi matrix and the (1 + R, 36)
+    tomogram stack of the channel estimate (row 0) and its replicas, None without shot
+    noise and when a preparation drew no counts."""
+    order = [labels.index(lab) for lab in BASIS_LABELS]
+    chi = channel_choi_from_outputs(samples.weights[point][order, None, None]
+                                    * partial_trace_array(samples.rho_se[point][order], 2, (0,)))
+    if not config.shot_noise or samples.empty[point].any():
+        return chi, None
+    counts = samples.tomograms[point][order, 0, 0].ravel()
+    boot = resample_counts(counts, config.bootstrap_samples, config.seed, key)
+    return chi, np.vstack([counts, boot])
+
+
+def channel_inputs(samples, labels, config, index):
+    """The ``channel_input`` of each grid point ``index`` of a batch, and whether the
+    config draws counts.  The reference for ``experiments._channel_stacks``, which
+    builds one regular stack with zero rows for the undetermined points."""
+    return ([channel_input(samples, p, labels, config, (pi, 99)) for p, pi in enumerate(index)],
+            config.shot_noise)
+
+
+def channel_points(inputs, shot_noise: bool) -> list[tuple[MetricValue, MetricValue]]:
+    """fig5 metrics of the ``channel_inputs`` of the grid points of a batch, with the
+    undetermined points left out of the estimator and the metrics.
+
+    The reference for ``experiments._channel_points``: the tomograms of the points
+    that have them go into one ``_process_estimates`` call, and the Choi matrices
+    into one ``_channel_metrics`` call, concatenated and split again point by point.
+    """
+    stacks = [t for _, t in inputs if t is not None]
+    estimates = iter(())
+    if stacks:
+        starts = np.cumsum([0] + [len(t) for t in stacks[:-1]])
+        estimates = iter(np.split(_process_estimates(_CHANNEL_SETTINGS, 1, np.concatenate(stacks),
+                                                     starts), starts[1:]))
+    chis = [chi[None] if t is None else np.concatenate([chi[None], next(estimates)])
+            for chi, t in inputs]
+    blocks = np.split(np.stack(_channel_metrics(np.concatenate(chis))),
+                      np.cumsum([len(c) for c in chis[:-1]]), axis=1)
+    points = []
+    for (_, tomograms), block in zip(inputs, blocks):
+        if shot_noise and tomograms is None:
+            block = np.hstack([block, np.full((2, 1), math.nan)])
+        points.append(tuple(_metrics(block)))
+    return points

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from darkstate import experiments
+from darkstate import experiments, tomography
 from darkstate.experiments import (
     _CCP_SECTOR,
     _SE_SECTOR,
@@ -48,8 +48,8 @@ from darkstate.tomography import (
     resample_counts,
     simulate_counts,
 )
-from helpers import (channel_to_choi, product_ket, protocol_point, random_density_matrix,
-                     reference_point, state_points)
+from helpers import (channel_inputs, channel_points, channel_to_choi, product_ket, protocol_point,
+                     random_density_matrix, reference_point, state_points)
 
 EF_DEPHASED_HALF = 0.6008760366928562   # entanglement at |q| = cos(pi/4)
 
@@ -435,7 +435,7 @@ def test_channel_batching_leaves_the_result_unchanged(monkeypatch, overrides):
     monkeypatch.setattr(experiments, "_CHANNEL_BATCH_ROWS", 1)
     assert repr(run(config)) == repr(batched)
     # at seed 3 a preparation draws no counts at every point at rate 0.05, and at
-    # some points at rate 1: those points have no tomogram, and a batch skips them
+    # some points at rate 1: those points' channel estimates are nan
     if config.rate < 1.0:
         assert all(math.isnan(pp.channel_ef.estimate) for pp in batched.phis)
         assert {math.isnan(sp.fidelity.estimate) for sp in batched.states} == {False, True}
@@ -443,23 +443,51 @@ def test_channel_batching_leaves_the_result_unchanged(monkeypatch, overrides):
         assert {math.isnan(pp.channel_ef.estimate) for pp in batched.phis} == {False, True}
 
 
-@pytest.mark.parametrize("cap, states_per_call", [(1, 1), (200, 3)])
-def test_state_mle_calls_leave_the_result_unchanged(monkeypatch, record_calls, cap,
-                                                    states_per_call):
-    # a batch's qubit tomograms go into mle_state in calls of whole states, up to
-    # _STATE_MLE_ROWS rows and at least one state (62 rows at bootstrap 30), so
-    # no call is a lone replica row; at rate 1 some replicas draw no counts, and
-    # no bit moves
+@pytest.mark.parametrize("overrides", [
+    dict(bootstrap_samples=0), dict(bootstrap_samples=3), dict(bootstrap_samples=30),
+    dict(rate=0.05, seed=3, bootstrap_samples=30), dict(rate=1.0, seed=3, bootstrap_samples=30),
+    # two rows of a rate-3 replica cap R-rho-R; the channel stage warns as the reference does
+    pytest.param(dict(rate=3.0, seed=1, bootstrap_samples=30), marks=pytest.mark.filterwarnings(
+        "ignore::darkstate.tomography.MLEConvergenceWarning"))],
+    ids=["boot0", "boot3", "boot30", "rate-0.05", "rate-1", "rate-3"])
+def test_regular_channel_stage_matches_the_ragged_reference(monkeypatch, overrides):
+    # every point of a batch goes through the channel estimator and metrics, and an
+    # undetermined point's estimates are masked to nan afterwards; the fig5 rows must
+    # equal those of the reference that leaves such points out of both calls (repr
+    # spells out every float, nan included)
+    config = ScenarioConfig(mode="protocol", **overrides)
+    regular = run_protocol_sweep(config, states=False)
+    monkeypatch.setattr(experiments, "_channel_stacks", channel_inputs)
+    monkeypatch.setattr(experiments, "_channel_points", channel_points)
+    assert repr(run_protocol_sweep(config, states=False).phis) == repr(regular.phis)
+    determined = {not math.isnan(pp.channel_ef.estimate) for pp in regular.phis}
+    assert determined == ({False} if config.rate < 1.0 else
+                          {False, True} if config.rate < 300.0 else {True})
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_qubit_mle_blocks_leave_the_result_unchanged(monkeypatch, record_calls, rows):
+    # the exact qubit MLE solves its rows in blocks; a sweep batch's tomograms go
+    # into one mle_state call whatever the block size, and no bit moves (at rate 1
+    # some replicas draw no counts)
     config = ScenarioConfig(mode="protocol", rate=1.0, seed=3, bootstrap_samples=30)
     whole = run_protocol_sweep(config)
-    monkeypatch.setattr(experiments, "_STATE_MLE_ROWS", cap)
+    monkeypatch.setattr(tomography, "_QUBIT_MLE_ROWS", rows)
     calls = record_calls(experiments, ("mle_state",))
     assert repr(run_protocol_sweep(config)) == repr(whole)
-    sizes = [len(rhos) for rhos in calls["mle_state"]]
-    assert sizes[0] == 62 * states_per_call and max(sizes) == sizes[0]
-    assert sizes[-1] % 62 == 0
-    # replicas without counts come out as I/2
-    assert any((rhos == np.eye(2) / 2).all(axis=(1, 2)).any() for rhos in calls["mle_state"])
+    assert [len(rhos) for rhos in calls["mle_state"]] == [13 * 6 * 2 * 31]
+    # sphere, interior and zero-count rows in each of two 7-row blocks
+    counts = np.array([[9, 0, 4, 0, 0, 0], [3, 2, 1, 1, 2, 2], [0] * 6, [5, 0, 4, 0, 0, 3],
+                       [1, 1, 0, 0, 0, 0], [0] * 6, [7, 1, 6, 1, 1, 6], [2, 3, 4, 5, 6, 7],
+                       [0, 4, 0, 4, 0, 0], [0] * 6, [12, 0, 1, 1, 0, 9]], dtype=float)
+    u, v = counts[:, 0::2], counts[:, 1::2]
+    kinds = np.where(counts.sum(axis=1) == 0, "zero", np.where(
+        (((u - v) / np.maximum(u + v, 1.0)) ** 2).sum(axis=1) > 1.0, "sphere", "interior"))
+    assert set(kinds[:7]) == set(kinds[7:]) == {"zero", "sphere", "interior"}
+    rhos = tomography._qubit_mle(counts)
+    for row, rho in zip(counts, rhos):
+        assert rho.tobytes() == tomography._qubit_mle(row[None])[0].tobytes()
+    assert (rhos[counts.sum(axis=1) == 0] == np.eye(2) / 2).all()
 
 
 def test_batched_channel_estimates_keep_the_point_checks(monkeypatch):
