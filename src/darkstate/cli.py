@@ -198,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         if name == "gate-tomo":
             p.add_argument("--full-3q-tomo", action="store_true",
-                           help="acknowledge the 6^6-setting simulation budget")
+                           help="accepted for compatibility; has no effect")
     p = sub.add_parser("selftest", help="run the acceptance checks")
     p.add_argument("--criteria", default=None,
                    help="comma-separated criterion numbers (default: all)")
@@ -263,7 +263,7 @@ def _dispatch(args) -> int:
             raise ConfigError("channel analysis requires all six signal states")
 
     if args.command == "gate-tomo":
-        result = run_gate_tomography(config, acknowledge_full_tomography=args.full_3q_tomo)
+        result = run_gate_tomography(config)
         paths = write_gate_csv(result, args.out)
         summary = [f"phi={gp.phi:.4f}  F_CCP={gp.fidelity.value:.4f}  "
                    f"P_CCP={gp.purity.value:.4f}" for gp in result.gates]

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -57,15 +57,11 @@ _ANCHOR_KEY = 10_000
 _MODES = ("protocol", "reference", "gate_tomography")
 
 # pi/6 to 11pi/6 in steps of 5pi/36.  linspace lands one ulp below pi at k = 6; the exact
-# value lets that point reuse the anchor's sample, which is drawn at phi = pi.
+# value puts that point at the anchor's phi, so it draws the anchor's sample.
 DEFAULT_PROTOCOL_GRID = tuple(math.pi if k == 6 else float(x) for k, x in enumerate(
     np.linspace(math.pi / 6.0, 2.0 * math.pi - math.pi / 6.0, 13)))
 DEFAULT_REFERENCE_GRID = (0.0,) + DEFAULT_PROTOCOL_GRID
 DEFAULT_GATE_GRID = tuple(np.array([1, 2, 4, 6, 8, 10, 12, 14]) * math.pi / 8.0)
-
-
-class BudgetError(RuntimeError):
-    """Full three-qubit process tomography requested without the budget flag."""
 
 
 @dataclass(frozen=True)
@@ -400,12 +396,6 @@ class _Samples:
             return np.zeros(self.weights.shape, dtype=bool)
         return self.totals[..., 0] == 0.0
 
-    def insert(self, at: int, other: _Samples) -> _Samples:
-        """These samples with the points of ``other`` inserted before point ``at``."""
-        parts = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
-        return _Samples(*(None if a is None else np.concatenate([a[:at], b, a[at:]])
-                          for a, b in parts))
-
 
 def _samples(phis: Sequence[float], keys: Sequence[int], preps: np.ndarray, env: np.ndarray,
              config: ScenarioConfig, bootstrap: int) -> _Samples:
@@ -523,8 +513,8 @@ def _state_points(labels: Sequence[str], samples: _Samples, anchors: _Samples
     return points, _metrics(means)
 
 
-def _process_estimates(settings: SettingGrid, n: int, counts: np.ndarray,
-                       points: Sequence[int], max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
+def _process_estimates(settings: SettingGrid, counts: np.ndarray, points: Sequence[int],
+                       max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
     """MLE Choi matrices of the rows of ``counts``, all in one ``mle_process`` call; (B, d, d).
 
     The rows at ``points`` are the tomograms of grid points: one with no
@@ -535,7 +525,7 @@ def _process_estimates(settings: SettingGrid, n: int, counts: np.ndarray,
         raise ValueError("tomogram has zero total counts")
     chis = mle_process(settings, counts, max_iters=max_iters)
     for i in points:
-        ProcessMatrix(chis[i], n)
+        ProcessMatrix(chis[i], settings.n_in)
     return chis
 
 
@@ -583,7 +573,7 @@ def _channel_points(chis: np.ndarray, counts: np.ndarray) -> list[tuple[MetricVa
     determined = counts[:, :1].any(axis=(1, 2))
     estimates = np.broadcast_to(np.eye(4) / 4.0, counts.shape[:2] + (4, 4))
     if determined.any():   # the estimator raises on a lone tomogram without counts
-        estimates = _process_estimates(_CHANNEL_SETTINGS, 1, counts.reshape(-1, counts.shape[2]),
+        estimates = _process_estimates(_CHANNEL_SETTINGS, counts.reshape(-1, counts.shape[2]),
                                        np.flatnonzero(determined) * counts.shape[1])
     chis = np.concatenate([chis[:, None], estimates.reshape(counts.shape[:2] + (4, 4))], axis=1)
     block = np.stack(_channel_metrics(chis.reshape(-1, 4, 4))).reshape(2, len(chis), -1)
@@ -607,8 +597,8 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
     def samples(phis: Sequence[float], keys: Sequence[int]) -> _Samples:
         return _samples(phis, keys, preps, env, config, bootstrap)
 
-    # the anchor normalizes the success probability; a grid point at its phi reuses it
-    anchors = samples([anchor_phi], [_ANCHOR_KEY]) if with_states or anchor_phi in grid else None
+    # the anchor normalizes the success probability of fig3
+    anchors = samples([anchor_phi], [_ANCHOR_KEY]) if with_states else None
     if with_states and anchors.totals is not None:
         reps = anchors.totals[0, :, 1:]
         for lab, empty, n_empty in zip(labels, anchors.empty[0], (reps == 0).sum(axis=1)):
@@ -625,10 +615,8 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
     for start in range(0, len(grid), size):
         index = range(start, min(start + size, len(grid)))
         phis = [grid[i] for i in index]
-        drawn = [i for i in index if grid[i] != anchor_phi]
-        batch = samples([grid[i] for i in drawn], drawn) if drawn else anchors
-        if drawn and len(drawn) < len(index):
-            batch = batch.insert(phis.index(anchor_phi), anchors)
+        # a point at the anchor's phi draws on the anchor's key, so its sample is the anchor's
+        batch = samples(phis, [_ANCHOR_KEY if grid[i] == anchor_phi else i for i in index])
         for phi, empties in zip(phis, batch.empty):
             for lab, empty in zip(labels, empties):
                 if empty:
@@ -709,18 +697,14 @@ def _gate_metrics(chis: np.ndarray, ideal_vec: np.ndarray
             process_purity(chis), optimize_local_phase_fidelity(chis, ideal_vec, 3))
 
 
-def run_gate_tomography(config: ScenarioConfig,
-                        acknowledge_full_tomography: bool = False) -> ScenarioResult:
+def run_gate_tomography(config: ScenarioConfig) -> ScenarioResult:
     """Characterize the realized three-qubit gate across the grid.
 
-    The simulated-measurement track runs 6^6-setting process tomography and
-    is gated behind ``acknowledge_full_tomography`` because of its cost;
-    the analytic track always runs.
+    With shot noise, the simulated-measurement track runs 6^6-setting process
+    tomography; the analytic track always runs.
     """
     if config.mode != "gate_tomography":
         raise ValueError(f"config mode {config.mode!r} does not match gate tomography")
-    if config.shot_noise and not acknowledge_full_tomography:
-        raise BudgetError("full 6^6-setting process tomography requires the budget flag")
     grid = config.resolved_grid()
     phi3 = max_entangled(3).amplitudes
     eye8 = np.eye(8, dtype=complex)
@@ -732,7 +716,7 @@ def run_gate_tomography(config: ScenarioConfig,
             counts = simulate_counts(settings, chis[0], config.rate, _seed_seq(config.seed, pi, 3))
             boot = resample_counts(counts, config.gate_bootstrap_samples, config.seed, (pi, 3))
             chis = np.concatenate([chis, _process_estimates(
-                settings, 3, np.vstack([counts, boot]), (0,), config.gate_mle_max_iters)])
+                settings, np.vstack([counts, boot]), (0,), config.gate_mle_max_iters)])
         columns = _gate_metrics(chis, np.kron(eye8, u_ccp(phi).matrix) @ phi3)
         points.append(GatePoint(phi, *_metrics(np.stack(columns))))
     return ScenarioResult(mode="gate_tomography", config=config, gates=tuple(points))

@@ -241,7 +241,7 @@ def channel_points(inputs, shot_noise: bool) -> list[tuple[MetricValue, MetricVa
     estimates = iter(())
     if stacks:
         starts = np.cumsum([0] + [len(t) for t in stacks[:-1]])
-        estimates = iter(np.split(_process_estimates(_CHANNEL_SETTINGS, 1, np.concatenate(stacks),
+        estimates = iter(np.split(_process_estimates(_CHANNEL_SETTINGS, np.concatenate(stacks),
                                                      starts), starts[1:]))
     chis = [chi[None] if t is None else np.concatenate([chi[None], next(estimates)])
             for chi, t in inputs]

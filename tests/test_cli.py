@@ -240,9 +240,13 @@ def test_gate_command_analytic(tmp_path):
     assert values["gate_purity"] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_gate_command_budget_gate(tmp_path):
-    cfg = write(tmp_path / "g.cfg", "phi_grid = pi/2\n")   # shot_noise defaults on
-    assert main(["gate-tomo", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+def test_gate_budget_flag_has_no_effect(tmp_path):
+    # --full-3q-tomo is still accepted; the shot-noise gate point runs without it
+    argv = ["gate-tomo", "--set", "phi_grid=pi", "--bootstrap", "0"]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*argv, "--full-3q-tomo", "--out", str(tmp_path / "flag")]) == 0
+    assert ((tmp_path / "plain" / "fig7_gate.csv").read_bytes()
+            == (tmp_path / "flag" / "fig7_gate.csv").read_bytes())
 
 
 def test_exit_code_config_error(tmp_path, capsys):

@@ -10,7 +10,6 @@ from darkstate.experiments import (
     _CCP_SECTOR,
     _SE_SECTOR,
     DEFAULT_REFERENCE_GRID,
-    BudgetError,
     NoiseParams,
     ScenarioConfig,
     _env_matrix,
@@ -296,11 +295,20 @@ def test_anchor_point_normalizes_to_unity():
 
 
 def test_default_grid_reuses_the_anchor(record_calls):
-    # pi lies on the default grid exactly, so its point is the anchor's sample
-    assert math.pi in experiments.DEFAULT_PROTOCOL_GRID
+    # pi lies on the default grid exactly, so its point draws on the anchor's key
+    # and its sample is the anchor's; a channel run draws no anchor
+    grid = experiments.DEFAULT_PROTOCOL_GRID
+    config = ScenarioConfig(mode="protocol", bootstrap_samples=3)
     calls = record_calls(experiments, ("simulate_counts",))
-    result = run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=3))
-    assert len(calls["simulate_counts"]) == 13 * 6   # 14 * 6 if pi were sampled twice
+    run_protocol_sweep(config, states=False)
+    assert len(calls["simulate_counts"]) == 13 * 6
+    calls["simulate_counts"].clear()
+    result = run_protocol_sweep(config)
+    draws = calls["simulate_counts"]
+    assert len(draws) == 14 * 6   # the anchor's six, then the grid's, points major
+    at = 6 + 6 * grid.index(math.pi)
+    for anchor, point in zip(draws[:6], draws[at:at + 6], strict=True):
+        assert np.array_equal(anchor, point)
     at_pi = [sp for sp in result.states if sp.phi == math.pi]
     assert len(at_pi) == 6
     for sp in at_pi:
@@ -499,10 +507,9 @@ def test_batched_channel_estimates_keep_the_point_checks(monkeypatch):
                                                                 1).chi, 300.0, seed)
                        for seed, phi in enumerate((1.0, 2.0, 3.0))])
     with pytest.raises(ValueError, match="tomogram has zero total counts"):
-        experiments._process_estimates(settings, 1, np.vstack([counts, 0.0 * counts[:1]]),
-                                       (0, 3))
+        experiments._process_estimates(settings, np.vstack([counts, 0.0 * counts[:1]]), (0, 3))
     with pytest.warns(MLEConvergenceWarning, match=r"B = 3\): .* in 3 of 3 rows$") as caught:
-        chis = experiments._process_estimates(settings, 1, counts, (0, 2), max_iters=1)
+        chis = experiments._process_estimates(settings, counts, (0, 2), max_iters=1)
     assert [w.filename for w in caught] == [experiments.__file__]
     for i, row in enumerate(counts):
         with pytest.warns(MLEConvergenceWarning):
@@ -513,8 +520,8 @@ def test_batched_channel_estimates_keep_the_point_checks(monkeypatch):
                         lambda *args, **kwargs: chis + np.triu(np.ones((4, 4)), 1) * (
                             np.arange(3) == 2)[:, None, None])
     with pytest.raises(ValueError, match="chi is not Hermitian"):
-        experiments._process_estimates(settings, 1, counts, (0, 2))
-    experiments._process_estimates(settings, 1, counts, (0, 1))   # a replica row is not checked
+        experiments._process_estimates(settings, counts, (0, 2))
+    experiments._process_estimates(settings, counts, (0, 1))   # a replica row is not checked
 
 
 def test_protocol_sweep_builds_the_phi_only_part_once_per_grid_point(record_calls):
@@ -526,9 +533,10 @@ def test_protocol_sweep_builds_the_phi_only_part_once_per_grid_point(record_call
         calls = record_calls(experiments, ("_gate", "_herald_projectors"))
         run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=bootstrap,
                                           **ANALYTIC))
-        assert sum(len(gated) for gated in calls["_gate"]) == n
-        assert len(calls["_gate"]) == (n if bootstrap == 1000 else 2)   # the anchor, the rest
-        assert len(calls["_herald_projectors"]) == n
+        # the anchor's own sample, then every grid point, pi included
+        assert sum(len(gated) for gated in calls["_gate"]) == n + 1
+        assert len(calls["_gate"]) == (n + 1 if bootstrap == 1000 else 2)
+        assert len(calls["_herald_projectors"]) == n + 1
 
 
 @pytest.mark.parametrize("mode", ["protocol", "reference"])
@@ -786,12 +794,6 @@ def test_phase_is_the_gauss_hermite_jitter_average(sector, unitary):
                                @ unitary(phi).conj().T, rtol=0.0, atol=1e-15)
 
 
-def test_gate_budget_flag_enforced():
-    cfg = ScenarioConfig(mode="gate_tomography", phi_grid=(math.pi / 2.0,))
-    with pytest.raises(BudgetError):
-        run_gate_tomography(cfg)
-
-
 def test_phase_optimized_fidelity_recovers_local_rotations():
     phi = 1.9
     ideal_vec = np.kron(np.eye(8, dtype=complex), u_ccp(phi).matrix) @ max_entangled(3).amplitudes
@@ -826,7 +828,7 @@ def test_gate_metrics_with_and_without_bootstrap(tmp_path, boot):
     # one metric path: without a bootstrap the spread is 0, not missing
     cfg = ScenarioConfig(mode="gate_tomography", phi_grid=(math.pi,), rate=3000.0, seed=1,
                          gate_bootstrap_samples=boot)
-    result = run_gate_tomography(cfg, acknowledge_full_tomography=True)
+    result = run_gate_tomography(cfg)
     gp = result.gates[0]
     for metric in (gp.fidelity, gp.purity, gp.fidelity_phase_opt):
         assert 0.9 < metric.estimate <= 1.0
@@ -844,17 +846,17 @@ def test_gate_point_makes_one_process_mle_call(record_calls):
     calls = record_calls(experiments, ("mle_process",))
     cfg = ScenarioConfig(mode="gate_tomography", phi_grid=(math.pi,), rate=3000.0, seed=1,
                          gate_bootstrap_samples=2)
-    run_gate_tomography(cfg, acknowledge_full_tomography=True)
+    run_gate_tomography(cfg)
     assert [len(chis) for chis in calls["mle_process"]] == [1 + 2]
     with pytest.raises(ValueError, match="tomogram has zero total counts"):
-        run_gate_tomography(replace(cfg, rate=1e-12), acknowledge_full_tomography=True)
+        run_gate_tomography(replace(cfg, rate=1e-12))
 
 
 def test_gate_full_tomography_end_to_end():
     # the expensive path: all 6^6 settings, reconstruction, quality metrics
     cfg = ScenarioConfig(mode="gate_tomography", phi_grid=(math.pi / 2.0,),
                          rate=3000.0, seed=1, gate_mle_max_iters=300)
-    result = run_gate_tomography(cfg, acknowledge_full_tomography=True)
+    result = run_gate_tomography(cfg)
     gp = result.gates[0]
     assert gp.fidelity.estimate > 0.999
     assert gp.purity.estimate > 0.999
