@@ -40,9 +40,7 @@ from .qmath import (
 )
 from .tomography import (
     MLE_MAX_ITERS,
-    ProcessMatrix,
     SettingGrid,
-    _chi_array,
     build_process_settings,
     build_state_settings,
     mle_process,
@@ -332,7 +330,7 @@ def channel_choi_from_outputs(outputs: np.ndarray) -> np.ndarray:
     return 0.5 * (chi + chi.conj().T)
 
 
-_PHI_PLUS_PROJ = projector(max_entangled(1).amplitudes)
+_PHI_PLUS_PROJ = projector(max_entangled(1))
 
 
 def _channel_metrics(chis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -518,14 +516,16 @@ def _process_estimates(settings: SettingGrid, counts: np.ndarray, points: Sequen
     """MLE Choi matrices of the rows of ``counts``, all in one ``mle_process`` call; (B, d, d).
 
     The rows at ``points`` are the tomograms of grid points: one with no
-    counts raises, and each estimate is validated.  The other rows are their
-    bootstrap replicas.
+    counts raises.  Their estimates are unit-trace states on the doubled
+    register (R-rho-R divides every iterate by its trace), and they are
+    checked at once, as ``DensityMatrix`` checks its matrix.  The other rows
+    are their bootstrap replicas.
     """
     if any(counts[i].sum() == 0 for i in points):
         raise ValueError("tomogram has zero total counts")
     chis = mle_process(settings, counts, max_iters=max_iters)
-    for i in points:
-        ProcessMatrix(chis[i], settings.n_in)
+    est = chis[list(points)]
+    _check_states(est, np.linalg.eigvalsh(est))
     return chis
 
 
@@ -656,7 +656,7 @@ def run_reference_sweep(config: ScenarioConfig, states: bool = True) -> Scenario
 
 def _gate_choi(phi: float, noise: NoiseParams) -> np.ndarray:
     """Choi matrix of the noisy gate on its success branch; its trace is the success probability."""
-    phi3 = max_entangled(3).amplitudes
+    phi3 = max_entangled(3)
     return ccp_success_probability(phi) * _gate(np.outer(phi3, phi3.conj()), phi, noise)
 
 
@@ -671,10 +671,10 @@ def optimize_local_phase_fidelity(chi, ideal_vec: np.ndarray, n: int):
     Six rounds of coordinate ascent, one phase per output bit.  Each
     coordinate maximization is exact: splitting the ideal vector on one
     output bit makes the overlap a + 2 Re(e^{i theta} b), maximized at
-    theta = -arg(b).  ``chi`` is one Choi matrix (a float is returned) or a
-    (B, d, d) stack (a (B,) array, each row optimized on its own).
+    theta = -arg(b).  ``chi`` is an array holding one Choi matrix (a float is
+    returned) or a (B, d, d) stack (a (B,) array, each row optimized on its own).
     """
-    mat = _chi_array(chi)
+    mat = np.asarray(chi, dtype=complex)
     mats = mat.reshape((-1,) + mat.shape[-2:])
     v = np.tile(np.asarray(ideal_vec, dtype=complex), (len(mats), 1))
     idx = np.arange(v.shape[1])
@@ -706,7 +706,7 @@ def run_gate_tomography(config: ScenarioConfig) -> ScenarioResult:
     if config.mode != "gate_tomography":
         raise ValueError(f"config mode {config.mode!r} does not match gate tomography")
     grid = config.resolved_grid()
-    phi3 = max_entangled(3).amplitudes
+    phi3 = max_entangled(3)
     eye8 = np.eye(8, dtype=complex)
     points: list[GatePoint] = []
     settings = build_process_settings(3)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import DegenerateCouplingError, TWO_PI, _angle
-from .protocol import ccp_success_probability  # noqa: F401  (this gate's success rate)
 from .qmath import OperatorMatrix, expand_operator, rotation
 
 _P0 = np.diag([1.0, 0.0]).astype(complex)

@@ -80,6 +80,12 @@ def _herald_projectors(value: float) -> tuple[np.ndarray, np.ndarray]:
     return projector(perp), projector(para)
 
 
+def _coupled_probe(rho_e: DensityMatrix, value: float) -> np.ndarray:
+    """The (probe, environment) state |+><+| (x) rho_E after the coupling u_cp(value)."""
+    u = u_cp(value).matrix
+    return u @ np.kron(projector(ket("+")), rho_e.matrix) @ u.conj().T
+
+
 def herald_outcomes(rho_e: DensityMatrix, phi) -> tuple[HeraldOutcome, HeraldOutcome]:
     """Both branches of the heralding measurement, (success, failure).
 
@@ -93,10 +99,7 @@ def herald_outcomes(rho_e: DensityMatrix, phi) -> tuple[HeraldOutcome, HeraldOut
     value = _angle(phi)
     if value == 0.0:
         raise DegenerateCouplingError("heralding is impossible at phi = 0")
-    probe = projector(ket("+"))
-    joint = np.kron(probe, rho_e.matrix)
-    u = u_cp(value).matrix
-    evolved = u @ joint @ u.conj().T
+    evolved = _coupled_probe(rho_e, value)
     proj_succ, proj_fail = _herald_projectors(value)
     w_s, post_s = project(evolved, expand_operator(proj_succ, 2, (0,)))
     w_f, post_f = project(evolved, expand_operator(proj_fail, 2, (0,)))
@@ -170,11 +173,7 @@ def plus_projection_update(rho_e: DensityMatrix, phi) -> tuple[float, DensityMat
     if rho_e.dim != 2:
         raise ValueError("environment must be a single qubit")
     value = _angle(phi)
-    probe = projector(ket("+"))
-    joint = np.kron(probe, rho_e.matrix)
-    u = u_cp(value).matrix
-    evolved = u @ joint @ u.conj().T
-    w, post = project(evolved, expand_operator(probe, 2, (0,)))
+    w, post = project(_coupled_probe(rho_e, value), expand_operator(projector(ket("+")), 2, (0,)))
     if post is None:
         raise ValueError("projection onto |+> has zero weight")
     return w, DensityMatrix(partial_trace_array(post, 2, (1,)))

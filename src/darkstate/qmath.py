@@ -1,10 +1,12 @@
 """Dense complex linear algebra for small qubit registers.
 
-States and operators are immutable, validated wrappers around dense numpy
-arrays.  A single ordering convention is used throughout the package: the
-leftmost tensor factor owns the most significant bit of a computational
-basis index, so the two-qubit basis state ``|10>`` has index 2 and
-``np.kron(a, b)`` places ``a`` on the high bits.
+``DensityMatrix`` is the one validated state type, an immutable wrapper
+around a dense numpy array whose invariants ``_check_states`` also checks on
+every row of a (B, d, d) stack; ``OperatorMatrix`` wraps an operator, and
+kets are plain 1-d arrays.  A single ordering convention is used throughout
+the package: the leftmost tensor factor owns the most significant bit of a
+computational basis index, so the two-qubit basis state ``|10>`` has index 2
+and ``np.kron(a, b)`` places ``a`` on the high bits.
 
 Registers are tiny (at most 8 qubits), so everything is dense and every
 eigenproblem goes through a plain Hermitian solver.
@@ -18,7 +20,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 NEG_EIG_TOL = 1e-10
 UNITARY_TOL = 1e-12
@@ -81,29 +82,6 @@ def _check_states(stack: np.ndarray, evals: np.ndarray) -> None:
         raise InvalidStateError(f"density matrix trace {tr[off][0]} is not 1")
     if (evals < -NEG_EIG_TOL).any():
         raise InvalidStateError(f"density matrix has negative eigenvalue {evals.min()}")
-
-
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Normalized state vector of an ``n``-qubit register."""
-
-    amplitudes: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        amps = _freeze(np.asarray(self.amplitudes).ravel())
-        n = _qubit_count(amps.size)
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
-            raise InvalidStateError(f"state vector norm {norm} is not 1")
-        if abs(norm - 1.0) > NORM_TOL:
-            amps = _freeze(amps / norm)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "n", n)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,19 +225,23 @@ def project(rho: np.ndarray, proj: np.ndarray):
     return (float(w[0]), out[0]) if kept[0] else (max(float(w[0]), 0.0), None)
 
 
-def max_entangled(n: int) -> PureState:
-    """Maximally entangled state of 2n qubits, sum_i |i>|i> / sqrt(2^n)."""
+def max_entangled(n: int) -> np.ndarray:
+    """Maximally entangled ket of 2n qubits, sum_i |i>|i> / sqrt(2^n), shape (4^n,)."""
     d = 2**n
     amps = np.zeros(d * d, dtype=complex)
     amps[np.arange(d) * d + np.arange(d)] = 1.0 / math.sqrt(d)
-    return PureState(amps)
+    return amps
 
 
-def state_fidelity(rho: DensityMatrix, psi: PureState) -> float:
-    """<psi| rho |psi>."""
-    if rho.dim != psi.dim:
-        raise DimensionMismatchError(f"dimension mismatch {rho.dim} vs {psi.dim}")
-    val = psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes
+def state_fidelity(rho: DensityMatrix, psi: np.ndarray) -> float:
+    """<psi| rho |psi> for a ket ``psi`` of unit norm (within 1e-9)."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape != (rho.dim,):
+        raise DimensionMismatchError(f"dimension mismatch {rho.dim} vs {psi.shape}")
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > 1e-9:
+        raise InvalidStateError(f"state vector norm {norm} is not 1")
+    val = psi.conj() @ rho.matrix @ psi
     if abs(val.imag) > 1e-10:
         raise InvalidStateError(f"fidelity has imaginary part {val.imag}")
     return float(val.real)

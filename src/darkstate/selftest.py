@@ -23,8 +23,9 @@ from .experiments import (
     run_protocol_sweep,
     run_reference_sweep,
 )
-from .optical_gate import ccp_success_probability, realize_ccp
+from .optical_gate import realize_ccp
 from .protocol import (
+    ccp_success_probability,
     herald_dark_state,
     plus_projection_update,
     repeat_success_probability,
@@ -33,7 +34,6 @@ from .protocol import (
 )
 from .qmath import (
     DensityMatrix,
-    PureState,
     entanglement_of_formation,
     ket,
     partial_trace,
@@ -41,7 +41,6 @@ from .qmath import (
     state_fidelity,
 )
 from .tomography import (
-    ProcessMatrix,
     build_process_settings,
     mle_process,
     process_fidelity,
@@ -73,7 +72,7 @@ def criterion_1_herald_exactness() -> tuple[bool, str]:
         expected = p0 * math.sin(phi / 2.0) ** 2
         worst_prob = max(worst_prob, abs(outcome.probability - expected))
         env = partial_trace(outcome.post_state, (1,))
-        fid = state_fidelity(env, PureState(ket("0")))
+        fid = state_fidelity(env, ket("0"))
         worst_fid = max(worst_fid, abs(fid - 1.0))
     ok = worst_prob < 1e-12 and worst_fid < 1e-10
     return ok, f"max |P - p0 sin^2| = {worst_prob:.2e}, max |F_env - 1| = {worst_fid:.2e}"
@@ -161,7 +160,7 @@ def criterion_5_tomography_fidelity() -> tuple[bool, str]:
     f_err = []
     for seed in range(20):
         counts = simulate_counts(settings, chi_analytic, rate=3e4, seed=seed)
-        chi_hat = ProcessMatrix(mle_process(settings, counts[None, :])[0], 1).chi
+        chi_hat = DensityMatrix(mle_process(settings, counts[None, :])[0]).matrix
         ef_err.append(abs(entanglement_of_formation(chi_hat / chi_hat.trace().real) - ef_expected))
         f_err.append(abs(process_fidelity(chi_hat, phi_plus) - _F_DEPHASED_HALF))
     ef_med, f_med = float(np.median(ef_err)), float(np.median(f_err))

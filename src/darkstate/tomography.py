@@ -17,8 +17,11 @@ fixed-point method (Hradil, PRA 55, R1561, 1997):
 Each row of a batch iterates until its own step falls below the tolerance.
 No trace preservation is imposed, so postselected (trace-decreasing)
 channels reconstruct naturally; the quality metrics normalize away the
-scale.  A single qubit needs no iteration: its likelihood splits into one
-binomial per Pauli axis and is maximized in closed form (``_qubit_mle``).
+scale.  The method divides every iterate by its trace, so a Choi estimate
+is a unit-trace state on the doubled register, and it is checked as one
+(``qmath._check_states``), as a state estimate is.  A single qubit needs no
+iteration: its likelihood splits into one binomial per Pauli axis and is
+maximized in closed form (``_qubit_mle``).
 
 Settings are a ``SettingGrid`` from ``build_state_settings`` or
 ``build_process_settings``: a descriptor of the full 6^m label grid, in
@@ -56,11 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import (
-    BASIS_LABELS,
-    DensityMatrix,
-    ket,
-)
+from .qmath import BASIS_LABELS, ket
 
 MLE_TOL = 1e-10
 MLE_MAX_ITERS = 20000
@@ -89,30 +88,6 @@ class MeasurementSetting:
                 raise ValueError(f"unknown state label {lab!r}")
         if not self.projection:
             raise ValueError("projection labels must be nonempty")
-
-
-@dataclass(frozen=True)
-class ProcessMatrix:
-    """Choi-form representation of an n-qubit channel on 2n qubits.
-
-    The trace is free: postselected channels carry their success weight.
-    """
-
-    chi: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        chi = np.asarray(self.chi, dtype=complex)
-        d = 4**self.n
-        if chi.shape != (d, d):
-            raise ValueError(f"chi shape {chi.shape} does not match n = {self.n}")
-        scale = max(abs(chi.trace().real), 1.0)
-        if np.abs(chi - chi.conj().T).max() > 1e-10 * scale:
-            raise ValueError("chi is not Hermitian")
-        if np.linalg.eigvalsh(chi).min() < -1e-10 * scale:
-            raise ValueError("chi is not positive semidefinite")
-        chi.setflags(write=False)
-        object.__setattr__(self, "chi", chi)
 
 
 @dataclass(frozen=True)
@@ -252,9 +227,7 @@ def setting_kets(settings: SettingGrid, process: bool) -> np.ndarray:
     return functools.reduce(np.kron, tables)
 
 
-def simulate_counts(settings: SettingGrid,
-                    M: DensityMatrix | ProcessMatrix | np.ndarray,
-                    rate: float, seed) -> np.ndarray:
+def simulate_counts(settings: SettingGrid, M: np.ndarray, rate: float, seed) -> np.ndarray:
     """Poissonian counts, shape (N,), with mean rate * 2^n_in * <k|M|k> per setting ket k.
 
     ``M`` is the state for state settings (n_in = 0) and, for process
@@ -267,7 +240,7 @@ def simulate_counts(settings: SettingGrid,
         raise ValueError("rate must be positive")
     _check_grid(settings, process=None)
     tables = _pauli_tables(settings.n_in, settings.n_out)
-    mat = M.matrix if isinstance(M, DensityMatrix) else _chi_array(M)
+    mat = np.asarray(M, dtype=complex)
     if 2**tables.m != mat.shape[0]:
         raise ValueError("setting dimension does not match the matrix dimension")
     p = _born(mat[None], tables)[0]
@@ -542,13 +515,9 @@ def mle_state(settings: SettingGrid, counts) -> np.ndarray:
 
 def mle_process(settings: SettingGrid, counts,
                 max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
-    """Maximum-likelihood Choi matrices (trace free) from counts of shape (B, N);
-    each row by its own R-rho-R run (see ``_mle``)."""
+    """Maximum-likelihood Choi matrices from counts of shape (B, N), each a unit-trace
+    state on the doubled register; each row by its own R-rho-R run (see ``_mle``)."""
     return _mle(settings, True, counts, max_iters)
-
-
-def _chi_array(chi) -> np.ndarray:
-    return chi.chi if isinstance(chi, ProcessMatrix) else np.asarray(chi, dtype=complex)
 
 
 def _positive_traces(a: np.ndarray) -> np.ndarray:
@@ -565,10 +534,11 @@ def _scalar_or_stack(values: np.ndarray):
 def process_fidelity(chi, chi_ideal):
     """Normalized overlap Tr[chi chi_ideal] / (Tr[chi] Tr[chi_ideal]).
 
-    ``chi`` is one Choi matrix (a float is returned) or a (B, d, d) stack
-    (a (B,) array, each row computed on its own).
+    ``chi`` is an array holding one Choi matrix (a float is returned) or a
+    (B, d, d) stack (a (B,) array, each row computed on its own); ``chi_ideal``
+    is one Choi matrix.
     """
-    a, b_mat = _chi_array(chi), _chi_array(chi_ideal)
+    a, b_mat = np.asarray(chi, dtype=complex), np.asarray(chi_ideal, dtype=complex)
     if a.shape[-2:] != b_mat.shape:
         raise ValueError("process matrices have different dimensions")
     overlap = np.trace(a @ b_mat, axis1=-2, axis2=-1).real
@@ -580,7 +550,7 @@ def process_purity(chi):
 
     Takes one Choi matrix or a stack, as ``process_fidelity`` does.
     """
-    a = _chi_array(chi)
+    a = np.asarray(chi, dtype=complex)
     return _scalar_or_stack(np.trace(a @ a, axis1=-2, axis2=-1).real / _positive_traces(a)**2)
 
 

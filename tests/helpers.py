@@ -13,10 +13,9 @@ from darkstate.experiments import (_CHANNEL_SETTINGS, _P_ONE, _P_PLUS, _SE_SECTO
                                    _phase, _prep_unitary, _process_estimates,
                                    channel_choi_from_outputs)
 from darkstate.protocol import _herald_projectors
-from darkstate.qmath import (BASIS_LABELS, DensityMatrix, OperatorMatrix, PureState,
-                             expand_operator, ket, max_entangled, partial_trace_array, project,
-                             projector)
-from darkstate.tomography import (MLE_TOL, MeasurementSetting, ProcessMatrix, _born,
+from darkstate.qmath import (BASIS_LABELS, DensityMatrix, OperatorMatrix, expand_operator, ket,
+                             max_entangled, partial_trace_array, project, projector)
+from darkstate.tomography import (MLE_TOL, MeasurementSetting, _born,
                                   _weighted_projectors, build_state_settings, mle_state,
                                   resample_counts)
 
@@ -47,11 +46,11 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
-def random_pure_state(n: int, rng: np.random.Generator) -> PureState:
-    """Haar-ish random pure state (normalized complex Gaussian vector)."""
+def random_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random pure state ket (normalized complex Gaussian vector)."""
     d = 2**n
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return PureState(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def random_density_matrix(n: int, rng: np.random.Generator, rank: int | None = None
@@ -64,7 +63,7 @@ def random_density_matrix(n: int, rng: np.random.Generator, rank: int | None = N
     return DensityMatrix(m / m.trace())
 
 
-def channel_to_choi(operators, n: int) -> ProcessMatrix:
+def channel_to_choi(operators, n: int) -> np.ndarray:
     """Exact Choi matrix of an n-qubit channel given by Kraus operators (or one unitary).
 
     chi = sum_k (I (x) K_k) |Phi_n><Phi_n| (I (x) K_k)† with |Phi_n> normalized and the
@@ -73,9 +72,8 @@ def channel_to_choi(operators, n: int) -> ProcessMatrix:
     if isinstance(operators, (OperatorMatrix, np.ndarray)):
         operators = [operators]
     eye = np.eye(2**n)
-    kets = [np.kron(eye, getattr(op, "matrix", op)) @ max_entangled(n).amplitudes
-            for op in operators]
-    return ProcessMatrix(sum(np.outer(v, v.conj()) for v in kets), n)
+    kets = [np.kron(eye, getattr(op, "matrix", op)) @ max_entangled(n) for op in operators]
+    return sum(np.outer(v, v.conj()) for v in kets)
 
 
 def rrr_chain(grid_counts: np.ndarray, tables, max_iters: int = 20000) -> np.ndarray:

@@ -215,7 +215,7 @@ def test_channel_analytic_values():
 def test_channel_choi_from_outputs_identity():
     outputs = np.stack([projector(ket(lab)) for lab in BASIS_LABELS])
     chi = channel_choi_from_outputs(outputs)
-    np.testing.assert_allclose(chi, projector(max_entangled(1).amplitudes), atol=1e-12)
+    np.testing.assert_allclose(chi, projector(max_entangled(1)), atol=1e-12)
     for shape in ((1, 2, 2), (5, 2, 2), (6, 4, 4), (6, 4)):
         with pytest.raises(ValueError, match="output stack"):
             channel_choi_from_outputs(np.zeros(shape))
@@ -230,7 +230,7 @@ def test_channel_choi_from_outputs_matches_the_kraus_choi(weight):
     outputs = np.stack([sum(k @ projector(ket(lab)) @ k.conj().T for k in kraus)
                         for lab in BASIS_LABELS])
     chi = channel_choi_from_outputs(outputs)
-    np.testing.assert_allclose(chi, channel_to_choi(list(kraus), 1).chi, atol=1e-12)
+    np.testing.assert_allclose(chi, channel_to_choi(list(kraus), 1), atol=1e-12)
     assert np.trace(chi).real == pytest.approx(weight, abs=1e-12)
 
 
@@ -498,30 +498,48 @@ def test_qubit_mle_blocks_leave_the_result_unchanged(monkeypatch, record_calls, 
     assert (rhos[counts.sum(axis=1) == 0] == np.eye(2) / 2).all()
 
 
-def test_batched_channel_estimates_keep_the_point_checks(monkeypatch):
+@pytest.mark.parametrize("row, match", [
+    (0, "density matrix has negative eigenvalue"), (1, "density matrix is not Hermitian")],
+    ids=["negative-eigenvalue", "not-hermitian"])
+def test_batched_channel_estimates_keep_the_point_checks(monkeypatch, row, match):
     # every point row of a batch is checked: a point without counts raises, a
     # capped row warns from the mle_process call in experiments, its "k of B
-    # rows" counting over the whole batch, and every point estimate is validated
+    # rows" counting over the whole batch, and every point estimate, of the
+    # fig5 channel and of the fig7 gate, goes through one check with
+    # DensityMatrix's invariants and messages; replicas are not checked
+    def tampered(chis, bad_row):
+        chis = chis.copy()
+        d = chis.shape[1]
+        chis[bad_row] = (np.diag([1.5, -0.5] + [0.0] * (d - 2)) if row == 0
+                         else chis[bad_row] + np.triu(np.ones((d, d)), 1))
+        return lambda *args, **kwargs: chis
+
     settings = experiments._CHANNEL_SETTINGS
     counts = np.stack([simulate_counts(settings, channel_to_choi(np.diag([1.0, np.exp(1j * phi)]),
-                                                                1).chi, 300.0, seed)
+                                                                1), 300.0, seed)
                        for seed, phi in enumerate((1.0, 2.0, 3.0))])
     with pytest.raises(ValueError, match="tomogram has zero total counts"):
         experiments._process_estimates(settings, np.vstack([counts, 0.0 * counts[:1]]), (0, 3))
     with pytest.warns(MLEConvergenceWarning, match=r"B = 3\): .* in 3 of 3 rows$") as caught:
         chis = experiments._process_estimates(settings, counts, (0, 2), max_iters=1)
     assert [w.filename for w in caught] == [experiments.__file__]
-    for i, row in enumerate(counts):
+    for i, counts_row in enumerate(counts):
         with pytest.warns(MLEConvergenceWarning):
-            single = mle_process(settings, row[None], max_iters=1)
+            single = mle_process(settings, counts_row[None], max_iters=1)
         assert np.array_equal(chis[i], single[0])
-    # a non-Hermitian estimate in the second point's row
-    monkeypatch.setattr(experiments, "mle_process",
-                        lambda *args, **kwargs: chis + np.triu(np.ones((4, 4)), 1) * (
-                            np.arange(3) == 2)[:, None, None])
-    with pytest.raises(ValueError, match="chi is not Hermitian"):
+    # a bad estimate in the second point's row
+    monkeypatch.setattr(experiments, "mle_process", tampered(chis, 2))
+    with pytest.raises(InvalidStateError, match=match):
         experiments._process_estimates(settings, counts, (0, 2))
     experiments._process_estimates(settings, counts, (0, 1))   # a replica row is not checked
+    # the gate: one point and two replicas of 64 x 64 Choi estimates
+    cfg = ScenarioConfig(mode="gate_tomography", phi_grid=(math.pi,), gate_bootstrap_samples=2)
+    good = np.tile(np.eye(64, dtype=complex) / 64.0, (3, 1, 1))
+    monkeypatch.setattr(experiments, "mle_process", tampered(good, 0))
+    with pytest.raises(InvalidStateError, match=match):
+        run_gate_tomography(cfg)
+    monkeypatch.setattr(experiments, "mle_process", tampered(good, 1))
+    run_gate_tomography(cfg)
 
 
 def test_protocol_sweep_builds_the_phi_only_part_once_per_grid_point(record_calls):
@@ -796,7 +814,7 @@ def test_phase_is_the_gauss_hermite_jitter_average(sector, unitary):
 
 def test_phase_optimized_fidelity_recovers_local_rotations():
     phi = 1.9
-    ideal_vec = np.kron(np.eye(8, dtype=complex), u_ccp(phi).matrix) @ max_entangled(3).amplitudes
+    ideal_vec = np.kron(np.eye(8, dtype=complex), u_ccp(phi).matrix) @ max_entangled(3)
     rz = lambda t: np.diag([1.0, np.exp(1j * t)]).astype(complex)
     w = np.kron(np.kron(rz(0.4), rz(-0.9)), rz(1.3))
     rotated = w @ u_ccp(phi).matrix
@@ -809,7 +827,7 @@ def test_phase_optimized_fidelity_recovers_local_rotations():
 
 def test_phase_optimized_fidelity_stack_rows_match_single_calls():
     phi = 1.9
-    ideal_vec = np.kron(np.eye(8, dtype=complex), u_ccp(phi).matrix) @ max_entangled(3).amplitudes
+    ideal_vec = np.kron(np.eye(8, dtype=complex), u_ccp(phi).matrix) @ max_entangled(3)
     noisy = NoiseParams(gate_depolarizing=0.1, phase_jitter_std=0.3)
     stack = np.stack([_gate_choi(phi, NoiseParams()), _gate_choi(phi, noisy),
                       _gate_choi(0.7, noisy), 0.5 * np.eye(64) / 64.0])

@@ -6,12 +6,11 @@ import pytest
 from darkstate.optical_gate import (
     GateRealization,
     c3z_filter,
-    ccp_success_probability,
     realize_ccp,
     signed_phase,
     solve_angles,
 )
-from darkstate.protocol import DegenerateCouplingError, u_ccp
+from darkstate.protocol import DegenerateCouplingError, ccp_success_probability, u_ccp
 
 GRID_8 = tuple(k * math.pi / 8.0 for k in (1, 2, 4, 6, 8, 10, 12, 14))
 

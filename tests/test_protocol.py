@@ -16,7 +16,6 @@ from darkstate.protocol import (
 from darkstate.qmath import (
     BASIS_LABELS,
     DensityMatrix,
-    PureState,
     ket,
     partial_trace,
     state_fidelity,
@@ -123,7 +122,7 @@ def test_herald_probability_closed_form():
 
 def test_herald_prepares_dark_state():
     rng = np.random.default_rng(14)
-    zero = PureState(ket("0"))
+    zero = ket("0")
     for _ in range(8):
         rho_e = random_density_matrix(1, rng)   # coherences allowed
         phi = rng.uniform(0.2, 6.0)
@@ -136,7 +135,7 @@ def test_herald_post_state_probe_component():
     phi = 2.0
     outcome = herald_dark_state(MIXED, phi)
     probe = partial_trace(outcome.post_state, (0,))
-    perp = PureState(np.array([1.0, -np.exp(1j * phi)]) / math.sqrt(2.0))
+    perp = np.array([1.0, -np.exp(1j * phi)]) / math.sqrt(2.0)
     assert state_fidelity(probe, perp) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -185,7 +184,7 @@ def test_post_herald_coupling_is_switched_off():
             signal = product_density(lab)
             joint = evolve_cp(signal.matrix, env.matrix, phi)
             rho_out = partial_trace(DensityMatrix(joint), (0,))
-            assert state_fidelity(rho_out, PureState(ket(lab))) == pytest.approx(1.0, abs=1e-10)
+            assert state_fidelity(rho_out, ket(lab)) == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from darkstate.qmath import (
     InvalidStateError,
     OperatorMatrix,
     PAULI,
-    PureState,
     binary_entropy,
     concurrence,
     entanglement_of_formation,
@@ -32,8 +31,8 @@ def bell_state() -> DensityMatrix:
     return DensityMatrix(projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0)))
 
 
-def pure_density(psi: PureState) -> DensityMatrix:
-    return DensityMatrix(projector(psi.amplitudes))
+def pure_density(psi: np.ndarray) -> DensityMatrix:
+    return DensityMatrix(projector(psi))
 
 
 MIXED = DensityMatrix(np.eye(2) / 2)
@@ -88,7 +87,7 @@ def test_partial_trace_keep_order_and_errors():
 
 
 def test_state_fidelity_trivial_cases():
-    plus = PureState(ket("+"))
+    plus = ket("+")
     assert state_fidelity(pure_density(plus), plus) == pytest.approx(1.0, abs=1e-14)
     assert state_fidelity(MIXED, plus) == pytest.approx(0.5, abs=1e-14)
 
@@ -99,13 +98,13 @@ def test_dephased_plus_fidelity_and_purity():
     joint = np.kron(projector(ket("+")), np.eye(2) / 2)
     u = cp_gate(math.pi / 2.0)
     rho_s = partial_trace(DensityMatrix(u @ joint @ u.conj().T), (0,))
-    assert state_fidelity(rho_s, PureState(ket("+"))) == pytest.approx(0.75, abs=1e-12)
+    assert state_fidelity(rho_s, ket("+")) == pytest.approx(0.75, abs=1e-12)
     assert purity(rho_s) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_fidelity_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        state_fidelity(DensityMatrix(np.eye(4) / 4), PureState(ket("0")))
+        state_fidelity(DensityMatrix(np.eye(4) / 4), ket("0"))
 
 
 def test_purity_bounds():
@@ -132,7 +131,7 @@ def test_metrics_unitary_invariance():
     u = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]],
                  dtype=complex)
     rho_u = DensityMatrix(u @ rho.matrix @ u.conj().T)
-    psi_u = PureState(u @ psi.amplitudes)
+    psi_u = u @ psi
     assert state_fidelity(rho_u, psi_u) == pytest.approx(state_fidelity(rho, psi), abs=1e-12)
     assert purity(rho_u) == pytest.approx(purity(rho), abs=1e-12)
 
@@ -256,7 +255,7 @@ def test_binary_entropy_edges():
 
 def test_invariant_validation():
     with pytest.raises(InvalidStateError):
-        PureState(np.array([1.0, 1.0]))              # not normalized
+        state_fidelity(MIXED, np.array([1.0, 1.0]))  # ket not normalized
     with pytest.raises(InvalidStateError):
         DensityMatrix(np.array([[0.5, 0.5], [0.1, 0.5]]))   # not Hermitian
     with pytest.raises(InvalidStateError):
@@ -307,9 +306,9 @@ def test_expand_operator_consistency_random():
 
 
 def test_max_entangled_vector():
-    np.testing.assert_allclose(max_entangled(1).amplitudes,
-                               np.array([1, 0, 0, 1]) / math.sqrt(2.0), atol=1e-15)
-    assert max_entangled(3).dim == 64
+    np.testing.assert_allclose(max_entangled(1), np.array([1, 0, 0, 1]) / math.sqrt(2.0),
+                               atol=1e-15)
+    assert max_entangled(3).shape == (64,)
 
 
 def test_partial_trace_array_matches_wrapper():

@@ -18,12 +18,10 @@ from darkstate.qmath import (
     partial_trace,
     projector,
     state_fidelity,
-    PureState,
 )
 from darkstate.tomography import (
     MLEConvergenceWarning,
     MeasurementSetting,
-    ProcessMatrix,
     build_process_settings,
     build_state_settings,
     mle_process,
@@ -55,8 +53,9 @@ def state_estimate(settings, counts: np.ndarray) -> DensityMatrix:
     return DensityMatrix(mle_state(settings, counts[None, :])[0])
 
 
-def process_estimate(settings, counts: np.ndarray, n: int) -> ProcessMatrix:
-    return ProcessMatrix(mle_process(settings, counts[None, :])[0], n)
+def process_estimate(settings, counts: np.ndarray) -> np.ndarray:
+    """The Choi estimate, checked as the unit-trace state on the doubled register it is."""
+    return DensityMatrix(mle_process(settings, counts[None, :])[0]).matrix
 
 
 def log_likelihood(settings, counts: np.ndarray, rho: np.ndarray, process: bool = False) -> float:
@@ -76,7 +75,7 @@ def rrr_step(settings, counts: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return new / np.trace(new).real
 
 
-def rotation_choi(theta: float) -> ProcessMatrix:
+def rotation_choi(theta: float) -> np.ndarray:
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]], dtype=complex)
     return channel_to_choi(rot, n=1)
@@ -159,14 +158,14 @@ LABEL = {lab: i for i, lab in enumerate(BASIS_LABELS)}
 
 
 def test_simulate_counts_orthogonal_projection_is_silent():
-    counts = simulate_counts(build_state_settings(1), product_density("0"), rate=1e5, seed=0)
+    counts = simulate_counts(build_state_settings(1), product_density("0").matrix, rate=1e5, seed=0)
     assert counts.shape == (6,)
     assert counts[LABEL["1"]] == 0
 
 
 def test_simulate_counts_mixed_state_mean():
     # projections of I/2 fire at half the rate: empirical mean near 150
-    settings, rho = build_state_settings(1), DensityMatrix(np.eye(2) / 2)
+    settings, rho = build_state_settings(1), np.eye(2) / 2
     draws = np.array([simulate_counts(settings, rho, rate=300.0, seed=s)[LABEL["+"]]
                       for s in range(1000)])
     assert abs(draws.mean() - 150.0) < 5.0 * math.sqrt(150.0 / 1000.0)
@@ -174,7 +173,7 @@ def test_simulate_counts_mixed_state_mean():
 
 def test_simulate_counts_basis_completeness():
     # the two outcomes of one basis together see every photon
-    settings, rho = build_state_settings(1), product_density("L")
+    settings, rho = build_state_settings(1), product_density("L").matrix
     pair = [LABEL["+"], LABEL["-"]]
     totals = np.array([simulate_counts(settings, rho, rate=200.0, seed=s)[pair].sum()
                        for s in range(500)])
@@ -199,7 +198,7 @@ def non_grid_lists(process: bool) -> dict:
 def test_non_grid_settings_raise(case, process):
     settings = non_grid_lists(process)[case]
     estimate = mle_process if process else mle_state
-    mat = rotation_choi(0.4) if process else product_density("+")
+    mat = rotation_choi(0.4) if process else product_density("+").matrix
     with pytest.raises(ValueError, match=r"full 6\^[12] label grid"):
         estimate(settings, np.ones((1, len(settings))))
     with pytest.raises(ValueError, match=r"full 6\^[12] label grid"):
@@ -208,7 +207,7 @@ def test_non_grid_settings_raise(case, process):
 
 def test_simulate_counts_deterministic():
     settings = build_state_settings(1)
-    rho = product_density("L")
+    rho = product_density("L").matrix
     a = simulate_counts(settings, rho, rate=300.0, seed=42)
     b = simulate_counts(settings, rho, rate=300.0, seed=42)
     np.testing.assert_array_equal(a, b)
@@ -220,12 +219,12 @@ def test_simulate_counts_deterministic():
 
 def test_mle_state_noiseless_plus():
     rho_hat = state_estimate(build_state_settings(1), exact_counts(projector(ket("+")), 1))
-    assert state_fidelity(rho_hat, PureState(ket("+"))) > 1.0 - 1e-6
+    assert state_fidelity(rho_hat, ket("+")) > 1.0 - 1e-6
 
 
 def test_mle_state_statistical_convergence():
     settings = build_state_settings(1)
-    counts = simulate_counts(settings, DensityMatrix(np.eye(2) / 2), rate=1e6, seed=7)
+    counts = simulate_counts(settings, np.eye(2) / 2, rate=1e6, seed=7)
     rho_hat = state_estimate(settings, counts)
     diff = rho_hat.matrix - np.eye(2) / 2
     trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
@@ -248,7 +247,7 @@ def test_mle_process_likelihood_monotone():
 
 def test_mle_state_output_is_physical():
     settings = build_state_settings(1)
-    counts = simulate_counts(settings, product_density("R"), rate=100.0, seed=3)
+    counts = simulate_counts(settings, product_density("R").matrix, rate=100.0, seed=3)
     rho_hat = mle_state(settings, counts[None, :])
     assert rho_hat.shape == (1, 2, 2)
     DensityMatrix(rho_hat[0])   # construction enforces the invariants
@@ -289,7 +288,7 @@ def test_mle_zero_total_tomogram_raises():
 def test_mle_zero_total_replica_is_maximally_mixed():
     # the exact qubit solution (d = 2) and the R-rho-R iteration (d = 4)
     for settings, mat, estimate in (
-            (build_state_settings(1), product_density("+"), mle_state),
+            (build_state_settings(1), product_density("+").matrix, mle_state),
             (build_process_settings(1), rotation_choi(0.4), mle_process)):
         counts = simulate_counts(settings, mat, rate=300.0, seed=12)
         batch = estimate(settings, np.stack([counts, np.zeros(len(counts)), counts]))
@@ -338,7 +337,7 @@ def frame_kernel_batch(settings) -> np.ndarray:
         mat = mix * random_density_matrix(2, rng).matrix + (1.0 - mix) * np.eye(4) / 4
         rows.append(simulate_counts(settings, mat / 2**settings.n_in,
                                     rate=(300.0, 3000.0)[seed % 2], seed=seed))
-    rows.append(simulate_counts(settings, rotation_choi(0.4).chi, rate=300.0, seed=13))
+    rows.append(simulate_counts(settings, rotation_choi(0.4), rate=300.0, seed=13))
     return np.array(rows + [np.zeros(len(settings))])
 
 
@@ -457,7 +456,7 @@ def test_qubit_mle_interior_is_linear_inversion():
 
 
 def test_qubit_mle_boundary_is_pure_and_stationary():
-    counts = simulate_counts(SIX, product_density("L"), rate=300.0, seed=3)
+    counts = simulate_counts(SIX, product_density("L").matrix, rate=300.0, seed=3)
     u, v = counts[0::2], counts[1::2]
     assert (((u - v) / (u + v)) ** 2).sum() > 1.0   # linear inversion lies outside the ball
     rho = mle_state(SIX, counts[None, :])[0]
@@ -472,7 +471,7 @@ def test_qubit_mle_beats_random_search():
     for seed in range(6):
         state = random_density_matrix(1, rng) if seed % 2 else product_density(
             BASIS_LABELS[seed])
-        counts = simulate_counts(SIX, state, rate=100.0, seed=seed)
+        counts = simulate_counts(SIX, state.matrix, rate=100.0, seed=seed)
         a = bloch_vector(mle_state(SIX, counts[None, :])[0])
         best = bloch_log_likelihood(SIX, counts, search).max()
         assert bloch_log_likelihood(SIX, counts, a[None, :])[0] >= best - 1e-12
@@ -496,9 +495,9 @@ def test_qubit_mle_zero_and_one_sided_axes():
 
 def test_qubit_mle_batch_rows_match_single_calls():
     rng = np.random.default_rng(53)
-    rows = [simulate_counts(SIX, random_density_matrix(1, rng), rate=300.0, seed=s)
+    rows = [simulate_counts(SIX, random_density_matrix(1, rng).matrix, rate=300.0, seed=s)
             for s in range(4)]
-    rows += [simulate_counts(SIX, product_density(lab), rate=r, seed=9)
+    rows += [simulate_counts(SIX, product_density(lab).matrix, rate=r, seed=9)
              for lab in BASIS_LABELS for r in (30.0, 3000.0)]
     rows += [np.array([30.0, 0.0, 0.0, 0.0, 12.0, 5.0]), np.zeros(6)]
     batch = mle_state(SIX, np.array(rows, dtype=float))
@@ -513,7 +512,7 @@ def test_qubit_mle_agrees_with_rrr(monkeypatch):
     states = [random_density_matrix(1, rng) for _ in range(10)]
     states += [DensityMatrix(w * projector(ket(lab)) + (1.0 - w) * np.eye(2) / 2)
                for w in (0.99, 1.0) for lab in ("L", "0", "+")]
-    counts = np.array([simulate_counts(SIX, state, rate=300.0, seed=s)
+    counts = np.array([simulate_counts(SIX, state.matrix, rate=300.0, seed=s)
                        for s in range(2) for state in states], dtype=float)
     u, v = counts[:, 0::2], counts[:, 1::2]
     assert (((u - v) / (u + v)) ** 2).sum(axis=1).max() > 1.0   # some on the sphere
@@ -527,7 +526,7 @@ def test_qubit_mle_agrees_with_rrr(monkeypatch):
 
 def test_qubit_sphere_solve_cap_warns(monkeypatch):
     monkeypatch.setattr(tomography, "_SPHERE_MAX_ITERS", 1)
-    counts = simulate_counts(SIX, product_density("L"), rate=300.0, seed=3)
+    counts = simulate_counts(SIX, product_density("L").matrix, rate=300.0, seed=3)
     with pytest.warns(MLEConvergenceWarning, match="sphere solve stopped at 1 iterations"):
         rho = mle_state(SIX, counts[None, :])[0]
     assert np.linalg.norm(bloch_vector(rho)) == pytest.approx(1.0, abs=1e-14)
@@ -596,7 +595,7 @@ def test_mle_process_identity_noiseless():
                       @ projector(product_ket(s.preparation))
                       @ product_ket(s.projection))
         for s in settings])
-    chi_hat = process_estimate(settings, means, 1)
+    chi_hat = process_estimate(settings, means)
     assert process_fidelity(chi_hat, PHI_PLUS) > 1.0 - 1e-6
 
 
@@ -614,22 +613,22 @@ def test_mle_process_full_dephasing():
                                      @ channel(projector(product_ket(s.preparation)))
                                      @ product_ket(s.projection))
                        for s in settings])
-    chi_hat = process_estimate(settings, counts, 1)
+    chi_hat = process_estimate(settings, counts)
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[3, 3] = 0.5
-    np.testing.assert_allclose(chi_hat.chi, expected, atol=1e-5)
+    np.testing.assert_allclose(chi_hat, expected, atol=1e-5)
 
 
 def test_mle_process_cz_end_to_end():
     chi_ideal = channel_to_choi(u_cp(math.pi), n=2)
     settings = build_process_settings(2)
-    chi_hat = process_estimate(settings, simulate_counts(settings, chi_ideal, rate=1e5, seed=5), 2)
+    chi_hat = process_estimate(settings, simulate_counts(settings, chi_ideal, rate=1e5, seed=5))
     assert process_fidelity(chi_hat, chi_ideal) > 0.999
 
 
 def test_mle_process_requires_preparations():
     settings = build_state_settings(1)
-    counts = simulate_counts(settings, DensityMatrix(np.eye(2) / 2), rate=100.0, seed=0)
+    counts = simulate_counts(settings, np.eye(2) / 2, rate=100.0, seed=0)
     with pytest.raises(ValueError):
         mle_process(settings, counts[None, :])
     with pytest.raises(ValueError):
@@ -642,17 +641,17 @@ def test_mle_process_requires_preparations():
 
 def test_choi_identity():
     chi = channel_to_choi(np.eye(2, dtype=complex), n=1)
-    np.testing.assert_allclose(chi.chi, PHI_PLUS, atol=1e-15)
+    np.testing.assert_allclose(chi, PHI_PLUS, atol=1e-15)
 
 
 def test_choi_ccp_closed_form():
     # (I (x) U)|Phi_3> = |Phi_3> + 8^{-1/2}(e^{i phi} - 1)|111>|111>
     for phi in (0.8, math.pi / 2.0, math.pi, 4.9):
         chi = channel_to_choi(u_ccp(phi), n=3)
-        vec = max_entangled(3).amplitudes.copy()
+        vec = max_entangled(3).copy()
         vec[63] += (np.exp(1j * phi) - 1.0) / math.sqrt(8.0)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(chi.chi, np.outer(vec, vec.conj()), atol=1e-12)
+        np.testing.assert_allclose(chi, np.outer(vec, vec.conj()), atol=1e-12)
 
 
 def test_choi_dephasing_scales_offdiagonal_block():
@@ -660,9 +659,9 @@ def test_choi_dephasing_scales_offdiagonal_block():
     chi = channel_to_choi(dephasing_kraus(q), n=1)
     # coherence block between |0>|.> and |1>|.>: scaled by conj(q) on the
     # <00|chi|11> element
-    assert chi.chi[0, 3] == pytest.approx(0.5 * np.conj(q), abs=1e-12)
-    assert chi.chi[3, 0] == pytest.approx(0.5 * q, abs=1e-12)
-    assert chi.chi[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert chi[0, 3] == pytest.approx(0.5 * np.conj(q), abs=1e-12)
+    assert chi[3, 0] == pytest.approx(0.5 * q, abs=1e-12)
+    assert chi[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def direct_means(settings, kraus, rate: float) -> np.ndarray:
@@ -749,9 +748,9 @@ def test_simulate_counts_validates_settings_and_dimension():
     with pytest.raises(ValueError, match=r"full 6\^3 label grid in build order"):
         simulate_counts(settings, np.eye(8, dtype=complex), 100.0, seed=0)
     with pytest.raises(ValueError, match="setting dimension does not match the matrix dimension"):
-        simulate_counts(build_state_settings(2), DensityMatrix(np.eye(2) / 2), 100.0, seed=0)
+        simulate_counts(build_state_settings(2), np.eye(2) / 2, 100.0, seed=0)
     with pytest.raises(ValueError, match=r"full 6\^m label grid in build order"):
-        simulate_counts((), DensityMatrix(np.eye(2) / 2), 100.0, seed=0)
+        simulate_counts((), np.eye(2) / 2, 100.0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -767,16 +766,16 @@ def test_process_fidelity_identity_vs_ccp_pi():
     chi_id = channel_to_choi(np.eye(8, dtype=complex), n=3)
     chi_ccp = channel_to_choi(u_ccp(math.pi), n=3)
     # oracle: direct overlap of the two rank-1 vectors
-    vec = max_entangled(3).amplitudes.copy()
+    vec = max_entangled(3).copy()
     vec[63] += (np.exp(1j * math.pi) - 1.0) / math.sqrt(8.0)
-    overlap = abs(max_entangled(3).amplitudes.conj() @ vec) ** 2
+    overlap = abs(max_entangled(3).conj() @ vec) ** 2
     assert overlap == pytest.approx(9.0 / 16.0, abs=1e-12)
     assert process_fidelity(chi_id, chi_ccp) == pytest.approx(9.0 / 16.0, abs=1e-12)
 
 
 def test_process_metrics_scale_invariance():
     chi = channel_to_choi(dephasing_kraus(0.4), n=1)
-    scaled = ProcessMatrix(7.3 * chi.chi, 1)
+    scaled = 7.3 * chi
     target = channel_to_choi(np.eye(2, dtype=complex), n=1)
     assert process_fidelity(scaled, target) == pytest.approx(
         process_fidelity(chi, target), abs=1e-12)
@@ -794,7 +793,7 @@ def test_process_metric_errors():
         process_fidelity(np.zeros((4, 4)), chi)
     with pytest.raises(ValueError):
         process_purity(np.zeros((4, 4)))
-    stack = np.stack([chi.chi, np.zeros((4, 4))])   # every row of a stack is checked
+    stack = np.stack([chi, np.zeros((4, 4))])   # every row of a stack is checked
     with pytest.raises(ValueError, match="nonpositive trace"):
         process_fidelity(stack, chi)
     with pytest.raises(ValueError, match="nonpositive trace"):
@@ -817,7 +816,6 @@ def test_process_metrics_stack_rows_match_single_calls():
                 single = fn(chi, *args)
                 assert isinstance(single, float)
                 assert single == rows[i]                      # bit for bit
-                assert fn(ProcessMatrix(chi, n), *args) == rows[i]
         assert process_purity(np.zeros((0, 4 ** n, 4 ** n))).shape == (0,)
 
 
