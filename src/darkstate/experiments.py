@@ -451,7 +451,7 @@ def _marginal_states(samples: _Samples) -> np.ndarray:
     fits = mle_state(_SQ_SETTINGS, samples.tomograms.reshape(-1, 6)).reshape(
         len(rhos[0]), 2, -1, 2, 2)
     points = fits[:, :, 0].reshape(-1, 2, 2)
-    _check_states(points, np.linalg.eigvalsh(points))
+    _check_states(points)
     states[:, :, 1:] = fits.swapaxes(0, 1)
     states[:, samples.empty.ravel(), 1:] = math.nan
     return states
@@ -525,7 +525,7 @@ def _process_estimates(settings: SettingGrid, counts: np.ndarray, points: Sequen
         raise ValueError("tomogram has zero total counts")
     chis = mle_process(settings, counts, max_iters=max_iters)
     est = chis[list(points)]
-    _check_states(est, np.linalg.eigvalsh(est))
+    _check_states(est)
     return chis
 
 
@@ -717,7 +717,7 @@ def run_gate_tomography(config: ScenarioConfig) -> ScenarioResult:
             boot = resample_counts(counts, config.gate_bootstrap_samples, config.seed, (pi, 3))
             chis = np.concatenate([chis, _process_estimates(
                 settings, np.vstack([counts, boot]), (0,), config.gate_mle_max_iters)])
-        columns = _gate_metrics(chis, np.kron(eye8, u_ccp(phi).matrix) @ phi3)
+        columns = _gate_metrics(chis, np.kron(eye8, u_ccp(phi)) @ phi3)
         points.append(GatePoint(phi, *_metrics(np.stack(columns))))
     return ScenarioResult(mode="gate_tomography", config=config, gates=tuple(points))
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import DegenerateCouplingError, TWO_PI, _angle
-from .qmath import OperatorMatrix, expand_operator, rotation
+from .qmath import expand_operator, rotation
 
 _P0 = np.diag([1.0, 0.0]).astype(complex)
 _P1 = np.diag([0.0, 1.0]).astype(complex)
@@ -50,10 +50,11 @@ class WaveplateAngles:
 
 @dataclass(frozen=True)
 class GateStage:
-    """One circuit stage on the (P, S, E, A) register."""
+    """One circuit stage on the (P, S, E, A) register: a 16 x 16 unitary, or a
+    postselection filter that does not amplify."""
 
     name: str
-    operator: OperatorMatrix
+    operator: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class GateRealization:
     def composite(self) -> np.ndarray:
         out = np.eye(16, dtype=complex)
         for stage in self.stages:
-            out = stage.operator.matrix @ out
+            out = stage.operator @ out
         return out
 
     def effective_operator(self) -> np.ndarray:
@@ -101,7 +102,7 @@ def solve_angles(phi) -> WaveplateAngles:
     return WaveplateAngles(x=x, y=x, z=z)
 
 
-def c3z_filter() -> OperatorMatrix:
+def c3z_filter() -> np.ndarray:
     """Coincidence-basis four-qubit phase filter.
 
     Diagonal Kraus operator with amplitude 1/3 on every component and -1/3
@@ -110,7 +111,7 @@ def c3z_filter() -> OperatorMatrix:
     """
     diag = np.full(16, 1.0 / 3.0, dtype=complex)
     diag[15] = -1.0 / 3.0
-    return OperatorMatrix(np.diag(diag))
+    return np.diag(diag)
 
 
 def _controlled_on_aux(gate: np.ndarray) -> np.ndarray:
@@ -135,22 +136,22 @@ def realize_ccp(phi) -> GateRealization:
     balance = np.diag([math.cos(angles.z), 1.0]).astype(complex)
     tilt_phase = np.diag([1.0, np.exp(1j * (tilt / 2.0 - math.pi))]).astype(complex)
 
-    def on_pa(mat: np.ndarray, unitary: bool) -> OperatorMatrix:
-        return OperatorMatrix(expand_operator(mat, 4, (0, 3)), unitary=unitary)
+    def on_pa(mat: np.ndarray) -> np.ndarray:
+        return expand_operator(mat, 4, (0, 3))
 
-    def on_p(mat: np.ndarray, unitary: bool) -> OperatorMatrix:
-        return OperatorMatrix(expand_operator(mat, 4, (0,)), unitary=unitary)
+    def on_p(mat: np.ndarray) -> np.ndarray:
+        return expand_operator(mat, 4, (0,))
 
     stages = (
-        GateStage("displacer-cnot-in", on_pa(cnot_pa, True)),
-        GateStage("arm1-rotation-x", on_pa(_controlled_on_aux(rotation("y", 2 * angles.x)), True)),
+        GateStage("displacer-cnot-in", on_pa(cnot_pa)),
+        GateStage("arm1-rotation-x", on_pa(_controlled_on_aux(rotation("y", 2 * angles.x)))),
         GateStage("ppbs-c3z", c3z_filter()),
-        GateStage("arm1-quarter-phase", on_pa(arm_phase, True)),
-        GateStage("arm1-rotation-y", on_pa(_controlled_on_aux(rotation("y", 2 * angles.y)), True)),
-        GateStage("displacer-cnot-out", on_pa(cnot_pa, True)),
-        GateStage("aux-filtration", OperatorMatrix(expand_operator(_P0, 4, (3,)))),
-        GateStage("analyzer-balance", on_p(balance, False)),
-        GateStage("displacer-tilt-phase", on_p(tilt_phase, True)),
+        GateStage("arm1-quarter-phase", on_pa(arm_phase)),
+        GateStage("arm1-rotation-y", on_pa(_controlled_on_aux(rotation("y", 2 * angles.y)))),
+        GateStage("displacer-cnot-out", on_pa(cnot_pa)),
+        GateStage("aux-filtration", expand_operator(_P0, 4, (3,))),
+        GateStage("analyzer-balance", on_p(balance)),
+        GateStage("displacer-tilt-phase", on_p(tilt_phase)),
     )
     amplitude = complex(math.cos(angles.z) / 3.0)
     return GateRealization(phi=value, angles=angles, stages=stages, success_amplitude=amplitude)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .qmath import (
     DensityMatrix,
-    OperatorMatrix,
     expand_operator,
     ket,
     partial_trace_array,
@@ -52,18 +51,18 @@ def _angle(phi) -> float:
     return value
 
 
-def u_cp(phi) -> OperatorMatrix:
+def u_cp(phi) -> np.ndarray:
     """Two-qubit controlled phase, diag(1, 1, 1, e^{i phi})."""
     value = _angle(phi)
-    return OperatorMatrix(np.diag([1.0, 1.0, 1.0, np.exp(1j * value)]), unitary=True)
+    return np.diag([1.0, 1.0, 1.0, np.exp(1j * value)])
 
 
-def u_ccp(phi) -> OperatorMatrix:
+def u_ccp(phi) -> np.ndarray:
     """Three-qubit controlled-controlled phase, e^{i phi} on |111> only."""
     value = _angle(phi)
     diag = np.ones(8, dtype=complex)
     diag[7] = np.exp(1j * value)
-    return OperatorMatrix(np.diag(diag), unitary=True)
+    return np.diag(diag)
 
 
 def ccp_success_probability(phi) -> float:
@@ -82,7 +81,7 @@ def _herald_projectors(value: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _coupled_probe(rho_e: DensityMatrix, value: float) -> np.ndarray:
     """The (probe, environment) state |+><+| (x) rho_E after the coupling u_cp(value)."""
-    u = u_cp(value).matrix
+    u = u_cp(value)
     return u @ np.kron(projector(ket("+")), rho_e.matrix) @ u.conj().T
 
 

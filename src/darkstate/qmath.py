@@ -1,12 +1,13 @@
 """Dense complex linear algebra for small qubit registers.
 
-``DensityMatrix`` is the one validated state type, an immutable wrapper
-around a dense numpy array whose invariants ``_check_states`` also checks on
-every row of a (B, d, d) stack; ``OperatorMatrix`` wraps an operator, and
-kets are plain 1-d arrays.  A single ordering convention is used throughout
-the package: the leftmost tensor factor owns the most significant bit of a
-computational basis index, so the two-qubit basis state ``|10>`` has index 2
-and ``np.kron(a, b)`` places ``a`` on the high bits.
+Operators and kets are plain numpy arrays (a ket is 1-d).  ``DensityMatrix``
+is the one wrapper: an immutable, validated density matrix, used where a
+state enters the protocol API.  ``_check_states`` checks its invariants on
+every row of a (B, d, d) stack, for the code that keeps states as arrays.
+A single ordering convention is used throughout the package: the leftmost
+tensor factor owns the most significant bit of a computational basis index,
+so the two-qubit basis state ``|10>`` has index 2 and ``np.kron(a, b)``
+places ``a`` on the high bits.
 
 Registers are tiny (at most 8 qubits), so everything is dense and every
 eigenproblem goes through a plain Hermitian solver.
@@ -22,7 +23,6 @@ import numpy as np
 
 HERM_TOL = 1e-12
 NEG_EIG_TOL = 1e-10
-UNITARY_TOL = 1e-12
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -72,16 +72,24 @@ def _dagger(stack: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(stack, -1, -2))
 
 
-def _check_states(stack: np.ndarray, evals: np.ndarray) -> None:
-    """Density-matrix invariants for every row of a (B, d, d) stack with eigenvalues ``evals``."""
+def _check_states(stack: np.ndarray):
+    """Density-matrix invariants for every row of a (B, d, d) stack; returns its ``eigh``.
+
+    Entries are checked finite first: NaN passes every comparison, and
+    ``eigh`` fails on it.
+    """
+    if not np.isfinite(stack).all():
+        raise InvalidStateError("density matrix has a non-finite entry")
     if (np.abs(stack - _dagger(stack)) > HERM_TOL).any():
         raise InvalidStateError("density matrix is not Hermitian")
     tr = np.trace(stack, axis1=1, axis2=2)
     off = np.abs(tr - 1.0) > 1e-9
     if off.any():
         raise InvalidStateError(f"density matrix trace {tr[off][0]} is not 1")
+    evals, vecs = np.linalg.eigh(stack)
     if (evals < -NEG_EIG_TOL).any():
         raise InvalidStateError(f"density matrix has negative eigenvalue {evals.min()}")
+    return evals, vecs
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,38 +104,13 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidStateError(f"density matrix must be square, got {mat.shape}")
         n = _qubit_count(mat.shape[0])
-        _check_states(mat[None], np.linalg.eigvalsh(mat)[None])
+        _check_states(mat[None])
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "n", n)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """General complex operator on an ``n``-qubit register.
-
-    Set ``unitary=True`` to assert U†U = I on construction; filters
-    (non-unitary postselection elements) leave the flag off.
-    """
-
-    matrix: np.ndarray
-    n: int = field(init=False)
-    unitary: bool = False
-
-    def __post_init__(self):
-        mat = _freeze(np.asarray(self.matrix))
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvalidStateError(f"operator must be square, got {mat.shape}")
-        n = _qubit_count(mat.shape[0])
-        if self.unitary:
-            defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-            if defect > UNITARY_TOL:
-                raise InvalidStateError(f"operator flagged unitary has defect {defect}")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "n", n)
 
 
 def ket(label: str) -> np.ndarray:
@@ -265,18 +248,16 @@ def concurrence(rho):
     The l_i are the decreasingly sorted square roots of the eigenvalues of
     rho (sy ⊗ sy) rho* (sy ⊗ sy), evaluated through the Hermitian form
     sqrt(rho) rho~ sqrt(rho) so that degenerate zero eigenvalues stay
-    accurate to machine precision.  ``rho`` is a ``DensityMatrix`` or an
-    array holding one (4, 4) matrix or a (B, 4, 4) stack, whose rows are
-    checked as ``DensityMatrix`` checks its matrix.  Returns a float for one
-    matrix and a (B,) array for a stack; each row is computed on its own.
+    accurate to machine precision.  ``rho`` is an array holding one (4, 4)
+    matrix or a (B, 4, 4) stack, whose rows are checked as ``DensityMatrix``
+    checks its matrix.  Returns a float for one matrix and a (B,) array for a
+    stack; each row is computed on its own.
     """
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    mat = np.asarray(rho, dtype=complex)
     if mat.ndim not in (2, 3) or mat.shape[-2:] != (4, 4):
         raise DimensionMismatchError("concurrence is defined for two qubits only")
     stack = mat.reshape(-1, 4, 4)
-    evals, vecs = np.linalg.eigh(stack)
-    if not isinstance(rho, DensityMatrix):
-        _check_states(stack, evals)
+    evals, vecs = _check_states(stack)
     rho_tilde = _YY @ stack.conj() @ _YY
     # eigenvalues at the numerical noise floor must become exact zeros:
     # the square root otherwise amplifies 1e-16 noise to 1e-8 in sqrt(rho)

@@ -115,7 +115,7 @@ def criterion_4_gate_decomposition() -> tuple[bool, str]:
         real = realize_ccp(phi)
         eff = real.effective_operator()
         c = eff[0, 0]
-        worst_prop = max(worst_prop, np.abs(eff - c * u_ccp(phi).matrix).max())
+        worst_prop = max(worst_prop, np.abs(eff - c * u_ccp(phi)).max())
         worst_prob = max(worst_prob,
                          abs(abs(c) ** 2 - 1.0 / (9.0 + 9.0 * abs(math.sin(phi)))))
     limit_dev = abs(ccp_success_probability(1e-12) - 1.0 / 9.0)
@@ -151,7 +151,7 @@ def criterion_5_tomography_fidelity() -> tuple[bool, str]:
         for k in range(2):
             chi_analytic += 0.5 * np.kron(np.outer(basis[j], basis[k]),
                                           channel(np.outer(basis[j], basis[k])))
-    ef_expected = entanglement_of_formation(DensityMatrix(chi_analytic / chi_analytic.trace().real))
+    ef_expected = entanglement_of_formation(chi_analytic / chi_analytic.trace().real)
     if abs(ef_expected - _EF_DEPHASED_HALF) > 1e-12:
         return False, "analytic entanglement target drifted"
     phi_plus = projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))

@@ -25,9 +25,10 @@ maximized in closed form (``_qubit_mle``).
 
 Settings are a ``SettingGrid`` from ``build_state_settings`` or
 ``build_process_settings``: a descriptor of the full 6^m label grid, in
-build order, whose ``MeasurementSetting`` items are made on demand.  Every
-ket is a product of single-qubit kets, so neither the count simulator nor
-the estimator builds a setting or the ket table.  They work in the real
+build order, which is iterated, not indexed, and whose
+``MeasurementSetting`` items are made on demand.  Every ket is a product of
+single-qubit kets, so neither the count simulator nor the estimator builds a
+setting or the ket table.  They work in the real
 Pauli basis: each single-qubit projector is |k_l><k_l| = sum_mu T[mu, l]
 sigma_mu with the real 4 x 6 table T[mu, l] = <k_l|sigma_mu|k_l> / 2, so the
 Born probabilities over the 6^m grid are the real coefficients tr(M P) of
@@ -52,9 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,14 +90,14 @@ class MeasurementSetting:
 
 
 @dataclass(frozen=True)
-class SettingGrid(Sequence):
+class SettingGrid:
     """The full 6^(n_in + n_out) label grid of tomography settings, in build order.
 
     Setting j carries the base-6 digits of j as label rows, preparation
     labels first and the leftmost most significant; state grids have
-    n_in = 0.  The grid is a descriptor: its ``MeasurementSetting`` items are
-    made only when it is indexed or iterated, and the count simulator and
-    the estimator read nothing but ``n_in`` and ``n_out``.
+    n_in = 0.  The grid is a descriptor, iterated, not indexed: its
+    ``MeasurementSetting`` items are made only when it is iterated, and the
+    count simulator and the estimator read nothing but ``n_in`` and ``n_out``.
     """
 
     n_in: int
@@ -112,16 +111,6 @@ class SettingGrid(Sequence):
 
     def __len__(self) -> int:
         return 6 ** (self.n_in + self.n_out)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return tuple(self[i] for i in range(*j.indices(len(self))))
-        j = operator.index(j)
-        if not -len(self) <= j < len(self):
-            raise IndexError(f"setting index {j} out of range for {len(self)} settings")
-        digits = np.unravel_index(j % len(self), (6,) * (self.n_in + self.n_out))
-        labels = tuple(BASIS_LABELS[int(r)] for r in digits)
-        return MeasurementSetting(labels[:self.n_in], labels[self.n_in:])
 
     def __iter__(self):
         for labels in itertools.product(BASIS_LABELS, repeat=self.n_in + self.n_out):
@@ -151,9 +140,7 @@ def _check_grid(settings: SettingGrid, process: bool | None) -> None:
     ``process`` is the kind of grid the caller needs, or None for either.
     """
     if not isinstance(settings, SettingGrid):
-        first = settings[0] if len(settings) else None
-        m = len(first.preparation) + len(first.projection) if first else "m"
-        raise ValueError(f"settings must be the full 6^{m} label grid in build order")
+        raise ValueError("settings must be the full 6^m label grid in build order")
     if process is not None and process != (settings.n_in > 0):
         raise ValueError("process settings need preparation labels; state settings carry none")
 

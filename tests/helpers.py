@@ -13,7 +13,7 @@ from darkstate.experiments import (_CHANNEL_SETTINGS, _P_ONE, _P_PLUS, _SE_SECTO
                                    _phase, _prep_unitary, _process_estimates,
                                    channel_choi_from_outputs)
 from darkstate.protocol import _herald_projectors
-from darkstate.qmath import (BASIS_LABELS, DensityMatrix, OperatorMatrix, expand_operator, ket,
+from darkstate.qmath import (BASIS_LABELS, DensityMatrix, expand_operator, ket,
                              max_entangled, partial_trace_array, project, projector)
 from darkstate.tomography import (MLE_TOL, MeasurementSetting, _born,
                                   _weighted_projectors, build_state_settings, mle_state,
@@ -69,10 +69,10 @@ def channel_to_choi(operators, n: int) -> np.ndarray:
     chi = sum_k (I (x) K_k) |Phi_n><Phi_n| (I (x) K_k)† with |Phi_n> normalized and the
     input copy on the high qubits, so the trace is the channel's success weight.
     """
-    if isinstance(operators, (OperatorMatrix, np.ndarray)):
+    if isinstance(operators, np.ndarray):
         operators = [operators]
     eye = np.eye(2**n)
-    kets = [np.kron(eye, getattr(op, "matrix", op)) @ max_entangled(n) for op in operators]
+    kets = [np.kron(eye, op) @ max_entangled(n) for op in operators]
     return sum(np.outer(v, v.conj()) for v in kets)
 
 

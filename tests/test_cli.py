@@ -548,3 +548,20 @@ def test_zero_count_anchor_makes_success_nan(tmp_path, capsys):
     check_success_rows(rows, empty_anchors, partial_anchors)
     at_anchor = next(r for r in rows if r["state_label"] == "0" and r["phi"] == PI_CELL)
     assert (at_anchor["value"], at_anchor["std"]) == ("1", "0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["protocol", "--bootstrap", "2", "--set", "phi_grid=pi/2,pi"],
+    ["gate-tomo", "--set", "phi_grid=pi"]], ids=["protocol", "gate-tomo"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # every row is solved on its own, with no gemm whose row count is the batch
+    # size, so no output byte may move with the number of OpenBLAS threads
+    src = Path(cli.__file__).parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "darkstate", *argv, "--seed", "0", "--out", str(out)],
+                       capture_output=True, check=True,
+                       env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads})
+        outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -498,10 +498,12 @@ def test_qubit_mle_blocks_leave_the_result_unchanged(monkeypatch, record_calls, 
     assert (rhos[counts.sum(axis=1) == 0] == np.eye(2) / 2).all()
 
 
-@pytest.mark.parametrize("row, match", [
-    (0, "density matrix has negative eigenvalue"), (1, "density matrix is not Hermitian")],
-    ids=["negative-eigenvalue", "not-hermitian"])
-def test_batched_channel_estimates_keep_the_point_checks(monkeypatch, row, match):
+@pytest.mark.parametrize("defect, match", [
+    (lambda m: np.diag([1.5, -0.5] + [0.0] * (len(m) - 2)), "density matrix has negative eigenvalue"),
+    (lambda m: m + np.triu(np.ones(m.shape), 1), "density matrix is not Hermitian"),
+    (lambda m: np.full(m.shape, np.nan), "density matrix has a non-finite entry")],
+    ids=["negative-eigenvalue", "not-hermitian", "non-finite"])
+def test_batched_channel_estimates_keep_the_point_checks(monkeypatch, defect, match):
     # every point row of a batch is checked: a point without counts raises, a
     # capped row warns from the mle_process call in experiments, its "k of B
     # rows" counting over the whole batch, and every point estimate, of the
@@ -509,9 +511,7 @@ def test_batched_channel_estimates_keep_the_point_checks(monkeypatch, row, match
     # DensityMatrix's invariants and messages; replicas are not checked
     def tampered(chis, bad_row):
         chis = chis.copy()
-        d = chis.shape[1]
-        chis[bad_row] = (np.diag([1.5, -0.5] + [0.0] * (d - 2)) if row == 0
-                         else chis[bad_row] + np.triu(np.ones((d, d)), 1))
+        chis[bad_row] = defect(chis[bad_row])
         return lambda *args, **kwargs: chis
 
     settings = experiments._CHANNEL_SETTINGS
@@ -667,15 +667,19 @@ def test_low_rate_sweep_reports_missing_counts_in_order(capsys):
 
 
 @pytest.mark.parametrize("row, match", [
-    (0, "density matrix has negative eigenvalue"), (1, "density matrix is not Hermitian")])
+    (0, "density matrix has negative eigenvalue"), (1, "density matrix is not Hermitian"),
+    (2, "density matrix has a non-finite entry")])
 def test_stacked_check_rejects_a_bad_point_estimate(monkeypatch, row, match):
     # every point estimate of a grid point, signal and environment, goes through
-    # one check with DensityMatrix's invariants and messages; replicas are not checked
+    # one check with DensityMatrix's invariants and messages, a NaN one included
+    # (eigh fails on NaN, so it is caught first); replicas are not checked
+    defect = (lambda m: np.diag([1.5, -0.5]), lambda m: m + np.triu(np.ones((2, 2)), 1),
+              lambda m: np.nan)[row]
+
     def tampered(bad_row):
         def fit(settings, counts):
             rhos = mle_state(settings, counts)
-            rhos[bad_row] = (np.diag([1.5, -0.5]) if row == 0
-                             else rhos[bad_row] + np.triu(np.ones((2, 2)), 1))
+            rhos[bad_row] = defect(rhos[bad_row])
             return rhos
         return fit
 
@@ -784,7 +788,7 @@ def test_gate_choi_matches_kraus_form(noise):
     # amplitude comes from the stage-by-stage optical model
     damp, p = math.exp(-noise.phase_jitter_std**2 / 2.0), noise.gate_depolarizing
     for phi in (math.pi / 8.0, math.pi / 2.0, 5.0 * math.pi / 4.0):
-        k0 = realize_ccp(phi).success_amplitude * u_ccp(phi).matrix
+        k0 = realize_ccp(phi).success_amplitude * u_ccp(phi)
         blocks = _gate_choi(phi, noise).reshape(8, 8, 8, 8)
         for labels in itertools.product(BASIS_LABELS, repeat=3):
             rho = projector(product_ket(labels))
@@ -797,8 +801,8 @@ def test_gate_choi_matches_kraus_form(noise):
 
 
 @pytest.mark.parametrize("sector, unitary", [
-    (_CCP_SECTOR, lambda phi: u_ccp(phi).matrix),
-    (_SE_SECTOR, lambda phi: expand_operator(u_cp(phi).matrix, 3, (1, 2))),
+    (_CCP_SECTOR, lambda phi: u_ccp(phi)),
+    (_SE_SECTOR, lambda phi: expand_operator(u_cp(phi), 3, (1, 2))),
 ], ids=["ccp", "signal-environment"])
 def test_phase_is_the_gauss_hermite_jitter_average(sector, unitary):
     # U(phi + delta) rho U(phi + delta)† averaged over delta ~ N(0, sigma^2)
@@ -814,10 +818,10 @@ def test_phase_is_the_gauss_hermite_jitter_average(sector, unitary):
 
 def test_phase_optimized_fidelity_recovers_local_rotations():
     phi = 1.9
-    ideal_vec = np.kron(np.eye(8, dtype=complex), u_ccp(phi).matrix) @ max_entangled(3)
+    ideal_vec = np.kron(np.eye(8, dtype=complex), u_ccp(phi)) @ max_entangled(3)
     rz = lambda t: np.diag([1.0, np.exp(1j * t)]).astype(complex)
     w = np.kron(np.kron(rz(0.4), rz(-0.9)), rz(1.3))
-    rotated = w @ u_ccp(phi).matrix
+    rotated = w @ u_ccp(phi)
     chi_rot = channel_to_choi(rotated, n=3)
     plain = process_fidelity(chi_rot, np.outer(ideal_vec, ideal_vec.conj()))
     assert plain < 0.9
@@ -827,7 +831,7 @@ def test_phase_optimized_fidelity_recovers_local_rotations():
 
 def test_phase_optimized_fidelity_stack_rows_match_single_calls():
     phi = 1.9
-    ideal_vec = np.kron(np.eye(8, dtype=complex), u_ccp(phi).matrix) @ max_entangled(3)
+    ideal_vec = np.kron(np.eye(8, dtype=complex), u_ccp(phi)) @ max_entangled(3)
     noisy = NoiseParams(gate_depolarizing=0.1, phase_jitter_std=0.3)
     stack = np.stack([_gate_choi(phi, NoiseParams()), _gate_choi(phi, noisy),
                       _gate_choi(0.7, noisy), 0.5 * np.eye(64) / 64.0])

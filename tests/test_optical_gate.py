@@ -75,7 +75,7 @@ def test_angles_reject_zero_phi():
 
 
 def test_c3z_filter_pass_probability():
-    k = c3z_filter().matrix
+    k = c3z_filter()
     gram = k.conj().T @ k
     for i in range(16):
         basis = np.zeros(16)
@@ -84,14 +84,14 @@ def test_c3z_filter_pass_probability():
 
 
 def test_c3z_filter_phase():
-    k = c3z_filter().matrix
+    k = c3z_filter()
     v = np.zeros(16, dtype=complex)
     v[15] = 1.0
     np.testing.assert_allclose(k @ v, -v / 3.0, atol=1e-15)
 
 
 def test_c3z_rescaled_is_involutive_unitary():
-    u = 3.0 * c3z_filter().matrix
+    u = 3.0 * c3z_filter()
     np.testing.assert_allclose(u @ u, np.eye(16), atol=1e-14)
     np.testing.assert_allclose(u.conj().T @ u, np.eye(16), atol=1e-14)
 
@@ -116,7 +116,7 @@ def test_realization_proportional_to_ideal_gate():
         real = realize_ccp(phi)
         eff = real.effective_operator()
         c = eff[0, 0]
-        assert np.abs(eff - c * u_ccp(phi).matrix).max() < 1e-9
+        assert np.abs(eff - c * u_ccp(phi)).max() < 1e-9
         assert abs(abs(c) ** 2 - success_formula(phi)) < 1e-9
         assert c == pytest.approx(real.success_amplitude, abs=1e-12)
 
@@ -127,7 +127,7 @@ def test_realization_random_phis():
         real = realize_ccp(phi)
         eff = real.effective_operator()
         c = eff[0, 0]
-        assert np.abs(eff - c * u_ccp(phi).matrix).max() < 1e-9
+        assert np.abs(eff - c * u_ccp(phi)).max() < 1e-9
         assert abs(c) ** 2 == pytest.approx(success_formula(phi), abs=1e-9)
 
 
@@ -135,23 +135,25 @@ def test_realization_small_phi_limit():
     real = realize_ccp(1e-6)
     eff = real.effective_operator()
     c = eff[0, 0]
-    assert np.abs(eff - c * u_ccp(1e-6).matrix).max() < 1e-9
+    assert np.abs(eff - c * u_ccp(1e-6)).max() < 1e-9
     assert abs(c) ** 2 == pytest.approx(1.0 / 9.0, abs=1e-5)
 
 
 def test_stage_tags_and_physicality():
-    real = realize_ccp(2.2)
-    names = [s.name for s in real.stages]
-    assert names.count("ppbs-c3z") == 1
-    assert names.count("aux-filtration") == 1
-    for stage in real.stages:
-        mat = stage.operator.matrix
-        if stage.operator.unitary:
-            np.testing.assert_allclose(mat.conj().T @ mat, np.eye(16), atol=1e-12)
-        else:
-            # postselection elements must not amplify: F†F <= I
-            evals = np.linalg.eigvalsh(np.eye(16) - mat.conj().T @ mat)
-            assert evals.min() > -1e-12
+    # stages are plain arrays, picked by name: the unitary stages are unitary, and the
+    # postselection filters do not amplify, F†F <= I
+    filters = {"ppbs-c3z", "aux-filtration", "analyzer-balance"}
+    for phi in (2.2, *GRID_8):
+        real = realize_ccp(phi)
+        stages = {stage.name: stage.operator for stage in real.stages}
+        assert len(stages) == len(real.stages) == 9          # names are unique
+        assert filters <= set(stages)
+        for name, mat in stages.items():
+            gram = mat.conj().T @ mat
+            if name in filters:
+                assert np.linalg.eigvalsh(np.eye(16) - gram).min() > -1e-12
+            else:
+                np.testing.assert_allclose(gram, np.eye(16), rtol=0.0, atol=1e-12)
 
 
 def test_aux_output_is_filtered():
@@ -165,13 +167,13 @@ def test_unitary_rescaling_of_filter_preserves_proportionality():
     real = realize_ccp(phi)
     comp = np.eye(16, dtype=complex)
     for stage in real.stages:
-        mat = stage.operator.matrix
+        mat = stage.operator
         if stage.name == "ppbs-c3z":
             mat = 3.0 * mat
         comp = mat @ comp
     eff = comp[0::2, 0::2]
     c = eff[0, 0]
-    assert np.abs(eff - c * u_ccp(phi).matrix).max() < 1e-9
+    assert np.abs(eff - c * u_ccp(phi)).max() < 1e-9
     assert abs(c) ** 2 == pytest.approx(9.0 * success_formula(phi), abs=1e-9)
 
 

@@ -28,7 +28,7 @@ def diag_env(p0: float) -> DensityMatrix:
 
 
 def evolve_cp(rho_s: np.ndarray, rho_e: np.ndarray, phi: float) -> np.ndarray:
-    u = u_cp(phi).matrix
+    u = u_cp(phi)
     joint = u @ np.kron(rho_s, rho_e) @ u.conj().T
     return joint
 
@@ -48,9 +48,9 @@ def dephased(rho_s: DensityMatrix, rho_e: DensityMatrix, phi: float) -> np.ndarr
 
 
 def test_u_cp_values():
-    np.testing.assert_allclose(u_cp(0.0).matrix, np.eye(4), atol=1e-15)
-    np.testing.assert_allclose(u_cp(math.pi).matrix, np.diag([1, 1, 1, -1]), atol=1e-15)
-    np.testing.assert_allclose(u_cp(math.pi / 2.0).matrix, np.diag([1, 1, 1, 1j]), atol=1e-15)
+    np.testing.assert_allclose(u_cp(0.0), np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(u_cp(math.pi), np.diag([1, 1, 1, -1]), atol=1e-15)
+    np.testing.assert_allclose(u_cp(math.pi / 2.0), np.diag([1, 1, 1, 1j]), atol=1e-15)
     # the coupling phase is taken in [0, 2*pi)
     u_cp(6.28)
     for phi in (2.0 * math.pi, -0.1):
@@ -59,15 +59,15 @@ def test_u_cp_values():
 
 
 def test_u_ccp_values_and_blocks():
-    np.testing.assert_allclose(u_ccp(0.0).matrix, np.eye(8), atol=1e-15)
+    np.testing.assert_allclose(u_ccp(0.0), np.eye(8), atol=1e-15)
     phi = 1.2345
-    mat = u_ccp(phi).matrix
+    mat = u_ccp(phi)
     expected = np.ones(8, dtype=complex)
     expected[7] = np.exp(1j * phi)
     np.testing.assert_allclose(mat, np.diag(expected), atol=1e-15)
     # register order (P, S, E): fixing S = 1 leaves u_cp acting on (P, E)
     s1 = [2, 3, 6, 7]
-    np.testing.assert_allclose(mat[np.ix_(s1, s1)], u_cp(phi).matrix, atol=1e-15)
+    np.testing.assert_allclose(mat[np.ix_(s1, s1)], u_cp(phi), atol=1e-15)
     s0 = [0, 1, 4, 5]
     np.testing.assert_allclose(mat[np.ix_(s0, s0)], np.eye(4), atol=1e-15)
 
@@ -75,7 +75,7 @@ def test_u_ccp_values_and_blocks():
 def test_u_ccp_pi_flips_111():
     v = np.zeros(8, dtype=complex)
     v[7] = 1.0
-    np.testing.assert_allclose(u_ccp(math.pi).matrix @ v, -v, atol=1e-15)
+    np.testing.assert_allclose(u_ccp(math.pi) @ v, -v, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

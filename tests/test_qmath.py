@@ -8,7 +8,6 @@ from darkstate.qmath import (
     DensityMatrix,
     DimensionMismatchError,
     InvalidStateError,
-    OperatorMatrix,
     PAULI,
     binary_entropy,
     concurrence,
@@ -141,13 +140,13 @@ def test_metrics_unitary_invariance():
 
 
 def test_concurrence_bell():
-    rho = bell_state()
+    rho = bell_state().matrix
     assert concurrence(rho) == pytest.approx(1.0, abs=1e-12)
     assert entanglement_of_formation(rho) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_concurrence_product_state():
-    rho = product_density("+0")
+    rho = product_density("+0").matrix
     assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
     assert entanglement_of_formation(rho) == pytest.approx(0.0, abs=1e-12)
 
@@ -159,7 +158,7 @@ def test_concurrence_dephased_bell():
     chi[0, 0] = chi[3, 3] = 0.5
     chi[3, 0] = 0.5 * q
     chi[0, 3] = 0.5 * np.conj(q)
-    assert concurrence(DensityMatrix(chi)) == pytest.approx(COS_PI_4, abs=1e-12)
+    assert concurrence(chi) == pytest.approx(COS_PI_4, abs=1e-12)
 
 
 def test_ef_matches_entropy_of_entanglement_for_pure_states():
@@ -172,12 +171,12 @@ def test_ef_matches_entropy_of_entanglement_for_pure_states():
         evals = np.linalg.eigvalsh(reduced)
         evals = evals[evals > 1e-15]
         entropy = float(-(evals * np.log2(evals)).sum())
-        assert entanglement_of_formation(pure_density(psi)) == pytest.approx(entropy, abs=1e-9)
+        assert entanglement_of_formation(projector(psi)) == pytest.approx(entropy, abs=1e-9)
 
 
 def test_concurrence_dimension_error():
     with pytest.raises(DimensionMismatchError):
-        concurrence(MIXED)
+        concurrence(MIXED.matrix)
     with pytest.raises(DimensionMismatchError):
         concurrence(np.zeros((2, 3, 2, 2)))
 
@@ -208,7 +207,6 @@ def test_concurrence_stack_rows_match_single_calls():
             single = fn(mat)
             assert isinstance(single, float)
             assert single == rows[i]                      # bit for bit
-            assert fn(DensityMatrix(mat)) == rows[i]
     c = concurrence(stack)
     assert c[2] == 0.0
     assert c[3] == pytest.approx(1.5e-6, rel=1e-6)       # (3p - 1) / 2 just above 1/3
@@ -226,6 +224,8 @@ def test_concurrence_empty_stack():
     (lambda m: m + np.triu(np.full((4, 4), 1e-9), 1), "not Hermitian"),
     (lambda m: 1.01 * m, "trace"),
     (lambda m: np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex), "negative eigenvalue"),
+    # NaN fails no comparison, and eigh fails on it: checked before any other invariant
+    (lambda m: np.full((4, 4), np.nan), "non-finite"),
 ])
 def test_concurrence_stack_validates_every_row(defect, message):
     # array input is checked row by row as DensityMatrix checks its matrix
@@ -262,8 +262,8 @@ def test_invariant_validation():
         DensityMatrix(np.eye(2))                     # trace 2
     with pytest.raises(InvalidStateError):
         DensityMatrix(np.diag([1.5, -0.5]))          # negative eigenvalue
-    with pytest.raises(InvalidStateError):
-        OperatorMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]), unitary=True)
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        DensityMatrix(np.full((2, 2), np.nan))       # NaN passes every comparison
     with pytest.raises(InvalidStateError):
         DensityMatrix(np.eye(3) / 3)                 # not a qubit register
 

@@ -125,13 +125,6 @@ def test_setting_grid_items_match_product_construction(n, process):
     ref = product_settings(n, process)
     assert len(grid) == len(ref)
     assert tuple(grid) == ref
-    assert [grid[j] for j in range(len(ref))] == list(ref)
-    assert (grid[-1], grid[-len(ref)]) == (ref[-1], ref[0])
-    assert grid[1:] + grid[:1] == ref[1:] + ref[:1]      # a slice is a tuple
-    assert grid[-2::-5] == ref[-2::-5]
-    for j in (len(ref), -len(ref) - 1):
-        with pytest.raises(IndexError):
-            grid[j]
 
 
 @pytest.mark.parametrize("n", [0, -1, True, 2.0, "2"])
@@ -181,27 +174,35 @@ def test_simulate_counts_basis_completeness():
 
 
 def non_grid_lists(process: bool) -> dict:
-    """Setting lists that are not the full grid in build order; all on one qubit."""
-    full = build_process_settings(1) if process else build_state_settings(1)
+    """Inputs that are not a grid, most of them setting lists on one qubit."""
+    full = tuple(build_process_settings(1) if process else build_state_settings(1))
     prep = ("0",) if process else ()
-    return {"copied": tuple(full),
+    return {"copied": full,
             "permuted": full[1:] + full[:1],
             "partial": tuple(MeasurementSetting(prep, (lab,)) for lab in ("0", "1", "+", "L")),
             "duplicated": (*full, full[2]),
             "rank-deficient": tuple(MeasurementSetting(prep, (lab,))
-                                    for lab in ("0", "0", "1", "1"))}
+                                    for lab in ("0", "0", "1", "1")),
+            "list": list(full),
+            "labels": [(s.preparation, s.projection) for s in full],
+            "string": "".join(BASIS_LABELS),
+            "none": None}
+
+
+NOT_A_GRID = r"^settings must be the full 6\^m label grid in build order$"
 
 
 @pytest.mark.parametrize("case", ["copied", "permuted", "partial", "duplicated",
-                                  "rank-deficient"])
+                                  "rank-deficient", "list", "labels", "string", "none"])
 @pytest.mark.parametrize("process", [False, True], ids=["state", "process"])
 def test_non_grid_settings_raise(case, process):
+    # anything but a SettingGrid raises one ValueError, whatever it holds
     settings = non_grid_lists(process)[case]
     estimate = mle_process if process else mle_state
     mat = rotation_choi(0.4) if process else product_density("+").matrix
-    with pytest.raises(ValueError, match=r"full 6\^[12] label grid"):
-        estimate(settings, np.ones((1, len(settings))))
-    with pytest.raises(ValueError, match=r"full 6\^[12] label grid"):
+    with pytest.raises(ValueError, match=NOT_A_GRID):
+        estimate(settings, np.ones((1, 36 if process else 6)))
+    with pytest.raises(ValueError, match=NOT_A_GRID):
         simulate_counts(settings, mat, rate=300.0, seed=0)
 
 
@@ -679,7 +680,7 @@ def test_simulate_counts_channel_means(monkeypatch):
     kraus1 = dephasing_kraus(0.6 - 0.2j)
     u = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, _ = np.linalg.qr(u)
-    kraus2 = [math.sqrt(0.7) * q, math.sqrt(0.3) * u_cp(1.3).matrix]
+    kraus2 = [math.sqrt(0.7) * q, math.sqrt(0.3) * u_cp(1.3)]
     for n, kraus in ((1, kraus1), (2, kraus2)):
         settings = build_process_settings(n)
         got = count_means(monkeypatch, settings, channel_to_choi(kraus, n=n), 250.0)
@@ -745,11 +746,11 @@ def test_simulate_counts_validates_settings_and_dimension():
     # both settings give 8-dim kets; only their qubit splits differ
     # (no grid mixes qubit splits or is empty, so such lists are not the grid)
     settings = [MeasurementSetting(("0", "1"), ("+",)), MeasurementSetting(("0",), ("1", "+"))]
-    with pytest.raises(ValueError, match=r"full 6\^3 label grid in build order"):
+    with pytest.raises(ValueError, match=NOT_A_GRID):
         simulate_counts(settings, np.eye(8, dtype=complex), 100.0, seed=0)
     with pytest.raises(ValueError, match="setting dimension does not match the matrix dimension"):
         simulate_counts(build_state_settings(2), np.eye(2) / 2, 100.0, seed=0)
-    with pytest.raises(ValueError, match=r"full 6\^m label grid in build order"):
+    with pytest.raises(ValueError, match=NOT_A_GRID):
         simulate_counts((), np.eye(2) / 2, 100.0, seed=0)
 
 
