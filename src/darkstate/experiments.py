@@ -194,8 +194,6 @@ class GatePoint:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    mode: str
-    config: ScenarioConfig
     states: tuple[StatePoint, ...] = ()
     phis: tuple[PhiPoint, ...] = ()
     gates: tuple[GatePoint, ...] = ()
@@ -237,8 +235,9 @@ def _phase(rho: np.ndarray, phi, sector: np.ndarray, jitter: float) -> np.ndarra
     """
     u = np.where(sector, np.exp(1j * np.asarray(phi)[..., None]), 1.0)
     across = sector[:, None] ^ sector[None, :]
+    # exp(-40^2 / 2) is already 0.0, and the cap keeps jitter^2 finite for any finite jitter
     return (u[..., :, None] * rho * u.conj()[..., None, :]
-            * np.where(across, math.exp(-jitter**2 / 2.0), 1.0))
+            * np.where(across, math.exp(-min(jitter, 40.0)**2 / 2.0), 1.0))
 
 
 def _gate(rho: np.ndarray, phi, noise: NoiseParams) -> np.ndarray:
@@ -633,8 +632,7 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
             channels = _channel_points(chis, counts)
         phi_points.extend(PhiPoint(phi, mean, *channel)
                           for phi, mean, channel in zip(phis, means, channels))
-    return ScenarioResult(mode=mode, config=config,
-                          states=tuple(state_points), phis=tuple(phi_points))
+    return ScenarioResult(states=tuple(state_points), phis=tuple(phi_points))
 
 
 def run_protocol_sweep(config: ScenarioConfig, states: bool = True) -> ScenarioResult:
@@ -661,8 +659,8 @@ def _gate_choi(phi: float, noise: NoiseParams) -> np.ndarray:
 
 
 def _sandwich(u: np.ndarray, mats: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<u_b| M_b |v_b> for each row b of (B, d) vectors and (B, d, d) matrices."""
-    return (u.conj()[:, None, :] @ mats @ v[:, :, None])[:, 0, 0]
+    """<u_b| M_b |v_b> for each row b of (..., d) vectors and (..., d, d) matrices."""
+    return (u.conj()[..., None, :] @ mats @ v[..., :, None])[..., 0, 0]
 
 
 def optimize_local_phase_fidelity(chi, ideal_vec: np.ndarray, n: int):
@@ -671,13 +669,12 @@ def optimize_local_phase_fidelity(chi, ideal_vec: np.ndarray, n: int):
     Six rounds of coordinate ascent, one phase per output bit.  Each
     coordinate maximization is exact: splitting the ideal vector on one
     output bit makes the overlap a + 2 Re(e^{i theta} b), maximized at
-    theta = -arg(b).  ``chi`` is an array holding one Choi matrix (a float is
-    returned) or a (B, d, d) stack (a (B,) array, each row optimized on its own).
+    theta = -arg(b).  ``chi`` is one Choi matrix or a (..., d, d) stack, and
+    the result the (...) fidelities, each row optimized on its own.
     """
-    mat = np.asarray(chi, dtype=complex)
-    mats = mat.reshape((-1,) + mat.shape[-2:])
-    v = np.tile(np.asarray(ideal_vec, dtype=complex), (len(mats), 1))
-    idx = np.arange(v.shape[1])
+    mats = np.asarray(chi, dtype=complex)
+    v = np.broadcast_to(np.asarray(ideal_vec, dtype=complex), mats.shape[:-1])
+    idx = np.arange(v.shape[-1])
     out_bits = [(idx >> k) & 1 for k in range(n)]   # output half = low n bits
     for _ in range(6):
         for bit in out_bits:
@@ -685,9 +682,8 @@ def optimize_local_phase_fidelity(chi, ideal_vec: np.ndarray, n: int):
             v1 = np.where(bit == 1, v, 0.0)
             cross = _sandwich(v0, mats, v1)
             theta = -np.arctan2(cross.imag, cross.real)
-            v = v0 + np.exp(1j * theta)[:, None] * v1
-    best = _sandwich(v, mats, v).real / np.trace(mats, axis1=1, axis2=2).real
-    return float(best[0]) if mat.ndim == 2 else best
+            v = v0 + np.exp(1j * theta)[..., None] * v1
+    return _sandwich(v, mats, v).real / np.trace(mats, axis1=-2, axis2=-1).real
 
 
 def _gate_metrics(chis: np.ndarray, ideal_vec: np.ndarray
@@ -719,7 +715,7 @@ def run_gate_tomography(config: ScenarioConfig) -> ScenarioResult:
                 settings, np.vstack([counts, boot]), (0,), config.gate_mle_max_iters)])
         columns = _gate_metrics(chis, np.kron(eye8, u_ccp(phi)) @ phi3)
         points.append(GatePoint(phi, *_metrics(np.stack(columns))))
-    return ScenarioResult(mode="gate_tomography", config=config, gates=tuple(points))
+    return ScenarioResult(gates=tuple(points))
 
 
 # ---------------------------------------------------------------------------

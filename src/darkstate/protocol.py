@@ -35,8 +35,9 @@ class HeraldOutcome:
     """One branch of the probe measurement.
 
     ``post_state`` is the joint (probe, environment) register after the
-    projection, renormalized.  ``probability`` is the probability of this
-    branch occurring.
+    projection, renormalized, or None when ``project`` drops the branch at
+    roundoff weight.  ``probability`` is the probability of this branch
+    occurring, 0 for a dropped branch.
     """
 
     success: bool
@@ -98,13 +99,10 @@ def herald_outcomes(rho_e: DensityMatrix, phi) -> tuple[HeraldOutcome, HeraldOut
     value = _angle(phi)
     if value == 0.0:
         raise DegenerateCouplingError("heralding is impossible at phi = 0")
-    evolved = _coupled_probe(rho_e, value)
-    proj_succ, proj_fail = _herald_projectors(value)
-    w_s, post_s = project(evolved, expand_operator(proj_succ, 2, (0,)))
-    w_f, post_f = project(evolved, expand_operator(proj_fail, 2, (0,)))
-    succ = HeraldOutcome(True, DensityMatrix(post_s) if post_s is not None else None, w_s)
-    fail = HeraldOutcome(False, DensityMatrix(post_f) if post_f is not None else None, w_f)
-    return succ, fail
+    projs = [expand_operator(proj, 2, (0,)) for proj in _herald_projectors(value)]
+    weights, posts = project(_coupled_probe(rho_e, value), np.stack(projs))
+    return tuple(HeraldOutcome(success, DensityMatrix(post) if w > 0.0 else None, float(w))
+                 for success, w, post in zip((True, False), weights, posts))
 
 
 def herald_dark_state(rho_e: DensityMatrix, phi) -> HeraldOutcome:
@@ -173,6 +171,6 @@ def plus_projection_update(rho_e: DensityMatrix, phi) -> tuple[float, DensityMat
         raise ValueError("environment must be a single qubit")
     value = _angle(phi)
     w, post = project(_coupled_probe(rho_e, value), expand_operator(projector(ket("+")), 2, (0,)))
-    if post is None:
+    if w == 0.0:
         raise ValueError("projection onto |+> has zero weight")
-    return w, DensityMatrix(partial_trace_array(post, 2, (1,)))
+    return float(w), DensityMatrix(partial_trace_array(post, 2, (1,)))

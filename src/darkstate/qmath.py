@@ -3,7 +3,11 @@
 Operators and kets are plain numpy arrays (a ket is 1-d).  ``DensityMatrix``
 is the one wrapper: an immutable, validated density matrix, used where a
 state enters the protocol API.  ``_check_states`` checks its invariants on
-every row of a (B, d, d) stack, for the code that keeps states as arrays.
+every row of a (..., d, d) stack, for the code that keeps states as arrays.
+Every function that takes a matrix takes one (d, d) matrix or a (..., d, d)
+stack and works on the leading axes: its results are shaped by them, so one
+matrix gives a numpy scalar or a 0-d array and equals its stack-of-one row.
+A branch that ``project`` drops has weight 0 and the zero state.
 A single ordering convention is used throughout the package: the leftmost
 tensor factor owns the most significant bit of a computational basis index,
 so the two-qubit basis state ``|10>`` has index 2 and ``np.kron(a, b)``
@@ -73,7 +77,7 @@ def _dagger(stack: np.ndarray) -> np.ndarray:
 
 
 def _check_states(stack: np.ndarray):
-    """Density-matrix invariants for every row of a (B, d, d) stack; returns its ``eigh``.
+    """Density-matrix invariants for every row of a (..., d, d) stack; returns its ``eigh``.
 
     Entries are checked finite first: NaN passes every comparison, and
     ``eigh`` fails on it.
@@ -82,7 +86,7 @@ def _check_states(stack: np.ndarray):
         raise InvalidStateError("density matrix has a non-finite entry")
     if (np.abs(stack - _dagger(stack)) > HERM_TOL).any():
         raise InvalidStateError("density matrix is not Hermitian")
-    tr = np.trace(stack, axis1=1, axis2=2)
+    tr = np.trace(stack, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0) > 1e-9
     if off.any():
         raise InvalidStateError(f"density matrix trace {tr[off][0]} is not 1")
@@ -104,7 +108,7 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidStateError(f"density matrix must be square, got {mat.shape}")
         n = _qubit_count(mat.shape[0])
-        _check_states(mat[None])
+        _check_states(mat)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "n", n)
 
@@ -184,28 +188,24 @@ def expand_operator(op: np.ndarray, n: int, targets: Sequence[int]) -> np.ndarra
     return np.ascontiguousarray(t.reshape(2**n, 2**n))
 
 
-def project(rho: np.ndarray, proj: np.ndarray):
-    """Apply a projector; return (weight, renormalized state or None).
+def project(rho: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply projectors; return the (...) weights and the (..., d, d) renormalized states.
 
+    ``rho`` is one matrix or a (..., d, d) stack, each row projected on its
+    own, and ``proj`` one projector or a stack that broadcasts against it.
     Weights at roundoff scale count as zero: renormalizing them would
-    amplify floating-point asymmetry into an unphysical state.  ``rho`` may
-    also be a (..., d, d) stack, each row projected on its own, and ``proj``
-    a stack that broadcasts against it; then the result is the (...) weights
-    and the (..., d, d) states, and a row whose branch is dropped has weight
-    0 and the zero matrix for its state, so it adds nothing to a weighted sum
-    of branches.
+    amplify floating-point asymmetry into an unphysical state.  So a row
+    whose branch is dropped has weight 0 and the zero matrix for its state,
+    and it adds nothing to a weighted sum of branches.
     """
     rho = np.asarray(rho)
-    stack = rho if rho.ndim > 2 else rho[None]
-    sub = proj @ stack @ _dagger(proj)
+    sub = proj @ rho @ _dagger(proj)
     w = np.trace(sub, axis1=-2, axis2=-1).real
-    scale = np.abs(np.trace(stack, axis1=-2, axis2=-1).real)
+    scale = np.abs(np.trace(rho, axis1=-2, axis2=-1).real)
     kept = ~(w <= 1e-14 * np.where(scale > 0.0, scale, 1.0))
     out = sub / np.where(kept, w, 1.0)[..., None, None]
     out = np.where(kept[..., None, None], 0.5 * (out + _dagger(out)), 0.0)
-    if rho.ndim > 2:
-        return np.where(kept, w, 0.0), out
-    return (float(w[0]), out[0]) if kept[0] else (max(float(w[0]), 0.0), None)
+    return np.where(kept, w, 0.0), out
 
 
 def max_entangled(n: int) -> np.ndarray:
@@ -231,12 +231,11 @@ def state_fidelity(rho: DensityMatrix, psi: np.ndarray) -> float:
 
 
 def binary_entropy(x):
-    """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0; elementwise on arrays."""
+    """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0; elementwise, shaped as x."""
     x = np.asarray(x, dtype=float)
     inside = (x > 0.0) & (x < 1.0)
     y = np.where(inside, x, 0.5)
-    h = np.where(inside, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
-    return float(h) if h.ndim == 0 else h
+    return np.where(inside, -y * np.log2(y) - (1.0 - y) * np.log2(1.0 - y), 0.0)
 
 
 _YY = np.kron(PAULI["y"], PAULI["y"])
@@ -249,33 +248,31 @@ def concurrence(rho):
     rho (sy ⊗ sy) rho* (sy ⊗ sy), evaluated through the Hermitian form
     sqrt(rho) rho~ sqrt(rho) so that degenerate zero eigenvalues stay
     accurate to machine precision.  ``rho`` is an array holding one (4, 4)
-    matrix or a (B, 4, 4) stack, whose rows are checked as ``DensityMatrix``
-    checks its matrix.  Returns a float for one matrix and a (B,) array for a
-    stack; each row is computed on its own.
+    matrix or a (..., 4, 4) stack, whose rows are checked as ``DensityMatrix``
+    checks its matrix.  Returns the (...) concurrences, each row computed on
+    its own.
     """
     mat = np.asarray(rho, dtype=complex)
-    if mat.ndim not in (2, 3) or mat.shape[-2:] != (4, 4):
+    if mat.shape[-2:] != (4, 4):
         raise DimensionMismatchError("concurrence is defined for two qubits only")
-    stack = mat.reshape(-1, 4, 4)
-    evals, vecs = _check_states(stack)
-    rho_tilde = _YY @ stack.conj() @ _YY
+    evals, vecs = _check_states(mat)
+    rho_tilde = _YY @ mat.conj() @ _YY
     # eigenvalues at the numerical noise floor must become exact zeros:
     # the square root otherwise amplifies 1e-16 noise to 1e-8 in sqrt(rho)
-    evals = np.where(evals < 1e-13 * evals.max(axis=1, keepdims=True), 0.0, evals)
-    sqrt_rho = (vecs * np.sqrt(evals)[:, None, :]) @ _dagger(vecs)
+    evals = np.where(evals < 1e-13 * evals.max(axis=-1, keepdims=True), 0.0, evals)
+    sqrt_rho = (vecs * np.sqrt(evals)[..., None, :]) @ _dagger(vecs)
     herm = sqrt_rho @ rho_tilde @ sqrt_rho
     lams_sq = np.linalg.eigvalsh(0.5 * (herm + _dagger(herm)))
-    lams_sq = np.where(lams_sq < 1e-13 * np.maximum(lams_sq.max(axis=1, keepdims=True), 0.0),
+    lams_sq = np.where(lams_sq < 1e-13 * np.maximum(lams_sq.max(axis=-1, keepdims=True), 0.0),
                        0.0, lams_sq)
     lams = np.sqrt(lams_sq)
-    c = np.maximum(0.0, lams[:, 3] - lams[:, 2] - lams[:, 1] - lams[:, 0])
-    return float(c[0]) if mat.ndim == 2 else c
+    return np.maximum(0.0, lams[..., 3] - lams[..., 2] - lams[..., 1] - lams[..., 0])
 
 
 def entanglement_of_formation(rho):
     """Two-qubit entanglement of formation via the concurrence closed form.
 
-    Takes what ``concurrence`` takes and returns a float or a (B,) array likewise.
+    Takes what ``concurrence`` takes and returns the (...) values likewise.
     """
     c = concurrence(rho)
     return binary_entropy((1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0)

@@ -81,13 +81,6 @@ class MeasurementSetting:
     preparation: tuple[str, ...]
     projection: tuple[str, ...]
 
-    def __post_init__(self):
-        for lab in (*self.preparation, *self.projection):
-            if lab not in BASIS_LABELS:
-                raise ValueError(f"unknown state label {lab!r}")
-        if not self.projection:
-            raise ValueError("projection labels must be nonempty")
-
 
 @dataclass(frozen=True)
 class SettingGrid:
@@ -514,22 +507,18 @@ def _positive_traces(a: np.ndarray) -> np.ndarray:
     return traces
 
 
-def _scalar_or_stack(values: np.ndarray):
-    return float(values) if np.ndim(values) == 0 else values
-
-
 def process_fidelity(chi, chi_ideal):
     """Normalized overlap Tr[chi chi_ideal] / (Tr[chi] Tr[chi_ideal]).
 
-    ``chi`` is an array holding one Choi matrix (a float is returned) or a
-    (B, d, d) stack (a (B,) array, each row computed on its own); ``chi_ideal``
-    is one Choi matrix.
+    ``chi`` is one Choi matrix or a (..., d, d) stack, and the result the
+    (...) fidelities, each row computed on its own; ``chi_ideal`` is one
+    Choi matrix.
     """
     a, b_mat = np.asarray(chi, dtype=complex), np.asarray(chi_ideal, dtype=complex)
     if a.shape[-2:] != b_mat.shape:
         raise ValueError("process matrices have different dimensions")
     overlap = np.trace(a @ b_mat, axis1=-2, axis2=-1).real
-    return _scalar_or_stack(overlap / (_positive_traces(a) * _positive_traces(b_mat)))
+    return overlap / (_positive_traces(a) * _positive_traces(b_mat))
 
 
 def process_purity(chi):
@@ -538,12 +527,13 @@ def process_purity(chi):
     Takes one Choi matrix or a stack, as ``process_fidelity`` does.
     """
     a = np.asarray(chi, dtype=complex)
-    return _scalar_or_stack(np.trace(a @ a, axis1=-2, axis2=-1).real / _positive_traces(a)**2)
+    return np.trace(a @ a, axis1=-2, axis2=-1).real / _positive_traces(a)**2
 
 
 def resample_counts(counts: np.ndarray, samples: int, seed: int,
-                    key: tuple[int, ...] = ()) -> np.ndarray:
-    """Poisson-resampled count matrix of shape (samples, N)."""
+                    key: tuple[int, ...]) -> np.ndarray:
+    """Poisson-resampled count matrix of shape (samples, N), drawn on spawn key (*key, 1)
+    of ``seed``."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(*key, 1)))
     base = np.asarray(counts, dtype=float)
     return rng.poisson(np.broadcast_to(base, (samples, base.size)))

@@ -300,6 +300,18 @@ def test_nonfinite_numbers_are_config_errors(tmp_path, capsys, command, override
     assert not (tmp_path / "o").exists()
 
 
+def test_huge_phase_jitter_dephases_fully(tmp_path):
+    # exp(-40^2 / 2) is already 0.0, so every larger finite jitter writes the same CSVs,
+    # also one whose square overflows a float (above about 1.34e154)
+    outs = [tmp_path / "40", tmp_path / "1e200"]
+    for out in outs:
+        assert main(["reference", "--set", "phi_grid=0", "--set",
+                     f"noise.phase_jitter_std={out.name}", "--bootstrap", "0",
+                     "--out", str(out)]) == 0
+    for name in ("fig3_purity_fidelity_success.csv", "fig4_population.csv", "fig5_channel.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_duplicate_signal_states_are_config_errors(tmp_path, capsys):
     # a sweep keys its fig5 samples by label, so a repeated label would drop one silently
     assert main(["protocol", "--set", "signal_states=+,+", "--out", str(tmp_path / "o")]) == 2

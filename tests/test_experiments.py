@@ -838,9 +838,10 @@ def test_phase_optimized_fidelity_stack_rows_match_single_calls():
     rows = optimize_local_phase_fidelity(stack, ideal_vec, 3)
     assert rows.shape == (len(stack),)
     for i, chi in enumerate(stack):
+        # one path: a single matrix is a stack of one, with a 0-d result
         single = optimize_local_phase_fidelity(chi, ideal_vec, 3)
-        assert isinstance(single, float)
-        assert single == rows[i]                      # bit for bit
+        assert np.ndim(single) == 0
+        assert single == optimize_local_phase_fidelity(chi[None], ideal_vec, 3)[0] == rows[i]
     assert rows[0] == pytest.approx(1.0, abs=1e-12)
     assert rows[3] == pytest.approx(1.0 / 64.0, abs=1e-15)
 

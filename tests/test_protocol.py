@@ -168,7 +168,10 @@ def test_herald_env_in_one_returns_failure_branch():
 
 @pytest.mark.parametrize("phi", [1e-7, 2.0 * math.pi - 1e-7])
 def test_herald_below_roundoff_returns_failure_branch(phi):
-    # success weight ~1e-15: project drops the branch, so there is no dark state to return
+    # success weight ~1e-15: project drops the branch, so there is no dark state to return,
+    # and the dropped branch reads weight 0, as in the sweep's stacked projection
+    succ, _fail = herald_outcomes(MIXED, phi)
+    assert succ.probability == 0.0 and succ.post_state is None
     outcome = herald_dark_state(MIXED, phi)
     assert not outcome.success and outcome.post_state is not None
     assert outcome.probability == pytest.approx(1.0, abs=1e-12)

@@ -204,9 +204,10 @@ def test_concurrence_stack_rows_match_single_calls():
         rows = fn(stack)
         assert isinstance(rows, np.ndarray) and rows.shape == (len(stack),)
         for i, mat in enumerate(stack):
+            # one path: a single matrix is a stack of one, with a 0-d result
             single = fn(mat)
-            assert isinstance(single, float)
-            assert single == rows[i]                      # bit for bit
+            assert np.ndim(single) == 0
+            assert single == fn(mat[None])[0] == rows[i]   # bit for bit
     c = concurrence(stack)
     assert c[2] == 0.0
     assert c[3] == pytest.approx(1.5e-6, rel=1e-6)       # (3p - 1) / 2 just above 1/3
@@ -329,9 +330,9 @@ def test_partial_trace_array_stack_rows_match_single_calls():
 
 
 def test_project_stack_rows_match_single_calls():
-    # rows are projected on their own; a row whose branch is dropped at roundoff
-    # weight (here 0 and 1e-15) has weight 0 and the zero state in a stack, where a
-    # single call returns its clipped weight and None
+    # rows are projected on their own, and a single matrix is a stack of one; a row
+    # whose branch is dropped at roundoff weight (here 0 and 1e-15) has weight 0 and
+    # the zero state
     rng = np.random.default_rng(9)
     proj = expand_operator(projector(ket("1")), 2, (0,))
     tiny = np.diag([1.0 - 1e-15, 0.0, 1e-15, 0.0]).astype(complex)
@@ -341,9 +342,11 @@ def test_project_stack_rows_match_single_calls():
     assert weights.shape == (4,) and states.shape == (4, 4, 4)
     for i, rho in enumerate(stack):
         w, post = project(rho, proj)
+        assert np.ndim(w) == 0 and post.shape == (4, 4)
+        w1, post1 = project(rho[None], proj)
+        row = (weights[i], states[i].tobytes())
+        assert (w, post.tobytes()) == (w1[0], post1[0].tobytes()) == row   # bit for bit
         if i in (1, 2):
-            assert post is None and w == (0.0, 1e-15)[i - 1]
-            assert weights[i] == 0.0 and not states[i].any()
+            assert w == 0.0 and not post.any()
         else:
-            assert (weights[i], states[i].tobytes()) == (w, post.tobytes())
             assert DensityMatrix(post).n == 2
