@@ -101,7 +101,8 @@ _PARSERS = {
 
 
 def read_config_entries(path: str) -> dict[str, tuple[str, int]]:
-    """Read ``key = value`` lines with optional ``[noise]`` style sections."""
+    """Read ``key = value`` lines with optional ``[noise]`` style sections; a key may
+    appear once (``[noise]`` ``herald_error`` and ``noise.herald_error`` are one key)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -122,7 +123,10 @@ def read_config_entries(path: str) -> dict[str, tuple[str, int]]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        entries[f"{section}.{key}" if section else key] = (value, lineno)
+        key = f"{section}.{key}" if section else key
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {entries[key][1]}")
+        entries[key] = (value, lineno)
     return entries
 
 

@@ -60,6 +60,8 @@ DEFAULT_PROTOCOL_GRID = tuple(math.pi if k == 6 else float(x) for k, x in enumer
     np.linspace(math.pi / 6.0, 2.0 * math.pi - math.pi / 6.0, 13)))
 DEFAULT_REFERENCE_GRID = (0.0,) + DEFAULT_PROTOCOL_GRID
 DEFAULT_GATE_GRID = tuple(np.array([1, 2, 4, 6, 8, 10, 12, 14]) * math.pi / 8.0)
+# numpy draws no Poisson mean above about 9.2e18, and a gate setting's mean reaches 8 rate
+_MAX_RATE = 1e18
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.rate < math.inf:
             raise ValueError(f"rate {self.rate} must be finite and positive")
+        if self.rate > _MAX_RATE:
+            raise ValueError(f"rate {self.rate} must be at most {_MAX_RATE:g}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not self.signal_states:
@@ -510,22 +514,28 @@ def _state_points(labels: Sequence[str], samples: _Samples, anchors: _Samples
     return points, _metrics(means)
 
 
-def _process_estimates(settings: SettingGrid, counts: np.ndarray, points: Sequence[int],
-                       max_iters: int = MLE_MAX_ITERS) -> np.ndarray:
-    """MLE Choi matrices of the rows of ``counts``, all in one ``mle_process`` call; (B, d, d).
+def _choi_points(settings: SettingGrid, chis: np.ndarray, counts: np.ndarray, metrics,
+                 max_iters: int = MLE_MAX_ITERS) -> list[tuple[MetricValue, ...]]:
+    """One figure's metric rows of P grid points from process tomography.
 
-    The rows at ``points`` are the tomograms of grid points: one with no
-    counts raises.  Their estimates are unit-trace states on the doubled
-    register (R-rho-R divides every iterate by its trace), and they are
-    checked at once, as ``DensityMatrix`` checks its matrix.  The other rows
-    are their bootstrap replicas.
+    ``chis`` (P, d, d) holds each point's analytic Choi matrix and ``counts``
+    (P, E, N) its tomogram (row 0) and bootstrap replicas, (P, 0, N) without
+    shot noise.  All the tomograms go into one ``mle_process`` call, and the
+    estimates of the determined points (those whose tomogram has counts) are
+    checked at once, as ``DensityMatrix`` checks its matrix; replicas are not.
+    ``metrics`` maps a (B, d, d) stack to its metric columns, and runs once on
+    every point's analytic matrix followed by its estimates.  An undetermined
+    point's rows are left at I/d by the estimator, and its estimates are nan.
     """
-    if any(counts[i].sum() == 0 for i in points):
-        raise ValueError("tomogram has zero total counts")
-    chis = mle_process(settings, counts, max_iters=max_iters)
-    est = chis[list(points)]
-    _check_states(est)
-    return chis
+    d = chis.shape[-1]
+    estimates = mle_process(settings, counts.reshape(-1, counts.shape[2]),
+                            max_iters=max_iters).reshape(counts.shape[:2] + (d, d))
+    determined = counts[:, :1].any(axis=(1, 2))
+    _check_states(estimates[determined, :1])
+    stack = np.concatenate([chis[:, None], estimates], axis=1)
+    block = np.stack(metrics(stack.reshape(-1, d, d))).reshape(-1, len(chis), stack.shape[1])
+    block[:, ~determined, 1:] = math.nan
+    return list(zip(*map(_metrics, block)))
 
 
 # A sweep runs its grid in batches of consecutive points whose 1 + R channel rows (R =
@@ -559,25 +569,6 @@ def _channel_stacks(samples: _Samples, labels: Sequence[str], config: ScenarioCo
         counts[p, 1:] = resample_counts(counts[p, 0], config.bootstrap_samples, config.seed,
                                         (index[p], 99))
     return chis, counts
-
-
-def _channel_points(chis: np.ndarray, counts: np.ndarray) -> list[tuple[MetricValue, MetricValue]]:
-    """fig5 metrics of the ``_channel_stacks`` of the grid points of a batch.
-
-    All their tomograms go into one ``_process_estimates`` call, and all their
-    Choi matrices, each analytic one followed by its point's estimates, into one
-    ``_channel_metrics`` call.  A point whose tomogram has no counts is
-    undetermined: the estimator leaves its rows at I/4, and its estimates are nan.
-    """
-    determined = counts[:, :1].any(axis=(1, 2))
-    estimates = np.broadcast_to(np.eye(4) / 4.0, counts.shape[:2] + (4, 4))
-    if determined.any():   # the estimator raises on a lone tomogram without counts
-        estimates = _process_estimates(_CHANNEL_SETTINGS, counts.reshape(-1, counts.shape[2]),
-                                       np.flatnonzero(determined) * counts.shape[1])
-    chis = np.concatenate([chis[:, None], estimates.reshape(counts.shape[:2] + (4, 4))], axis=1)
-    block = np.stack(_channel_metrics(chis.reshape(-1, 4, 4))).reshape(2, len(chis), -1)
-    block[:, ~determined, 1:] = math.nan
-    return list(zip(*map(_metrics, block)))
 
 
 def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> ScenarioResult:
@@ -629,7 +620,7 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
         if with_channel:
             chis, counts = _channel_stacks(batch, labels, config, index)
             del batch   # the channel MLE needs only its tomograms, not the state samples
-            channels = _channel_points(chis, counts)
+            channels = _choi_points(_CHANNEL_SETTINGS, chis, counts, _channel_metrics)
         phi_points.extend(PhiPoint(phi, mean, *channel)
                           for phi, mean, channel in zip(phis, means, channels))
     return ScenarioResult(states=tuple(state_points), phis=tuple(phi_points))
@@ -707,14 +698,19 @@ def run_gate_tomography(config: ScenarioConfig) -> ScenarioResult:
     points: list[GatePoint] = []
     settings = build_process_settings(3)
     for pi, phi in enumerate(grid):
-        chis = _gate_choi(phi, config.noise)[None]
+        chi = _gate_choi(phi, config.noise)
+        counts = np.empty((0, len(settings)))
         if config.shot_noise:
-            counts = simulate_counts(settings, chis[0], config.rate, _seed_seq(config.seed, pi, 3))
-            boot = resample_counts(counts, config.gate_bootstrap_samples, config.seed, (pi, 3))
-            chis = np.concatenate([chis, _process_estimates(
-                settings, np.vstack([counts, boot]), (0,), config.gate_mle_max_iters)])
-        columns = _gate_metrics(chis, np.kron(eye8, u_ccp(phi)) @ phi3)
-        points.append(GatePoint(phi, *_metrics(np.stack(columns))))
+            tomogram = simulate_counts(settings, chi, config.rate, _seed_seq(config.seed, pi, 3))
+            counts = np.vstack([tomogram, resample_counts(
+                tomogram, config.gate_bootstrap_samples, config.seed, (pi, 3))])
+            if not tomogram.any():
+                print(f"phi = {phi:.6g}: no counts, estimates are nan", file=sys.stderr)
+        ideal_vec = np.kron(eye8, u_ccp(phi)) @ phi3
+        (metrics,) = _choi_points(settings, chi[None], counts[None],
+                                  lambda chis: _gate_metrics(chis, ideal_vec),
+                                  config.gate_mle_max_iters)
+        points.append(GatePoint(phi, *metrics))
     return ScenarioResult(gates=tuple(points))
 
 

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import BASIS_LABELS, ket
+from .qmath import BASIS_LABELS, PAULI, ket
 
 MLE_TOL = 1e-10
 MLE_MAX_ITERS = 20000
@@ -277,18 +277,15 @@ def _mle(settings: SettingGrid, process: bool, counts,
     """Maximum-likelihood estimates for the rows of ``counts`` (shape (B, N)).
 
     Returns the (B, d, d) estimates, each row solved on its own: it equals its
-    single call bit for bit, and an empty batch gives (0, d, d).  A replica
-    with no counts carries no information and gets I/d; a single tomogram
-    with no counts raises.  Single-qubit state settings are solved exactly
-    (``_qubit_mle``), everything else by R-rho-R, each row stopping at its
-    own tolerance.
+    single call bit for bit, and an empty batch gives (0, d, d).  A row with no
+    counts carries no information and gets I/d, whatever the batch size.
+    Single-qubit state settings are solved exactly (``_qubit_mle``), everything
+    else by R-rho-R, each row stopping at its own tolerance.
     """
     _check_grid(settings, process)
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 2 or counts.shape[1] != len(settings):
         raise ValueError(f"counts must have shape (B, {len(settings)}), got {counts.shape}")
-    if len(counts) == 1 and counts.sum() == 0:
-        raise ValueError("tomogram has zero total counts")
     if settings.n_in + settings.n_out == 1:   # a process has at least two qubits on the grid
         return _qubit_mle(counts)
     return _rrr(counts, _pauli_tables(settings.n_in, settings.n_out), max_iters)
@@ -384,9 +381,8 @@ def _frame_step(rho: np.ndarray, counts: np.ndarray,
     return new, r_op
 
 
-# sigma_k = |+k><+k| - |-k><-k| for the axis k whose outcomes are labels 2k and 2k + 1
-_PAULI = (np.einsum("kd,ke->kde", _KET_TABLE[0::2], _KET_TABLE[0::2].conj())
-          - np.einsum("kd,ke->kde", _KET_TABLE[1::2], _KET_TABLE[1::2].conj()))
+# the Pauli matrix of axis k = Z, X, Y, whose +1 and -1 eigenstates are labels 2k and 2k + 1
+_PAULI = np.stack([PAULI[axis] for axis in "zxy"])
 _SPHERE_MAX_ITERS = 100
 # The solve's temporaries grow with its rows, and its rows are independent, so it takes
 # a batch in blocks of at most this many rows.

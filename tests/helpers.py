@@ -8,16 +8,15 @@ from typing import Iterable
 
 import numpy as np
 
-from darkstate.experiments import (_CHANNEL_SETTINGS, _P_ONE, _P_PLUS, _SE_SECTOR, MetricValue,
-                                   StatePoint, _channel_metrics, _fidelities, _gate, _metrics,
-                                   _phase, _prep_unitary, _process_estimates,
+from darkstate.experiments import (_P_ONE, _P_PLUS, _SE_SECTOR, MetricValue, StatePoint,
+                                   _fidelities, _gate, _metrics, _phase, _prep_unitary,
                                    channel_choi_from_outputs)
 from darkstate.protocol import _herald_projectors
-from darkstate.qmath import (BASIS_LABELS, DensityMatrix, expand_operator, ket,
+from darkstate.qmath import (BASIS_LABELS, DensityMatrix, _check_states, expand_operator, ket,
                              max_entangled, partial_trace_array, project, projector)
 from darkstate.tomography import (MLE_TOL, MeasurementSetting, _born,
-                                  _weighted_projectors, build_state_settings, mle_state,
-                                  resample_counts)
+                                  _weighted_projectors, build_state_settings, mle_process,
+                                  mle_state, resample_counts)
 
 
 def product_ket(labels: Iterable[str]) -> np.ndarray:
@@ -227,27 +226,30 @@ def channel_inputs(samples, labels, config, index):
             config.shot_noise)
 
 
-def channel_points(inputs, shot_noise: bool) -> list[tuple[MetricValue, MetricValue]]:
+def channel_points(settings, inputs, shot_noise: bool,
+                   metrics) -> list[tuple[MetricValue, ...]]:
     """fig5 metrics of the ``channel_inputs`` of the grid points of a batch, with the
     undetermined points left out of the estimator and the metrics.
 
-    The reference for ``experiments._channel_points``: the tomograms of the points
-    that have them go into one ``_process_estimates`` call, and the Choi matrices
-    into one ``_channel_metrics`` call, concatenated and split again point by point.
+    The reference for ``experiments._choi_points``, called as a sweep calls it: the
+    tomograms of the points that have them go into one ``mle_process`` call,
+    their point estimates into one ``_check_states`` call, and the Choi matrices
+    into one ``metrics`` call, concatenated and split again point by point.
     """
     stacks = [t for _, t in inputs if t is not None]
     estimates = iter(())
     if stacks:
         starts = np.cumsum([0] + [len(t) for t in stacks[:-1]])
-        estimates = iter(np.split(_process_estimates(_CHANNEL_SETTINGS, np.concatenate(stacks),
-                                                     starts), starts[1:]))
+        chis = mle_process(settings, np.concatenate(stacks))
+        _check_states(chis[starts])
+        estimates = iter(np.split(chis, starts[1:]))
     chis = [chi[None] if t is None else np.concatenate([chi[None], next(estimates)])
             for chi, t in inputs]
-    blocks = np.split(np.stack(_channel_metrics(np.concatenate(chis))),
+    blocks = np.split(np.stack(metrics(np.concatenate(chis))),
                       np.cumsum([len(c) for c in chis[:-1]]), axis=1)
     points = []
     for (_, tomograms), block in zip(inputs, blocks):
         if shot_noise and tomograms is None:
-            block = np.hstack([block, np.full((2, 1), math.nan)])
+            block = np.hstack([block, np.full((len(block), 1), math.nan)])
         points.append(tuple(_metrics(block)))
     return points

@@ -100,6 +100,18 @@ def test_malformed_line(tmp_path):
     assert ":1:" in str(err.value)
 
 
+def test_repeated_key_is_a_config_error(tmp_path, capsys):
+    # the second line used to replace the first unchecked, so a bad first value ran
+    path = write(tmp_path / "r.cfg", "rate = -1\nrate = 300\n")
+    assert main(["protocol", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {path}:2: key 'rate' repeats line 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # a [noise] section key and its dotted spelling are one key
+    path = write(tmp_path / "n.cfg", "noise.herald_error = 0.1\n[noise]\nherald_error = 0.05\n")
+    with pytest.raises(ConfigError, match="n.cfg:3: key 'noise.herald_error' repeats line 1$"):
+        parse_config(path)
+
+
 def test_overrides():
     cfg = parse_config(None, ["noise.herald_error=0.02", "seed=9", "shot_noise=false"])
     assert cfg.noise.herald_error == 0.02
@@ -293,11 +305,21 @@ def test_gate_mle_max_iters_must_be_positive(tmp_path, capsys):
     ("noise.phase_jitter_std=1e308*10-1e308*10", "phase_jitter_std nan must be finite"),
     ("rate=True", "unsupported expression 'True'"),          # bool is an int subclass
     ("phi_grid=False", "unsupported expression 'False'"),
-], ids=["zero-division", "int-overflow", "inf", "nan", "bool-rate", "bool-grid"])
+    # numpy draws no Poisson mean above about 9.2e18; this ended in its bare
+    # "lam value too large"
+    ("rate=9e18", "rate 9e+18 must be at most 1e+18"),
+], ids=["zero-division", "int-overflow", "inf", "nan", "bool-rate", "bool-grid", "huge-rate"])
 def test_nonfinite_numbers_are_config_errors(tmp_path, capsys, command, override, message):
     assert main([command, "--set", override, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["protocol", "gate-tomo"])
+def test_rate_at_its_bound_runs(tmp_path, command):
+    # a gate setting's Poisson mean reaches 8 rate, still below numpy's limit at 1e18
+    assert main([command, "--set", "phi_grid=pi", "--set", "rate=1e18", "--bootstrap", "3",
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 def test_huge_phase_jitter_dephases_fully(tmp_path):

@@ -1,11 +1,11 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from darkstate import experiments, tomography
+from darkstate.cli import main
 from darkstate.experiments import (
     _CCP_SECTOR,
     _SE_SECTOR,
@@ -466,7 +466,7 @@ def test_regular_channel_stage_matches_the_ragged_reference(monkeypatch, overrid
     config = ScenarioConfig(mode="protocol", **overrides)
     regular = run_protocol_sweep(config, states=False)
     monkeypatch.setattr(experiments, "_channel_stacks", channel_inputs)
-    monkeypatch.setattr(experiments, "_channel_points", channel_points)
+    monkeypatch.setattr(experiments, "_choi_points", channel_points)
     assert repr(run_protocol_sweep(config, states=False).phis) == repr(regular.phis)
     determined = {not math.isnan(pp.channel_ef.estimate) for pp in regular.phis}
     assert determined == ({False} if config.rate < 1.0 else
@@ -504,34 +504,49 @@ def test_qubit_mle_blocks_leave_the_result_unchanged(monkeypatch, record_calls, 
     (lambda m: np.full(m.shape, np.nan), "density matrix has a non-finite entry")],
     ids=["negative-eigenvalue", "not-hermitian", "non-finite"])
 def test_batched_channel_estimates_keep_the_point_checks(monkeypatch, defect, match):
-    # every point row of a batch is checked: a point without counts raises, a
-    # capped row warns from the mle_process call in experiments, its "k of B
-    # rows" counting over the whole batch, and every point estimate, of the
-    # fig5 channel and of the fig7 gate, goes through one check with
+    # every determined point row of a batch is checked: a point without counts
+    # reads nan, a capped row warns from the mle_process call in experiments, its
+    # "k of B rows" counting over the whole batch, and every point estimate, of
+    # the fig5 channel and of the fig7 gate, goes through one check with
     # DensityMatrix's invariants and messages; replicas are not checked
     def tampered(chis, bad_row):
         chis = chis.copy()
         chis[bad_row] = defect(chis[bad_row])
         return lambda *args, **kwargs: chis
 
+    seen = []
+
+    def traces(chis):   # a metric that reads any matrix, physical or not, and keeps its input
+        seen.append(chis)
+        return (np.trace(chis, axis1=1, axis2=2).real,)
+
     settings = experiments._CHANNEL_SETTINGS
-    counts = np.stack([simulate_counts(settings, channel_to_choi(np.diag([1.0, np.exp(1j * phi)]),
-                                                                1), 300.0, seed)
-                       for seed, phi in enumerate((1.0, 2.0, 3.0))])
-    with pytest.raises(ValueError, match="tomogram has zero total counts"):
-        experiments._process_estimates(settings, np.vstack([counts, 0.0 * counts[:1]]), (0, 3))
-    with pytest.warns(MLEConvergenceWarning, match=r"B = 3\): .* in 3 of 3 rows$") as caught:
-        chis = experiments._process_estimates(settings, counts, (0, 2), max_iters=1)
+    analytic = np.stack([channel_to_choi(np.diag([1.0, np.exp(1j * phi)]), 1)
+                         for phi in (1.0, 2.0)])
+    # two points, each a tomogram (flat rows 0 and 3) and two replicas
+    counts = np.stack([simulate_counts(settings, analytic[seed // 3], 300.0, seed)
+                       for seed in range(6)]).reshape(2, 3, -1)
+    empty = counts.copy()
+    empty[1] = 0.0
+    first, second = experiments._choi_points(settings, analytic, empty, traces)
+    assert not math.isnan(first[0].estimate)
+    assert math.isnan(second[0].estimate) and math.isnan(second[0].std)
+    with pytest.warns(MLEConvergenceWarning, match=r"B = 6\): .* in 6 of 6 rows$") as caught:
+        experiments._choi_points(settings, analytic, counts, traces, max_iters=1)
     assert [w.filename for w in caught] == [experiments.__file__]
-    for i, counts_row in enumerate(counts):
+    chis = seen[-1].reshape(2, 4, 4, 4)[:, 1:].reshape(-1, 4, 4)
+    for i, counts_row in enumerate(counts.reshape(6, -1)):
         with pytest.warns(MLEConvergenceWarning):
             single = mle_process(settings, counts_row[None], max_iters=1)
         assert np.array_equal(chis[i], single[0])
     # a bad estimate in the second point's row
-    monkeypatch.setattr(experiments, "mle_process", tampered(chis, 2))
+    monkeypatch.setattr(experiments, "mle_process", tampered(chis, 3))
     with pytest.raises(InvalidStateError, match=match):
-        experiments._process_estimates(settings, counts, (0, 2))
-    experiments._process_estimates(settings, counts, (0, 1))   # a replica row is not checked
+        experiments._choi_points(settings, analytic, counts, traces)
+    # the same row of an undetermined point is not checked, and reads nan
+    assert math.isnan(experiments._choi_points(settings, analytic, empty, traces)[1][0].estimate)
+    monkeypatch.setattr(experiments, "mle_process", tampered(chis, 1))
+    experiments._choi_points(settings, analytic, counts, traces)   # a replica row is not checked
     # the gate: one point and two replicas of 64 x 64 Choi estimates
     cfg = ScenarioConfig(mode="gate_tomography", phi_grid=(math.pi,), gate_bootstrap_samples=2)
     good = np.tile(np.eye(64, dtype=complex) / 64.0, (3, 1, 1))
@@ -863,16 +878,22 @@ def test_gate_metrics_with_and_without_bootstrap(tmp_path, boot):
     assert all((s != "0") if boot else (s == "0") for s in stds)
 
 
-def test_gate_point_makes_one_process_mle_call(record_calls):
+def test_gate_point_makes_one_process_mle_call(record_calls, tmp_path, capsys):
     # the point estimate and its replicas are one mle_process call; a point
-    # that draws no counts still fails as an empty tomogram
+    # that draws no counts reads nan, as a sweep point does, and is reported once
     calls = record_calls(experiments, ("mle_process",))
     cfg = ScenarioConfig(mode="gate_tomography", phi_grid=(math.pi,), rate=3000.0, seed=1,
                          gate_bootstrap_samples=2)
     run_gate_tomography(cfg)
     assert [len(chis) for chis in calls["mle_process"]] == [1 + 2]
-    with pytest.raises(ValueError, match="tomogram has zero total counts"):
-        run_gate_tomography(replace(cfg, rate=1e-12))
+    assert main(["gate-tomo", "--set", "phi_grid=pi/2,pi", "--set", "rate=1e-12",
+                 "--out", str(tmp_path)]) == 0
+    assert [len(chis) for chis in calls["mle_process"]] == [1 + 2, 1, 1]
+    assert capsys.readouterr().err.splitlines() == [
+        "phi = 1.5708: no counts, estimates are nan", "phi = 3.14159: no counts, estimates are nan"]
+    with open(tmp_path / "fig7_gate.csv") as fh:
+        cells = [line.rstrip("\n").split(",")[-2:] for line in fh][1:]
+    assert len(cells) == 6 and all(cell == "nan" for row in cells for cell in row)
 
 
 def test_gate_full_tomography_end_to_end():

@@ -273,15 +273,9 @@ def test_mle_state_errors():
         mle_state(full, np.ones((2, 4)))     # N must match the settings
 
 
-def test_mle_zero_total_tomogram_raises():
-    with pytest.raises(ValueError):
-        mle_state(build_state_settings(1), np.zeros((1, 6)))
-    with pytest.raises(ValueError):
-        mle_process(build_process_settings(1), np.zeros((1, 36)))
-
-
 def test_mle_zero_total_replica_is_maximally_mixed():
-    # the exact qubit solution (d = 2) and the R-rho-R iteration (d = 4)
+    # the exact qubit solution (d = 2) and the R-rho-R iteration (d = 4); a row
+    # without counts is I/d whatever the batch size, a lone tomogram included
     for settings, mat, estimate in (
             (build_state_settings(1), product_density("+").matrix, mle_state),
             (build_process_settings(1), rotation_choi(0.4), mle_process)):
@@ -289,6 +283,7 @@ def test_mle_zero_total_replica_is_maximally_mixed():
         batch = estimate(settings, np.stack([counts, np.zeros(len(counts)), counts]))
         d = batch.shape[1]
         np.testing.assert_array_equal(batch[1], np.eye(d) / d)
+        np.testing.assert_array_equal(estimate(settings, np.zeros((1, len(counts))))[0], batch[1])
         alone = estimate(settings, counts[None, :])[0]
         np.testing.assert_array_equal(batch[0], alone)
         np.testing.assert_array_equal(batch[2], alone)
@@ -486,6 +481,17 @@ def test_qubit_mle_zero_and_one_sided_axes():
         assert np.abs(rrr_step(SIX, counts, rho) - rho).max() <= 1e-12
         best = bloch_log_likelihood(SIX, counts, search).max()
         assert bloch_log_likelihood(SIX, counts, a[None, :])[0] >= best - 1e-12
+
+
+def test_qubit_mle_of_an_eigenstate_is_exact():
+    # counts on one label alone: linear inversion gives the unit Bloch vector of that
+    # eigenstate, and its projector's entries (0, 1, +-1/2, +-i/2) come out exact
+    for i in range(6):
+        counts = np.zeros(6)
+        counts[i] = 50.0
+        rho = mle_state(SIX, counts[None, :])[0]
+        assert np.isin(rho, [0.0, 1.0, 0.5, -0.5, 0.5j, -0.5j]).all()
+        assert np.abs(rho - projector(ket(BASIS_LABELS[i]))).max() <= 1e-15
 
 
 def test_qubit_mle_batch_rows_match_single_calls():
