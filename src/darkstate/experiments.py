@@ -37,6 +37,8 @@ from .qmath import (
     partial_trace_array,
     project,
     projector,
+    purity,
+    state_fidelity,
 )
 from .tomography import (
     MLE_MAX_ITERS,
@@ -45,8 +47,6 @@ from .tomography import (
     build_state_settings,
     mle_process,
     mle_state,
-    process_fidelity,
-    process_purity,
     resample_counts,
     simulate_counts,
 )
@@ -321,26 +321,31 @@ _CHOI_TABLE = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]],
 
 
 def channel_choi_from_outputs(outputs: np.ndarray) -> np.ndarray:
-    """Choi matrix of the linear map defined by its action on the six states.
+    """Choi matrices of the linear maps defined by their action on the six states.
 
-    ``outputs`` is the (6, 2, 2) stack of the (possibly trace-decreasing)
-    output operators of the six pure inputs, in ``BASIS_LABELS`` order.
+    ``outputs`` is a (..., 6, 2, 2) stack: per map, the (possibly
+    trace-decreasing) output operators of the six pure inputs, in
+    ``BASIS_LABELS`` order.  Returns the (..., 4, 4) Choi matrices, each map's
+    computed on its own.
     """
     outputs = np.asarray(outputs, dtype=complex)
-    if outputs.shape != (6, 2, 2):
-        raise ValueError(f"expected a (6, 2, 2) output stack, got shape {outputs.shape}")
-    chi = 0.5 * np.einsum("sjk,sab->jakb", _CHOI_TABLE, outputs).reshape(4, 4)
-    return 0.5 * (chi + chi.conj().T)
+    if outputs.shape[-3:] != (6, 2, 2):
+        raise ValueError(f"expected a (..., 6, 2, 2) output stack, got shape {outputs.shape}")
+    chi = 0.5 * np.einsum("sjk,...sab->...jakb", _CHOI_TABLE, outputs).reshape(
+        outputs.shape[:-3] + (4, 4))
+    return 0.5 * (chi + _dagger(chi))
 
 
-_PHI_PLUS_PROJ = projector(max_entangled(1))
+def _unit_trace(chis: np.ndarray) -> np.ndarray:
+    """Each Choi matrix of a (..., d, d) stack divided by its trace; a nan matrix stays nan."""
+    with np.errstate(invalid="ignore"):   # numpy's complex division flags a nan divisor
+        return chis / np.trace(chis, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def _channel_metrics(chis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entanglement of formation and fidelity to the identity of each (B, 4, 4) Choi matrix."""
-    traces = np.trace(chis, axis1=1, axis2=2).real
-    return (entanglement_of_formation(chis / traces[:, None, None]),
-            np.trace(chis @ _PHI_PLUS_PROJ, axis1=1, axis2=2).real / traces)
+    states = _unit_trace(chis)
+    return entanglement_of_formation(states), state_fidelity(states, max_entangled(1))
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +486,6 @@ def _success_columns(samples: _Samples, anchors: _Samples) -> np.ndarray:
     return np.hstack([analytic, ratios.reshape(len(analytic), -1)])
 
 
-def _fidelities(psi: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """<psi|rho|psi> of single-qubit kets (..., 2) and state stacks (..., B, 2, 2); (..., B).
-
-    Elementwise arithmetic, terms summed in row-major order, so each row's value
-    does not depend on the stack's length (an einsum sums a lone matrix's terms
-    pairwise and a stack's in order).
-    """
-    t = (psi.conj()[..., None, :, None] * rhos * psi[..., None, None, :]).real
-    return ((t[..., 0, 0] + t[..., 0, 1]) + t[..., 1, 0]) + t[..., 1, 1]
-
-
 def _state_points(labels: Sequence[str], samples: _Samples, anchors: _Samples
                   ) -> tuple[list[StatePoint], list[MetricValue]]:
     """fig3/fig4 rows of the labelled states at the grid points of a batch, and each
@@ -502,11 +496,11 @@ def _state_points(labels: Sequence[str], samples: _Samples, anchors: _Samples
     call; every state's row is computed on its own.
     """
     sig, env = _marginal_states(samples)
-    purity = np.einsum("lbde,lbed->lb", sig, sig).real
     kets = np.array([ket(lab) for lab in labels])
-    fidelity = _fidelities(np.tile(kets, (len(samples.phis), 1)), sig)
+    fidelity = state_fidelity(sig, np.tile(kets, (len(samples.phis), 1))[:, None])
     env_pop1 = np.ascontiguousarray(env[:, :, 1, 1].real)
-    columns = map(_metrics, (purity, fidelity, _success_columns(samples, anchors), env_pop1))
+    columns = map(_metrics, (purity(sig), fidelity, _success_columns(samples, anchors),
+                             env_pop1))
     rows = [(float(phi), lab) for phi in samples.phis for lab in labels]
     points = [StatePoint(phi, lab, *metrics) for (phi, lab), *metrics in zip(rows, *columns)]
     # the fig4 mean rows: environment population averaged over each point's states
@@ -557,9 +551,8 @@ def _channel_stacks(samples: _Samples, labels: Sequence[str], config: ScenarioCo
     are zero.
     """
     order = [labels.index(lab) for lab in BASIS_LABELS]
-    chis = np.stack([channel_choi_from_outputs(w[order, None, None]
-                                               * partial_trace_array(rho[order], 2, (0,)))
-                     for w, rho in zip(samples.weights, samples.rho_se)])
+    chis = channel_choi_from_outputs(samples.weights[:, order, None, None]
+                                     * partial_trace_array(samples.rho_se[:, order], 2, (0,)))
     if not config.shot_noise:
         return chis, np.empty((len(chis), 0, len(_CHANNEL_SETTINGS)))
     counts = np.zeros((len(chis), 1 + config.bootstrap_samples, len(_CHANNEL_SETTINGS)))
@@ -674,14 +667,15 @@ def optimize_local_phase_fidelity(chi, ideal_vec: np.ndarray, n: int):
             cross = _sandwich(v0, mats, v1)
             theta = -np.arctan2(cross.imag, cross.real)
             v = v0 + np.exp(1j * theta)[..., None] * v1
-    return _sandwich(v, mats, v).real / np.trace(mats, axis1=-2, axis2=-1).real
+    return state_fidelity(_unit_trace(mats), v)
 
 
 def _gate_metrics(chis: np.ndarray, ideal_vec: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Process fidelity, purity and phase-optimized fidelity of each (B, 64, 64) Choi matrix."""
-    return (process_fidelity(chis, np.outer(ideal_vec, ideal_vec.conj())),
-            process_purity(chis), optimize_local_phase_fidelity(chis, ideal_vec, 3))
+    states = _unit_trace(chis)
+    return (state_fidelity(states, ideal_vec), purity(states),
+            optimize_local_phase_fidelity(chis, ideal_vec, 3))
 
 
 def run_gate_tomography(config: ScenarioConfig) -> ScenarioResult:

@@ -216,18 +216,47 @@ def max_entangled(n: int) -> np.ndarray:
     return amps
 
 
-def state_fidelity(rho: DensityMatrix, psi: np.ndarray) -> float:
-    """<psi| rho |psi> for a ket ``psi`` of unit norm (within 1e-9)."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (rho.dim,):
-        raise DimensionMismatchError(f"dimension mismatch {rho.dim} vs {psi.shape}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
-        raise InvalidStateError(f"state vector norm {norm} is not 1")
-    val = psi.conj() @ rho.matrix @ psi
-    if abs(val.imag) > 1e-10:
-        raise InvalidStateError(f"fidelity has imaginary part {val.imag}")
-    return float(val.real)
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """The sum of the d x d terms of each row of a real (..., d, d) stack, along one axis.
+
+    numpy sums each row of the (..., d·d) view on its own, so a row's sum does
+    not depend on the rows around it (an einsum sums a lone matrix's terms
+    pairwise and a stack's in order).
+    """
+    return terms.reshape(terms.shape[:-2] + (terms.shape[-2] * terms.shape[-1],)).sum(axis=-1)
+
+
+def state_fidelity(rho, psi):
+    """<psi|rho|psi> of each row of a (..., d, d) stack; returns the (...) fidelities.
+
+    ``psi`` is one ket or a (..., d) stack of kets of unit norm (within 1e-9)
+    that broadcasts against the rows of ``rho``.  The terms conj(psi_j)
+    rho_jk psi_k are elementwise products, so each row is computed on its
+    own, and a nan row (a state without counts) reads nan.
+    """
+    mat, psi = np.asarray(rho, dtype=complex), np.asarray(psi, dtype=complex)
+    if mat.ndim < 2 or psi.ndim < 1 or mat.shape[-2:] != psi.shape[-1:] * 2:
+        raise DimensionMismatchError(f"dimension mismatch {mat.shape} vs {psi.shape}")
+    norm = np.linalg.norm(psi, axis=-1)
+    off = np.abs(norm - 1.0) > 1e-9
+    if off.any():
+        raise InvalidStateError(f"state vector norm {norm[off][0]} is not 1")
+    terms = psi.conj()[..., :, None] * mat * psi[..., None, :]
+    imag = _row_sums(terms.imag)
+    off = np.abs(imag) > 1e-10
+    if off.any():
+        raise InvalidStateError(f"fidelity has imaginary part {imag[off][0]}")
+    return _row_sums(terms.real)
+
+
+def purity(rho):
+    """tr(rho^2) of each row of a (..., d, d) stack; returns the (...) purities.
+
+    The terms rho_jk rho_kj are summed as ``state_fidelity`` sums its terms,
+    each row on its own.  A Choi matrix is divided by its trace first.
+    """
+    mat = np.asarray(rho, dtype=complex)
+    return _row_sums((mat * np.swapaxes(mat, -1, -2)).real)
 
 
 def binary_entropy(x):

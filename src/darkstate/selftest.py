@@ -36,14 +36,13 @@ from .qmath import (
     DensityMatrix,
     entanglement_of_formation,
     ket,
+    max_entangled,
     partial_trace,
-    projector,
     state_fidelity,
 )
 from .tomography import (
     build_process_settings,
     mle_process,
-    process_fidelity,
     simulate_counts,
 )
 
@@ -72,7 +71,7 @@ def criterion_1_herald_exactness() -> tuple[bool, str]:
         expected = p0 * math.sin(phi / 2.0) ** 2
         worst_prob = max(worst_prob, abs(outcome.probability - expected))
         env = partial_trace(outcome.post_state, (1,))
-        fid = state_fidelity(env, ket("0"))
+        fid = state_fidelity(env.matrix, ket("0"))
         worst_fid = max(worst_fid, abs(fid - 1.0))
     ok = worst_prob < 1e-12 and worst_fid < 1e-10
     return ok, f"max |P - p0 sin^2| = {worst_prob:.2e}, max |F_env - 1| = {worst_fid:.2e}"
@@ -154,15 +153,15 @@ def criterion_5_tomography_fidelity() -> tuple[bool, str]:
     ef_expected = entanglement_of_formation(chi_analytic / chi_analytic.trace().real)
     if abs(ef_expected - _EF_DEPHASED_HALF) > 1e-12:
         return False, "analytic entanglement target drifted"
-    phi_plus = projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
     settings = build_process_settings(1)
     ef_err = []
     f_err = []
     for seed in range(20):
         counts = simulate_counts(settings, chi_analytic, rate=3e4, seed=seed)
         chi_hat = DensityMatrix(mle_process(settings, counts[None, :])[0]).matrix
-        ef_err.append(abs(entanglement_of_formation(chi_hat / chi_hat.trace().real) - ef_expected))
-        f_err.append(abs(process_fidelity(chi_hat, phi_plus) - _F_DEPHASED_HALF))
+        state = chi_hat / chi_hat.trace().real
+        ef_err.append(abs(entanglement_of_formation(state) - ef_expected))
+        f_err.append(abs(state_fidelity(state, max_entangled(1)) - _F_DEPHASED_HALF))
     ef_med, f_med = float(np.median(ef_err)), float(np.median(f_err))
     return (ef_med < 0.02 and f_med < 0.01,
             f"median |E_f err| = {ef_med:.4f}, median |F err| = {f_med:.4f}")

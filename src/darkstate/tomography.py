@@ -452,7 +452,10 @@ def _sphere_mle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # start: mu from the stationarity condition at the radially projected linear inversion
     a0 = (u - v) / np.maximum(n, 1.0)
     a0 /= np.sqrt((a0 * a0).sum(axis=1, keepdims=True))
-    mu = 0.5 * (a0 * (u / (1.0 + a0) - v / (1.0 - a0))).sum(axis=1)
+    # a term whose count is 0 has limit 0, also where a0 rounds onto its pole -1 or 1
+    terms = (np.divide(u, 1.0 + a0, out=np.zeros_like(u), where=u > 0.0)
+             - np.divide(v, 1.0 - a0, out=np.zeros_like(v), where=v > 0.0))
+    mu = 0.5 * (a0 * terms).sum(axis=1)
     lo, hi = np.zeros(len(u)), 0.5 * np.sqrt((n * n).sum(axis=1))
     mu = np.where((mu > lo) & (mu < hi), mu, 0.5 * hi)
     out = np.empty_like(u)
@@ -494,36 +497,6 @@ def mle_process(settings: SettingGrid, counts,
     """Maximum-likelihood Choi matrices from counts of shape (B, N), each a unit-trace
     state on the doubled register; each row by its own R-rho-R run (see ``_mle``)."""
     return _mle(settings, True, counts, max_iters)
-
-
-def _positive_traces(a: np.ndarray) -> np.ndarray:
-    traces = np.trace(a, axis1=-2, axis2=-1).real
-    if (traces <= 0.0).any():
-        raise ValueError("process matrix has nonpositive trace")
-    return traces
-
-
-def process_fidelity(chi, chi_ideal):
-    """Normalized overlap Tr[chi chi_ideal] / (Tr[chi] Tr[chi_ideal]).
-
-    ``chi`` is one Choi matrix or a (..., d, d) stack, and the result the
-    (...) fidelities, each row computed on its own; ``chi_ideal`` is one
-    Choi matrix.
-    """
-    a, b_mat = np.asarray(chi, dtype=complex), np.asarray(chi_ideal, dtype=complex)
-    if a.shape[-2:] != b_mat.shape:
-        raise ValueError("process matrices have different dimensions")
-    overlap = np.trace(a @ b_mat, axis1=-2, axis2=-1).real
-    return overlap / (_positive_traces(a) * _positive_traces(b_mat))
-
-
-def process_purity(chi):
-    """Tr[chi^2] / Tr[chi]^2; equals 1 only for a single-Kraus operation.
-
-    Takes one Choi matrix or a stack, as ``process_fidelity`` does.
-    """
-    a = np.asarray(chi, dtype=complex)
-    return np.trace(a @ a, axis1=-2, axis2=-1).real / _positive_traces(a)**2
 
 
 def resample_counts(counts: np.ndarray, samples: int, seed: int,

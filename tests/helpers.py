@@ -8,12 +8,12 @@ from typing import Iterable
 
 import numpy as np
 
-from darkstate.experiments import (_P_ONE, _P_PLUS, _SE_SECTOR, MetricValue, StatePoint,
-                                   _fidelities, _gate, _metrics, _phase, _prep_unitary,
-                                   channel_choi_from_outputs)
+from darkstate.experiments import (_P_ONE, _P_PLUS, _SE_SECTOR, MetricValue, StatePoint, _gate,
+                                   _metrics, _phase, _prep_unitary, channel_choi_from_outputs)
 from darkstate.protocol import _herald_projectors
 from darkstate.qmath import (BASIS_LABELS, DensityMatrix, _check_states, expand_operator, ket,
-                             max_entangled, partial_trace_array, project, projector)
+                             max_entangled, partial_trace_array, project, projector, purity,
+                             state_fidelity)
 from darkstate.tomography import (MLE_TOL, MeasurementSetting, _born,
                                   _weighted_projectors, build_state_settings, mle_process,
                                   mle_state, resample_counts)
@@ -38,11 +38,6 @@ def product_settings(n: int, process: bool) -> tuple[MeasurementSetting, ...]:
 def product_density(labels: Iterable[str]) -> DensityMatrix:
     """Pure product state as a density matrix, leftmost label most significant."""
     return DensityMatrix(projector(product_ket(labels)))
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr[rho^2]."""
-    return float(np.trace(rho.matrix @ rho.matrix).real)
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -177,8 +172,7 @@ def state_columns(p: int, i: int, samples, psi: np.ndarray) -> list[np.ndarray]:
             DensityMatrix(rhos[0])   # the point estimate
             stacks[q] = np.concatenate([stacks[q], rhos])
     sig, env = stacks
-    columns = [np.einsum("bde,bed->b", sig, sig).real,
-               _fidelities(psi, sig), env[:, 1, 1].real]
+    columns = [purity(sig), state_fidelity(sig, psi), env[:, 1, 1].real]
     if empty:   # a nan estimate and nan replicas
         columns = [np.append(c, np.full(samples.totals.shape[-1], math.nan)) for c in columns]
     return columns

@@ -37,13 +37,13 @@ from darkstate.qmath import (
     ket,
     max_entangled,
     projector,
+    state_fidelity,
 )
 from darkstate.tomography import (
     MLEConvergenceWarning,
     build_state_settings,
     mle_process,
     mle_state,
-    process_fidelity,
     resample_counts,
     simulate_counts,
 )
@@ -232,6 +232,17 @@ def test_channel_choi_from_outputs_matches_the_kraus_choi(weight):
     chi = channel_choi_from_outputs(outputs)
     np.testing.assert_allclose(chi, channel_to_choi(list(kraus), 1), atol=1e-12)
     assert np.trace(chi).real == pytest.approx(weight, abs=1e-12)
+
+
+def test_channel_choi_from_outputs_stack_rows_match_single_calls():
+    # one path: a (..., 6, 2, 2) stack gives each map's Choi matrix as its single call does
+    rng = np.random.default_rng(6)
+    outputs = rng.normal(size=(2, 3, 6, 2, 2)) + 1j * rng.normal(size=(2, 3, 6, 2, 2))
+    chis = channel_choi_from_outputs(outputs)
+    assert chis.shape == (2, 3, 4, 4)
+    for index in np.ndindex(2, 3):
+        assert chis[index].tobytes() == channel_choi_from_outputs(outputs[index]).tobytes()
+    assert channel_choi_from_outputs(np.zeros((0, 6, 2, 2))).shape == (0, 4, 4)
 
 
 def test_channel_reconstruction_from_sweep_counts():
@@ -838,7 +849,7 @@ def test_phase_optimized_fidelity_recovers_local_rotations():
     w = np.kron(np.kron(rz(0.4), rz(-0.9)), rz(1.3))
     rotated = w @ u_ccp(phi)
     chi_rot = channel_to_choi(rotated, n=3)
-    plain = process_fidelity(chi_rot, np.outer(ideal_vec, ideal_vec.conj()))
+    plain = state_fidelity(chi_rot, ideal_vec)
     assert plain < 0.9
     opt = optimize_local_phase_fidelity(chi_rot, ideal_vec, 3)
     assert opt == pytest.approx(1.0, abs=1e-6)

@@ -128,7 +128,7 @@ def test_herald_prepares_dark_state():
         phi = rng.uniform(0.2, 6.0)
         outcome = herald_dark_state(rho_e, phi)
         env = partial_trace(outcome.post_state, (1,))
-        assert state_fidelity(env, zero) == pytest.approx(1.0, abs=1e-10)
+        assert state_fidelity(env.matrix, zero) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_herald_post_state_probe_component():
@@ -136,7 +136,7 @@ def test_herald_post_state_probe_component():
     outcome = herald_dark_state(MIXED, phi)
     probe = partial_trace(outcome.post_state, (0,))
     perp = np.array([1.0, -np.exp(1j * phi)]) / math.sqrt(2.0)
-    assert state_fidelity(probe, perp) == pytest.approx(1.0, abs=1e-12)
+    assert state_fidelity(probe.matrix, perp) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_herald_branches_sum_to_one():
@@ -187,7 +187,7 @@ def test_post_herald_coupling_is_switched_off():
             signal = product_density(lab)
             joint = evolve_cp(signal.matrix, env.matrix, phi)
             rho_out = partial_trace(DensityMatrix(joint), (0,))
-            assert state_fidelity(rho_out, ket(lab)) == pytest.approx(1.0, abs=1e-10)
+            assert state_fidelity(rho_out.matrix, ket(lab)) == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ from darkstate.qmath import (
     partial_trace_array,
     project,
     projector,
+    purity,
     state_fidelity,
 )
-from helpers import product_density, purity, random_density_matrix, random_pure_state
+from helpers import product_density, random_density_matrix, random_pure_state
 
 COS_PI_4 = math.cos(math.pi / 4.0)
 
@@ -87,8 +88,8 @@ def test_partial_trace_keep_order_and_errors():
 
 def test_state_fidelity_trivial_cases():
     plus = ket("+")
-    assert state_fidelity(pure_density(plus), plus) == pytest.approx(1.0, abs=1e-14)
-    assert state_fidelity(MIXED, plus) == pytest.approx(0.5, abs=1e-14)
+    assert state_fidelity(projector(plus), plus) == pytest.approx(1.0, abs=1e-14)
+    assert state_fidelity(MIXED.matrix, plus) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_dephased_plus_fidelity_and_purity():
@@ -96,29 +97,33 @@ def test_dephased_plus_fidelity_and_purity():
     # F = (1 + Re q)/2 = 0.75 and Tr[rho^2] = (1 + |q|^2)/2 = 0.75
     joint = np.kron(projector(ket("+")), np.eye(2) / 2)
     u = cp_gate(math.pi / 2.0)
-    rho_s = partial_trace(DensityMatrix(u @ joint @ u.conj().T), (0,))
+    rho_s = partial_trace(DensityMatrix(u @ joint @ u.conj().T), (0,)).matrix
     assert state_fidelity(rho_s, ket("+")) == pytest.approx(0.75, abs=1e-12)
     assert purity(rho_s) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_fidelity_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        state_fidelity(DensityMatrix(np.eye(4) / 4), ket("0"))
+    # a ket of another dimension, a ket missing, and no matrix; on a Choi stack too
+    chi = projector(max_entangled(1))
+    for rho, psi in ((np.eye(4) / 4, ket("0")), (np.eye(2) / 2, np.ones(())),
+                     (ket("0"), ket("0")), (np.stack([chi, chi]), max_entangled(3))):
+        with pytest.raises(DimensionMismatchError, match="dimension mismatch"):
+            state_fidelity(rho, psi)
 
 
 def test_purity_bounds():
-    assert purity(bell_state()) == pytest.approx(1.0, abs=1e-12)
-    assert purity(MIXED) == pytest.approx(0.5, abs=1e-14)
+    assert purity(bell_state().matrix) == pytest.approx(1.0, abs=1e-12)
+    assert purity(MIXED.matrix) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_purity_one_implies_pure():
     rng = np.random.default_rng(3)
     for _ in range(20):
         rho = random_density_matrix(2, rng, rank=rng.integers(1, 5))
-        if abs(purity(rho) - 1.0) < 1e-10:
+        if abs(purity(rho.matrix) - 1.0) < 1e-10:
             assert np.linalg.eigvalsh(rho.matrix).max() > 1.0 - 1e-8
     pure = pure_density(random_pure_state(2, rng))
-    assert abs(purity(pure) - 1.0) < 1e-10
+    assert abs(purity(pure.matrix) - 1.0) < 1e-10
     assert np.linalg.eigvalsh(pure.matrix).max() > 1.0 - 1e-8
 
 
@@ -129,10 +134,69 @@ def test_metrics_unitary_invariance():
     theta = 0.7
     u = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]],
                  dtype=complex)
-    rho_u = DensityMatrix(u @ rho.matrix @ u.conj().T)
+    rho_u = u @ rho.matrix @ u.conj().T
     psi_u = u @ psi
-    assert state_fidelity(rho_u, psi_u) == pytest.approx(state_fidelity(rho, psi), abs=1e-12)
-    assert purity(rho_u) == pytest.approx(purity(rho), abs=1e-12)
+    assert state_fidelity(rho_u, psi_u) == pytest.approx(state_fidelity(rho.matrix, psi),
+                                                         abs=1e-12)
+    assert purity(rho_u) == pytest.approx(purity(rho.matrix), abs=1e-12)
+
+
+def metric_inputs(d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(3, 4, d, d) states, four each of full rank, pure and rank d/2 (pure for d = 2),
+    and a random ket per state, (3, 4, d)."""
+    n = int(math.log2(d))
+    rhos = np.stack([[random_density_matrix(n, rng, rank=rank).matrix for _ in range(4)]
+                     for rank in (d, 1, max(1, d // 2))])
+    kets = np.stack([[random_pure_state(n, rng) for _ in range(4)] for _ in range(3)])
+    return rhos, kets
+
+
+@pytest.mark.parametrize("d", [2, 4, 64])
+def test_state_fidelity_and_purity_match_the_dense_references(d):
+    rhos, kets = metric_inputs(d, np.random.default_rng(d))
+    dense_fidelity = (kets.conj()[..., None, :] @ rhos @ kets[..., :, None])[..., 0, 0].real
+    dense_purity = np.trace(rhos @ rhos, axis1=-2, axis2=-1).real
+    fidelity, pure = state_fidelity(rhos, kets), purity(rhos)
+    assert fidelity.shape == pure.shape == (3, 4)
+    np.testing.assert_allclose(fidelity, dense_fidelity, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(pure, dense_purity, rtol=0.0, atol=1e-15)
+    # a pure state has purity 1 and fidelity 1 with its own ket
+    own = np.linalg.eigh(rhos[1])[1][..., -1]
+    np.testing.assert_allclose(pure[1], 1.0, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(state_fidelity(rhos[1], own), 1.0, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [2, 4, 64])
+def test_state_fidelity_and_purity_stack_rows_match_single_calls(d):
+    rhos, kets = metric_inputs(d, np.random.default_rng(10 + d))
+    rhos, kets = rhos.reshape(-1, d, d), kets.reshape(-1, d)
+    fidelity, pure = state_fidelity(rhos, kets), purity(rhos)
+    for i, (rho, psi) in enumerate(zip(rhos, kets)):
+        # one path: a single matrix is a stack of one, with a 0-d result
+        single_f, single_p = state_fidelity(rho, psi), purity(rho)
+        assert np.ndim(single_f) == np.ndim(single_p) == 0
+        assert single_f == state_fidelity(rho[None], psi[None])[0] == fidelity[i]   # bit for bit
+        assert single_p == purity(rho[None])[0] == pure[i]
+    # one ket broadcasts against every row
+    assert state_fidelity(rhos, kets[0]).tolist() == [state_fidelity(rho, kets[0]) for rho in rhos]
+    empty = np.zeros((0, d, d))
+    assert purity(empty).shape == state_fidelity(empty, kets[0]).shape == (0,)
+
+
+def test_state_fidelity_rejections_and_nan_rows():
+    # any row's ket off unit norm, or any row's overlap with an imaginary part, is rejected;
+    # a nan row (a state without counts) reads nan and is no error
+    rhos = np.stack([np.eye(2) / 2, projector(ket("+"))])
+    with pytest.raises(InvalidStateError, match="state vector norm 1.1"):
+        state_fidelity(rhos, np.stack([ket("0"), 1.1 * ket("0")]))
+    assert state_fidelity(rhos, (1.0 + 1e-10) * ket("+"))[1] == pytest.approx(1.0, abs=1e-9)
+    skew = np.array([[0.5, 0.5j], [0.0, 0.5]])   # <+|skew|+> = 0.5 + 0.25i
+    with pytest.raises(InvalidStateError, match="fidelity has imaginary part 0.2"):
+        state_fidelity(np.stack([rhos[0], skew]), ket("+"))
+    rhos[1] = math.nan
+    fidelity, pure = state_fidelity(rhos, ket("+")), purity(rhos)
+    assert fidelity[0] == pytest.approx(0.5, abs=1e-15) and math.isnan(fidelity[1])
+    assert pure[0] == 0.5 and math.isnan(pure[1])
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +320,7 @@ def test_binary_entropy_edges():
 
 def test_invariant_validation():
     with pytest.raises(InvalidStateError):
-        state_fidelity(MIXED, np.array([1.0, 1.0]))  # ket not normalized
+        state_fidelity(MIXED.matrix, np.array([1.0, 1.0]))  # ket not normalized
     with pytest.raises(InvalidStateError):
         DensityMatrix(np.array([[0.5, 0.5], [0.1, 0.5]]))   # not Hermitian
     with pytest.raises(InvalidStateError):

@@ -13,10 +13,12 @@ from darkstate.protocol import u_ccp, u_cp
 from darkstate.qmath import (
     BASIS_LABELS,
     DensityMatrix,
+    DimensionMismatchError,
     ket,
     max_entangled,
     partial_trace,
     projector,
+    purity,
     state_fidelity,
 )
 from darkstate.tomography import (
@@ -27,17 +29,15 @@ from darkstate.tomography import (
     build_state_settings,
     mle_process,
     mle_state,
-    process_fidelity,
-    process_purity,
     resample_counts,
     setting_kets,
     simulate_counts,
 )
 from darkstate import tomography
-from darkstate.experiments import NoiseParams, _gate_choi
+from darkstate.experiments import NoiseParams, _channel_metrics, _gate_choi, _gate_metrics
 from darkstate.tomography import _born, _pauli_tables, _rrr, _weighted_projectors
 from helpers import (channel_to_choi, product_density, product_ket, product_settings,
-                     random_density_matrix, rrr_chain)
+                     random_density_matrix, random_pure_state, rrr_chain)
 
 PHI_PLUS = projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
 
@@ -214,7 +214,7 @@ def test_simulate_counts_deterministic():
 
 def test_mle_state_noiseless_plus():
     rho_hat = state_estimate(build_state_settings(1), exact_counts(projector(ket("+")), 1))
-    assert state_fidelity(rho_hat, ket("+")) > 1.0 - 1e-6
+    assert state_fidelity(rho_hat.matrix, ket("+")) > 1.0 - 1e-6
 
 
 def test_mle_state_statistical_convergence():
@@ -533,6 +533,23 @@ def test_qubit_sphere_solve_cap_warns(monkeypatch):
     assert np.linalg.norm(bloch_vector(rho)) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_qubit_sphere_start_on_a_pole():
+    # Z counts on label 0 alone, and X counts 3 in 2e8 + 3 off balance: the linear
+    # inversion lies just outside the ball, and its radial projection rounds onto
+    # a_z = 1 exactly, where the start's v / (1 - a_z) term is 0 / 0.  Terms without
+    # counts are dropped, so no RuntimeWarning (an error in this suite) is raised.
+    counts = np.array([[1e6, 0.0, 1e8 + 3.0, 1e8, 5.0, 5.0]])
+    u, v = counts[:, 0::2], counts[:, 1::2]
+    a0 = (u - v) / (u + v)
+    assert (a0 * a0).sum() > 1.0 and (a0 / np.linalg.norm(a0))[0, 0] == 1.0
+    rho = mle_state(SIX, counts)[0]
+    # the estimate of the nan start, which fell back to the bisection bracket's midpoint
+    off = 7.481296646165138e-09
+    before = np.array([[1.0, off], [off, 5.551115123125783e-17]])
+    assert np.abs(rho - before).max() <= 1e-14
+    assert np.linalg.norm(bloch_vector(rho)) == pytest.approx(1.0, abs=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # structured Born rule and R operator against the dense ket table
 
@@ -597,7 +614,7 @@ def test_mle_process_identity_noiseless():
                       @ product_ket(s.projection))
         for s in settings])
     chi_hat = process_estimate(settings, means)
-    assert process_fidelity(chi_hat, PHI_PLUS) > 1.0 - 1e-6
+    assert state_fidelity(chi_hat, max_entangled(1)) > 1.0 - 1e-6
 
 
 def test_mle_process_full_dephasing():
@@ -624,7 +641,7 @@ def test_mle_process_cz_end_to_end():
     chi_ideal = channel_to_choi(u_cp(math.pi), n=2)
     settings = build_process_settings(2)
     chi_hat = process_estimate(settings, simulate_counts(settings, chi_ideal, rate=1e5, seed=5))
-    assert process_fidelity(chi_hat, chi_ideal) > 0.999
+    assert state_fidelity(chi_hat, np.kron(np.eye(4), u_cp(math.pi)) @ max_entangled(2)) > 0.999
 
 
 def test_mle_process_requires_preparations():
@@ -759,58 +776,58 @@ def test_simulate_counts_validates_settings_and_dimension():
 
 
 def test_process_fidelity_self():
-    chi = channel_to_choi(u_cp(1.1), n=2)
-    assert process_fidelity(chi, chi) == pytest.approx(1.0, abs=1e-12)
+    # a unitary's Choi matrix is the pure state of its Choi ket
+    vec = np.kron(np.eye(4), u_cp(1.1)) @ max_entangled(2)
+    assert state_fidelity(channel_to_choi(u_cp(1.1), n=2), vec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_process_fidelity_identity_vs_ccp_pi():
     chi_id = channel_to_choi(np.eye(8, dtype=complex), n=3)
-    chi_ccp = channel_to_choi(u_ccp(math.pi), n=3)
     # oracle: direct overlap of the two rank-1 vectors
     vec = max_entangled(3).copy()
     vec[63] += (np.exp(1j * math.pi) - 1.0) / math.sqrt(8.0)
     overlap = abs(max_entangled(3).conj() @ vec) ** 2
     assert overlap == pytest.approx(9.0 / 16.0, abs=1e-12)
-    assert process_fidelity(chi_id, chi_ccp) == pytest.approx(9.0 / 16.0, abs=1e-12)
+    assert state_fidelity(chi_id, np.kron(np.eye(8), u_ccp(math.pi)) @ max_entangled(3)) \
+        == pytest.approx(9.0 / 16.0, abs=1e-12)
 
 
 def test_process_metrics_scale_invariance():
+    # the figure metrics divide each Choi matrix by its trace, so a channel's
+    # success weight does not enter them
     chi = channel_to_choi(dephasing_kraus(0.4), n=1)
-    scaled = 7.3 * chi
-    target = channel_to_choi(np.eye(2, dtype=complex), n=1)
-    assert process_fidelity(scaled, target) == pytest.approx(
-        process_fidelity(chi, target), abs=1e-12)
-    assert process_purity(scaled) == pytest.approx(process_purity(chi), abs=1e-12)
+    for scaled, base in zip(_channel_metrics(np.stack([7.3 * chi, 0.2 * chi])),
+                            _channel_metrics(np.stack([chi, chi]))):
+        np.testing.assert_allclose(scaled, base, rtol=0.0, atol=1e-12)
+    gate = np.stack([_gate_choi(1.3, NoiseParams(gate_depolarizing=0.2))])
+    ideal = np.kron(np.eye(8), u_ccp(1.3)) @ max_entangled(3)
+    for scaled, base in zip(_gate_metrics(3.0 * gate, ideal),
+                            _gate_metrics(gate / np.trace(gate[0]).real, ideal)):
+        np.testing.assert_allclose(scaled, base, rtol=0.0, atol=1e-12)
 
 
 def test_process_purity_values():
-    assert process_purity(channel_to_choi(u_ccp(1.7), n=3)) == pytest.approx(1.0, abs=1e-12)
-    assert process_purity(channel_to_choi(dephasing_kraus(0.0), n=1)) == pytest.approx(0.5, abs=1e-12)
+    assert purity(channel_to_choi(u_ccp(1.7), n=3)) == pytest.approx(1.0, abs=1e-12)
+    assert purity(channel_to_choi(dephasing_kraus(0.0), n=1)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_process_metric_errors():
+    # a target ket of another dimension is rejected on every Choi stack
     chi = channel_to_choi(np.eye(2, dtype=complex), n=1)
-    with pytest.raises(ValueError):
-        process_fidelity(np.zeros((4, 4)), chi)
-    with pytest.raises(ValueError):
-        process_purity(np.zeros((4, 4)))
-    stack = np.stack([chi, np.zeros((4, 4))])   # every row of a stack is checked
-    with pytest.raises(ValueError, match="nonpositive trace"):
-        process_fidelity(stack, chi)
-    with pytest.raises(ValueError, match="nonpositive trace"):
-        process_purity(stack)
-    with pytest.raises(ValueError, match="different dimensions"):
-        process_fidelity(stack, np.eye(16))
+    with pytest.raises(DimensionMismatchError, match="dimension mismatch"):
+        state_fidelity(np.stack([chi, chi]), max_entangled(2))
+    with pytest.raises(DimensionMismatchError, match="dimension mismatch"):
+        state_fidelity(chi, np.eye(16))
 
 
 def test_process_metrics_stack_rows_match_single_calls():
     rng = np.random.default_rng(61)
     for n in (1, 2):
-        target = channel_to_choi(u_cp(0.8), n=n) if n == 2 else rotation_choi(0.3)
-        # trace-free stack: random Choi matrices of several ranks and scales
-        stack = np.stack([scale * random_density_matrix(2 * n, rng, rank=r).matrix
-                          for scale, r in ((1.0, 1), (0.2, 2), (3.0, 4 ** n), (1.0, 3))])
-        for fn, args in ((process_fidelity, (target,)), (process_purity, ())):
+        target = random_pure_state(2 * n, rng)
+        # unit-trace Choi matrices of several ranks
+        stack = np.stack([random_density_matrix(2 * n, rng, rank=r).matrix
+                          for r in (1, 2, 4 ** n, 3)])
+        for fn, args in ((state_fidelity, (target,)), (purity, ())):
             rows = fn(stack, *args)
             assert rows.shape == (len(stack),)
             for i, chi in enumerate(stack):
@@ -818,7 +835,7 @@ def test_process_metrics_stack_rows_match_single_calls():
                 single = fn(chi, *args)
                 assert np.ndim(single) == 0
                 assert single == fn(chi[None], *args)[0] == rows[i]   # bit for bit
-        assert process_purity(np.zeros((0, 4 ** n, 4 ** n))).shape == (0,)
+        assert purity(np.zeros((0, 4 ** n, 4 ** n))).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
