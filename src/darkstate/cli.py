@@ -297,7 +297,3 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def entry() -> None:
-    raise SystemExit(main())

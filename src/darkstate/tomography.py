@@ -41,7 +41,8 @@ also flips the sign of Y on the conjugated preparation qubits
 phases, the Hadamard matmul and the inverse gather.  One R-rho-R loop
 (``_rrr``) serves every grid.  On the m = 2 grids (two-qubit states,
 one-qubit processes) the chain is one real 32 x 36 matrix, which the loop's
-step uses directly (``_frame_step``); elsewhere it runs the chain.
+step uses directly (``_frame_step``); elsewhere it runs the chain, whose
+steps write into one workspace of two buffers per solve (``_workspace``).
 
 Every stage acts on each row of a batch on its own, with no BLAS gemm
 whose row count is the batch size, so a row's estimate does not depend on
@@ -185,7 +186,7 @@ def _pauli_tables(n_in: int, n_out: int) -> _PauliTables:
         # the chain on the 32 unit vectors of the float view: every map entry is a
         # sum of products of halves and signs, so the frame holds the chain's map exactly
         basis = np.eye(2 * d * d).view(complex).reshape(-1, d, d)
-        object.__setattr__(tables, "frame", _born(basis, tables))
+        object.__setattr__(tables, "frame", _born(basis, tables, _workspace(tables, len(basis))))
     for table in (tables.gather, tables.scatter, tables.hadamard, tables.select, tables.sign,
                   tables.frame):
         if table is not None:
@@ -223,53 +224,90 @@ def simulate_counts(settings: SettingGrid, M: np.ndarray, rate: float, seed) -> 
     mat = np.asarray(M, dtype=complex)
     if 2**tables.m != mat.shape[0]:
         raise ValueError("setting dimension does not match the matrix dimension")
-    p = _born(mat[None], tables)[0]
+    p = _born(mat[None], tables, _workspace(tables, 1))[0]
     p[p < 1e-12 * p.max()] = 0.0
     rng = np.random.default_rng(seed)
     return rng.poisson(rate * 2 ** settings.n_in * p).astype(float)
 
 
-def _mode_products(x: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:
+def _workspace(tables: _PauliTables, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two flat float buffers that ``_born`` and ``_weighted_projectors`` write into, for
+    up to ``rows`` rows on the grid of ``tables``.
+
+    The steps of a chain alternate between the two, so the first holds its 6^m grid values
+    and the second the 4 x 6^(m-1) values one step away from them; either holds the 2 d^2
+    floats of a d x d complex matrix.  Fewer rows use leading slices, so one workspace,
+    sized at a solve's starting rows, serves every step while its rows converge and leave.
+    """
+    m, parts = tables.m, 2 * 4**tables.m
+    return np.empty(rows * max(6**m, parts)), np.empty(rows * max(4 * 6 ** (m - 1), parts))
+
+
+def _rows(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading floats of a workspace buffer as a C-contiguous array of ``shape``."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _mode_products(x: np.ndarray, mat: np.ndarray, m: int,
+                   bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Contract each of the m grid axes of x (B, K^m) with mat (K x L); returns (B, L^m).
 
     Each step contracts the leading axis and writes the new index last, so
-    after m steps the axes are back in order.
+    after m steps the axes are back in order.  Step k writes into ``bufs[k % 2]``,
+    so x must not live in ``bufs[0]``, and the result lives in ``bufs[(m - 1) % 2]``.
     """
     b = len(x)
-    for _ in range(m):
+    for k in range(m):
         x = x.reshape(b, mat.shape[0], -1)
-        out = np.empty((b, x.shape[2], mat.shape[1]))
+        out = _rows(bufs[k % 2], b, x.shape[2], mat.shape[1])
         np.matmul(mat.T, x, out=out.swapaxes(1, 2))
         x = out
     return x.reshape(b, -1)
 
 
-def _born(rho: np.ndarray, tables: _PauliTables) -> np.ndarray:
-    """<k|rho|k> for every ket k of the 6^m grid; (B, d, d) -> (B, 6^m), real.
+def _born(rho: np.ndarray, tables: _PauliTables,
+          work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """<k|rho|k> for every ket k of the 6^m grid; (B, d, d) -> (B, 6^m), real, in ``work``.
 
     The Pauli coefficients tr(rho P) come from one gather, one Walsh-Hadamard
     matmul and one signed select (``_PauliTables``); the real per-qubit frame
-    ``_PAULI_FRAME`` takes them to the grid.
+    ``_PAULI_FRAME`` takes them to the grid.  The result is a view of the first buffer
+    of the ``_workspace`` ``work``.
     """
     b, d = len(rho), 2**tables.m
+    big, small = work
+    chain = (big, small) if tables.m % 2 else (small, big)   # its last step writes into big
+    # np.take with mode="clip" writes straight into out= (mode="raise" copies first); every
+    # index of the tables is in range, so the two modes take the same entries
     parts = np.take(np.asarray(rho, dtype=complex).reshape(b, -1).view(np.float64),
-                    tables.gather, axis=1)
-    parts = np.matmul(parts.reshape(b, -1, d), tables.hadamard).reshape(b, -1)
-    coeffs = np.take(parts, tables.select, axis=1) * tables.sign
-    return _mode_products(coeffs, _PAULI_FRAME, tables.m)
+                    tables.gather, axis=1, mode="clip", out=_rows(chain[1], b, 2 * d * d))
+    parts = np.matmul(parts.reshape(b, -1, d), tables.hadamard,
+                      out=_rows(chain[0], b, 2 * d, d)).reshape(b, -1)
+    coeffs = np.take(parts, tables.select, axis=1, mode="clip", out=_rows(chain[1], b, d * d))
+    coeffs *= tables.sign
+    return _mode_products(coeffs, _PAULI_FRAME, tables.m, chain)
 
 
-def _weighted_projectors(w: np.ndarray, tables: _PauliTables) -> np.ndarray:
-    """sum_k w_k |k><k| over the 6^m grid; (B, 6^m) -> (B, d, d).
+def _weighted_projectors(w: np.ndarray, tables: _PauliTables,
+                         work: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """sum_k w_k |k><k| over the 6^m grid; (B, 6^m) -> (B, d, d), in ``work``.
 
     The exact adjoint of ``_born``: the transposed frame chain, the signed
-    scatter, the Hadamard matmul and the inverse gather.
+    scatter, the Hadamard matmul and the inverse gather.  ``w`` may be ``_born``'s
+    result; the R operators are a view of the ``_workspace`` ``work``, valid until
+    it is written again.
     """
     b, d = len(w), 2**tables.m
-    parts = np.zeros((b, 2 * d * d))
-    parts[:, tables.select] = _mode_products(w, _PAULI_FRAME.T, tables.m) * tables.sign
-    parts = np.matmul(parts.reshape(b, -1, d), tables.hadamard).reshape(b, -1)
-    return np.take(parts, tables.scatter, axis=1).view(complex).reshape(b, d, d)
+    chain = work[::-1]   # w may be _born's result, in the first buffer
+    coeffs = _mode_products(w, _PAULI_FRAME.T, tables.m, chain)
+    coeffs *= tables.sign
+    parts = _rows(chain[tables.m % 2], b, 2 * d * d)   # the buffer the chain did not end in
+    parts.fill(0.0)
+    parts[:, tables.select] = coeffs
+    summed = np.matmul(parts.reshape(b, -1, d), tables.hadamard,
+                       out=_rows(chain[(tables.m - 1) % 2], b, 2 * d, d)).reshape(b, -1)
+    return np.take(summed, tables.scatter, axis=1, mode="clip",
+                   out=parts).view(complex).reshape(b, d, d)
 
 
 def _mle(settings: SettingGrid, process: bool, counts,
@@ -302,15 +340,18 @@ def _rrr(grid_counts: np.ndarray, tables: _PauliTables, max_iters: int) -> np.nd
     out = np.tile(np.eye(d, dtype=complex) / d, (b, 1, 1))
     rows = np.flatnonzero(grid_counts.sum(axis=1) > 0)   # rows without counts stay I/d
     counts = grid_counts[rows]
-    step = _chain_step if tables.frame is None else _frame_step
+    step = _frame_step
+    if tables.frame is None:   # one workspace for the whole solve, sized at its starting rows
+        step = functools.partial(_chain_step, work=_workspace(tables, len(rows)))
     rho = np.ascontiguousarray(out[rows].transpose(1, 2, 0))
     delta = np.full(len(rows), math.inf)
     for _ in range(max_iters):
         if not len(rows):
             break
-        # r_op lives until the next step returns: freed with the step's temporaries, it let
-        # glibc trim the heap and the next step fault the pages in again (424 000 against
-        # about 3 000 minor page faults in the default 8-point gate-tomo run)
+        # r_op lives until the next step returns.  _frame_step's R is a fresh array: freed
+        # with the step's temporaries, it let glibc trim the heap and the next step fault
+        # the pages in again (87 020 against 30 395 minor page faults in the 13 d = 4 solves
+        # of `channel --seed 0`).  _chain_step's R is a view of its workspace.
         new, r_op = step(rho, counts, tables)
         delta = np.abs(new - rho).max(axis=(0, 1))
         done = delta < MLE_TOL
@@ -327,15 +368,15 @@ def _rrr(grid_counts: np.ndarray, tables: _PauliTables, max_iters: int) -> np.nd
     return out
 
 
-def _chain_step(rho: np.ndarray, counts: np.ndarray,
-                tables: _PauliTables) -> tuple[np.ndarray, np.ndarray]:
-    """One R-rho-R step on (d, d, n) iterates through the Pauli chain and stacked matmuls,
-    which take the rows batch first: returns a (d, d, n) view of the next iterates and R,
-    both batch first in memory."""
+def _chain_step(rho: np.ndarray, counts: np.ndarray, tables: _PauliTables,
+                work: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """One R-rho-R step on (d, d, n) iterates through the Pauli chain, in the ``_workspace``
+    ``work``, and stacked matmuls, which take the rows batch first: returns a (d, d, n)
+    view of the next iterates, batch first in memory, and R, a view of ``work``."""
     rho = np.ascontiguousarray(rho.transpose(2, 0, 1))
-    w = _born(rho, tables)
+    w = _born(rho, tables, work)
     np.divide(counts, np.maximum(w, _PROB_FLOOR, out=w), out=w)
-    r_op = _weighted_projectors(w, tables)
+    r_op = _weighted_projectors(w, tables, work)
     new = r_op @ rho @ r_op
     new += np.conj(np.swapaxes(new, 1, 2))   # 2 x Hermitian part; normalizing cancels the 2
     traces = np.einsum("bdd->b", new).real

@@ -14,9 +14,9 @@ from darkstate.protocol import _herald_projectors
 from darkstate.qmath import (BASIS_LABELS, DensityMatrix, _check_states, expand_operator, ket,
                              max_entangled, partial_trace_array, project, projector, purity,
                              state_fidelity)
-from darkstate.tomography import (MLE_TOL, MeasurementSetting, _born,
-                                  _weighted_projectors, build_state_settings, mle_process,
-                                  mle_state, resample_counts)
+from darkstate.tomography import (MLE_TOL, MeasurementSetting, _born, _weighted_projectors,
+                                  _workspace, build_state_settings, mle_process, mle_state,
+                                  resample_counts)
 
 
 def product_ket(labels: Iterable[str]) -> np.ndarray:
@@ -85,8 +85,9 @@ def rrr_chain(grid_counts: np.ndarray, tables, max_iters: int = 20000) -> np.nda
     for _ in range(max_iters):
         if not len(rows):
             return out
-        p = _born(rho, tables).clip(1e-14, None)
-        r_op = _weighted_projectors(counts / p, tables)
+        work = _workspace(tables, len(rho))
+        p = _born(rho, tables, work).clip(1e-14, None)
+        r_op = _weighted_projectors(counts / p, tables, work)
         new = r_op @ rho @ r_op
         new += np.conj(np.swapaxes(new, 1, 2))
         traces = np.einsum("bdd->b", new).real

@@ -27,14 +27,43 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this package's sources on its path."""
+    src = Path(cli.__file__).parents[1]
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
 def test_cli_import_skips_the_optical_gate():
     # the sweeps need only the gate's success rate, which lives in protocol;
     # the stage-by-stage gate realization is imported by selftest alone
-    code = "import sys, darkstate.cli; print('darkstate.optical_gate' in sys.modules)"
-    src = Path(cli.__file__).parents[1]
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    out = run_python("-c", "import sys, darkstate.cli; "
+                           "print('darkstate.optical_gate' in sys.modules)")
     assert out.stdout.strip() == "False"
+
+
+def test_module_entry_exit_codes():
+    out = run_python("-m", "darkstate", "protocol", "--set", "nosuchkey=1")
+    assert out.returncode == 2 and "config error" in out.stderr
+    assert run_python("-m", "darkstate", "--help").returncode == 0
+
+
+def test_entry_runs_main_with_the_import_graph_frozen():
+    # the process entry freezes what importing the CLI made and turns the GC back
+    # on before main runs; a library import of the CLI freezes nothing
+    code = ("import gc, darkstate.cli\n"
+            "seen = []\n"
+            "darkstate.cli.main = lambda: seen.append((gc.isenabled(), gc.get_freeze_count()))\n"
+            "import darkstate.__main__\n"
+            "try:\n"
+            "    darkstate.__main__.run()\n"
+            "except SystemExit:\n"
+            "    enabled, frozen = seen[0]\n"
+            "    print(enabled, frozen > 0)\n")
+    out = run_python("-c", code)
+    assert out.returncode == 0 and out.stdout.split() == ["True", "True"]
+    out = run_python("-c", "import gc, darkstate.cli; print(gc.get_freeze_count())")
+    assert out.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------

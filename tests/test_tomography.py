@@ -35,7 +35,8 @@ from darkstate.tomography import (
 )
 from darkstate import tomography
 from darkstate.experiments import NoiseParams, _channel_metrics, _gate_choi, _gate_metrics
-from darkstate.tomography import _born, _pauli_tables, _rrr, _weighted_projectors
+from darkstate.tomography import (_born, _pauli_tables, _rrr, _weighted_projectors,
+                                  _workspace)
 from helpers import (channel_to_choi, product_density, product_ket, product_settings,
                      random_density_matrix, random_pure_state, rrr_chain)
 
@@ -316,6 +317,35 @@ def test_mle_batch_rows_match_single_calls(settings, estimate, rows):
     np.testing.assert_array_equal(batch[-1], np.eye(d) / d)
 
 
+def test_chain_workspace_serves_a_shrinking_batch(monkeypatch):
+    # one workspace, sized at the starting rows, serves every step of a chain solve
+    # while rows leave it: each row still equals its single call bit for bit, and a
+    # second identical call gives the same bits, so no state outlives a solve
+    settings = build_state_settings(3)
+    rng = np.random.default_rng(61)
+    mats = [0.995 * GHZ3 + 0.005 * np.eye(8) / 8]
+    mats += [mix * random_density_matrix(3, rng).matrix + (1.0 - mix) * np.eye(8) / 8
+             for mix in (0.2, 0.5, 0.8, 0.95)]
+    counts = np.array([simulate_counts(settings, mat, rate=rate, seed=seed)
+                       for seed, mat in enumerate(mats) for rate in (300.0, 3000.0)])
+    steps = []   # per step: live rows and the workspace buffers' ids and sizes
+    chain_step = tomography._chain_step
+
+    def spy(rho, counts, tables, work):
+        steps.append((rho.shape[-1], *(id(buf) for buf in work), *(buf.size for buf in work)))
+        return chain_step(rho, counts, tables, work)
+
+    monkeypatch.setattr(tomography, "_chain_step", spy)
+    batch = mle_state(settings, counts)
+    live = [step[0] for step in steps]
+    assert live[0] == len(counts) and live[-1] < live[0] and live == sorted(live, reverse=True)
+    assert {step[1:] for step in steps} == {(*steps[0][1:3], 216 * len(counts),
+                                             144 * len(counts))}
+    np.testing.assert_array_equal(mle_state(settings, counts), batch)
+    for row, rho in zip(counts, batch):
+        np.testing.assert_array_equal(rho, mle_state(settings, row[None, :])[0])
+
+
 def frame_kernel_batch(settings) -> np.ndarray:
     """120 count rows on an m = 2 grid: 118 partly mixed random states (channels on
     the process grid) at two rates, a slow near-unitary channel, whose row runs on
@@ -368,11 +398,12 @@ def test_frame_is_the_pauli_chain(n_in, n_out):
     # transpose the chain's R map, entry for entry
     tables = _pauli_tables(n_in, n_out)
     assert tables.frame.shape == (32, 36)
-    weights = _weighted_projectors(np.eye(36), tables).reshape(36, -1).view(np.float64)
+    weights = _weighted_projectors(np.eye(36), tables, _workspace(tables, 36))
+    weights = weights.reshape(36, -1).view(np.float64)
     assert np.array_equal(weights, tables.frame.T)
     rho = random_psd(4, 5, np.random.default_rng(47))
     p = np.matmul(rho.reshape(5, 1, 16).view(np.float64), tables.frame)[:, 0]
-    assert np.abs(p - _born(rho, tables)).max() <= 1e-14 * np.abs(p).max()
+    assert np.abs(p - _born(rho, tables, _workspace(tables, 5))).max() <= 1e-14 * np.abs(p).max()
     assert _pauli_tables(3, 3).frame is None and _pauli_tables(0, 1).frame is None
 
 
@@ -566,11 +597,11 @@ def test_structured_maps_match_dense(process, n):
     kets = setting_kets(settings, process=process)
     tables = _pauli_tables(settings.n_in, settings.n_out)
     mats = random_psd(kets.shape[1], 3, rng)
-    p = _born(mats, tables)
+    p = _born(mats, tables, _workspace(tables, 3))
     dense_p = np.stack([np.einsum("ne,ne->n", kets.conj() @ m, kets) for m in mats])
     assert abs(p - dense_p).max() <= 1e-13 * abs(dense_p).max()
     w = rng.random((3, len(settings)))
-    r_op = _weighted_projectors(w, tables)
+    r_op = _weighted_projectors(w, tables, _workspace(tables, 3))
     dense_r = np.stack([(kets.T * wi) @ kets.conj() for wi in w])
     assert abs(r_op - dense_r).max() <= 1e-13 * abs(dense_r).max()
 
@@ -582,12 +613,12 @@ def test_structured_maps_match_dense_three_qubit_process():
     tables = _pauli_tables(3, 3)
     rng = np.random.default_rng(43)
     chi = random_psd(64, 1, rng)
-    p = _born(chi, tables)
+    p = _born(chi, tables, _workspace(tables, 1))
     assert p.dtype == np.float64 and p.shape == (1, len(settings))
     dense_p = np.einsum("ne,ne->n", kets.conj() @ chi[0], kets)
     assert abs(p[0] - dense_p).max() <= 1e-13 * abs(dense_p).max()
     w = rng.random((1, len(settings)))
-    r_op = _weighted_projectors(w, tables)
+    r_op = _weighted_projectors(w, tables, _workspace(tables, 1))
     dense_r = (kets.T * w[0]) @ kets.conj()
     assert abs(r_op[0] - dense_r).max() <= 1e-13 * abs(dense_r).max()
 
@@ -757,6 +788,23 @@ def test_simulate_counts_memory_stays_small(gate_settings):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_gate_solve_memory_holds_two_chain_buffers(gate_settings):
+    # the chain's steps alternate between two buffers of the solve's starting rows,
+    # 46 656 + 31 104 floats a row, where one buffer per step shape would hold nearly
+    # three times that; 5 696 732 bytes is the peak of this solve when every step
+    # allocated its own arrays (numpy 2.4.6)
+    chi = _gate_choi(math.pi, NoiseParams())
+    counts = np.array([simulate_counts(gate_settings, chi, 300.0, seed=s) for s in range(4)])
+    tracemalloc.start()
+    try:
+        with pytest.warns(MLEConvergenceWarning):
+            mle_process(gate_settings, counts, max_iters=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 5_696_732
 
 
 def test_simulate_counts_validates_settings_and_dimension():
