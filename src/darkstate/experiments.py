@@ -1,10 +1,9 @@
 """Scenario runners: coupling-strength sweeps, channel analysis, gate tomography.
 
-Each runner produces two parallel tracks per grid point: an exact analytic
-track (density-matrix algebra, no shot noise) and, when enabled, a
-simulated-measurement track (Poissonian counts, maximum-likelihood
-reconstruction, Monte-Carlo error bars).  The analytic track is the
-shot-noise-free limit the reconstruction must approach.
+Each run computes one track per grid point.  With shot noise it is the
+simulated measurement: Poissonian counts, maximum-likelihood reconstruction
+and bootstrap error bars.  Without shot noise it is the exact analytic value
+(density-matrix algebra), the limit that the reconstruction must approach.
 
 Register order in the pipelines is (P, S, E): probe, signal, environment,
 with the probe on the most significant qubit.
@@ -155,19 +154,11 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class MetricValue:
-    """One quantity on both tracks: exact value and reconstructed estimate."""
+    """One quantity of a run: the estimate with shot noise and the analytic value
+    without, and its bootstrap std, 0 without a bootstrap and nan with a nan value."""
 
-    analytic: float | None
-    estimate: float | None = None
-    std: float | None = None
-
-    @property
-    def value(self) -> float:
-        return self.estimate if self.estimate is not None else float(self.analytic)
-
-    @property
-    def deviation(self) -> float:
-        return self.std if self.std is not None else 0.0
+    value: float
+    std: float
 
 
 @dataclass(frozen=True)
@@ -361,20 +352,15 @@ def _seed_seq(seed: int, *key: int) -> np.random.SeedSequence:
 
 
 def _metrics(block: np.ndarray) -> list[MetricValue]:
-    """Both tracks of one quantity from each row of a (K, 1 + E) column block.
-
-    Column 0 is the analytic value.  With shot noise, column 1 is the
-    estimate and columns 2.. are its bootstrap replicas (none without a
-    bootstrap); the replica std is one call over the block.
+    """One quantity from each row of a (K, 1 + R) column block: column 0 is the value
+    and columns 1.. are its bootstrap replicas (none without a bootstrap); the
+    replica std is one call over the block.
     """
-    if block.shape[1] == 1:
-        return [MetricValue(analytic=float(a)) for a in block[:, 0]]
-    if block.shape[1] > 2:
-        stds = block[:, 2:].std(axis=1, ddof=1)
+    if block.shape[1] > 1:
+        stds = block[:, 1:].std(axis=1, ddof=1)
     else:
-        stds = np.where(np.isnan(block[:, 1]), math.nan, 0.0)
-    return [MetricValue(analytic=float(a), estimate=float(e), std=float(s))
-            for a, e, s in zip(block[:, 0], block[:, 1], stds)]
+        stds = np.where(np.isnan(block[:, 0]), math.nan, 0.0)
+    return [MetricValue(float(v), float(s)) for v, s in zip(block[:, 0], stds)]
 
 
 @dataclass(frozen=True)
@@ -427,7 +413,7 @@ def _samples(phis: Sequence[float], keys: Sequence[int], preps: np.ndarray, env:
         for i, (rho, transmission) in enumerate(zip(rho_se[p], transmissions[p])):
             counts[0] = simulate_counts(_TQ_SETTINGS, rho, config.rate * transmission,
                                         _seed_seq(config.seed, key, i, 0))
-            counts[1:] = resample_counts(counts[0], bootstrap, config.seed, (key, i))
+            counts[1:] = resample_counts(counts[0], bootstrap, _seed_seq(config.seed, key, i, 1))
             tomograms[p, i] = _marginal_counts(counts)
             totals[p, i] = counts.sum(axis=1)
     return _Samples(phis, rho_se, weights, transmissions, tomograms, totals)
@@ -441,49 +427,45 @@ def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _marginal_states(samples: _Samples) -> np.ndarray:
     """Signal (row 0) and environment (row 1) state of each state of a batch, points
-    major, (2, P·L, 1 + E, 2, 2).
+    major, (2, P·L, 1 + R, 2, 2).
 
-    Column 0 holds the analytic states.  With shot noise, column 1 holds the
-    MLE states from the counts and columns 2.. those from the replicas, nan
-    for a state that drew no counts.  All the batch's tomograms go into one
-    ``mle_state`` call, and its point estimates are checked at once, as
-    ``DensityMatrix`` checks its matrix.
+    Without shot noise, column 0 holds the analytic states.  With it, column 0
+    holds the MLE states from the counts and columns 1.. those from the
+    replicas, nan for a state that drew no counts.  All the batch's tomograms
+    go into one ``mle_state`` call, and its point estimates are checked at
+    once, as ``DensityMatrix`` checks its matrix.
     """
-    rhos = [partial_trace_array(samples.rho_se, 2, (q,)).reshape(-1, 2, 2) for q in (0, 1)]
     if samples.tomograms is None:
-        return np.stack(rhos)[:, :, None]
-    # contiguous per kind, so each metric sums its terms as a lone state's stack does
-    states = np.empty((2, len(rhos[0]), 1 + samples.tomograms.shape[3], 2, 2), dtype=complex)
-    states[:, :, 0] = rhos
+        return np.stack([partial_trace_array(samples.rho_se, 2, (q,)).reshape(-1, 1, 2, 2)
+                         for q in (0, 1)])
     # per state: the signal tomograms, then the environment ones; no counts gives I/2
     fits = mle_state(_SQ_SETTINGS, samples.tomograms.reshape(-1, 6)).reshape(
-        len(rhos[0]), 2, -1, 2, 2)
-    points = fits[:, :, 0].reshape(-1, 2, 2)
-    _check_states(points)
-    states[:, :, 1:] = fits.swapaxes(0, 1)
-    states[:, samples.empty.ravel(), 1:] = math.nan
+        samples.weights.size, 2, -1, 2, 2)
+    _check_states(fits[:, :, 0].reshape(-1, 2, 2))
+    # contiguous per kind, so each metric sums its terms as a lone state's stack does
+    states = np.ascontiguousarray(fits.swapaxes(0, 1))
+    states[:, samples.empty.ravel()] = math.nan
     return states
 
 
 def _success_columns(samples: _Samples, anchors: _Samples) -> np.ndarray:
-    """Transmission relative to the anchor's, then (with shot noise) the count total
-    over the anchor's, for the estimate and each replica; one row per state of a
-    batch, points major (see ``_metrics``).
+    """Transmission relative to the anchor's without shot noise, and with it the count
+    total over the anchor's, for the estimate and each replica; one row per
+    state of a batch, points major (see ``_metrics``).
 
     A point at the anchor's phi reads exactly 1; an anchor without counts
     leaves the ratio undefined (nan) at every grid point, and so does an anchor
     replica without counts for that replica.
     """
-    analytic = (samples.transmissions / anchors.transmissions).reshape(-1, 1)
     if samples.totals is None:
-        return analytic
+        return (samples.transmissions / anchors.transmissions).reshape(-1, 1)
     ratios = np.divide(samples.totals, anchors.totals, out=np.full(samples.totals.shape, math.nan),
                        where=anchors.totals > 0)
     at_anchor = np.zeros(anchors.totals.shape)
     at_anchor[..., 0] = 1.0
     at_anchor[anchors.empty] = math.nan
     ratios[samples.phis == anchors.phis[0]] = at_anchor
-    return np.hstack([analytic, ratios.reshape(len(analytic), -1)])
+    return ratios.reshape(-1, ratios.shape[-1])
 
 
 def _state_points(labels: Sequence[str], samples: _Samples, anchors: _Samples
@@ -492,7 +474,7 @@ def _state_points(labels: Sequence[str], samples: _Samples, anchors: _Samples
     point's fig4 mean row.
 
     Each metric is one computation over the ``_marginal_states`` stack of all
-    the batch's states, and its (P·L, 1 + E) block of columns one ``_metrics``
+    the batch's states, and its (P·L, 1 + R) block of columns one ``_metrics``
     call; every state's row is computed on its own.
     """
     sig, env = _marginal_states(samples)
@@ -508,60 +490,64 @@ def _state_points(labels: Sequence[str], samples: _Samples, anchors: _Samples
     return points, _metrics(means)
 
 
-def _choi_points(settings: SettingGrid, chis: np.ndarray, counts: np.ndarray, metrics,
+def _choi_points(settings: SettingGrid, data: np.ndarray, shot_noise: bool, metrics,
                  max_iters: int = MLE_MAX_ITERS) -> list[tuple[MetricValue, ...]]:
-    """One figure's metric rows of P grid points from process tomography.
+    """One figure's metric rows of P grid points, from process tomography with shot noise.
 
-    ``chis`` (P, d, d) holds each point's analytic Choi matrix and ``counts``
-    (P, E, N) its tomogram (row 0) and bootstrap replicas, (P, 0, N) without
-    shot noise.  All the tomograms go into one ``mle_process`` call, and the
-    estimates of the determined points (those whose tomogram has counts) are
-    checked at once, as ``DensityMatrix`` checks its matrix; replicas are not.
-    ``metrics`` maps a (B, d, d) stack to its metric columns, and runs once on
-    every point's analytic matrix followed by its estimates.  An undetermined
-    point's rows are left at I/d by the estimator, and its estimates are nan.
+    Without shot noise, ``data`` (P, d, d) holds each point's analytic Choi
+    matrix.  With it, ``data`` (P, 1 + R, N) holds each point's tomogram (row 0)
+    and bootstrap replicas.  All the tomograms go into one ``mle_process`` call,
+    and the estimates of the determined points (those whose tomogram has
+    counts) are checked at once, as ``DensityMatrix`` checks its matrix;
+    replicas are not.  ``metrics`` maps a (B, d, d) stack to its metric columns,
+    and runs once on every point's matrices.  The estimator leaves an
+    undetermined point's rows at I/d, and its whole block is set to nan after
+    the metric call, since EoF rejects a nan matrix.
     """
-    d = chis.shape[-1]
-    estimates = mle_process(settings, counts.reshape(-1, counts.shape[2]),
-                            max_iters=max_iters).reshape(counts.shape[:2] + (d, d))
-    determined = counts[:, :1].any(axis=(1, 2))
-    _check_states(estimates[determined, :1])
-    stack = np.concatenate([chis[:, None], estimates], axis=1)
-    block = np.stack(metrics(stack.reshape(-1, d, d))).reshape(-1, len(chis), stack.shape[1])
-    block[:, ~determined, 1:] = math.nan
+    chis, determined = data[:, None], np.ones(len(data), dtype=bool)
+    if shot_noise:
+        counts = data
+        estimates = mle_process(settings, counts.reshape(-1, counts.shape[2]),
+                                max_iters=max_iters)
+        chis = estimates.reshape(counts.shape[:2] + estimates.shape[1:])
+        determined = counts[:, 0].any(axis=1)
+        _check_states(chis[determined, :1])
+    block = np.stack(metrics(chis.reshape((-1,) + chis.shape[2:])))
+    block = block.reshape(-1, *chis.shape[:2])
+    block[:, ~determined] = math.nan
     return list(zip(*map(_metrics, block)))
 
 
 # A sweep runs its grid in batches of consecutive points whose 1 + R channel rows (R =
-# bootstrap_samples) add up to at most this many, and a point at or over it alone.  Each
-# batch goes through the pipeline, the state estimates and the channel estimates as one
-# stack.  Per-row R-rho-R cost is flat from about 250 rows, so a larger batch saves little
-# and costs memory.
+# bootstrap_samples with shot noise, 0 without) add up to at most this many, and a point
+# at or over it alone.  Each batch goes through the pipeline, the state estimates and the
+# channel estimates as one stack.  Per-row R-rho-R cost is flat from about 250 rows, so a
+# larger batch saves little and costs memory.
 _CHANNEL_BATCH_ROWS = 1000
 
 
 def _channel_stacks(samples: _Samples, labels: Sequence[str], config: ScenarioConfig,
-                    index: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """fig5 inputs at the grid points ``index`` of a batch, from the samples of ``labels``,
-    an order of BASIS_LABELS.
+                    index: Sequence[int]) -> np.ndarray:
+    """fig5 input at the grid points ``index`` of a batch, from the samples of ``labels``,
+    an order of BASIS_LABELS (see ``_choi_points``).
 
-    Returns each point's analytic signal-channel Choi matrix, (P, 4, 4), and the
-    (P, 1 + R, 36) stack of its channel tomogram (row 0) and replicas, (P, 0, 36)
-    without shot noise.  The rows of a point where a preparation drew no counts
-    are zero.
+    Without shot noise, the input is each point's analytic signal-channel Choi
+    matrix, (P, 4, 4).  With it, the input is the (P, 1 + R, 36) stack of each
+    point's channel tomogram (row 0) and replicas; the rows of a point where a
+    preparation drew no counts are zero.
     """
     order = [labels.index(lab) for lab in BASIS_LABELS]
-    chis = channel_choi_from_outputs(samples.weights[:, order, None, None]
-                                     * partial_trace_array(samples.rho_se[:, order], 2, (0,)))
     if not config.shot_noise:
-        return chis, np.empty((len(chis), 0, len(_CHANNEL_SETTINGS)))
-    counts = np.zeros((len(chis), 1 + config.bootstrap_samples, len(_CHANNEL_SETTINGS)))
+        outputs = samples.weights[:, order, None, None] * partial_trace_array(
+            samples.rho_se[:, order], 2, (0,))
+        return channel_choi_from_outputs(outputs)
+    counts = np.zeros((len(index), 1 + config.bootstrap_samples, len(_CHANNEL_SETTINGS)))
     for p in np.flatnonzero(~samples.empty[:, order].any(axis=1)):
         # preparation-major signal counts, as in _CHANNEL_SETTINGS
         counts[p, 0] = samples.tomograms[p, order, 0, 0].ravel()
-        counts[p, 1:] = resample_counts(counts[p, 0], config.bootstrap_samples, config.seed,
-                                        (index[p], 99))
-    return chis, counts
+        counts[p, 1:] = resample_counts(counts[p, 0], config.bootstrap_samples,
+                                        _seed_seq(config.seed, index[p], 99, 1))
+    return counts
 
 
 def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> ScenarioResult:
@@ -594,7 +580,7 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
 
     state_points: list[StatePoint] = []
     phi_points: list[PhiPoint] = []
-    size = max(1, _CHANNEL_BATCH_ROWS // (1 + config.bootstrap_samples))
+    size = max(1, _CHANNEL_BATCH_ROWS // (1 + config.shot_noise * config.bootstrap_samples))
     for start in range(0, len(grid), size):
         index = range(start, min(start + size, len(grid)))
         phis = [grid[i] for i in index]
@@ -611,9 +597,9 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
             state_points.extend(points)
         channels = [()] * len(phis)
         if with_channel:
-            chis, counts = _channel_stacks(batch, labels, config, index)
+            data = _channel_stacks(batch, labels, config, index)
             del batch   # the channel MLE needs only its tomograms, not the state samples
-            channels = _choi_points(_CHANNEL_SETTINGS, chis, counts, _channel_metrics)
+            channels = _choi_points(_CHANNEL_SETTINGS, data, config.shot_noise, _channel_metrics)
         phi_points.extend(PhiPoint(phi, mean, *channel)
                           for phi, mean, channel in zip(phis, means, channels))
     return ScenarioResult(states=tuple(state_points), phis=tuple(phi_points))
@@ -647,18 +633,20 @@ def _sandwich(u: np.ndarray, mats: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u.conj()[..., None, :] @ mats @ v[..., :, None])[..., 0, 0]
 
 
-def optimize_local_phase_fidelity(chi, ideal_vec: np.ndarray, n: int):
+def optimize_local_phase_fidelity(chi, ideal_vec: np.ndarray):
     """Maximal overlap fidelity over local Z phases on the output qubits.
 
     Six rounds of coordinate ascent, one phase per output bit.  Each
     coordinate maximization is exact: splitting the ideal vector on one
     output bit makes the overlap a + 2 Re(e^{i theta} b), maximized at
-    theta = -arg(b).  ``chi`` is one Choi matrix or a (..., d, d) stack, and
-    the result the (...) fidelities, each row optimized on its own.
+    theta = -arg(b).  ``chi`` is one Choi matrix of an n-qubit channel, d = 4^n,
+    or a (..., d, d) stack, and the result the (...) fidelities, each row
+    optimized on its own.
     """
     mats = np.asarray(chi, dtype=complex)
     v = np.broadcast_to(np.asarray(ideal_vec, dtype=complex), mats.shape[:-1])
     idx = np.arange(v.shape[-1])
+    n = (len(idx).bit_length() - 1) // 2
     out_bits = [(idx >> k) & 1 for k in range(n)]   # output half = low n bits
     for _ in range(6):
         for bit in out_bits:
@@ -675,14 +663,14 @@ def _gate_metrics(chis: np.ndarray, ideal_vec: np.ndarray
     """Process fidelity, purity and phase-optimized fidelity of each (B, 64, 64) Choi matrix."""
     states = _unit_trace(chis)
     return (state_fidelity(states, ideal_vec), purity(states),
-            optimize_local_phase_fidelity(chis, ideal_vec, 3))
+            optimize_local_phase_fidelity(chis, ideal_vec))
 
 
 def run_gate_tomography(config: ScenarioConfig) -> ScenarioResult:
     """Characterize the realized three-qubit gate across the grid.
 
-    With shot noise, the simulated-measurement track runs 6^6-setting process
-    tomography; the analytic track always runs.
+    With shot noise, each point runs 6^6-setting process tomography; without
+    it, each point reads the metrics of its analytic Choi matrix.
     """
     if config.mode != "gate_tomography":
         raise ValueError(f"config mode {config.mode!r} does not match gate tomography")
@@ -692,16 +680,15 @@ def run_gate_tomography(config: ScenarioConfig) -> ScenarioResult:
     points: list[GatePoint] = []
     settings = build_process_settings(3)
     for pi, phi in enumerate(grid):
-        chi = _gate_choi(phi, config.noise)
-        counts = np.empty((0, len(settings)))
+        data = chi = _gate_choi(phi, config.noise)
         if config.shot_noise:
             tomogram = simulate_counts(settings, chi, config.rate, _seed_seq(config.seed, pi, 3))
-            counts = np.vstack([tomogram, resample_counts(
-                tomogram, config.gate_bootstrap_samples, config.seed, (pi, 3))])
+            data = np.vstack([tomogram, resample_counts(tomogram, config.gate_bootstrap_samples,
+                                                        _seed_seq(config.seed, pi, 3, 1))])
             if not tomogram.any():
                 print(f"phi = {phi:.6g}: no counts, estimates are nan", file=sys.stderr)
         ideal_vec = np.kron(eye8, u_ccp(phi)) @ phi3
-        (metrics,) = _choi_points(settings, chi[None], counts[None],
+        (metrics,) = _choi_points(settings, data[None], config.shot_noise,
                                   lambda chis: _gate_metrics(chis, ideal_vec),
                                   config.gate_mle_max_iters)
         points.append(GatePoint(phi, *metrics))
@@ -738,7 +725,7 @@ def _csv(header: str, rows: list[str]) -> str:
 
 
 def _cells(metric: MetricValue) -> str:
-    return f"{_fmt(metric.value)},{_fmt(metric.deviation)}"
+    return f"{_fmt(metric.value)},{_fmt(metric.std)}"
 
 
 def write_scenario_csvs(result: ScenarioResult, outdir: str) -> list[str]:

@@ -81,15 +81,15 @@ def criterion_2_protection_closure() -> tuple[bool, str]:
     proto = run_protocol_sweep(ScenarioConfig(mode="protocol", shot_noise=False))
     worst = 0.0
     for sp in proto.states:
-        worst = max(worst, abs(sp.fidelity.analytic - 1.0), abs(sp.purity.analytic - 1.0))
+        worst = max(worst, abs(sp.fidelity.value - 1.0), abs(sp.purity.value - 1.0))
     ref = run_reference_sweep(ScenarioConfig(mode="reference", shot_noise=False))
     for sp in ref.states:
         if sp.state in ("0", "1"):
             expected = 1.0
         else:
             expected = (1.0 + math.cos(sp.phi / 2.0) ** 2) / 2.0
-        worst = max(worst, abs(sp.fidelity.analytic - expected),
-                    abs(sp.purity.analytic - expected))
+        worst = max(worst, abs(sp.fidelity.value - expected),
+                    abs(sp.purity.value - expected))
     return worst < 1e-10, f"max closure deviation = {worst:.2e}"
 
 
@@ -98,11 +98,11 @@ def criterion_3_success_curves() -> tuple[bool, str]:
     worst = 0.0
     for sp in proto.states:
         formula = math.sin(sp.phi / 2.0) ** 2 / (1.0 + abs(math.sin(sp.phi)))
-        worst = max(worst, abs(sp.success_norm.analytic - formula))
+        worst = max(worst, abs(sp.success_norm.value - formula))
     ref = run_reference_sweep(ScenarioConfig(mode="reference", shot_noise=False))
     for sp in ref.states:
         formula = 1.0 / (1.0 + abs(math.sin(sp.phi)))
-        worst = max(worst, abs(sp.success_norm.analytic - formula))
+        worst = max(worst, abs(sp.success_norm.value - formula))
     return worst < 1e-12, f"max curve deviation = {worst:.2e}"
 
 
@@ -208,10 +208,10 @@ def criterion_8_noise_trend() -> tuple[bool, str]:
             mode="reference", phi_grid=grid, noise=noise, rate=3000.0,
             bootstrap_samples=0, seed=seed))
         for gi, _phi in enumerate(grid):
-            pops[seed, gi] = proto.phis[gi].mean_env_pop1.estimate
-            f_proto[seed, gi] = next(sp.fidelity.estimate for sp in proto.states
+            pops[seed, gi] = proto.phis[gi].mean_env_pop1.value
+            f_proto[seed, gi] = next(sp.fidelity.value for sp in proto.states
                                      if sp.phi == grid[gi] and sp.state == "+")
-            f_ref[seed, gi] = next(sp.fidelity.estimate for sp in ref.states
+            f_ref[seed, gi] = next(sp.fidelity.value for sp in ref.states
                                    if sp.phi == grid[gi] and sp.state == "+")
     med_pop = np.median(pops, axis=0)
     med_fp = np.median(f_proto, axis=0)

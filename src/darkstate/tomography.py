@@ -540,11 +540,10 @@ def mle_process(settings: SettingGrid, counts,
     return _mle(settings, True, counts, max_iters)
 
 
-def resample_counts(counts: np.ndarray, samples: int, seed: int,
-                    key: tuple[int, ...]) -> np.ndarray:
-    """Poisson-resampled count matrix of shape (samples, N), drawn on spawn key (*key, 1)
-    of ``seed``."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(*key, 1)))
+def resample_counts(counts: np.ndarray, samples: int, seed) -> np.ndarray:
+    """Poisson-resampled count matrix of shape (samples, N); ``seed`` is an int or a
+    ``SeedSequence``."""
+    rng = np.random.default_rng(seed)
     base = np.asarray(counts, dtype=float)
     return rng.poisson(np.broadcast_to(base, (samples, base.size)))
 

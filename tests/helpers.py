@@ -130,32 +130,27 @@ def reference_point(phi: float, psi_label: str, env: np.ndarray, noise) -> tuple
 
 
 def metric(column: np.ndarray) -> MetricValue:
-    """Both tracks of one quantity from its column: analytic value, then (with shot
-    noise) the estimate and its bootstrap replicas.  The reference for
-    ``experiments._metrics``, one column at a time."""
-    analytic = float(column[0])
-    if len(column) == 1:
-        return MetricValue(analytic=analytic)
-    estimate, reps = float(column[1]), column[2:]
+    """One quantity from its column: the value, then its bootstrap replicas.  The
+    reference for ``experiments._metrics``, one column at a time."""
+    value, reps = float(column[0]), column[1:]
     if reps.size:
         std = float(reps.std(ddof=1))
     else:
-        std = math.nan if math.isnan(estimate) else 0.0
-    return MetricValue(analytic=analytic, estimate=estimate, std=std)
+        std = math.nan if math.isnan(value) else 0.0
+    return MetricValue(value, std)
 
 
 def success_column(p: int, i: int, samples, anchors) -> np.ndarray:
     """Success ratio column of state i at point p of a batch against its anchor, one
     state at a time."""
-    analytic = [samples.transmissions[p, i] / anchors.transmissions[0, i]]
     if samples.totals is None:
-        return np.array(analytic)
+        return np.array([samples.transmissions[p, i] / anchors.transmissions[0, i]])
     totals, anchor_totals = samples.totals[p, i], anchors.totals[0, i]
     if not anchor_totals[0]:
-        return np.array(analytic + [math.nan])
+        return np.array([math.nan])
     if samples.phis[p] == anchors.phis[0]:
-        return np.concatenate([analytic, [1.0], np.zeros(len(totals) - 1)])
-    return np.concatenate([analytic, [totals[0] / anchor_totals[0]],
+        return np.concatenate([[1.0], np.zeros(len(totals) - 1)])
+    return np.concatenate([[totals[0] / anchor_totals[0]],
                            np.divide(totals[1:], anchor_totals[1:],
                                      out=np.full(len(totals) - 1, math.nan),
                                      where=anchor_totals[1:] > 0)])
@@ -163,20 +158,17 @@ def success_column(p: int, i: int, samples, anchors) -> np.ndarray:
 
 def state_columns(p: int, i: int, samples, psi: np.ndarray) -> list[np.ndarray]:
     """Signal purity, fidelity to ``psi`` and environment |1> population columns of
-    state i at point p of a batch, from its own analytic states, MLE calls and
-    ``DensityMatrix`` checks."""
-    stacks = [partial_trace_array(samples.rho_se[p, i], 2, (q,))[None] for q in (0, 1)]
-    empty = samples.totals is not None and not samples.totals[p, i, 0]
-    if samples.tomograms is not None and not empty:
-        for q, tomograms in enumerate(samples.tomograms[p, i]):
-            rhos = mle_state(build_state_settings(1), tomograms)
-            DensityMatrix(rhos[0])   # the point estimate
-            stacks[q] = np.concatenate([stacks[q], rhos])
-    sig, env = stacks
-    columns = [purity(sig), state_fidelity(sig, psi), env[:, 1, 1].real]
-    if empty:   # a nan estimate and nan replicas
-        columns = [np.append(c, np.full(samples.totals.shape[-1], math.nan)) for c in columns]
-    return columns
+    state i at point p of a batch: from its own analytic states without shot noise,
+    and with it from its own MLE calls and ``DensityMatrix`` checks."""
+    if samples.tomograms is None:
+        sig, env = (partial_trace_array(samples.rho_se[p, i], 2, (q,))[None] for q in (0, 1))
+    elif not samples.totals[p, i, 0]:   # a nan estimate and nan replicas
+        return [np.full(samples.totals.shape[-1], math.nan)] * 3
+    else:
+        sig, env = (mle_state(build_state_settings(1), t) for t in samples.tomograms[p, i])
+        DensityMatrix(sig[0])   # the point estimates
+        DensityMatrix(env[0])
+    return [purity(sig), state_fidelity(sig, psi), env[:, 1, 1].real]
 
 
 def state_points(labels, samples, anchors) -> tuple[list[StatePoint], list[MetricValue]]:
@@ -200,25 +192,27 @@ def state_points(labels, samples, anchors) -> tuple[list[StatePoint], list[Metri
 
 def channel_input(samples, point: int, labels, config, key: tuple[int, ...]):
     """fig5 input at grid point ``point`` of a batch, from the samples of ``labels``, an
-    order of BASIS_LABELS: the analytic signal-channel Choi matrix and the (1 + R, 36)
-    tomogram stack of the channel estimate (row 0) and its replicas, None without shot
-    noise and when a preparation drew no counts."""
+    order of BASIS_LABELS: without shot noise the analytic signal-channel Choi
+    matrix, and with it the (1 + R, 36) tomogram stack of the channel estimate (row
+    0) and its replicas, None when a preparation drew no counts."""
     order = [labels.index(lab) for lab in BASIS_LABELS]
-    chi = channel_choi_from_outputs(samples.weights[point][order, None, None]
-                                    * partial_trace_array(samples.rho_se[point][order], 2, (0,)))
-    if not config.shot_noise or samples.empty[point].any():
-        return chi, None
+    if not config.shot_noise:
+        return channel_choi_from_outputs(samples.weights[point][order, None, None]
+                                         * partial_trace_array(samples.rho_se[point][order],
+                                                               2, (0,)))
+    if samples.empty[point].any():
+        return None
     counts = samples.tomograms[point][order, 0, 0].ravel()
-    boot = resample_counts(counts, config.bootstrap_samples, config.seed, key)
-    return chi, np.vstack([counts, boot])
+    boot = resample_counts(counts, config.bootstrap_samples,
+                           np.random.SeedSequence(entropy=config.seed, spawn_key=(*key, 1)))
+    return np.vstack([counts, boot])
 
 
 def channel_inputs(samples, labels, config, index):
-    """The ``channel_input`` of each grid point ``index`` of a batch, and whether the
-    config draws counts.  The reference for ``experiments._channel_stacks``, which
-    builds one regular stack with zero rows for the undetermined points."""
-    return ([channel_input(samples, p, labels, config, (pi, 99)) for p, pi in enumerate(index)],
-            config.shot_noise)
+    """The ``channel_input`` of each grid point ``index`` of a batch.  The reference for
+    ``experiments._channel_stacks``, which builds one regular stack with zero rows for
+    the undetermined points."""
+    return [channel_input(samples, p, labels, config, (pi, 99)) for p, pi in enumerate(index)]
 
 
 def channel_points(settings, inputs, shot_noise: bool,
@@ -226,25 +220,23 @@ def channel_points(settings, inputs, shot_noise: bool,
     """fig5 metrics of the ``channel_inputs`` of the grid points of a batch, with the
     undetermined points left out of the estimator and the metrics.
 
-    The reference for ``experiments._choi_points``, called as a sweep calls it: the
-    tomograms of the points that have them go into one ``mle_process`` call,
-    their point estimates into one ``_check_states`` call, and the Choi matrices
-    into one ``metrics`` call, concatenated and split again point by point.
+    The reference for ``experiments._choi_points``, called as a sweep calls it.
+    Without shot noise, the analytic Choi matrices go into one ``metrics`` call.
+    With it, the tomograms of the points that have them go into one
+    ``mle_process`` call, their point estimates into one ``_check_states`` call,
+    and the Choi estimates into one ``metrics`` call, concatenated and split again
+    point by point; an undetermined point reads nan.
     """
-    stacks = [t for _, t in inputs if t is not None]
-    estimates = iter(())
+    if not shot_noise:
+        block = np.stack(metrics(np.stack(inputs)))
+        return [tuple(map(metric, block[:, [p]])) for p in range(len(inputs))]
+    stacks = [t for t in inputs if t is not None]
+    starts = np.cumsum([0] + [len(t) for t in stacks])
+    chis = np.zeros((0, 4, 4), dtype=complex)
     if stacks:
-        starts = np.cumsum([0] + [len(t) for t in stacks[:-1]])
         chis = mle_process(settings, np.concatenate(stacks))
-        _check_states(chis[starts])
-        estimates = iter(np.split(chis, starts[1:]))
-    chis = [chi[None] if t is None else np.concatenate([chi[None], next(estimates)])
-            for chi, t in inputs]
-    blocks = np.split(np.stack(metrics(np.concatenate(chis))),
-                      np.cumsum([len(c) for c in chis[:-1]]), axis=1)
-    points = []
-    for (_, tomograms), block in zip(inputs, blocks):
-        if shot_noise and tomograms is None:
-            block = np.hstack([block, np.full((len(block), 1), math.nan)])
-        points.append(tuple(_metrics(block)))
-    return points
+        _check_states(chis[starts[:-1]])
+    block = np.stack(metrics(chis))
+    estimates = iter(np.split(block, starts[1:-1], axis=1))
+    return [tuple(map(metric, np.full((len(block), 1), math.nan) if t is None else next(estimates)))
+            for t in inputs]

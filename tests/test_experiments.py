@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -66,39 +67,39 @@ def find_state(result, phi, label):
 def test_protocol_ideal_is_lossless():
     result = run_protocol_sweep(ScenarioConfig(mode="protocol", **ANALYTIC))
     for sp in result.states:
-        assert sp.fidelity.analytic == pytest.approx(1.0, abs=1e-10)
-        assert sp.purity.analytic == pytest.approx(1.0, abs=1e-10)
-        assert sp.env_pop1.analytic == pytest.approx(0.0, abs=1e-10)
+        assert sp.fidelity.value == pytest.approx(1.0, abs=1e-10)
+        assert sp.purity.value == pytest.approx(1.0, abs=1e-10)
+        assert sp.env_pop1.value == pytest.approx(0.0, abs=1e-10)
     for pp in result.phis:
-        assert pp.mean_env_pop1.analytic == pytest.approx(0.0, abs=1e-10)
-        assert pp.channel_ef.analytic == pytest.approx(1.0, abs=1e-10)
-        assert pp.channel_fidelity.analytic == pytest.approx(1.0, abs=1e-10)
+        assert pp.mean_env_pop1.value == pytest.approx(0.0, abs=1e-10)
+        assert pp.channel_ef.value == pytest.approx(1.0, abs=1e-10)
+        assert pp.channel_fidelity.value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_reference_dephasing_curves():
     result = run_reference_sweep(ScenarioConfig(mode="reference", **ANALYTIC))
     for sp in result.states:
         expected = 1.0 if sp.state in ("0", "1") else (1.0 + math.cos(sp.phi / 2.0) ** 2) / 2.0
-        assert sp.fidelity.analytic == pytest.approx(expected, abs=1e-10)
-        assert sp.purity.analytic == pytest.approx(expected, abs=1e-10)
-        assert sp.env_pop1.analytic == pytest.approx(0.5, abs=1e-12)
+        assert sp.fidelity.value == pytest.approx(expected, abs=1e-10)
+        assert sp.purity.value == pytest.approx(expected, abs=1e-10)
+        assert sp.env_pop1.value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_success_probability_normalization():
     proto = run_protocol_sweep(ScenarioConfig(mode="protocol", **ANALYTIC))
     for sp in proto.states:
         formula = math.sin(sp.phi / 2.0) ** 2 / (1.0 + abs(math.sin(sp.phi)))
-        assert sp.success_norm.analytic == pytest.approx(formula, abs=1e-12)
+        assert sp.success_norm.value == pytest.approx(formula, abs=1e-12)
     ref = run_reference_sweep(ScenarioConfig(mode="reference", **ANALYTIC))
     for sp in ref.states:
-        assert sp.success_norm.analytic == pytest.approx(
+        assert sp.success_norm.value == pytest.approx(
             1.0 / (1.0 + abs(math.sin(sp.phi))), abs=1e-12)
     # anchors normalize to exactly one
     at_pi = find_state(proto, math.pi, "+") if any(
         sp.phi == math.pi for sp in proto.states) else None
     if at_pi is not None:
-        assert at_pi.success_norm.analytic == pytest.approx(1.0, abs=1e-12)
-    assert find_state(ref, 0.0, "+").success_norm.analytic == pytest.approx(1.0, abs=1e-12)
+        assert at_pi.success_norm.value == pytest.approx(1.0, abs=1e-12)
+    assert find_state(ref, 0.0, "+").success_norm.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_protocol_beats_reference():
@@ -107,8 +108,8 @@ def test_protocol_beats_reference():
     ref = run_reference_sweep(ScenarioConfig(mode="reference", phi_grid=grid, **ANALYTIC))
     for phi in grid:
         for lab in ("+", "-", "L", "R"):
-            fp = find_state(proto, phi, lab).fidelity.analytic
-            fr = find_state(ref, phi, lab).fidelity.analytic
+            fp = find_state(proto, phi, lab).fidelity.value
+            fr = find_state(ref, phi, lab).fidelity.value
             assert fp >= fr - 1e-12
             if phi == math.pi:
                 assert fp > fr + 0.4
@@ -119,12 +120,12 @@ def test_plus_environment_scenario():
                          **ANALYTIC)
     result = run_protocol_sweep(cfg)
     for sp in result.states:
-        assert sp.fidelity.analytic == pytest.approx(1.0, abs=1e-10)
+        assert sp.fidelity.value == pytest.approx(1.0, abs=1e-10)
     cfg = ScenarioConfig(mode="reference", env_state="plus", phi_grid=(math.pi,),
                          **ANALYTIC)
     ref = run_reference_sweep(cfg)
     # populations of |+> match the mixed case, so dephasing curves coincide
-    assert find_state(ref, math.pi, "+").fidelity.analytic == pytest.approx(0.5, abs=1e-10)
+    assert find_state(ref, math.pi, "+").fidelity.value == pytest.approx(0.5, abs=1e-10)
 
 
 def test_custom_environment_state():
@@ -132,7 +133,7 @@ def test_custom_environment_state():
     cfg = ScenarioConfig(mode="protocol", env_state=env, phi_grid=(math.pi / 2.0,),
                          signal_states=("+",), **ANALYTIC)
     result = run_protocol_sweep(cfg)
-    assert result.states[0].fidelity.analytic == pytest.approx(1.0, abs=1e-10)
+    assert result.states[0].fidelity.value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mixed_env_equals_six_state_average():
@@ -152,7 +153,7 @@ def test_herald_error_at_pi_equals_epsilon():
         cfg = ScenarioConfig(mode="protocol", phi_grid=(math.pi,),
                              noise=NoiseParams(herald_error=eps), **ANALYTIC)
         result = run_protocol_sweep(cfg)
-        assert result.phis[0].mean_env_pop1.analytic == pytest.approx(eps, abs=1e-12)
+        assert result.phis[0].mean_env_pop1.value == pytest.approx(eps, abs=1e-12)
 
 
 def test_residual_population_grows_with_herald_error():
@@ -160,7 +161,7 @@ def test_residual_population_grows_with_herald_error():
     for eps in (0.0, 0.05, 0.1):
         cfg = ScenarioConfig(mode="protocol", phi_grid=(math.pi,),
                              noise=NoiseParams(herald_error=eps), **ANALYTIC)
-        values.append(run_protocol_sweep(cfg).phis[0].mean_env_pop1.analytic)
+        values.append(run_protocol_sweep(cfg).phis[0].mean_env_pop1.value)
     assert values[0] < values[1] < values[2]
 
 
@@ -168,7 +169,7 @@ def test_residual_population_decreases_with_phi():
     grid = (math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi)
     cfg = ScenarioConfig(mode="protocol", phi_grid=grid,
                          noise=NoiseParams(herald_error=0.05), **ANALYTIC)
-    pops = [pp.mean_env_pop1.analytic for pp in run_protocol_sweep(cfg).phis]
+    pops = [pp.mean_env_pop1.value for pp in run_protocol_sweep(cfg).phis]
     assert all(b < a for a, b in zip(pops, pops[1:]))
 
 
@@ -179,9 +180,9 @@ def test_depolarizing_and_jitter_reduce_purity():
         mode="reference", phi_grid=grid, noise=NoiseParams(gate_depolarizing=0.2), **ANALYTIC))
     jitter = run_reference_sweep(ScenarioConfig(
         mode="reference", phi_grid=grid, noise=NoiseParams(phase_jitter_std=0.6), **ANALYTIC))
-    p0 = find_state(base, grid[0], "+").purity.analytic
-    assert find_state(depol, grid[0], "+").purity.analytic < p0 - 1e-3
-    assert find_state(jitter, grid[0], "+").purity.analytic < p0 - 1e-3
+    p0 = find_state(base, grid[0], "+").purity.value
+    assert find_state(depol, grid[0], "+").purity.value < p0 - 1e-3
+    assert find_state(jitter, grid[0], "+").purity.value < p0 - 1e-3
 
 
 def test_noise_params_validation():
@@ -206,10 +207,10 @@ def test_channel_analytic_values():
     ref = run_reference_sweep(ScenarioConfig(
         mode="reference", phi_grid=(math.pi / 2.0, math.pi), **ANALYTIC))
     half, full = ref.phis
-    assert full.channel_ef.analytic == pytest.approx(0.0, abs=1e-10)
-    assert full.channel_fidelity.analytic == pytest.approx(0.5, abs=1e-10)
-    assert half.channel_ef.analytic == pytest.approx(EF_DEPHASED_HALF, abs=1e-10)
-    assert half.channel_fidelity.analytic == pytest.approx(0.75, abs=1e-10)
+    assert full.channel_ef.value == pytest.approx(0.0, abs=1e-10)
+    assert full.channel_fidelity.value == pytest.approx(0.5, abs=1e-10)
+    assert half.channel_ef.value == pytest.approx(EF_DEPHASED_HALF, abs=1e-10)
+    assert half.channel_fidelity.value == pytest.approx(0.75, abs=1e-10)
 
 
 def test_channel_choi_from_outputs_identity():
@@ -250,8 +251,8 @@ def test_channel_reconstruction_from_sweep_counts():
     cfg = ScenarioConfig(mode="reference", phi_grid=(math.pi / 2.0,), rate=3e4,
                          bootstrap_samples=40, seed=2)
     point = run_reference_sweep(cfg).phis[0]
-    assert point.channel_ef.estimate == pytest.approx(EF_DEPHASED_HALF, abs=0.02)
-    assert point.channel_fidelity.estimate == pytest.approx(0.75, abs=0.01)
+    assert point.channel_ef.value == pytest.approx(EF_DEPHASED_HALF, abs=0.02)
+    assert point.channel_fidelity.value == pytest.approx(0.75, abs=0.01)
     assert point.channel_ef.std > 0.0
 
 
@@ -267,7 +268,8 @@ def test_channel_skipped_for_partial_alphabet():
 
 
 def test_tomographic_estimates_approach_analytic():
-    # median reconstruction error shrinks as the count rate grows
+    # median reconstruction error shrinks as the count rate grows; the exact value
+    # is the same config's without shot noise
     grid = (math.pi / 2.0,)
     medians = []
     for rate in (300.0, 3000.0, 30000.0):
@@ -275,8 +277,9 @@ def test_tomographic_estimates_approach_analytic():
         for seed in range(20):
             cfg = ScenarioConfig(mode="reference", phi_grid=grid, signal_states=("+",),
                                  rate=rate, bootstrap_samples=0, seed=seed)
+            exact = run_reference_sweep(dataclasses.replace(cfg, **ANALYTIC)).states[0]
             sp = run_reference_sweep(cfg).states[0]
-            errors.append(abs(sp.fidelity.estimate - sp.fidelity.analytic))
+            errors.append(abs(sp.fidelity.value - exact.fidelity.value))
         medians.append(float(np.median(errors)))
     assert medians[0] > medians[1] > medians[2]
 
@@ -290,7 +293,7 @@ def test_bootstrap_error_bars_cover_ideal_fidelity():
                              signal_states=("+",), rate=300.0,
                              bootstrap_samples=300, seed=seed)
         sp = run_protocol_sweep(cfg).states[0]
-        hits += abs(sp.fidelity.estimate - 1.0) < 3.0 * sp.fidelity.std
+        hits += abs(sp.fidelity.value - 1.0) < 3.0 * sp.fidelity.std
     assert hits >= 19
 
 
@@ -299,10 +302,10 @@ def test_anchor_point_normalizes_to_unity():
                          signal_states=("+",), bootstrap_samples=10, seed=4)
     result = run_protocol_sweep(cfg)
     anchor = find_state(result, math.pi, "+")
-    assert anchor.success_norm.estimate == pytest.approx(1.0, abs=1e-15)
+    assert anchor.success_norm.value == pytest.approx(1.0, abs=1e-15)
     assert anchor.success_norm.std == 0.0
     other = find_state(result, math.pi / 2.0, "+")
-    assert other.success_norm.estimate == pytest.approx(0.25, abs=0.15)
+    assert other.success_norm.value == pytest.approx(0.25, abs=0.15)
 
 
 def test_default_grid_reuses_the_anchor(record_calls):
@@ -323,7 +326,7 @@ def test_default_grid_reuses_the_anchor(record_calls):
     at_pi = [sp for sp in result.states if sp.phi == math.pi]
     assert len(at_pi) == 6
     for sp in at_pi:
-        assert (sp.success_norm.estimate, sp.success_norm.std) == (1.0, 0.0)
+        assert (sp.success_norm.value, sp.success_norm.std) == (1.0, 0.0)
 
 
 def test_protocol_counts_survive_one_ulp_of_phi(record_calls):
@@ -365,10 +368,11 @@ def test_samples_stack_each_tomogram_over_its_replicas(bootstrap):
     assert sample.totals.shape == (2, len(BASIS_LABELS), 1 + bootstrap)
     for p, key in enumerate(keys):
         for i, (rho, transmission) in enumerate(zip(sample.rho_se[p], sample.transmissions[p])):
+            seeds = [np.random.SeedSequence(entropy=config.seed, spawn_key=(key, i, stream))
+                     for stream in (0, 1)]
             counts = simulate_counts(build_state_settings(2), rho, config.rate * transmission,
-                                     np.random.SeedSequence(entropy=config.seed,
-                                                            spawn_key=(key, i, 0)))
-            stack = np.vstack([counts, resample_counts(counts, bootstrap, config.seed, (key, i))])
+                                     seeds[0])
+            stack = np.vstack([counts, resample_counts(counts, bootstrap, seeds[1])])
             assert np.array_equal(sample.tomograms[p, i], np.stack(_marginal_counts(stack)))
             assert np.array_equal(sample.totals[p, i], stack.sum(axis=1))
     assert sample.empty.any() and not sample.empty.all()
@@ -413,7 +417,8 @@ def test_sweep_batches_channel_tomograms_up_to_the_row_cap(monkeypatch):
     grid = experiments.DEFAULT_PROTOCOL_GRID
     assert [len(counts) for counts in calls] == [8] * 6 + [4]   # two 4-row points a call
     for pi, rows in enumerate(np.split(np.concatenate(calls), len(grid))):
-        assert np.array_equal(rows[1:], resample_counts(rows[0], 3, config.seed, (pi, 99)))
+        key = np.random.SeedSequence(entropy=config.seed, spawn_key=(pi, 99, 1))
+        assert np.array_equal(rows[1:], resample_counts(rows[0], 3, key))
 
 
 @pytest.mark.parametrize("cap, bootstrap", [(2, 3), (4, 3), (None, None)],
@@ -456,10 +461,10 @@ def test_channel_batching_leaves_the_result_unchanged(monkeypatch, overrides):
     # at seed 3 a preparation draws no counts at every point at rate 0.05, and at
     # some points at rate 1: those points' channel estimates are nan
     if config.rate < 1.0:
-        assert all(math.isnan(pp.channel_ef.estimate) for pp in batched.phis)
-        assert {math.isnan(sp.fidelity.estimate) for sp in batched.states} == {False, True}
+        assert all(math.isnan(pp.channel_ef.value) for pp in batched.phis)
+        assert {math.isnan(sp.fidelity.value) for sp in batched.states} == {False, True}
     elif config.rate == 1.0:
-        assert {math.isnan(pp.channel_ef.estimate) for pp in batched.phis} == {False, True}
+        assert {math.isnan(pp.channel_ef.value) for pp in batched.phis} == {False, True}
 
 
 @pytest.mark.parametrize("overrides", [
@@ -479,7 +484,7 @@ def test_regular_channel_stage_matches_the_ragged_reference(monkeypatch, overrid
     monkeypatch.setattr(experiments, "_channel_stacks", channel_inputs)
     monkeypatch.setattr(experiments, "_choi_points", channel_points)
     assert repr(run_protocol_sweep(config, states=False).phis) == repr(regular.phis)
-    determined = {not math.isnan(pp.channel_ef.estimate) for pp in regular.phis}
+    determined = {not math.isnan(pp.channel_ef.value) for pp in regular.phis}
     assert determined == ({False} if config.rate < 1.0 else
                           {False, True} if config.rate < 300.0 else {True})
 
@@ -539,13 +544,16 @@ def test_batched_channel_estimates_keep_the_point_checks(monkeypatch, defect, ma
                        for seed in range(6)]).reshape(2, 3, -1)
     empty = counts.copy()
     empty[1] = 0.0
-    first, second = experiments._choi_points(settings, analytic, empty, traces)
-    assert not math.isnan(first[0].estimate)
-    assert math.isnan(second[0].estimate) and math.isnan(second[0].std)
+    # without shot noise a point's row is its analytic matrix's metric, with no spread
+    assert [(m.value, m.std) for (m,) in experiments._choi_points(
+        settings, analytic, False, traces)] == [(pytest.approx(1.0, abs=1e-12), 0.0)] * 2
+    first, second = experiments._choi_points(settings, empty, True, traces)
+    assert not math.isnan(first[0].value)
+    assert math.isnan(second[0].value) and math.isnan(second[0].std)
     with pytest.warns(MLEConvergenceWarning, match=r"B = 6\): .* in 6 of 6 rows$") as caught:
-        experiments._choi_points(settings, analytic, counts, traces, max_iters=1)
+        experiments._choi_points(settings, counts, True, traces, max_iters=1)
     assert [w.filename for w in caught] == [experiments.__file__]
-    chis = seen[-1].reshape(2, 4, 4, 4)[:, 1:].reshape(-1, 4, 4)
+    chis = seen[-1]
     for i, counts_row in enumerate(counts.reshape(6, -1)):
         with pytest.warns(MLEConvergenceWarning):
             single = mle_process(settings, counts_row[None], max_iters=1)
@@ -553,11 +561,11 @@ def test_batched_channel_estimates_keep_the_point_checks(monkeypatch, defect, ma
     # a bad estimate in the second point's row
     monkeypatch.setattr(experiments, "mle_process", tampered(chis, 3))
     with pytest.raises(InvalidStateError, match=match):
-        experiments._choi_points(settings, analytic, counts, traces)
+        experiments._choi_points(settings, counts, True, traces)
     # the same row of an undetermined point is not checked, and reads nan
-    assert math.isnan(experiments._choi_points(settings, analytic, empty, traces)[1][0].estimate)
+    assert math.isnan(experiments._choi_points(settings, empty, True, traces)[1][0].value)
     monkeypatch.setattr(experiments, "mle_process", tampered(chis, 1))
-    experiments._choi_points(settings, analytic, counts, traces)   # a replica row is not checked
+    experiments._choi_points(settings, counts, True, traces)   # a replica row is not checked
     # the gate: one point and two replicas of 64 x 64 Choi estimates
     cfg = ScenarioConfig(mode="gate_tomography", phi_grid=(math.pi,), gate_bootstrap_samples=2)
     good = np.tile(np.eye(64, dtype=complex) / 64.0, (3, 1, 1))
@@ -568,18 +576,18 @@ def test_batched_channel_estimates_keep_the_point_checks(monkeypatch, defect, ma
     run_gate_tomography(cfg)
 
 
-def test_protocol_sweep_builds_the_phi_only_part_once_per_grid_point(record_calls):
+def test_protocol_sweep_builds_the_phi_only_part_once_per_grid_point(monkeypatch, record_calls):
     # the gated (P, S, E) state and the herald projectors do not depend on the
     # signal state: one of each per phi, not one per phi and state, also when
-    # the grid runs as one batch (bootstrap 3) and not point by point (1000)
+    # the grid runs as one batch (the default row cap) and not point by point (a cap of 1)
     n = len(experiments.DEFAULT_PROTOCOL_GRID)
-    for bootstrap in (1000, 3):
+    for cap in (1, experiments._CHANNEL_BATCH_ROWS):
+        monkeypatch.setattr(experiments, "_CHANNEL_BATCH_ROWS", cap)
         calls = record_calls(experiments, ("_gate", "_herald_projectors"))
-        run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=bootstrap,
-                                          **ANALYTIC))
+        run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=3, **ANALYTIC))
         # the anchor's own sample, then every grid point, pi included
         assert sum(len(gated) for gated in calls["_gate"]) == n + 1
-        assert len(calls["_gate"]) == (n + 1 if bootstrap == 1000 else 2)
+        assert len(calls["_gate"]) == (n + 1 if cap == 1 else 2)
         assert len(calls["_herald_projectors"]) == n + 1
 
 
@@ -651,30 +659,35 @@ def test_stacked_state_points_match_the_per_state_reference(monkeypatch, mode, o
     monkeypatch.setattr(experiments, "_state_points", state_points)
     assert repr(run(config)) == repr(stacked)
     if config.rate < 1.0:   # every point has a state without counts
-        assert all(any(math.isnan(sp.fidelity.estimate) for sp in stacked.states
+        assert all(any(math.isnan(sp.fidelity.value) for sp in stacked.states
                        if sp.phi == pp.phi) for pp in stacked.phis)
 
 
-@pytest.mark.parametrize("bootstrap", [0, 30])
-def test_sweep_makes_one_eof_call_per_channel_batch(record_calls, bootstrap):
+@pytest.mark.parametrize("bootstrap, shot_noise", [
+    pytest.param(0, True, id="0"), pytest.param(30, True, id="30"),
+    pytest.param(1000, False, id="analytic")])
+def test_sweep_makes_one_eof_call_per_channel_batch(record_calls, bootstrap, shot_noise):
     # the channel metrics of a channel batch are one call on the stack of each
-    # point's analytic Choi matrix, estimate and replicas; the default grid at
-    # these bootstraps is one batch
+    # point's estimate and replicas, or without shot noise of its analytic Choi
+    # matrix alone, with no estimator call; the default grid is one batch at these
+    # bootstraps, and a run without shot noise counts no replicas
     calls = record_calls(experiments, ("entanglement_of_formation", "mle_process"))
-    run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=bootstrap))
+    run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=bootstrap,
+                                      shot_noise=shot_noise))
     n = len(experiments.DEFAULT_PROTOCOL_GRID)
-    assert [len(ef) for ef in calls["entanglement_of_formation"]] == [n * (2 + bootstrap)]
-    assert [len(chis) for chis in calls["mle_process"]] == [n * (1 + bootstrap)]
+    rows = n * (1 + bootstrap) if shot_noise else n
+    assert [len(ef) for ef in calls["entanglement_of_formation"]] == [rows]
+    assert [len(chis) for chis in calls["mle_process"]] == ([rows] if shot_noise else [])
 
 
 def test_eof_calls_follow_the_channel_batches(monkeypatch, record_calls):
     # a row cap of 10 puts two 4-row points in each mle_process call; each EoF
-    # call covers the same points, with one analytic row per point
+    # call covers the same rows
     monkeypatch.setattr(experiments, "_CHANNEL_BATCH_ROWS", 10)
     calls = record_calls(experiments, ("entanglement_of_formation", "mle_process"))
     run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=3), states=False)
     assert [len(c) for c in calls["mle_process"]] == [8] * 6 + [4]
-    assert [len(ef) for ef in calls["entanglement_of_formation"]] == [10] * 6 + [5]
+    assert [len(ef) for ef in calls["entanglement_of_formation"]] == [8] * 6 + [4]
 
 
 def test_low_rate_sweep_reports_missing_counts_in_order(capsys):
@@ -741,9 +754,9 @@ def test_sweep_determinism():
     a = run_protocol_sweep(cfg)
     b = run_protocol_sweep(cfg)
     for sa, sb in zip(a.states, b.states):
-        assert sa.fidelity.estimate == sb.fidelity.estimate
+        assert sa.fidelity.value == sb.fidelity.value
         assert sa.fidelity.std == sb.fidelity.std
-        assert sa.success_norm.estimate == sb.success_norm.estimate
+        assert sa.success_norm.value == sb.success_norm.value
 
 
 def test_protocol_rejects_zero_phi():
@@ -782,7 +795,10 @@ def test_residual_population_report_accessor():
     cfg = ScenarioConfig(mode="protocol", phi_grid=(math.pi,), **ANALYTIC)
     result = run_protocol_sweep(cfg)
     assert result.phis[0].phi == math.pi
-    assert result.phis[0].mean_env_pop1.analytic == pytest.approx(0.0, abs=1e-12)
+    assert result.phis[0].mean_env_pop1.value == pytest.approx(0.0, abs=1e-12)
+    # one track: a metric holds the two cells of its CSV row, and no bootstrap reads 0
+    assert [f.name for f in dataclasses.fields(result.phis[0].mean_env_pop1)] == ["value", "std"]
+    assert result.phis[0].mean_env_pop1.std == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -794,16 +810,16 @@ def test_gate_analytic_ideal():
     result = run_gate_tomography(cfg)
     assert len(result.gates) == 8
     for gp in result.gates:
-        assert gp.fidelity.analytic == pytest.approx(1.0, abs=1e-10)
-        assert gp.purity.analytic == pytest.approx(1.0, abs=1e-10)
-        assert gp.fidelity_phase_opt.analytic == pytest.approx(1.0, abs=1e-10)
+        assert gp.fidelity.value == pytest.approx(1.0, abs=1e-10)
+        assert gp.purity.value == pytest.approx(1.0, abs=1e-10)
+        assert gp.fidelity_phase_opt.value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_gate_fully_depolarized_purity():
     cfg = ScenarioConfig(mode="gate_tomography", phi_grid=(math.pi / 2.0,),
                          noise=NoiseParams(gate_depolarizing=1.0), **ANALYTIC)
     result = run_gate_tomography(cfg)
-    assert result.gates[0].purity.analytic == pytest.approx(1.0 / 64.0, abs=1e-12)
+    assert result.gates[0].purity.value == pytest.approx(1.0 / 64.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("noise", [
@@ -851,8 +867,12 @@ def test_phase_optimized_fidelity_recovers_local_rotations():
     chi_rot = channel_to_choi(rotated, n=3)
     plain = state_fidelity(chi_rot, ideal_vec)
     assert plain < 0.9
-    opt = optimize_local_phase_fidelity(chi_rot, ideal_vec, 3)
+    opt = optimize_local_phase_fidelity(chi_rot, ideal_vec)
     assert opt == pytest.approx(1.0, abs=1e-6)
+    # the output qubit count comes from the Choi dimension, d = 4^n
+    one = channel_to_choi(rz(0.7), n=1)
+    assert state_fidelity(one, max_entangled(1)) < 0.95
+    assert optimize_local_phase_fidelity(one, max_entangled(1)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phase_optimized_fidelity_stack_rows_match_single_calls():
@@ -861,13 +881,13 @@ def test_phase_optimized_fidelity_stack_rows_match_single_calls():
     noisy = NoiseParams(gate_depolarizing=0.1, phase_jitter_std=0.3)
     stack = np.stack([_gate_choi(phi, NoiseParams()), _gate_choi(phi, noisy),
                       _gate_choi(0.7, noisy), 0.5 * np.eye(64) / 64.0])
-    rows = optimize_local_phase_fidelity(stack, ideal_vec, 3)
+    rows = optimize_local_phase_fidelity(stack, ideal_vec)
     assert rows.shape == (len(stack),)
     for i, chi in enumerate(stack):
         # one path: a single matrix is a stack of one, with a 0-d result
-        single = optimize_local_phase_fidelity(chi, ideal_vec, 3)
+        single = optimize_local_phase_fidelity(chi, ideal_vec)
         assert np.ndim(single) == 0
-        assert single == optimize_local_phase_fidelity(chi[None], ideal_vec, 3)[0] == rows[i]
+        assert single == optimize_local_phase_fidelity(chi[None], ideal_vec)[0] == rows[i]
     assert rows[0] == pytest.approx(1.0, abs=1e-12)
     assert rows[3] == pytest.approx(1.0 / 64.0, abs=1e-15)
 
@@ -880,7 +900,7 @@ def test_gate_metrics_with_and_without_bootstrap(tmp_path, boot):
     result = run_gate_tomography(cfg)
     gp = result.gates[0]
     for metric in (gp.fidelity, gp.purity, gp.fidelity_phase_opt):
-        assert 0.9 < metric.estimate <= 1.0
+        assert 0.9 < metric.value <= 1.0
         assert metric.std > 0.0 if boot else metric.std == 0.0
     write_gate_csv(result, str(tmp_path))
     with open(tmp_path / "fig7_gate.csv") as fh:
@@ -913,6 +933,6 @@ def test_gate_full_tomography_end_to_end():
                          rate=3000.0, seed=1, gate_mle_max_iters=300)
     result = run_gate_tomography(cfg)
     gp = result.gates[0]
-    assert gp.fidelity.estimate > 0.999
-    assert gp.purity.estimate > 0.999
-    assert gp.fidelity_phase_opt.estimate >= gp.fidelity.estimate - 1e-9
+    assert gp.fidelity.value > 0.999
+    assert gp.purity.value > 0.999
+    assert gp.fidelity_phase_opt.value >= gp.fidelity.value - 1e-9

@@ -891,9 +891,12 @@ def test_process_metrics_stack_rows_match_single_calls():
 
 
 def test_resample_counts_shape_and_determinism():
+    # the seed is an int or a SeedSequence, as for simulate_counts
     counts = np.array([5.0, 0.0, 100.0])
-    a = resample_counts(counts, 20, seed=4, key=(1,))
-    b = resample_counts(counts, 20, seed=4, key=(1,))
+    a = resample_counts(counts, 20, np.random.SeedSequence(4, spawn_key=(1, 1)))
+    b = resample_counts(counts, 20, np.random.SeedSequence(4, spawn_key=(1, 1)))
     np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(resample_counts(counts, 20, 4),
+                                  resample_counts(counts, 20, np.random.SeedSequence(4)))
     assert a.shape == (20, 3)
     assert (a[:, 1] == 0).all()
