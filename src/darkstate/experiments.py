@@ -59,6 +59,8 @@ DEFAULT_PROTOCOL_GRID = tuple(math.pi if k == 6 else float(x) for k, x in enumer
     np.linspace(math.pi / 6.0, 2.0 * math.pi - math.pi / 6.0, 13)))
 DEFAULT_REFERENCE_GRID = (0.0,) + DEFAULT_PROTOCOL_GRID
 DEFAULT_GATE_GRID = tuple(np.array([1, 2, 4, 6, 8, 10, 12, 14]) * math.pi / 8.0)
+_DEFAULT_GRIDS = dict(zip(_MODES, (DEFAULT_PROTOCOL_GRID, DEFAULT_REFERENCE_GRID,
+                                   DEFAULT_GATE_GRID)))
 # numpy draws no Poisson mean above about 9.2e18, and a gate setting's mean reaches 8 rate
 _MAX_RATE = 1e18
 
@@ -94,7 +96,7 @@ class ScenarioConfig:
     """Everything a sweep needs; defaults mirror the hardware regime."""
 
     mode: str = "protocol"
-    phi_grid: tuple[float, ...] | None = None
+    phi_grid: tuple[float, ...] | None = None   # None stores the mode's default grid
     env_state: str | DensityMatrix = "maximally_mixed"
     signal_states: tuple[str, ...] = BASIS_LABELS
     rate: float = 300.0
@@ -129,27 +131,21 @@ class ScenarioConfig:
             raise ValueError("a bootstrap needs at least 2 samples (0 runs none)")
         if self.gate_mle_max_iters < 1:
             raise ValueError("gate_mle_max_iters must be at least 1")
-        if self.phi_grid is not None:
-            grid = tuple(float(p) for p in self.phi_grid)
-            if not grid:
-                raise ValueError("phi_grid must be nonempty")
-            for p in grid:
-                if not (0.0 <= p < 2.0 * math.pi):
-                    raise ValueError(f"grid value {p} outside [0, 2*pi)")
-            if len(set(grid)) != len(grid):
-                raise ValueError(f"phi_grid {grid} repeats a value")
-            if self.mode != "reference" and 0.0 in grid:
-                raise DegenerateCouplingError(f"phi = 0 cannot appear in a {self.mode} grid")
-            object.__setattr__(self, "phi_grid", grid)
-
-    def resolved_grid(self) -> tuple[float, ...]:
-        if self.phi_grid is not None:
-            return self.phi_grid
-        if self.mode == "protocol":
-            return DEFAULT_PROTOCOL_GRID
-        if self.mode == "reference":
-            return DEFAULT_REFERENCE_GRID
-        return DEFAULT_GATE_GRID
+        grid = tuple(float(p) for p in (
+            _DEFAULT_GRIDS[self.mode] if self.phi_grid is None else self.phi_grid))
+        if not grid:
+            raise ValueError("phi_grid must be nonempty")
+        # a sweep's point i draws on spawn key i, so the grid must stop short of the anchor's
+        if len(grid) > _ANCHOR_KEY:
+            raise ValueError(f"phi_grid has {len(grid)} points, more than {_ANCHOR_KEY}")
+        for p in grid:
+            if not (0.0 <= p < 2.0 * math.pi):
+                raise ValueError(f"grid value {p} outside [0, 2*pi)")
+        if len(set(grid)) != len(grid):
+            raise ValueError(f"phi_grid {grid} repeats a value")
+        if self.mode != "reference" and 0.0 in grid:
+            raise DegenerateCouplingError(f"phi = 0 cannot appear in a {self.mode} grid")
+        object.__setattr__(self, "phi_grid", grid)
 
 
 @dataclass(frozen=True)
@@ -370,22 +366,20 @@ class _Samples:
 
     ``tomograms`` (P, L, 2, 1 + R, 6) holds the signal (0) and environment (1)
     marginals of each state's tomogram in row 0 and of its bootstrap replicas in
-    rows 1..R (R = 0 without a bootstrap), and ``totals`` (P, L, 1 + R) their
-    count totals; both are None without shot noise.
+    rows 1..R (R = 0 without a bootstrap), None without shot noise, and
+    ``totals`` (P, L, 1 + R) their count totals.  Without shot noise ``totals``
+    holds the transmissions (R = 0), the count totals' noise-free limit.
     """
 
     phis: np.ndarray            # (P,)
     rho_se: np.ndarray          # (P, L, 4, 4)
     weights: np.ndarray         # (P, L) herald weights
-    transmissions: np.ndarray   # (P, L)
+    totals: np.ndarray          # (P, L, 1 + R)
     tomograms: np.ndarray | None
-    totals: np.ndarray | None
 
     @property
     def empty(self) -> np.ndarray:
         """(P, L) flags of the states that drew no counts."""
-        if self.totals is None:
-            return np.zeros(self.weights.shape, dtype=bool)
         return self.totals[..., 0] == 0.0
 
 
@@ -405,7 +399,7 @@ def _samples(phis: Sequence[float], keys: Sequence[int], preps: np.ndarray, env:
     transmissions = scales[:, None] * weights
     phis = np.array(phis, dtype=float)
     if not config.shot_noise:
-        return _Samples(phis, rho_se, weights, transmissions, None, None)
+        return _Samples(phis, rho_se, weights, transmissions[..., None], None)
     tomograms = np.empty(weights.shape + (2, 1 + bootstrap, 6))
     totals = np.empty(weights.shape + (1 + bootstrap,))
     counts = np.empty((1 + bootstrap, len(_TQ_SETTINGS)))
@@ -416,7 +410,7 @@ def _samples(phis: Sequence[float], keys: Sequence[int], preps: np.ndarray, env:
             counts[1:] = resample_counts(counts[0], bootstrap, _seed_seq(config.seed, key, i, 1))
             tomograms[p, i] = _marginal_counts(counts)
             totals[p, i] = counts.sum(axis=1)
-    return _Samples(phis, rho_se, weights, transmissions, tomograms, totals)
+    return _Samples(phis, rho_se, weights, totals, tomograms)
 
 
 def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,16 +443,13 @@ def _marginal_states(samples: _Samples) -> np.ndarray:
 
 
 def _success_columns(samples: _Samples, anchors: _Samples) -> np.ndarray:
-    """Transmission relative to the anchor's without shot noise, and with it the count
-    total over the anchor's, for the estimate and each replica; one row per
+    """Each state's total over the anchor's, for the value and each replica; one row per
     state of a batch, points major (see ``_metrics``).
 
     A point at the anchor's phi reads exactly 1; an anchor without counts
     leaves the ratio undefined (nan) at every grid point, and so does an anchor
     replica without counts for that replica.
     """
-    if samples.totals is None:
-        return (samples.transmissions / anchors.transmissions).reshape(-1, 1)
     ratios = np.divide(samples.totals, anchors.totals, out=np.full(samples.totals.shape, math.nan),
                        where=anchors.totals > 0)
     at_anchor = np.zeros(anchors.totals.shape)
@@ -553,7 +544,7 @@ def _channel_stacks(samples: _Samples, labels: Sequence[str], config: ScenarioCo
 def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> ScenarioResult:
     if config.mode != mode:
         raise ValueError(f"config mode {config.mode!r} does not match runner {mode!r}")
-    grid = config.resolved_grid()
+    grid = config.phi_grid
     env = _env_matrix(config.env_state)
     labels = config.signal_states
     preps = _preparations(mode, labels)
@@ -568,7 +559,7 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
 
     # the anchor normalizes the success probability of fig3
     anchors = samples([anchor_phi], [_ANCHOR_KEY]) if with_states else None
-    if with_states and anchors.totals is not None:
+    if with_states:
         reps = anchors.totals[0, :, 1:]
         for lab, empty, n_empty in zip(labels, anchors.empty[0], (reps == 0).sum(axis=1)):
             where = f"state {lab}: anchor at phi = {anchor_phi:.6g} drew no counts"
@@ -674,7 +665,7 @@ def run_gate_tomography(config: ScenarioConfig) -> ScenarioResult:
     """
     if config.mode != "gate_tomography":
         raise ValueError(f"config mode {config.mode!r} does not match gate tomography")
-    grid = config.resolved_grid()
+    grid = config.phi_grid
     phi3 = max_entangled(3)
     eye8 = np.eye(8, dtype=complex)
     points: list[GatePoint] = []
@@ -760,7 +751,6 @@ def write_gate_csv(result: ScenarioResult, outdir: str) -> list[str]:
 
 def config_to_dict(config: ScenarioConfig) -> dict:
     out = asdict(config)
-    out["phi_grid"] = list(config.resolved_grid())
     if not isinstance(config.env_state, str):
         out["env_state"] = "custom"
     return out

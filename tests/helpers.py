@@ -113,9 +113,8 @@ def protocol_point(phi: float, psi_label: str, env: np.ndarray, noise) -> tuple[
     for share, proj in zip((1.0 - noise.herald_error, noise.herald_error),
                            _herald_projectors(phi)):
         w, post = project(rho, expand_operator(proj, 3, (0,)))
-        if post is not None:
-            weight += share * w
-            declared += share * w * post
+        weight += share * w
+        declared += share * w * post
     declared /= weight
     return partial_trace_array(declared, 3, (1, 2)), weight
 
@@ -143,8 +142,6 @@ def metric(column: np.ndarray) -> MetricValue:
 def success_column(p: int, i: int, samples, anchors) -> np.ndarray:
     """Success ratio column of state i at point p of a batch against its anchor, one
     state at a time."""
-    if samples.totals is None:
-        return np.array([samples.transmissions[p, i] / anchors.transmissions[0, i]])
     totals, anchor_totals = samples.totals[p, i], anchors.totals[0, i]
     if not anchor_totals[0]:
         return np.array([math.nan])

@@ -29,7 +29,8 @@ from darkstate.experiments import (
     write_gate_csv,
 )
 from darkstate.optical_gate import realize_ccp
-from darkstate.protocol import TWO_PI, DegenerateCouplingError, u_ccp, u_cp
+from darkstate.protocol import (TWO_PI, DegenerateCouplingError, ccp_success_probability, u_ccp,
+                                u_cp)
 from darkstate.qmath import (
     BASIS_LABELS,
     DensityMatrix,
@@ -367,7 +368,8 @@ def test_samples_stack_each_tomogram_over_its_replicas(bootstrap):
     assert sample.tomograms.shape == (2, len(BASIS_LABELS), 2, 1 + bootstrap, 6)
     assert sample.totals.shape == (2, len(BASIS_LABELS), 1 + bootstrap)
     for p, key in enumerate(keys):
-        for i, (rho, transmission) in enumerate(zip(sample.rho_se[p], sample.transmissions[p])):
+        transmissions = 9.0 * ccp_success_probability(sample.phis[p]) * sample.weights[p]
+        for i, (rho, transmission) in enumerate(zip(sample.rho_se[p], transmissions)):
             seeds = [np.random.SeedSequence(entropy=config.seed, spawn_key=(key, i, stream))
                      for stream in (0, 1)]
             counts = simulate_counts(build_state_settings(2), rho, config.rate * transmission,
@@ -377,6 +379,23 @@ def test_samples_stack_each_tomogram_over_its_replicas(bootstrap):
             assert np.array_equal(sample.totals[p, i], stack.sum(axis=1))
     assert sample.empty.any() and not sample.empty.all()
     assert not sample.tomograms[sample.empty].any()
+
+
+@pytest.mark.parametrize("mode", ["protocol", "reference"])
+def test_samples_without_shot_noise_hold_the_transmissions_as_totals(mode):
+    # the count totals' noise-free limit: one column, the transmission of each
+    # state, which is positive, so no state is empty; there are no tomograms
+    config = ScenarioConfig(mode=mode, **ANALYTIC)
+    phis = [math.pi / 3.0, math.pi]
+    sample = _samples(phis, [0, 1], _preparations(mode, BASIS_LABELS),
+                      _env_matrix(config.env_state), config, 0)
+    scales = np.array([9.0 * ccp_success_probability(phi) for phi in phis])
+    assert sample.totals.shape == (2, len(BASIS_LABELS), 1)
+    assert np.array_equal(sample.totals[..., 0], scales[:, None] * sample.weights)
+    assert sample.tomograms is None
+    assert not sample.empty.any()
+    assert [f.name for f in dataclasses.fields(experiments._Samples)] == [
+        "phis", "rho_se", "weights", "totals", "tomograms"]
 
 
 def test_sweep_makes_one_state_mle_call_per_batch(monkeypatch, record_calls):
@@ -782,6 +801,23 @@ def test_herald_error_keeps_failure_branch_near_zero_coupling(phi):
                                                   np.eye(2) / 2, NoiseParams(herald_error=0.1))
     assert weight == pytest.approx(0.1, rel=1e-9)   # the failure branch has weight ~1
     assert DensityMatrix(rho_se).n == 2             # a trace-one state
+
+
+@pytest.mark.parametrize("mode, grid", [("protocol", experiments.DEFAULT_PROTOCOL_GRID),
+                                        ("reference", experiments.DEFAULT_REFERENCE_GRID),
+                                        ("gate_tomography", experiments.DEFAULT_GATE_GRID)])
+def test_config_stores_the_mode_default_grid(mode, grid):
+    config = ScenarioConfig(mode=mode)
+    assert config.phi_grid == grid
+    assert experiments.config_to_dict(config)["phi_grid"] == grid
+
+
+def test_grid_stops_short_of_the_anchor_key():
+    # a sweep's point i draws on spawn key i, and the anchor on _ANCHOR_KEY = 10 000
+    grid = np.linspace(0.1, 6.2, experiments._ANCHOR_KEY + 1)
+    with pytest.raises(ValueError, match="more than 10000"):
+        ScenarioConfig(phi_grid=grid)
+    assert len(ScenarioConfig(phi_grid=grid[:-1]).phi_grid) == experiments._ANCHOR_KEY
 
 
 def test_mode_mismatch_rejected():
