@@ -22,19 +22,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .protocol import (DegenerateCouplingError, _herald_projectors, ccp_success_probability,
-                       u_ccp)
+from .protocol import DegenerateCouplingError, _herald_kets, ccp_success_probability, u_ccp
 from .qmath import (
     BASIS_LABELS,
+    ROUNDOFF_WEIGHT,
     DensityMatrix,
     _check_states,
     _dagger,
     entanglement_of_formation,
-    expand_operator,
     ket,
     max_entangled,
     partial_trace_array,
-    project,
     projector,
     purity,
     state_fidelity,
@@ -138,11 +136,13 @@ class ScenarioConfig:
         # a sweep's point i draws on spawn key i, so the grid must stop short of the anchor's
         if len(grid) > _ANCHOR_KEY:
             raise ValueError(f"phi_grid has {len(grid)} points, more than {_ANCHOR_KEY}")
+        seen = set()
         for p in grid:
             if not (0.0 <= p < 2.0 * math.pi):
                 raise ValueError(f"grid value {p} outside [0, 2*pi)")
-        if len(set(grid)) != len(grid):
-            raise ValueError(f"phi_grid {grid} repeats a value")
+            if p in seen:
+                raise ValueError(f"phi_grid repeats the value {p}")
+            seen.add(p)
         if self.mode != "reference" and 0.0 in grid:
             raise DegenerateCouplingError(f"phi = 0 cannot appear in a {self.mode} grid")
         object.__setattr__(self, "phi_grid", grid)
@@ -193,10 +193,9 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 # density-matrix pipeline
 
-_P_PLUS = projector(ket("+"))
 _P_ONE = projector(ket("1"))
 _CCP_SECTOR = np.arange(8) == 7          # |111> of (P, S, E)
-_SE_SECTOR = (np.arange(8) & 0b011) == 0b011   # S = E = 1, either probe value
+_SE_SECTOR = np.arange(4) == 3           # |11> of (S, E)
 
 
 def _env_matrix(env_state) -> np.ndarray:
@@ -209,10 +208,10 @@ def _env_matrix(env_state) -> np.ndarray:
     return projector(ket("+"))
 
 
-def _prep_unitary(label: str) -> np.ndarray:
-    """Single-qubit unitary taking |1> to the labelled state."""
-    a, b = ket(label)
-    return np.array([[np.conj(b), a], [-np.conj(a), b]], dtype=complex)
+def _coherence(jitter: float) -> float:
+    """exp(-jitter^2 / 2): how a Gaussian phase jitter of std ``jitter`` scales a coherence."""
+    # exp(-40^2 / 2) is already 0.0, and the cap keeps jitter^2 finite for any finite jitter
+    return math.exp(-min(jitter, 40.0)**2 / 2.0)
 
 
 def _phase(rho: np.ndarray, phi, sector: np.ndarray, jitter: float) -> np.ndarray:
@@ -221,14 +220,13 @@ def _phase(rho: np.ndarray, phi, sector: np.ndarray, jitter: float) -> np.ndarra
 
     U = diag(u) is diagonal, so U rho U† is the elementwise u_j rho_jk conj(u_k); the
     average over the jitter multiplies each coherence across the sector boundary by
-    exp(-jitter^2 / 2).  ``phi`` is one angle or an array of them, which broadcasts
-    against the leading axes of ``rho``.
+    ``_coherence(jitter)``.  ``phi`` is one angle or an array of them, which
+    broadcasts against the leading axes of ``rho``.
     """
     u = np.where(sector, np.exp(1j * np.asarray(phi)[..., None]), 1.0)
     across = sector[:, None] ^ sector[None, :]
-    # exp(-40^2 / 2) is already 0.0, and the cap keeps jitter^2 finite for any finite jitter
     return (u[..., :, None] * rho * u.conj()[..., None, :]
-            * np.where(across, math.exp(-min(jitter, 40.0)**2 / 2.0), 1.0))
+            * np.where(across, _coherence(jitter), 1.0))
 
 
 def _gate(rho: np.ndarray, phi, noise: NoiseParams) -> np.ndarray:
@@ -247,45 +245,48 @@ def _gate(rho: np.ndarray, phi, noise: NoiseParams) -> np.ndarray:
     return rho
 
 
-def _preparations(mode: str, labels: Sequence[str]) -> np.ndarray:
-    """The phi-independent part of each labelled signal state's pipeline, one row per label.
-
-    For the protocol, the (L, 8, 8) unitaries on S of (P, S, E) that take |1>
-    to the labelled states; for the reference, the (L, 2, 2) signal states.
-    """
-    if mode == "protocol":
-        return np.stack([expand_operator(_prep_unitary(lab), 3, (1,)) for lab in labels])
+def _preparations(labels: Sequence[str]) -> np.ndarray:
+    """The (L, 2, 2) signal states of the labels, the phi-independent part of each
+    labelled state's pipeline."""
     return np.stack([projector(ket(lab)) for lab in labels])
 
 
 def _protocol_points(phis: Sequence[float], preps: np.ndarray, env: np.ndarray,
                      noise: NoiseParams) -> tuple[np.ndarray, np.ndarray]:
     """Declared joint (S, E) states (P, L, 4, 4) and herald weights (P, L) at the grid
-    points ``phis`` of the signal states that the ``_preparations`` rows ``preps`` prepare.
+    points ``phis`` of the (L, 2, 2) signal states ``preps``.
 
-    The gated state and the herald projectors do not depend on the signal, so
-    they are built once per phi, and every state at every phi goes through the
-    rest of the pipeline in one stack.
+    The herald reads the probe alone while the signal is still |1>, so it commutes
+    with the preparation and the S-E coupling, and the gate is a phase e^{i phi} on
+    the probe's |1> when E is |1>.  A branch with probe ket v maps env to K env K†,
+    K = diag(<v|+>, <v|+_phi>), |+-_phi> = (|0> +- e^{i phi}|1>)/sqrt2; the gate's
+    jitter puts |-_phi> for |+_phi> with probability (1 - c)/2, and its depolarizing
+    adds p I/8.  So every population is a sum of squared moduli times env's, which
+    roundoff cannot make negative.
     """
     phis = np.asarray(phis, dtype=float)
-    gated = _gate(np.kron(np.kron(_P_PLUS, _P_ONE), env), phis, noise)
-    rho = _phase(preps @ gated[:, None] @ _dagger(preps), phis[:, None], _SE_SECTOR,
-                 noise.phase_jitter_std)
-    heralds = np.array([[expand_operator(proj, 3, (0,)) for proj in _herald_projectors(phi)]
-                        for phi in phis])
-    weights = np.zeros(rho.shape[:2])
-    declared = np.zeros(rho.shape, dtype=complex)
+    c, p = _coherence(noise.phase_jitter_std), noise.gate_depolarizing
+    # probe kets |+>, |+_phi>, |-_phi> as columns, and <v| of each herald branch
+    probes = np.array([[[1.0, 1.0, 1.0], [1.0, z, -z]] for z in np.exp(1j * phis)])
+    amps = np.array([_herald_kets(phi) for phi in phis]).conj() @ probes / math.sqrt(2.0)
+    weights = np.zeros(len(phis))
+    declared = np.zeros((len(phis), len(preps), 4, 4), dtype=complex)
     # a declared herald is the success branch, or with probability herald_error the failure one
-    for share, proj in zip((1.0 - noise.herald_error, noise.herald_error),
-                           heralds.swapaxes(0, 1)):
-        # a branch project drops at roundoff weight has weight 0 and carries nothing
-        w, post = project(rho, proj[:, None])
+    for share, amp in zip((1.0 - noise.herald_error, noise.herald_error), amps.swapaxes(0, 1)):
+        post = env * sum(r * amp[:, [0, col], None] * amp[:, None, [0, col]].conj()
+                         for r, col in (((1.0 + c) / 2.0, 1), ((1.0 - c) / 2.0, 2)))
+        # the signal is |1> while the herald reads the probe: one weight for every label,
+        # and a branch at roundoff weight carries nothing, as in project
+        w = (1.0 - p) * np.trace(post, axis1=-2, axis2=-1).real + p / 2.0
+        w = np.where(w > ROUNDOFF_WEIGHT, w, 0.0)
         weights += share * w
-        declared += (share * w)[..., None, None] * post
-    silent = (weights <= 0.0).any(axis=1)
-    if silent.any():
-        raise DegenerateCouplingError(f"herald never fires at phi = {float(phis[silent][0])}")
-    return partial_trace_array(declared / weights[..., None, None], 3, (1, 2)), weights
+        branch = (1.0 - p) * np.einsum("lab,pcd->placbd", preps, post).reshape(
+            declared.shape) + p / 8.0 * np.eye(4)
+        declared += (share * (w > 0.0))[:, None, None, None] * branch
+    if (weights <= 0.0).any():
+        raise DegenerateCouplingError(f"herald never fires at phi = {phis[weights <= 0.0][0]}")
+    declared = _phase(declared, phis[:, None], _SE_SECTOR, noise.phase_jitter_std)
+    return declared / weights[:, None, None, None], np.repeat(weights[:, None], len(preps), 1)
 
 
 def _reference_points(phis: Sequence[float], preps: np.ndarray, env: np.ndarray,
@@ -365,10 +366,11 @@ class _Samples:
     declared (S, E) states and their simulated data, indexed [point, label].
 
     ``tomograms`` (P, L, 2, 1 + R, 6) holds the signal (0) and environment (1)
-    marginals of each state's tomogram in row 0 and of its bootstrap replicas in
-    rows 1..R (R = 0 without a bootstrap), None without shot noise, and
-    ``totals`` (P, L, 1 + R) their count totals.  Without shot noise ``totals``
-    holds the transmissions (R = 0), the count totals' noise-free limit.
+    marginals of each state's tomogram in row 0 and their Poisson bootstrap
+    replicas in rows 1..R (R = 0 without a bootstrap), None without shot noise,
+    and ``totals`` (P, L, 1 + R) the signal rows' count totals.  Without shot
+    noise ``totals`` holds the transmissions (R = 0), the count totals' noise-free
+    limit.
     """
 
     phis: np.ndarray            # (P,)
@@ -384,13 +386,15 @@ class _Samples:
 
 
 def _samples(phis: Sequence[float], keys: Sequence[int], preps: np.ndarray, env: np.ndarray,
-             config: ScenarioConfig, bootstrap: int) -> _Samples:
+             config: ScenarioConfig) -> _Samples:
     """Simulate the signal states of the ``_preparations`` rows ``preps`` at the grid
-    points ``phis`` of ``config.mode``, with ``bootstrap`` replicas (0: none).
+    points ``phis`` of ``config.mode``, with ``config.bootstrap_samples`` replicas.
 
-    State i at point p draws its counts and replicas from spawn key (keys[p], i),
-    on streams of their own.  Its (1 + R, 36) count stack lives only until its
-    marginals and totals are taken.
+    State i at point p draws its 36-count tomogram from spawn key (keys[p], i, 0)
+    and one Poisson resample of its 12 marginal counts per replica from (keys[p],
+    i, 1).  A sum of Poisson counts is Poisson and every metric reads one
+    marginal, so these replicas are distributed as the marginals of a resampled
+    tomogram.
     """
     pipeline = _protocol_points if config.mode == "protocol" else _reference_points
     rho_se, weights = pipeline(phis, preps, env, config.noise)
@@ -400,17 +404,17 @@ def _samples(phis: Sequence[float], keys: Sequence[int], preps: np.ndarray, env:
     phis = np.array(phis, dtype=float)
     if not config.shot_noise:
         return _Samples(phis, rho_se, weights, transmissions[..., None], None)
+    bootstrap = config.bootstrap_samples
     tomograms = np.empty(weights.shape + (2, 1 + bootstrap, 6))
-    totals = np.empty(weights.shape + (1 + bootstrap,))
-    counts = np.empty((1 + bootstrap, len(_TQ_SETTINGS)))
     for p, key in enumerate(keys):
         for i, (rho, transmission) in enumerate(zip(rho_se[p], transmissions[p])):
-            counts[0] = simulate_counts(_TQ_SETTINGS, rho, config.rate * transmission,
-                                        _seed_seq(config.seed, key, i, 0))
-            counts[1:] = resample_counts(counts[0], bootstrap, _seed_seq(config.seed, key, i, 1))
-            tomograms[p, i] = _marginal_counts(counts)
-            totals[p, i] = counts.sum(axis=1)
-    return _Samples(phis, rho_se, weights, totals, tomograms)
+            counts = simulate_counts(_TQ_SETTINGS, rho, config.rate * transmission,
+                                     _seed_seq(config.seed, key, i, 0))
+            tomograms[p, i, :, 0] = _marginal_counts(counts)
+            replicas = resample_counts(tomograms[p, i, :, 0].ravel(), bootstrap,
+                                       _seed_seq(config.seed, key, i, 1))
+            tomograms[p, i, :, 1:] = replicas.reshape(bootstrap, 2, 6).swapaxes(0, 1)
+    return _Samples(phis, rho_se, weights, tomograms[:, :, 0].sum(axis=-1), tomograms)
 
 
 def _marginal_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -517,27 +521,25 @@ def _choi_points(settings: SettingGrid, data: np.ndarray, shot_noise: bool, metr
 _CHANNEL_BATCH_ROWS = 1000
 
 
-def _channel_stacks(samples: _Samples, labels: Sequence[str], config: ScenarioConfig,
-                    index: Sequence[int]) -> np.ndarray:
-    """fig5 input at the grid points ``index`` of a batch, from the samples of ``labels``,
-    an order of BASIS_LABELS (see ``_choi_points``).
+def _channel_stacks(samples: _Samples, labels: Sequence[str], config: ScenarioConfig
+                    ) -> np.ndarray:
+    """fig5 input at the grid points of a batch, from the samples of ``labels``, an order
+    of BASIS_LABELS (see ``_choi_points``).
 
     Without shot noise, the input is each point's analytic signal-channel Choi
     matrix, (P, 4, 4).  With it, the input is the (P, 1 + R, 36) stack of each
-    point's channel tomogram (row 0) and replicas; the rows of a point where a
-    preparation drew no counts are zero.
+    point's channel tomogram (row 0) and replicas, the six states' signal rows
+    side by side; the rows of a point where a preparation drew no counts are zero.
     """
     order = [labels.index(lab) for lab in BASIS_LABELS]
     if not config.shot_noise:
         outputs = samples.weights[:, order, None, None] * partial_trace_array(
             samples.rho_se[:, order], 2, (0,))
         return channel_choi_from_outputs(outputs)
-    counts = np.zeros((len(index), 1 + config.bootstrap_samples, len(_CHANNEL_SETTINGS)))
-    for p in np.flatnonzero(~samples.empty[:, order].any(axis=1)):
-        # preparation-major signal counts, as in _CHANNEL_SETTINGS
-        counts[p, 0] = samples.tomograms[p, order, 0, 0].ravel()
-        counts[p, 1:] = resample_counts(counts[p, 0], config.bootstrap_samples,
-                                        _seed_seq(config.seed, index[p], 99, 1))
+    # preparation-major signal counts, as in _CHANNEL_SETTINGS
+    signal = samples.tomograms[:, order, 0].swapaxes(1, 2)
+    counts = signal.reshape(signal.shape[:2] + (len(_CHANNEL_SETTINGS),))
+    counts[samples.empty[:, order].any(axis=1)] = 0.0
     return counts
 
 
@@ -547,18 +549,12 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
     grid = config.phi_grid
     env = _env_matrix(config.env_state)
     labels = config.signal_states
-    preps = _preparations(mode, labels)
+    preps = _preparations(labels)
     anchor_phi = math.pi if mode == "protocol" else 0.0
     with_channel = set(labels) == set(BASIS_LABELS)
 
-    # state replicas are read only by fig3/fig4
-    bootstrap = config.bootstrap_samples if with_states else 0
-
-    def samples(phis: Sequence[float], keys: Sequence[int]) -> _Samples:
-        return _samples(phis, keys, preps, env, config, bootstrap)
-
     # the anchor normalizes the success probability of fig3
-    anchors = samples([anchor_phi], [_ANCHOR_KEY]) if with_states else None
+    anchors = _samples([anchor_phi], [_ANCHOR_KEY], preps, env, config) if with_states else None
     if with_states:
         reps = anchors.totals[0, :, 1:]
         for lab, empty, n_empty in zip(labels, anchors.empty[0], (reps == 0).sum(axis=1)):
@@ -576,7 +572,8 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
         index = range(start, min(start + size, len(grid)))
         phis = [grid[i] for i in index]
         # a point at the anchor's phi draws on the anchor's key, so its sample is the anchor's
-        batch = samples(phis, [_ANCHOR_KEY if grid[i] == anchor_phi else i for i in index])
+        batch = _samples(phis, [_ANCHOR_KEY if grid[i] == anchor_phi else i for i in index],
+                         preps, env, config)
         for phi, empties in zip(phis, batch.empty):
             for lab, empty in zip(labels, empties):
                 if empty:
@@ -588,7 +585,7 @@ def _run_sweep(config: ScenarioConfig, mode: str, with_states: bool) -> Scenario
             state_points.extend(points)
         channels = [()] * len(phis)
         if with_channel:
-            data = _channel_stacks(batch, labels, config, index)
+            data = _channel_stacks(batch, labels, config)
             del batch   # the channel MLE needs only its tomograms, not the state samples
             channels = _choi_points(_CHANNEL_SETTINGS, data, config.shot_noise, _channel_metrics)
         phi_points.extend(PhiPoint(phi, mean, *channel)

@@ -73,11 +73,11 @@ def ccp_success_probability(phi) -> float:
     return 1.0 / (9.0 + 9.0 * abs(math.sin(value)))
 
 
-def _herald_projectors(value: float) -> tuple[np.ndarray, np.ndarray]:
+def _herald_kets(value: float) -> tuple[np.ndarray, np.ndarray]:
     # success: |phi_perp> = (|0> - e^{i phi}|1>)/sqrt2; failure: the complement
     perp = np.array([1.0, -np.exp(1j * value)], dtype=complex) / math.sqrt(2.0)
     para = np.array([1.0, np.exp(1j * value)], dtype=complex) / math.sqrt(2.0)
-    return projector(perp), projector(para)
+    return perp, para
 
 
 def _coupled_probe(rho_e: DensityMatrix, value: float) -> np.ndarray:
@@ -99,7 +99,7 @@ def herald_outcomes(rho_e: DensityMatrix, phi) -> tuple[HeraldOutcome, HeraldOut
     value = _angle(phi)
     if value == 0.0:
         raise DegenerateCouplingError("heralding is impossible at phi = 0")
-    projs = [expand_operator(proj, 2, (0,)) for proj in _herald_projectors(value)]
+    projs = [expand_operator(projector(v), 2, (0,)) for v in _herald_kets(value)]
     weights, posts = project(_coupled_probe(rho_e, value), np.stack(projs))
     return tuple(HeraldOutcome(success, DensityMatrix(post) if w > 0.0 else None, float(w))
                  for success, w, post in zip((True, False), weights, posts))

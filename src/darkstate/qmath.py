@@ -27,6 +27,7 @@ import numpy as np
 
 HERM_TOL = 1e-12
 NEG_EIG_TOL = 1e-10
+ROUNDOFF_WEIGHT = 1e-14   # a branch weight at or below this share of the trace is roundoff
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -202,7 +203,7 @@ def project(rho: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sub = proj @ rho @ _dagger(proj)
     w = np.trace(sub, axis1=-2, axis2=-1).real
     scale = np.abs(np.trace(rho, axis1=-2, axis2=-1).real)
-    kept = ~(w <= 1e-14 * np.where(scale > 0.0, scale, 1.0))
+    kept = ~(w <= ROUNDOFF_WEIGHT * np.where(scale > 0.0, scale, 1.0))
     out = sub / np.where(kept, w, 1.0)[..., None, None]
     out = np.where(kept[..., None, None], 0.5 * (out + _dagger(out)), 0.0)
     return np.where(kept, w, 0.0), out

@@ -8,15 +8,14 @@ from typing import Iterable
 
 import numpy as np
 
-from darkstate.experiments import (_P_ONE, _P_PLUS, _SE_SECTOR, MetricValue, StatePoint, _gate,
-                                   _metrics, _phase, _prep_unitary, channel_choi_from_outputs)
-from darkstate.protocol import _herald_projectors
+from darkstate.experiments import (_P_ONE, _SE_SECTOR, MetricValue, StatePoint, _gate, _metrics,
+                                   _phase, channel_choi_from_outputs)
+from darkstate.protocol import _herald_kets
 from darkstate.qmath import (BASIS_LABELS, DensityMatrix, _check_states, expand_operator, ket,
                              max_entangled, partial_trace_array, project, projector, purity,
                              state_fidelity)
 from darkstate.tomography import (MLE_TOL, MeasurementSetting, _born, _weighted_projectors,
-                                  _workspace, build_state_settings, mle_process, mle_state,
-                                  resample_counts)
+                                  _workspace, build_state_settings, mle_process, mle_state)
 
 
 def product_ket(labels: Iterable[str]) -> np.ndarray:
@@ -102,17 +101,20 @@ def rrr_chain(grid_counts: np.ndarray, tables, max_iters: int = 20000) -> np.nda
 def protocol_point(phi: float, psi_label: str, env: np.ndarray, noise) -> tuple[np.ndarray, float]:
     """Declared joint (S, E) state of one signal state at ``phi`` and its herald weight.
 
-    The reference for ``experiments._protocol_points``: the whole pipeline,
-    gate and herald projectors included, built for the one label.
+    The reference for ``experiments._protocol_points``: the whole three-qubit
+    pipeline, built for the one label.  The signal is rotated from |1> to the
+    labelled state after the gate, and the herald projects the probe of the full
+    (P, S, E) state.  Its roundoff differs from the product form's, and it can
+    leave a population slightly negative.
     """
-    rho = _gate(np.kron(np.kron(_P_PLUS, _P_ONE), env), phi, noise)
-    v = expand_operator(_prep_unitary(psi_label), 3, (1,))
-    rho = _phase(v @ rho @ v.conj().T, phi, _SE_SECTOR, noise.phase_jitter_std)
+    rho = _gate(np.kron(np.kron(projector(ket("+")), _P_ONE), env), phi, noise)
+    a, b = ket(psi_label)   # a unitary that takes |1> to the labelled state
+    v = expand_operator(np.array([[np.conj(b), a], [-np.conj(a), b]]), 3, (1,))
+    rho = _phase(v @ rho @ v.conj().T, phi, np.tile(_SE_SECTOR, 2), noise.phase_jitter_std)
     weight = 0.0
     declared = np.zeros((8, 8), dtype=complex)
-    for share, proj in zip((1.0 - noise.herald_error, noise.herald_error),
-                           _herald_projectors(phi)):
-        w, post = project(rho, expand_operator(proj, 3, (0,)))
+    for share, herald in zip((1.0 - noise.herald_error, noise.herald_error), _herald_kets(phi)):
+        w, post = project(rho, expand_operator(projector(herald), 3, (0,)))
         weight += share * w
         declared += share * w * post
     declared /= weight
@@ -187,11 +189,12 @@ def state_points(labels, samples, anchors) -> tuple[list[StatePoint], list[Metri
     return points, means
 
 
-def channel_input(samples, point: int, labels, config, key: tuple[int, ...]):
+def channel_input(samples, point: int, labels, config):
     """fig5 input at grid point ``point`` of a batch, from the samples of ``labels``, an
     order of BASIS_LABELS: without shot noise the analytic signal-channel Choi
     matrix, and with it the (1 + R, 36) tomogram stack of the channel estimate (row
-    0) and its replicas, None when a preparation drew no counts."""
+    0) and its replicas, each row the six states' signal rows of that index in
+    BASIS_LABELS order, None when a preparation drew no counts."""
     order = [labels.index(lab) for lab in BASIS_LABELS]
     if not config.shot_noise:
         return channel_choi_from_outputs(samples.weights[point][order, None, None]
@@ -199,17 +202,16 @@ def channel_input(samples, point: int, labels, config, key: tuple[int, ...]):
                                                                2, (0,)))
     if samples.empty[point].any():
         return None
-    counts = samples.tomograms[point][order, 0, 0].ravel()
-    boot = resample_counts(counts, config.bootstrap_samples,
-                           np.random.SeedSequence(entropy=config.seed, spawn_key=(*key, 1)))
-    return np.vstack([counts, boot])
+    signal = samples.tomograms[point, :, 0]
+    return np.array([np.concatenate([signal[i, row] for i in order])
+                     for row in range(signal.shape[1])])
 
 
-def channel_inputs(samples, labels, config, index):
-    """The ``channel_input`` of each grid point ``index`` of a batch.  The reference for
+def channel_inputs(samples, labels, config):
+    """The ``channel_input`` of each grid point of a batch.  The reference for
     ``experiments._channel_stacks``, which builds one regular stack with zero rows for
     the undetermined points."""
-    return [channel_input(samples, p, labels, config, (pi, 99)) for p, pi in enumerate(index)]
+    return [channel_input(samples, p, labels, config) for p in range(len(samples.phis))]
 
 
 def channel_points(settings, inputs, shot_noise: bool,

@@ -204,6 +204,19 @@ def test_protocol_command_ideal(tmp_path, capsys):
     assert "phi=" in capsys.readouterr().out
 
 
+def test_analytic_environment_population_at_pi_is_not_negative(tmp_path, capsys):
+    # E's |1> population after a success herald is 0 up to roundoff, and the declared
+    # state builds it from squared moduli: no cell below 0, and no "-0.0000" on stdout
+    out = tmp_path / "out"
+    assert main(["protocol", "--set", "shot_noise=false", "--set", "phi_grid=pi/2,pi",
+                 "--out", str(out)]) == 0
+    rows = [row for row in read_csv(out / "fig4_population.csv")
+            if row["phi"] == "3.14159265359"]
+    assert len(rows) == 7 and all(float(row["value"]) >= 0.0 for row in rows)
+    assert "phi=3.1416  F_S=1.0000  P_S=1.0000  Ptilde=1.0000  p1E=0.0000\n" \
+        in capsys.readouterr().out
+
+
 def test_reference_command_pi_row(tmp_path):
     cfg = write(tmp_path / "ref.cfg", "phi_grid = pi\nshot_noise = false\n")
     out = tmp_path / "out"
@@ -236,15 +249,14 @@ def test_channel_command_reconstructs_no_state(tmp_path, record_calls):
         "mle_state": 0, "mle_process": 1}   # both points and their replicas in one call
 
 
-def test_channel_command_draws_no_state_replicas(tmp_path, record_calls):
-    # fig5 reads only the channel replicas: one resample per phi, none per state
+def test_channel_command_draws_replicas_per_state_not_per_point(tmp_path, record_calls):
+    # fig5 reads the six states' signal replicas: one resample of each state's 12
+    # marginal counts at each phi, and none of a grid point's channel tomogram
     from darkstate import experiments
     calls = record_calls(experiments, ("resample_counts",))
     assert main(["channel", "--set", "phi_grid=pi/2,pi", "--bootstrap", "3",
                  "--out", str(tmp_path / "chan")]) == 0
-    drawn = [len(reps) for reps in calls["resample_counts"]]
-    assert drawn.count(0) == 2 * 6   # each state sample asks for no replicas
-    assert [n for n in drawn if n] == [3, 3]
+    assert [reps.shape for reps in calls["resample_counts"]] == [(3, 12)] * (2 * 6)
 
 
 @pytest.mark.parametrize("mode,grid", [("protocol", "pi/2,pi"), ("reference", "0,pi/2")])
@@ -371,10 +383,14 @@ def test_duplicate_signal_states_are_config_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["protocol", "gate-tomo"])
 def test_duplicate_phi_grid_values_are_config_errors(tmp_path, capsys, command):
-    # each grid index draws its own counts, so a repeated phi would write two rows for one point
-    assert main([command, "--set", "phi_grid=pi/2,pi/2", "--out", str(tmp_path / "o")]) == 2
-    assert "config error: phi_grid (1.5707963267948966, 1.5707963267948966) repeats a value" \
-        in capsys.readouterr().err
+    # each grid index draws its own counts, so a repeated phi would write two rows for one
+    # point; the error names the first repeated value, not the grid, however long it is
+    for grid, value in (("pi/2,pi/2", "1.5707963267948966"),
+                        (",".join(["1", "2"] + ["3"] * 4998), "3.0")):
+        assert main([command, "--set", f"phi_grid={grid}", "--out", str(tmp_path / "o")]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("config error:")]
+        assert errors == [f"config error: phi_grid repeats the value {value}"]
 
 
 @pytest.mark.parametrize("command", ["protocol", "gate-tomo"])

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -334,14 +335,14 @@ def test_protocol_counts_survive_one_ulp_of_phi(record_calls):
     # roundoff-level Born means read 0, so 1 to 4 ulp of phi either way redraw no grid point
     env = _env_matrix("maximally_mixed")
     config = ScenarioConfig(mode="protocol", bootstrap_samples=0)
-    preps = _preparations("protocol", BASIS_LABELS)
+    preps = _preparations(BASIS_LABELS)
     grid = np.array(experiments.DEFAULT_PROTOCOL_GRID)
     calls = record_calls(experiments, ("simulate_counts",))
 
     def draws(phis):
         # each state's simulate_counts tomogram, [grid point, label]
         calls["simulate_counts"].clear()
-        _samples(list(phis), range(len(phis)), preps, env, config, 0)
+        _samples(list(phis), range(len(phis)), preps, env, config)
         return np.reshape(calls["simulate_counts"], (len(phis), len(preps), -1))
 
     base = draws(grid)
@@ -357,14 +358,15 @@ def test_protocol_counts_survive_one_ulp_of_phi(record_calls):
 
 @pytest.mark.parametrize("bootstrap", [0, 3])
 def test_samples_stack_each_tomogram_over_its_replicas(bootstrap):
-    # row 0 of a state's marginal tomograms and totals comes from its
-    # simulate_counts draw and rows 1..R from resample_counts of that draw,
-    # both on the state's own spawn key (grid key, label index); at rate 0.05
-    # some states draw no counts, and so do their replicas
+    # row 0 of a state's marginal tomograms holds the marginals of its
+    # simulate_counts draw on key (grid key, label index, 0), and rows 1..R one
+    # resample_counts draw of those 12 counts, signal then environment, on key
+    # (grid key, label index, 1); the totals are the signal rows' sums; at rate
+    # 0.05 some states draw no counts, and so do their replicas
     config = ScenarioConfig(mode="protocol", rate=0.05, seed=4, bootstrap_samples=bootstrap)
     keys = [7, 2]
-    sample = _samples([math.pi, 2.0], keys, _preparations("protocol", BASIS_LABELS),
-                      _env_matrix(config.env_state), config, bootstrap)
+    sample = _samples([math.pi, 2.0], keys, _preparations(BASIS_LABELS),
+                      _env_matrix(config.env_state), config)
     assert sample.tomograms.shape == (2, len(BASIS_LABELS), 2, 1 + bootstrap, 6)
     assert sample.totals.shape == (2, len(BASIS_LABELS), 1 + bootstrap)
     for p, key in enumerate(keys):
@@ -374,9 +376,11 @@ def test_samples_stack_each_tomogram_over_its_replicas(bootstrap):
                      for stream in (0, 1)]
             counts = simulate_counts(build_state_settings(2), rho, config.rate * transmission,
                                      seeds[0])
-            stack = np.vstack([counts, resample_counts(counts, bootstrap, seeds[1])])
-            assert np.array_equal(sample.tomograms[p, i], np.stack(_marginal_counts(stack)))
-            assert np.array_equal(sample.totals[p, i], stack.sum(axis=1))
+            marginals = np.concatenate(_marginal_counts(counts))
+            stack = np.vstack([marginals, resample_counts(marginals, bootstrap, seeds[1])])
+            assert np.array_equal(sample.tomograms[p, i], np.stack([stack[:, :6], stack[:, 6:]]))
+            assert np.array_equal(sample.totals[p, i], stack[:, :6].sum(axis=1))
+            assert sample.totals[p, i, 0] == counts.sum()
     assert sample.empty.any() and not sample.empty.all()
     assert not sample.tomograms[sample.empty].any()
 
@@ -387,8 +391,8 @@ def test_samples_without_shot_noise_hold_the_transmissions_as_totals(mode):
     # state, which is positive, so no state is empty; there are no tomograms
     config = ScenarioConfig(mode=mode, **ANALYTIC)
     phis = [math.pi / 3.0, math.pi]
-    sample = _samples(phis, [0, 1], _preparations(mode, BASIS_LABELS),
-                      _env_matrix(config.env_state), config, 0)
+    sample = _samples(phis, [0, 1], _preparations(BASIS_LABELS),
+                      _env_matrix(config.env_state), config)
     scales = np.array([9.0 * ccp_success_probability(phi) for phi in phis])
     assert sample.totals.shape == (2, len(BASIS_LABELS), 1)
     assert np.array_equal(sample.totals[..., 0], scales[:, None] * sample.weights)
@@ -413,6 +417,18 @@ def test_sweep_makes_one_state_mle_call_per_batch(monkeypatch, record_calls):
     assert [len(rhos) for rhos in calls["mle_state"]] == [2 * 6 * 2 * 4] * 6 + [6 * 2 * 4]
 
 
+def known_cap(config: ScenarioConfig):
+    """The R-rho-R cap that the rate-1, seed-3 protocol sweeps meet, asserted.
+
+    One sparse d = 4 replica row of their channel stage cycles (final delta
+    0.225) until the iteration cap: the open estimator defect of ROADMAP item 4.
+    A fix of item 4 must remove this and revisit every case that uses it.
+    """
+    if (config.mode, config.rate, config.seed) != ("protocol", 1.0, 3):
+        return contextlib.nullcontext()
+    return pytest.warns(MLEConvergenceWarning, match="final delta 0.225")
+
+
 def record_process_counts(monkeypatch) -> list[np.ndarray]:
     """Patch experiments.mle_process to record the counts of each call."""
     calls = []
@@ -425,19 +441,24 @@ def record_process_counts(monkeypatch) -> list[np.ndarray]:
     return calls
 
 
-def test_sweep_batches_channel_tomograms_up_to_the_row_cap(monkeypatch):
+def test_sweep_batches_channel_tomograms_up_to_the_row_cap(monkeypatch, record_calls):
     # consecutive grid points share an mle_process call until the next point
     # would push it past the row cap; each point's estimate row is followed by
-    # its own replicas, in the same call
+    # its own replicas, in the same call, and row r of a point is the six
+    # states' signal rows r side by side, in BASIS_LABELS order
     monkeypatch.setattr(experiments, "_CHANNEL_BATCH_ROWS", 10)
     calls = record_process_counts(monkeypatch)
-    config = ScenarioConfig(mode="protocol", bootstrap_samples=3)
+    samples = record_calls(experiments, ("_samples",))["_samples"]
+    config = ScenarioConfig(mode="protocol", signal_states=BASIS_LABELS[::-1],
+                            bootstrap_samples=3)
     run_protocol_sweep(config, states=False)
     grid = experiments.DEFAULT_PROTOCOL_GRID
     assert [len(counts) for counts in calls] == [8] * 6 + [4]   # two 4-row points a call
+    assert [len(sample.phis) for sample in samples] == [2] * 6 + [1]
+    signal = np.concatenate([sample.tomograms[:, ::-1, 0] for sample in samples])
     for pi, rows in enumerate(np.split(np.concatenate(calls), len(grid))):
-        key = np.random.SeedSequence(entropy=config.seed, spawn_key=(pi, 99, 1))
-        assert np.array_equal(rows[1:], resample_counts(rows[0], 3, key))
+        for r, row in enumerate(rows):
+            assert np.array_equal(row, signal[pi, :, r].ravel())
 
 
 @pytest.mark.parametrize("cap, bootstrap", [(2, 3), (4, 3), (None, None)],
@@ -474,9 +495,11 @@ def test_channel_batching_leaves_the_result_unchanged(monkeypatch, overrides):
     # bootstrap 3 the whole grid is one batch that mixes empty and live states
     config = ScenarioConfig(**overrides)
     run = run_protocol_sweep if config.mode == "protocol" else run_reference_sweep
-    batched = run(config)
+    with known_cap(config):
+        batched = run(config)
     monkeypatch.setattr(experiments, "_CHANNEL_BATCH_ROWS", 1)
-    assert repr(run(config)) == repr(batched)
+    with known_cap(config):
+        assert repr(run(config)) == repr(batched)
     # at seed 3 a preparation draws no counts at every point at rate 0.05, and at
     # some points at rate 1: those points' channel estimates are nan
     if config.rate < 1.0:
@@ -499,10 +522,12 @@ def test_regular_channel_stage_matches_the_ragged_reference(monkeypatch, overrid
     # equal those of the reference that leaves such points out of both calls (repr
     # spells out every float, nan included)
     config = ScenarioConfig(mode="protocol", **overrides)
-    regular = run_protocol_sweep(config, states=False)
+    with known_cap(config):
+        regular = run_protocol_sweep(config, states=False)
     monkeypatch.setattr(experiments, "_channel_stacks", channel_inputs)
     monkeypatch.setattr(experiments, "_choi_points", channel_points)
-    assert repr(run_protocol_sweep(config, states=False).phis) == repr(regular.phis)
+    with known_cap(config):
+        assert repr(run_protocol_sweep(config, states=False).phis) == repr(regular.phis)
     determined = {not math.isnan(pp.channel_ef.value) for pp in regular.phis}
     assert determined == ({False} if config.rate < 1.0 else
                           {False, True} if config.rate < 300.0 else {True})
@@ -514,10 +539,12 @@ def test_qubit_mle_blocks_leave_the_result_unchanged(monkeypatch, record_calls, 
     # into one mle_state call whatever the block size, and no bit moves (at rate 1
     # some replicas draw no counts)
     config = ScenarioConfig(mode="protocol", rate=1.0, seed=3, bootstrap_samples=30)
-    whole = run_protocol_sweep(config)
+    with known_cap(config):
+        whole = run_protocol_sweep(config)
     monkeypatch.setattr(tomography, "_QUBIT_MLE_ROWS", rows)
     calls = record_calls(experiments, ("mle_state",))
-    assert repr(run_protocol_sweep(config)) == repr(whole)
+    with known_cap(config):
+        assert repr(run_protocol_sweep(config)) == repr(whole)
     assert [len(rhos) for rhos in calls["mle_state"]] == [13 * 6 * 2 * 31]
     # sphere, interior and zero-count rows in each of two 7-row blocks
     counts = np.array([[9, 0, 4, 0, 0, 0], [3, 2, 1, 1, 2, 2], [0] * 6, [5, 0, 4, 0, 0, 3],
@@ -596,30 +623,29 @@ def test_batched_channel_estimates_keep_the_point_checks(monkeypatch, defect, ma
 
 
 def test_protocol_sweep_builds_the_phi_only_part_once_per_grid_point(monkeypatch, record_calls):
-    # the gated (P, S, E) state and the herald projectors do not depend on the
-    # signal state: one of each per phi, not one per phi and state, also when
-    # the grid runs as one batch (the default row cap) and not point by point (a cap of 1)
+    # the herald amplitudes do not depend on the signal state: one pair of herald
+    # kets per phi, not one per phi and state, also when the grid runs as one batch
+    # (the default row cap) and not point by point (a cap of 1)
     n = len(experiments.DEFAULT_PROTOCOL_GRID)
     for cap in (1, experiments._CHANNEL_BATCH_ROWS):
         monkeypatch.setattr(experiments, "_CHANNEL_BATCH_ROWS", cap)
-        calls = record_calls(experiments, ("_gate", "_herald_projectors"))
+        calls = record_calls(experiments, ("_protocol_points", "_herald_kets", "_gate"))
         run_protocol_sweep(ScenarioConfig(mode="protocol", bootstrap_samples=3, **ANALYTIC))
         # the anchor's own sample, then every grid point, pi included
-        assert sum(len(gated) for gated in calls["_gate"]) == n + 1
-        assert len(calls["_gate"]) == (n + 1 if cap == 1 else 2)
-        assert len(calls["_herald_projectors"]) == n + 1
+        assert sum(len(rhos) for rhos, _ in calls["_protocol_points"]) == n + 1
+        assert len(calls["_protocol_points"]) == (n + 1 if cap == 1 else 2)
+        assert len(calls["_herald_kets"]) == n + 1
+        assert not calls["_gate"]   # the product form needs no three-qubit state
 
 
 @pytest.mark.parametrize("mode", ["protocol", "reference"])
 def test_sweep_builds_the_preparations_once(record_calls, mode):
     # the preparation of each signal state does not depend on phi: one stack
     # per sweep, the anchor's included
-    calls = record_calls(experiments, ("_preparations", "_prep_unitary"))
+    calls = record_calls(experiments, ("_preparations",))
     run = run_protocol_sweep if mode == "protocol" else run_reference_sweep
     run(ScenarioConfig(mode=mode, bootstrap_samples=0))
-    assert [p.shape for p in calls["_preparations"]] == [
-        (6, 8, 8) if mode == "protocol" else (6, 2, 2)]
-    assert len(calls["_prep_unitary"]) == (6 if mode == "protocol" else 0)
+    assert [p.shape for p in calls["_preparations"]] == [(6, 2, 2)]
 
 
 NOISY_ENV = random_density_matrix(1, np.random.default_rng(4))
@@ -632,21 +658,42 @@ REFERENCE_PHIS = [0.0, 0.3, math.pi, 5.9]
 
 @pytest.mark.parametrize("phi", PROTOCOL_PHIS)
 def test_protocol_points_match_the_per_label_formula(phi):
-    # sharing the phi-only part across the labels and stacking the rest over the
-    # labels and the grid points of a batch leaves every float operation of the
-    # per-label pipeline as it was
-    rhos, weights = _protocol_points(PROTOCOL_PHIS, _preparations("protocol", BASIS_LABELS),
-                                     NOISY_ENV.matrix, NOISY)
+    # the product form equals the three-qubit pipeline with a projective herald up
+    # to roundoff, and stacking it over the labels and the grid points of a batch
+    # leaves every float operation of a single state at a single phi as it was
+    preps = _preparations(BASIS_LABELS)
+    rhos, weights = _protocol_points(PROTOCOL_PHIS, preps, NOISY_ENV.matrix, NOISY)
     at = PROTOCOL_PHIS.index(phi)
-    for label, rho, weight in zip(BASIS_LABELS, rhos[at], weights[at]):
+    for i, (label, rho, weight) in enumerate(zip(BASIS_LABELS, rhos[at], weights[at])):
         ref_rho, ref_weight = protocol_point(phi, label, NOISY_ENV.matrix, NOISY)
-        assert weight == ref_weight
-        assert rho.tobytes() == ref_rho.tobytes()
+        assert weight == pytest.approx(ref_weight, rel=1e-14)
+        np.testing.assert_allclose(rho, ref_rho, rtol=0.0, atol=1e-14)
+        ((one,),), ((one_weight,),) = _protocol_points([phi], preps[i:i + 1],
+                                                       NOISY_ENV.matrix, NOISY)
+        assert one_weight == weight
+        assert one.tobytes() == rho.tobytes()
+
+
+@pytest.mark.parametrize("env_state", ["maximally_mixed", "plus"])
+def test_protocol_populations_never_go_negative(env_state):
+    # without a herald error the success branch leaves E in |0> exactly, so its
+    # |1> populations are 0 up to roundoff; the product form builds each diagonal
+    # entry from squared moduli, so none is negative, where the three-qubit
+    # projection leaves some at -1e-13 near phi = 0 and at -4e-33 at phi = pi
+    env = _env_matrix(env_state)
+    phis = [0.02, 0.05, math.pi / 2.0, 2.7052603405912107, math.pi, 6.2]
+    rhos, _ = _protocol_points(phis, _preparations(BASIS_LABELS), env, NoiseParams())
+    assert (np.diagonal(rhos, axis1=-2, axis2=-1).real >= 0.0).all()
+    # a squared roundoff amplitude of 1e-16, over a success weight of 5e-5 at phi = 0.02
+    np.testing.assert_allclose(rhos[..., [1, 3], [1, 3]], 0.0, rtol=0.0, atol=1e-27)
+    ref = [protocol_point(phi, lab, env, NoiseParams())[0] for phi in phis for lab in BASIS_LABELS]
+    assert (np.diagonal(ref, axis1=-2, axis2=-1).real < 0.0).any()
+    np.testing.assert_allclose(rhos.reshape(-1, 4, 4), ref, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("phi", REFERENCE_PHIS)
 def test_reference_points_match_the_per_label_formula(phi):
-    rhos, weights = _reference_points(REFERENCE_PHIS, _preparations("reference", BASIS_LABELS),
+    rhos, weights = _reference_points(REFERENCE_PHIS, _preparations(BASIS_LABELS),
                                       NOISY_ENV.matrix, NOISY)
     at = REFERENCE_PHIS.index(phi)
     for label, rho, weight in zip(BASIS_LABELS, rhos[at], weights[at]):
@@ -674,9 +721,11 @@ def test_stacked_state_points_match_the_per_state_reference(monkeypatch, mode, o
     # every float, nan included)
     config = ScenarioConfig(mode=mode, **overrides)
     run = run_protocol_sweep if mode == "protocol" else run_reference_sweep
-    stacked = run(config)
+    with known_cap(config):
+        stacked = run(config)
     monkeypatch.setattr(experiments, "_state_points", state_points)
-    assert repr(run(config)) == repr(stacked)
+    with known_cap(config):
+        assert repr(run(config)) == repr(stacked)
     if config.rate < 1.0:   # every point has a state without counts
         assert all(any(math.isnan(sp.fidelity.value) for sp in stacked.states
                        if sp.phi == pp.phi) for pp in stacked.phis)
@@ -716,7 +765,7 @@ def test_low_rate_sweep_reports_missing_counts_in_order(capsys):
     run_protocol_sweep(ScenarioConfig(mode="protocol", phi_grid=grid, rate=0.05, seed=3,
                                       bootstrap_samples=30))
     anchor = "anchor at phi = 3.14159 drew no counts"
-    expected = [f"state 0: {anchor} in 12 of 30 bootstrap replicas, success_norm std is nan"]
+    expected = [f"state 0: {anchor} in 10 of 30 bootstrap replicas, success_norm std is nan"]
     expected += [f"state {lab}: {anchor}, success_norm is nan" for lab in "1+-LR"]
     expected += [f"phi = {phi}, state {lab}: no counts, estimates are nan"
                  for phi, labs in (("0.523599", "01-LR"), ("3.14159", "1+-LR"), ("5", "01+-LR"))
@@ -758,8 +807,8 @@ def test_reference_near_pure_batches_return_without_warning():
     config = ScenarioConfig(mode="reference")
     grid_points = [1, 12]
     sample = _samples([DEFAULT_REFERENCE_GRID[pi] for pi in grid_points], grid_points,
-                      _preparations("reference", BASIS_LABELS), _env_matrix(config.env_state),
-                      config, config.bootstrap_samples)
+                      _preparations(BASIS_LABELS), _env_matrix(config.env_state),
+                      config)
     for tomograms in sample.tomograms[:, BASIS_LABELS.index("R")]:
         for counts in tomograms[:, 1:]:   # signal, then environment replicas
             rhos = mle_state(build_state_settings(1), counts)
@@ -797,7 +846,7 @@ def test_protocol_near_zero_coupling_never_heralds(phi, shot_noise):
 
 @pytest.mark.parametrize("phi", [1e-7, 2.0 * math.pi - 1e-7])
 def test_herald_error_keeps_failure_branch_near_zero_coupling(phi):
-    ((rho_se,),), ((weight,),) = _protocol_points([phi], _preparations("protocol", ("+",)),
+    ((rho_se,),), ((weight,),) = _protocol_points([phi], _preparations(("+",)),
                                                   np.eye(2) / 2, NoiseParams(herald_error=0.1))
     assert weight == pytest.approx(0.1, rel=1e-9)   # the failure branch has weight ~1
     assert DensityMatrix(rho_se).n == 2             # a trace-one state
@@ -880,11 +929,11 @@ def test_gate_choi_matches_kraus_form(noise):
 
 @pytest.mark.parametrize("sector, unitary", [
     (_CCP_SECTOR, lambda phi: u_ccp(phi)),
-    (_SE_SECTOR, lambda phi: expand_operator(u_cp(phi), 3, (1, 2))),
+    (_SE_SECTOR, lambda phi: u_cp(phi)),
 ], ids=["ccp", "signal-environment"])
 def test_phase_is_the_gauss_hermite_jitter_average(sector, unitary):
     # U(phi + delta) rho U(phi + delta)† averaged over delta ~ N(0, sigma^2)
-    rho = random_density_matrix(3, np.random.default_rng(4)).matrix
+    rho = random_density_matrix(len(sector).bit_length() - 1, np.random.default_rng(4)).matrix
     phi, sigma = 2.3, 0.45
     nodes, weights = np.polynomial.hermite.hermgauss(40)
     us = [unitary((phi + math.sqrt(2.0) * sigma * x) % TWO_PI) for x in nodes]
