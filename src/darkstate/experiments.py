@@ -22,7 +22,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .protocol import DegenerateCouplingError, _herald_kets, ccp_success_probability, u_ccp
+from .protocol import (DegenerateCouplingError, _herald_kets, ccp_success_probability,
+                       probe_branches, u_ccp)
 from .qmath import (
     BASIS_LABELS,
     ROUNDOFF_WEIGHT,
@@ -258,25 +259,19 @@ def _protocol_points(phis: Sequence[float], preps: np.ndarray, env: np.ndarray,
 
     The herald reads the probe alone while the signal is still |1>, so it commutes
     with the preparation and the S-E coupling, and the gate is a phase e^{i phi} on
-    the probe's |1> when E is |1>.  A branch with probe ket v maps env to K env K†,
-    K = diag(<v|+>, <v|+_phi>), |+-_phi> = (|0> +- e^{i phi}|1>)/sqrt2; the gate's
-    jitter puts |-_phi> for |+_phi> with probability (1 - c)/2, and its depolarizing
-    adds p I/8.  So every population is a sum of squared moduli times env's, which
-    roundoff cannot make negative.
+    the probe's |1> when E is |1>.  Each herald branch maps env as
+    ``protocol.probe_branches`` does, with the gate's jitter, and the gate's
+    depolarizing adds p I/8.
     """
     phis = np.asarray(phis, dtype=float)
     c, p = _coherence(noise.phase_jitter_std), noise.gate_depolarizing
-    # probe kets |+>, |+_phi>, |-_phi> as columns, and <v| of each herald branch
-    probes = np.array([[[1.0, 1.0, 1.0], [1.0, z, -z]] for z in np.exp(1j * phis)])
-    amps = np.array([_herald_kets(phi) for phi in phis]).conj() @ probes / math.sqrt(2.0)
+    branches = probe_branches(env, phis, [_herald_kets(phi) for phi in phis], c)
     weights = np.zeros(len(phis))
     declared = np.zeros((len(phis), len(preps), 4, 4), dtype=complex)
     # a declared herald is the success branch, or with probability herald_error the failure one
-    for share, amp in zip((1.0 - noise.herald_error, noise.herald_error), amps.swapaxes(0, 1)):
-        post = env * sum(r * amp[:, [0, col], None] * amp[:, None, [0, col]].conj()
-                         for r, col in (((1.0 + c) / 2.0, 1), ((1.0 - c) / 2.0, 2)))
+    for share, post in zip((1.0 - noise.herald_error, noise.herald_error), branches.swapaxes(0, 1)):
         # the signal is |1> while the herald reads the probe: one weight for every label,
-        # and a branch at roundoff weight carries nothing, as in project
+        # and a branch at roundoff weight carries nothing
         w = (1.0 - p) * np.trace(post, axis1=-2, axis2=-1).real + p / 2.0
         w = np.where(w > ROUNDOFF_WEIGHT, w, 0.0)
         weights += share * w

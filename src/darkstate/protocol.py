@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import (
-    DensityMatrix,
-    expand_operator,
-    ket,
-    partial_trace_array,
-    project,
-    projector,
-)
+from .qmath import ROUNDOFF_WEIGHT, DensityMatrix, ket, partial_trace_array, projector
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,9 +28,9 @@ class HeraldOutcome:
     """One branch of the probe measurement.
 
     ``post_state`` is the joint (probe, environment) register after the
-    projection, renormalized, or None when ``project`` drops the branch at
-    roundoff weight.  ``probability`` is the probability of this branch
-    occurring, 0 for a dropped branch.
+    measurement, renormalized, or None for a branch at roundoff weight.
+    ``probability`` is the probability of this branch occurring, 0 for a
+    branch at roundoff weight.
     """
 
     success: bool
@@ -50,12 +43,6 @@ def _angle(phi) -> float:
     if not (0.0 <= value < TWO_PI):
         raise ValueError(f"coupling strength {value} outside [0, 2*pi)")
     return value
-
-
-def u_cp(phi) -> np.ndarray:
-    """Two-qubit controlled phase, diag(1, 1, 1, e^{i phi})."""
-    value = _angle(phi)
-    return np.diag([1.0, 1.0, 1.0, np.exp(1j * value)])
 
 
 def u_ccp(phi) -> np.ndarray:
@@ -80,10 +67,24 @@ def _herald_kets(value: float) -> tuple[np.ndarray, np.ndarray]:
     return perp, para
 
 
-def _coupled_probe(rho_e: DensityMatrix, value: float) -> np.ndarray:
-    """The (probe, environment) state |+><+| (x) rho_E after the coupling u_cp(value)."""
-    u = u_cp(value)
-    return u @ np.kron(projector(ket("+")), rho_e.matrix) @ u.conj().T
+def probe_branches(env: np.ndarray, phis, kets, coherence: float = 1.0) -> np.ndarray:
+    """Unnormalized environment states (P, B, 2, 2) that the measured probe kets leave.
+
+    ``env`` is the (2, 2) environment, ``phis`` the (P,) coupling angles and
+    ``kets`` the (P, B, 2) probe kets measured at each angle.  A |+> probe
+    coupled to the environment and found in the ket v leaves it in K env K†,
+    K = diag(<v|+>, <v|+_phi>), |+-_phi> = (|0> +- e^{i phi}|1>)/sqrt2, whose
+    trace is the branch's probability.  A Gaussian jitter of the phase that
+    scales a coherence by ``coherence`` puts |-_phi> for |+_phi> with
+    probability (1 - coherence)/2.  So every population is a sum of squared
+    moduli times env's, which roundoff cannot make negative.
+    """
+    # probe kets |+>, |+_phi>, |-_phi> as columns, and their overlaps <v|.> with each ket v
+    probes = np.array([[[1.0, 1.0, 1.0], [1.0, z, -z]]
+                       for z in np.exp(1j * np.asarray(phis, dtype=float))])
+    amps = np.asarray(kets).conj() @ probes / math.sqrt(2.0)
+    return env * sum(r * amps[..., [0, col], None] * amps[..., None, [0, col]].conj()
+                     for r, col in (((1.0 + coherence) / 2.0, 1), ((1.0 - coherence) / 2.0, 2)))
 
 
 def herald_outcomes(rho_e: DensityMatrix, phi) -> tuple[HeraldOutcome, HeraldOutcome]:
@@ -92,17 +93,25 @@ def herald_outcomes(rho_e: DensityMatrix, phi) -> tuple[HeraldOutcome, HeraldOut
     The probe is prepared in |+>, coupled to the environment, and measured
     in the basis (|0> ± e^{i phi}|1>)/sqrt2.  Projection onto the minus
     state heralds the environment in |0> exactly, whenever its |0>
-    population is nonzero.
+    population is nonzero.  A branch with probe ket v leaves the joint state
+    |v><v| (x) K env K† / w, with K env K† from ``probe_branches``.
     """
     if rho_e.dim != 2:
         raise ValueError("environment must be a single qubit")
     value = _angle(phi)
     if value == 0.0:
         raise DegenerateCouplingError("heralding is impossible at phi = 0")
-    projs = [expand_operator(projector(v), 2, (0,)) for v in _herald_kets(value)]
-    weights, posts = project(_coupled_probe(rho_e, value), np.stack(projs))
-    return tuple(HeraldOutcome(success, DensityMatrix(post) if w > 0.0 else None, float(w))
-                 for success, w, post in zip((True, False), weights, posts))
+    kets = _herald_kets(value)
+    posts = probe_branches(rho_e.matrix, [value], [kets])[0]
+    outcomes = []
+    for success, v, post in zip((True, False), kets, posts):
+        w = float(np.trace(post).real)
+        if w > ROUNDOFF_WEIGHT:
+            joint = np.kron(projector(v), post / w)
+            outcomes.append(HeraldOutcome(success, DensityMatrix(joint), w))
+        else:
+            outcomes.append(HeraldOutcome(success, None, 0.0))
+    return tuple(outcomes)
 
 
 def herald_dark_state(rho_e: DensityMatrix, phi) -> HeraldOutcome:
@@ -169,8 +178,8 @@ def plus_projection_update(rho_e: DensityMatrix, phi) -> tuple[float, DensityMat
     """
     if rho_e.dim != 2:
         raise ValueError("environment must be a single qubit")
-    value = _angle(phi)
-    w, post = project(_coupled_probe(rho_e, value), expand_operator(projector(ket("+")), 2, (0,)))
-    if w == 0.0:
+    post = probe_branches(rho_e.matrix, [_angle(phi)], [[ket("+")]])[0, 0]
+    w = float(np.trace(post).real)
+    if w <= ROUNDOFF_WEIGHT:
         raise ValueError("projection onto |+> has zero weight")
-    return float(w), DensityMatrix(partial_trace_array(post, 2, (1,)))
+    return w, DensityMatrix(post / w)

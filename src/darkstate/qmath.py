@@ -7,7 +7,6 @@ every row of a (..., d, d) stack, for the code that keeps states as arrays.
 Every function that takes a matrix takes one (d, d) matrix or a (..., d, d)
 stack and works on the leading axes: its results are shaped by them, so one
 matrix gives a numpy scalar or a 0-d array and equals its stack-of-one row.
-A branch that ``project`` drops has weight 0 and the zero state.
 A single ordering convention is used throughout the package: the leftmost
 tensor factor owns the most significant bit of a computational basis index,
 so the two-qubit basis state ``|10>`` has index 2 and ``np.kron(a, b)``
@@ -187,26 +186,6 @@ def expand_operator(op: np.ndarray, n: int, targets: Sequence[int]) -> np.ndarra
     t = full.reshape((2,) * (2 * n))
     t = t.transpose(perm + [n + p for p in perm])
     return np.ascontiguousarray(t.reshape(2**n, 2**n))
-
-
-def project(rho: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply projectors; return the (...) weights and the (..., d, d) renormalized states.
-
-    ``rho`` is one matrix or a (..., d, d) stack, each row projected on its
-    own, and ``proj`` one projector or a stack that broadcasts against it.
-    Weights at roundoff scale count as zero: renormalizing them would
-    amplify floating-point asymmetry into an unphysical state.  So a row
-    whose branch is dropped has weight 0 and the zero matrix for its state,
-    and it adds nothing to a weighted sum of branches.
-    """
-    rho = np.asarray(rho)
-    sub = proj @ rho @ _dagger(proj)
-    w = np.trace(sub, axis1=-2, axis2=-1).real
-    scale = np.abs(np.trace(rho, axis1=-2, axis2=-1).real)
-    kept = ~(w <= ROUNDOFF_WEIGHT * np.where(scale > 0.0, scale, 1.0))
-    out = sub / np.where(kept, w, 1.0)[..., None, None]
-    out = np.where(kept[..., None, None], 0.5 * (out + _dagger(out)), 0.0)
-    return np.where(kept, w, 0.0), out
 
 
 def max_entangled(n: int) -> np.ndarray:

@@ -10,10 +10,10 @@ import numpy as np
 
 from darkstate.experiments import (_P_ONE, _SE_SECTOR, MetricValue, StatePoint, _gate, _metrics,
                                    _phase, channel_choi_from_outputs)
-from darkstate.protocol import _herald_kets
-from darkstate.qmath import (BASIS_LABELS, DensityMatrix, _check_states, expand_operator, ket,
-                             max_entangled, partial_trace_array, project, projector, purity,
-                             state_fidelity)
+from darkstate.protocol import _angle, _herald_kets
+from darkstate.qmath import (BASIS_LABELS, ROUNDOFF_WEIGHT, DensityMatrix, _check_states,
+                             expand_operator, ket, max_entangled, partial_trace_array, projector,
+                             purity, state_fidelity)
 from darkstate.tomography import (MLE_TOL, MeasurementSetting, _born, _weighted_projectors,
                                   _workspace, build_state_settings, mle_process, mle_state)
 
@@ -37,6 +37,28 @@ def product_settings(n: int, process: bool) -> tuple[MeasurementSetting, ...]:
 def product_density(labels: Iterable[str]) -> DensityMatrix:
     """Pure product state as a density matrix, leftmost label most significant."""
     return DensityMatrix(projector(product_ket(labels)))
+
+
+def u_cp(phi) -> np.ndarray:
+    """Two-qubit controlled phase, diag(1, 1, 1, e^{i phi}), for phi in [0, 2 pi)."""
+    value = _angle(phi)
+    return np.diag([1.0, 1.0, 1.0, np.exp(1j * value)])
+
+
+def project(rho: np.ndarray, proj: np.ndarray) -> tuple[float, np.ndarray]:
+    """The weight and renormalized state of one branch of ``rho``, from the dense
+    product proj rho proj†.
+
+    The reference for ``protocol.probe_branches``, which never forms the joint
+    state.  A branch at or below ``ROUNDOFF_WEIGHT`` of the trace has weight 0 and
+    the zero state.
+    """
+    sub = proj @ rho @ proj.conj().T
+    w = np.trace(sub).real
+    if w <= ROUNDOFF_WEIGHT * abs(np.trace(rho).real):
+        return 0.0, np.zeros_like(sub)
+    out = sub / w
+    return w, 0.5 * (out + out.conj().T)
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:

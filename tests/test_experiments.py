@@ -30,8 +30,8 @@ from darkstate.experiments import (
     write_gate_csv,
 )
 from darkstate.optical_gate import realize_ccp
-from darkstate.protocol import (TWO_PI, DegenerateCouplingError, ccp_success_probability, u_ccp,
-                                u_cp)
+from darkstate.protocol import (TWO_PI, DegenerateCouplingError, ccp_success_probability,
+                                herald_outcomes, u_ccp)
 from darkstate.qmath import (
     BASIS_LABELS,
     DensityMatrix,
@@ -39,6 +39,7 @@ from darkstate.qmath import (
     expand_operator,
     ket,
     max_entangled,
+    partial_trace_array,
     projector,
     state_fidelity,
 )
@@ -51,7 +52,7 @@ from darkstate.tomography import (
     simulate_counts,
 )
 from helpers import (channel_inputs, channel_points, channel_to_choi, product_ket, protocol_point,
-                     random_density_matrix, reference_point, state_points)
+                     random_density_matrix, reference_point, state_points, u_cp)
 
 EF_DEPHASED_HALF = 0.6008760366928562   # entanglement at |q| = cos(pi/4)
 
@@ -675,6 +676,23 @@ def test_protocol_points_match_the_per_label_formula(phi):
 
 
 @pytest.mark.parametrize("env_state", ["maximally_mixed", "plus"])
+def test_protocol_points_share_the_library_herald(env_state):
+    # the sweep and the library herald go through one branch map: at zero noise the
+    # sweep's weight is the success probability bit for bit, and its environment
+    # marginal the success branch's environment state
+    env = _env_matrix(env_state)
+    grid = experiments.DEFAULT_PROTOCOL_GRID
+    rhos, weights = _protocol_points(grid, _preparations(BASIS_LABELS), env, NoiseParams())
+    for phi, rho, weight in zip(grid, rhos, weights):
+        succ, _fail = herald_outcomes(DensityMatrix(env), phi)
+        assert (weight == succ.probability).all()
+        np.testing.assert_allclose(partial_trace_array(rho, 2, (1,)),
+                                   np.broadcast_to(partial_trace_array(succ.post_state.matrix,
+                                                                       2, (1,)), (6, 2, 2)),
+                                   rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("env_state", ["maximally_mixed", "plus"])
 def test_protocol_populations_never_go_negative(env_state):
     # without a herald error the success branch leaves E in |0> exactly, so its
     # |1> populations are 0 up to roundoff; the product form builds each diagonal
@@ -836,7 +854,7 @@ def test_protocol_rejects_zero_phi():
 @pytest.mark.parametrize("phi", [1e-7, 2.0 * math.pi - 1e-7])
 @pytest.mark.parametrize("shot_noise", [False, True])
 def test_protocol_near_zero_coupling_never_heralds(phi, shot_noise):
-    # the success weight here (~1e-15) is below project's roundoff floor, so
+    # the success weight here (~1e-15) is at or below ROUNDOFF_WEIGHT, so
     # the branch is dropped and counts as no herald, not as a trace-0 state
     cfg = ScenarioConfig(mode="protocol", phi_grid=(phi,), shot_noise=shot_noise,
                          bootstrap_samples=0)

@@ -11,16 +11,18 @@ from darkstate.protocol import (
     repeat_success_probability,
     simulate_repeat_protocol,
     u_ccp,
-    u_cp,
 )
 from darkstate.qmath import (
     BASIS_LABELS,
     DensityMatrix,
+    expand_operator,
     ket,
     partial_trace,
+    partial_trace_array,
+    projector,
     state_fidelity,
 )
-from helpers import product_density, random_density_matrix
+from helpers import product_density, project, random_density_matrix, u_cp
 
 
 def diag_env(p0: float) -> DensityMatrix:
@@ -34,6 +36,14 @@ def evolve_cp(rho_s: np.ndarray, rho_e: np.ndarray, phi: float) -> np.ndarray:
 
 
 MIXED = DensityMatrix(np.eye(2) / 2)
+EDGE_PHIS = [1e-7, 2.0 * math.pi - 1e-7]
+
+
+def dense_branch(rho_e: DensityMatrix, phi: float, probe: np.ndarray) -> tuple[float, np.ndarray]:
+    """The joint (probe, environment) branch of a |+> probe coupled by u_cp(phi) and found
+    in ``probe``, projected on the dense joint state."""
+    joint = evolve_cp(projector(ket("+")), rho_e.matrix, phi)
+    return project(joint, expand_operator(projector(probe), 2, (0,)))
 
 
 def dephased(rho_s: DensityMatrix, rho_e: DensityMatrix, phi: float) -> np.ndarray:
@@ -177,6 +187,30 @@ def test_herald_below_roundoff_returns_failure_branch(phi):
     assert outcome.probability == pytest.approx(1.0, abs=1e-12)
 
 
+def test_herald_success_populations_never_go_negative():
+    # K env K† builds each population from squared moduli; projecting the joint state
+    # left 1784 of these 4004 |1> populations at up to -1.4e-13
+    phis = list(np.linspace(0.01, 2.0 * math.pi - 0.01, 2001)) + [math.pi]
+    pops = [partial_trace_array(herald_outcomes(DensityMatrix(env), phi)[0].post_state.matrix,
+                                2, (1,))[1, 1].real
+            for env in (np.eye(2) / 2, projector(ket("+"))) for phi in phis]
+    assert len(pops) == 4004 and min(pops) >= 0.0
+
+
+def test_herald_outcomes_match_dense_projection():
+    # the product form against the projection of the dense joint state
+    rng = np.random.default_rng(18)
+    for _ in range(6):
+        rho_e = random_density_matrix(1, rng)
+        phi = rng.uniform(0.1, 6.2)
+        for outcome, probe in zip(herald_outcomes(rho_e, phi),
+                                  (np.array([1.0, sign * np.exp(1j * phi)]) / math.sqrt(2.0)
+                                   for sign in (-1.0, 1.0))):
+            w, post = dense_branch(rho_e, phi, probe)
+            assert outcome.probability == pytest.approx(w, abs=1e-12)
+            np.testing.assert_allclose(outcome.post_state.matrix, post, rtol=0.0, atol=1e-12)
+
+
 def test_post_herald_coupling_is_switched_off():
     # the point of the protocol: after a successful herald any later signal
     # survives the interaction untouched
@@ -203,9 +237,11 @@ def test_repeat_single_round_reduces_to_single_shot():
 
 
 def test_repeat_closed_forms_match_simulation():
+    # near phi = 0 and 2 pi every success branch is at roundoff weight and reads 0,
+    # against a closed form of about n p0 phi^2 / 4 ~ 1e-14
     for p0 in (0.25, 0.5, 0.9):
         rho_e = diag_env(p0)
-        for phi in (math.pi / 4.0, math.pi / 2.0, math.pi):
+        for phi in [math.pi / 4.0, math.pi / 2.0, math.pi] + EDGE_PHIS:
             for n in range(1, 6):
                 for thermalizing in (False, True):
                     sim = simulate_repeat_protocol(rho_e, phi, n, thermalizing)
@@ -242,7 +278,7 @@ def test_repeat_validation():
 
 def test_plus_projection_matches_ratio_law():
     for p0 in (0.4, 0.7):
-        for phi in (0.8, math.pi / 2.0, 2.4):
+        for phi in [0.8, math.pi / 2.0, 2.4] + EDGE_PHIS:
             rho = diag_env(p0)
             expected_ratio = (1.0 - p0) / p0
             for _ in range(4):
@@ -260,3 +296,15 @@ def test_plus_projection_ratio_law_with_coherences():
     _w, out = plus_projection_update(rho, phi)
     ratio1 = out.matrix[1, 1].real / out.matrix[0, 0].real
     assert ratio1 == pytest.approx(ratio0 * math.cos(phi / 2.0) ** 2, abs=1e-12)
+
+
+def test_plus_projection_matches_dense_projection():
+    rng = np.random.default_rng(19)
+    for _ in range(6):
+        rho_e = random_density_matrix(1, rng)
+        phi = rng.uniform(0.0, 6.2)
+        w, post = plus_projection_update(rho_e, phi)
+        dense_w, dense_post = dense_branch(rho_e, phi, ket("+"))
+        assert w == pytest.approx(dense_w, abs=1e-12)
+        np.testing.assert_allclose(post.matrix, partial_trace_array(dense_post, 2, (1,)),
+                                   rtol=0.0, atol=1e-12)

@@ -17,7 +17,6 @@ from darkstate.qmath import (
     max_entangled,
     partial_trace,
     partial_trace_array,
-    project,
     projector,
     purity,
     state_fidelity,
@@ -391,26 +390,3 @@ def test_partial_trace_array_stack_rows_match_single_calls():
         assert traced.shape == (4, 2 ** len(keep), 2 ** len(keep))
         for row, mat in zip(traced, stack):
             assert row.tobytes() == partial_trace_array(mat, 3, keep).tobytes()
-
-
-def test_project_stack_rows_match_single_calls():
-    # rows are projected on their own, and a single matrix is a stack of one; a row
-    # whose branch is dropped at roundoff weight (here 0 and 1e-15) has weight 0 and
-    # the zero state
-    rng = np.random.default_rng(9)
-    proj = expand_operator(projector(ket("1")), 2, (0,))
-    tiny = np.diag([1.0 - 1e-15, 0.0, 1e-15, 0.0]).astype(complex)
-    stack = np.stack([random_density_matrix(2, rng).matrix, product_density("0+").matrix,
-                      tiny, random_density_matrix(2, rng).matrix])
-    weights, states = project(stack, proj)
-    assert weights.shape == (4,) and states.shape == (4, 4, 4)
-    for i, rho in enumerate(stack):
-        w, post = project(rho, proj)
-        assert np.ndim(w) == 0 and post.shape == (4, 4)
-        w1, post1 = project(rho[None], proj)
-        row = (weights[i], states[i].tobytes())
-        assert (w, post.tobytes()) == (w1[0], post1[0].tobytes()) == row   # bit for bit
-        if i in (1, 2):
-            assert w == 0.0 and not post.any()
-        else:
-            assert DensityMatrix(post).n == 2

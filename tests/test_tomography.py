@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from darkstate.protocol import u_ccp, u_cp
+from darkstate.protocol import u_ccp
 from darkstate.qmath import (
     BASIS_LABELS,
     DensityMatrix,
@@ -38,7 +38,7 @@ from darkstate.experiments import NoiseParams, _channel_metrics, _gate_choi, _ga
 from darkstate.tomography import (_born, _pauli_tables, _rrr, _weighted_projectors,
                                   _workspace)
 from helpers import (channel_to_choi, product_density, product_ket, product_settings,
-                     random_density_matrix, random_pure_state, rrr_chain)
+                     random_density_matrix, random_pure_state, rrr_chain, u_cp)
 
 PHI_PLUS = projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
 
