@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import ROUNDOFF_WEIGHT, DensityMatrix, ket, partial_trace_array, projector
+from .qmath import ROUNDOFF_WEIGHT, DensityMatrix, ket
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,10 +27,10 @@ class DegenerateCouplingError(ValueError):
 class HeraldOutcome:
     """One branch of the probe measurement.
 
-    ``post_state`` is the joint (probe, environment) register after the
-    measurement, renormalized, or None for a branch at roundoff weight.
-    ``probability`` is the probability of this branch occurring, 0 for a
-    branch at roundoff weight.
+    ``post_state`` is the environment that the measured probe leaves,
+    renormalized, or None for a branch at roundoff weight.  ``probability``
+    is the probability of this branch occurring, 0 for a branch at roundoff
+    weight.
     """
 
     success: bool
@@ -93,22 +93,21 @@ def herald_outcomes(rho_e: DensityMatrix, phi) -> tuple[HeraldOutcome, HeraldOut
     The probe is prepared in |+>, coupled to the environment, and measured
     in the basis (|0> ± e^{i phi}|1>)/sqrt2.  Projection onto the minus
     state heralds the environment in |0> exactly, whenever its |0>
-    population is nonzero.  A branch with probe ket v leaves the joint state
-    |v><v| (x) K env K† / w, with K env K† from ``probe_branches``.
+    population is nonzero.  A branch with probe ket v leaves the environment
+    in K env K† / w, with K env K† from ``probe_branches``; the probe is
+    measured and gone.
     """
     if rho_e.dim != 2:
         raise ValueError("environment must be a single qubit")
     value = _angle(phi)
     if value == 0.0:
         raise DegenerateCouplingError("heralding is impossible at phi = 0")
-    kets = _herald_kets(value)
-    posts = probe_branches(rho_e.matrix, [value], [kets])[0]
+    posts = probe_branches(rho_e.matrix, [value], [_herald_kets(value)])[0]
     outcomes = []
-    for success, v, post in zip((True, False), kets, posts):
+    for success, post in zip((True, False), posts):
         w = float(np.trace(post).real)
         if w > ROUNDOFF_WEIGHT:
-            joint = np.kron(projector(v), post / w)
-            outcomes.append(HeraldOutcome(success, DensityMatrix(joint), w))
+            outcomes.append(HeraldOutcome(success, DensityMatrix(post / w), w))
         else:
             outcomes.append(HeraldOutcome(success, None, 0.0))
     return tuple(outcomes)
@@ -147,8 +146,9 @@ def repeat_success_probability(p0: float, phi, n: int, thermalizing: bool) -> fl
 def simulate_repeat_protocol(rho_e: DensityMatrix, phi, n: int, thermalizing: bool) -> float:
     """Sequential heralding with probe refresh, accumulating failure branches.
 
-    Independent of the closed forms: each round builds the joint state with
-    a fresh probe, applies the coupling, and splits on the measurement.
+    Independent of the closed forms: each round couples a fresh probe
+    through ``herald_outcomes`` and carries the failure branch's environment
+    into the next.
     """
     if n < 1:
         raise ValueError("repetition count must be >= 1")
@@ -162,10 +162,7 @@ def simulate_repeat_protocol(rho_e: DensityMatrix, phi, n: int, thermalizing: bo
         weight_surviving *= fail.probability
         if weight_surviving <= 0.0 or fail.post_state is None:
             break
-        if thermalizing:
-            current = initial
-        else:
-            current = DensityMatrix(partial_trace_array(fail.post_state.matrix, 2, (1,)))
+        current = initial if thermalizing else fail.post_state
     return total_success
 
 

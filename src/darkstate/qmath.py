@@ -161,11 +161,6 @@ def partial_trace_array(mat: np.ndarray, n: int, keep: Iterable[int]) -> np.ndar
     return t.reshape(lead + (d, d))
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on the kept qubit indices."""
-    return DensityMatrix(partial_trace_array(rho.matrix, rho.n, keep))
-
-
 def expand_operator(op: np.ndarray, n: int, targets: Sequence[int]) -> np.ndarray:
     """Embed an operator acting on ``targets`` into an ``n``-qubit register.
 

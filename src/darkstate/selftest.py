@@ -37,7 +37,6 @@ from .qmath import (
     entanglement_of_formation,
     ket,
     max_entangled,
-    partial_trace,
     state_fidelity,
 )
 from .tomography import (
@@ -70,8 +69,7 @@ def criterion_1_herald_exactness() -> tuple[bool, str]:
         outcome = herald_dark_state(rho_e, phi)
         expected = p0 * math.sin(phi / 2.0) ** 2
         worst_prob = max(worst_prob, abs(outcome.probability - expected))
-        env = partial_trace(outcome.post_state, (1,))
-        fid = state_fidelity(env.matrix, ket("0"))
+        fid = state_fidelity(outcome.post_state.matrix, ket("0"))
         worst_fid = max(worst_fid, abs(fid - 1.0))
     ok = worst_prob < 1e-12 and worst_fid < 1e-10
     return ok, f"max |P - p0 sin^2| = {worst_prob:.2e}, max |F_env - 1| = {worst_fid:.2e}"

@@ -39,6 +39,12 @@ def product_density(labels: Iterable[str]) -> DensityMatrix:
     return DensityMatrix(projector(product_ket(labels)))
 
 
+def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
+    """Reduced density matrix on the kept qubit indices, validated: ``partial_trace_array``
+    on a ``DensityMatrix``."""
+    return DensityMatrix(partial_trace_array(rho.matrix, rho.n, keep))
+
+
 def u_cp(phi) -> np.ndarray:
     """Two-qubit controlled phase, diag(1, 1, 1, e^{i phi}), for phi in [0, 2 pi)."""
     value = _angle(phi)

@@ -300,6 +300,55 @@ def test_bootstrap_error_bars_cover_ideal_fidelity():
     assert hits >= 19
 
 
+def calibration(mode: str) -> dict[tuple[str, str], tuple[float, float]]:
+    """Per fig3/fig4/fig5 row at phi = pi/2, over seeds 0-39 at bootstrap 100: the median
+    bootstrap std over the seed spread of the estimates, and the estimates' mean offset
+    from the value without shot noise in units of that spread."""
+    run = run_protocol_sweep if mode == "protocol" else run_reference_sweep
+
+    def rows(config):
+        result = run(config)
+        out = {(sp.state, name): getattr(sp, name) for sp in result.states
+               for name in ("fidelity", "purity", "env_pop1")}
+        (pp,) = result.phis
+        return out | {("fig5", "channel_ef"): pp.channel_ef,
+                      ("fig5", "channel_fidelity"): pp.channel_fidelity}
+
+    config = ScenarioConfig(mode=mode, phi_grid=(math.pi / 2.0,), bootstrap_samples=100)
+    truth = rows(dataclasses.replace(config, **ANALYTIC))
+    runs = [rows(dataclasses.replace(config, seed=seed)) for seed in range(40)]
+    out = {}
+    for key, exact in truth.items():
+        values = np.array([r[key].value for r in runs])
+        spread = values.std(ddof=1)
+        out[key] = (float(np.median([r[key].std for r in runs]) / spread),
+                    float((values.mean() - exact.value) / spread))
+    return out
+
+
+def test_bootstrap_calibration_inside_and_on_the_boundary():
+    # A Poisson bootstrap around the observed counts matches the seed spread of a mixed
+    # truth, but at a pure truth the constrained estimate sits about 1 sd inside the
+    # state space and its bootstrap std overstates the spread (Schwemmer et al., PRL 114,
+    # 080403, 2015).  The boundary rows pin today's bias and overstatement, so a change
+    # to either shows; the purity rows at a pure truth are left out, since their seed
+    # spread is at roundoff.
+    reference = calibration("reference")
+    interior = [(s, m) for s in "+-LR" for m in ("fidelity", "purity")]
+    interior += [(s, "env_pop1") for s in BASIS_LABELS]
+    interior += [("fig5", "channel_ef"), ("fig5", "channel_fidelity")]
+    for key in interior:
+        ratio, bias = reference[key]
+        assert 0.6 <= ratio <= 1.5 and abs(bias) <= 0.5, (key, ratio, bias)
+    protocol = calibration("protocol")
+    boundary = [((s, "fidelity"), -1.0) for s in BASIS_LABELS]
+    boundary += [((s, "env_pop1"), 1.0) for s in BASIS_LABELS]
+    boundary += [(("fig5", "channel_ef"), -1.0), (("fig5", "channel_fidelity"), -1.0)]
+    for key, sign in boundary:
+        ratio, bias = protocol[key]
+        assert ratio >= 1.1 and 0.7 <= sign * bias <= 2.0, (key, ratio, bias)
+
+
 def test_anchor_point_normalizes_to_unity():
     cfg = ScenarioConfig(mode="protocol", phi_grid=(math.pi / 2.0, math.pi),
                          signal_states=("+",), bootstrap_samples=10, seed=4)
@@ -687,8 +736,7 @@ def test_protocol_points_share_the_library_herald(env_state):
         succ, _fail = herald_outcomes(DensityMatrix(env), phi)
         assert (weight == succ.probability).all()
         np.testing.assert_allclose(partial_trace_array(rho, 2, (1,)),
-                                   np.broadcast_to(partial_trace_array(succ.post_state.matrix,
-                                                                       2, (1,)), (6, 2, 2)),
+                                   np.broadcast_to(succ.post_state.matrix, (6, 2, 2)),
                                    rtol=0.0, atol=1e-15)
 
 

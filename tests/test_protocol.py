@@ -5,9 +5,11 @@ import pytest
 
 from darkstate.protocol import (
     DegenerateCouplingError,
+    _herald_kets,
     herald_dark_state,
     herald_outcomes,
     plus_projection_update,
+    probe_branches,
     repeat_success_probability,
     simulate_repeat_protocol,
     u_ccp,
@@ -17,12 +19,11 @@ from darkstate.qmath import (
     DensityMatrix,
     expand_operator,
     ket,
-    partial_trace,
     partial_trace_array,
     projector,
     state_fidelity,
 )
-from helpers import product_density, project, random_density_matrix, u_cp
+from helpers import partial_trace, product_density, project, random_density_matrix, u_cp
 
 
 def diag_env(p0: float) -> DensityMatrix:
@@ -137,16 +138,30 @@ def test_herald_prepares_dark_state():
         rho_e = random_density_matrix(1, rng)   # coherences allowed
         phi = rng.uniform(0.2, 6.0)
         outcome = herald_dark_state(rho_e, phi)
-        env = partial_trace(outcome.post_state, (1,))
-        assert state_fidelity(env.matrix, zero) == pytest.approx(1.0, abs=1e-10)
+        assert state_fidelity(outcome.post_state.matrix, zero) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_herald_post_state_probe_component():
+    # the measured probe is gone from the record, but the dense joint success state
+    # is the found probe ket times the environment it leaves
     phi = 2.0
     outcome = herald_dark_state(MIXED, phi)
-    probe = partial_trace(outcome.post_state, (0,))
     perp = np.array([1.0, -np.exp(1j * phi)]) / math.sqrt(2.0)
-    assert state_fidelity(probe.matrix, perp) == pytest.approx(1.0, abs=1e-12)
+    _w, joint = dense_branch(MIXED, phi, perp)
+    np.testing.assert_allclose(joint, np.kron(projector(perp), outcome.post_state.matrix),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_herald_post_states_are_the_branch_map():
+    # each branch's record is the environment that probe_branches leaves, renormalized
+    rng = np.random.default_rng(16)
+    for _ in range(6):
+        rho_e = random_density_matrix(1, rng)
+        phi = rng.uniform(0.1, 6.2)
+        posts = probe_branches(rho_e.matrix, [phi], [_herald_kets(phi)])[0]
+        for outcome, post in zip(herald_outcomes(rho_e, phi), posts):
+            assert outcome.post_state.matrix.shape == (2, 2)
+            assert outcome.post_state.matrix.tobytes() == (post / outcome.probability).tobytes()
 
 
 def test_herald_branches_sum_to_one():
@@ -178,8 +193,8 @@ def test_herald_env_in_one_returns_failure_branch():
 
 @pytest.mark.parametrize("phi", [1e-7, 2.0 * math.pi - 1e-7])
 def test_herald_below_roundoff_returns_failure_branch(phi):
-    # success weight ~1e-15: project drops the branch, so there is no dark state to return,
-    # and the dropped branch reads weight 0, as in the sweep's stacked projection
+    # success weight ~1e-15: herald_outcomes drops a branch at roundoff weight, so there
+    # is no dark state to return, and the dropped branch reads weight 0 and no state
     succ, _fail = herald_outcomes(MIXED, phi)
     assert succ.probability == 0.0 and succ.post_state is None
     outcome = herald_dark_state(MIXED, phi)
@@ -191,14 +206,13 @@ def test_herald_success_populations_never_go_negative():
     # K env K† builds each population from squared moduli; projecting the joint state
     # left 1784 of these 4004 |1> populations at up to -1.4e-13
     phis = list(np.linspace(0.01, 2.0 * math.pi - 0.01, 2001)) + [math.pi]
-    pops = [partial_trace_array(herald_outcomes(DensityMatrix(env), phi)[0].post_state.matrix,
-                                2, (1,))[1, 1].real
+    pops = [herald_outcomes(DensityMatrix(env), phi)[0].post_state.matrix[1, 1].real
             for env in (np.eye(2) / 2, projector(ket("+"))) for phi in phis]
     assert len(pops) == 4004 and min(pops) >= 0.0
 
 
 def test_herald_outcomes_match_dense_projection():
-    # the product form against the projection of the dense joint state
+    # the product form against the environment marginal of the dense joint projection
     rng = np.random.default_rng(18)
     for _ in range(6):
         rho_e = random_density_matrix(1, rng)
@@ -208,15 +222,15 @@ def test_herald_outcomes_match_dense_projection():
                                    for sign in (-1.0, 1.0))):
             w, post = dense_branch(rho_e, phi, probe)
             assert outcome.probability == pytest.approx(w, abs=1e-12)
-            np.testing.assert_allclose(outcome.post_state.matrix, post, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(outcome.post_state.matrix,
+                                       partial_trace_array(post, 2, (1,)), rtol=0.0, atol=1e-12)
 
 
 def test_post_herald_coupling_is_switched_off():
     # the point of the protocol: after a successful herald any later signal
     # survives the interaction untouched
     for phi in (0.7, math.pi / 2.0, math.pi, 4.4):
-        outcome = herald_dark_state(MIXED, phi)
-        env = partial_trace(outcome.post_state, (1,))
+        env = herald_dark_state(MIXED, phi).post_state
         for lab in BASIS_LABELS:
             signal = product_density(lab)
             joint = evolve_cp(signal.matrix, env.matrix, phi)

@@ -15,13 +15,12 @@ from darkstate.qmath import (
     expand_operator,
     ket,
     max_entangled,
-    partial_trace,
     partial_trace_array,
     projector,
     purity,
     state_fidelity,
 )
-from helpers import product_density, random_density_matrix, random_pure_state
+from helpers import partial_trace, product_density, random_density_matrix, random_pure_state
 
 COS_PI_4 = math.cos(math.pi / 4.0)
 

@@ -16,7 +16,6 @@ from darkstate.qmath import (
     DimensionMismatchError,
     ket,
     max_entangled,
-    partial_trace,
     projector,
     purity,
     state_fidelity,
@@ -37,8 +36,8 @@ from darkstate import tomography
 from darkstate.experiments import NoiseParams, _channel_metrics, _gate_choi, _gate_metrics
 from darkstate.tomography import (_born, _pauli_tables, _rrr, _weighted_projectors,
                                   _workspace)
-from helpers import (channel_to_choi, product_density, product_ket, product_settings,
-                     random_density_matrix, random_pure_state, rrr_chain, u_cp)
+from helpers import (channel_to_choi, partial_trace, product_density, product_ket,
+                     product_settings, random_density_matrix, random_pure_state, rrr_chain, u_cp)
 
 PHI_PLUS = projector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
 
